@@ -654,6 +654,16 @@ def _cmd_kernel_check_growth(cfg, args):
     return result, (EXIT_OK if ok else EXIT_NUMERIC), line, {}
 
 
+def _cancel_rows(entries) -> list:
+    """cancel.csv rows: bump, R, order-0 constant, max constant, reduced sup."""
+    rows = []
+    for e in entries:
+        c0 = next((v for a, v in e.report.constants.items() if a.is_zero()), 0.0)
+        rows.append([e.bump, f"{e.R:.12g}", f"{c0:.12g}",
+                     f"{e.report.max_constant():.12g}", f"{e.reduced_sup:.12g}"])
+    return rows
+
+
 def _cmd_kernel_check_cancel(cfg, args):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
@@ -670,11 +680,7 @@ def _cmd_kernel_check_cancel(cfg, args):
         )
     except ValueError as exc:
         raise ConfigError("/cancel", str(exc))
-    rows = []
-    for e in rep.entries:
-        c0 = next((v for a, v in e.report.constants.items() if a.is_zero), 0.0)
-        rows.append([e.bump, f"{e.R:.12g}", f"{c0:.12g}",
-                     f"{e.report.max_constant():.12g}", f"{e.reduced_sup:.12g}"])
+    rows = _cancel_rows(rep.entries)
     ok = np.isfinite(rep.sup_constant)
     result = dict(rep.to_dict(), ok=bool(ok))
     line = f"check-cancel: sup constant {rep.sup_constant:.6g} over {len(rep.entries)} reductions"

@@ -158,6 +158,33 @@ def _convolve_factor(vals: np.ndarray, part_vals: np.ndarray, factor,
     )
 
 
+def factor_matrix(part: KernelRep, sub: GridSpec, budget: int = PAIR_BUDGET) -> np.ndarray:
+    """Dense matrix of the operator apply_op applies for one tensor part.
+
+    sub is the part's single-factor grid; column j is Op(part) applied to
+    the unit vector at flat site j.  On an abelian factor the identity's
+    columns go through one factor convolution batched over a trailing
+    axis.  On a nilpotent factor column y is K(x y^{-1}) vol, read off
+    the right-translation table of site y that the direct path uses; a
+    batched convolution would cost n^3 pairs instead of n^2.
+    """
+    n = sub.size
+    factor = sub.group.factors[0]
+    pv = part.render(sub).values
+    if factor.is_abelian:
+        basis = np.eye(n, dtype=complex).reshape(*sub.shape, n)
+        cols = _convolve_factor(basis, pv, factor, sub, tuple(range(sub.q_total)), budget)
+        return cols.reshape(n, n)
+    kflat = pv.reshape(-1)
+    if np.count_nonzero(kflat) * n > budget:
+        raise ValueError("factor convolution exceeds the point-pair budget")
+    cols = np.empty((n, n), dtype=complex)
+    for y in range(n):
+        ravel, inb = _site_translation(sub, y, "right")  # x y^{-1}
+        cols[:, y] = np.where(inb, kflat[ravel], 0.0)
+    return cols * sub.volume
+
+
 def apply_op(K: KernelRep, f: GridFunction, budget: int = PAIR_BUDGET) -> GridFunction:
     """Op(K) f = K * f."""
     spec = f.spec

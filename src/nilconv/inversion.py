@@ -33,6 +33,7 @@ from .convolution import (
     boundary_mass_fraction,
     compose_kernels,
     convolve,
+    factor_matrix,
     op_norm,
     power_method,
 )
@@ -242,6 +243,62 @@ class EpsilonChoice:
         }
 
 
+# a tensor factor with at most this many sites gets its singular values from
+# a dense SVD (a 2048 x 2048 complex matrix takes 64 MB, and building it on
+# an abelian factor briefly needs the padded FFT of that many columns, a few
+# times more); larger factors run the iterative estimators on their own grid
+DENSE_FACTOR_SITES = 2048
+
+
+def _tensor_edges(K: TensorKernel, spec: GridSpec, max_iter: int, seed: int,
+                  budget: int) -> tuple:
+    """sigma_max and sigma_min info dicts of a tensor kernel's operator.
+
+    Op(K) is the Kronecker product of the per-factor box operators, so its
+    singular values are the products of the factors' singular values
+    (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.15) and each edge is
+    the product of the factors' edges.  A delta part scales by |amplitude|.
+    """
+    tops, bottoms = [], []
+    top_iters = bottom_iters = cg_iters = 0
+    top_conv = bottom_conv = True
+    iterative = False
+    for part, factor in zip(K.parts, K.group.factors):
+        if isinstance(part, DeltaKernel):
+            tops.append(abs(part.amplitude))
+            bottoms.append(abs(part.amplitude))
+            continue
+        sub = GridSpec(ProductGroup([factor]), spec.N, spec.T)
+        if sub.size <= DENSE_FACTOR_SITES:
+            s = np.linalg.svd(factor_matrix(part, sub, budget), compute_uv=False)
+            # LAPACK's values are exact for a perturbation of relative size
+            # about n eps; widening the top edge by that keeps it an upper
+            # bound, so the damping never overshoots by rounding
+            tops.append(float(s[0]) * (1.0 + sub.size * np.finfo(float).eps))
+            bottoms.append(float(s[-1]))
+            continue
+        iterative = True
+        top = op_norm(part, sub, max_iter=max_iter, seed=seed, budget=budget)
+        bottom = smallest_singular(part, sub, sigma_max=top.value, seed=seed,
+                                   budget=budget)
+        tops.append(top.value)
+        bottoms.append(bottom["value"])
+        top_iters += top.iterations
+        bottom_iters += bottom["iterations"]
+        cg_iters += bottom["cg_iterations"]
+        top_conv = top_conv and top.converged
+        bottom_conv = bottom_conv and bottom["converged"]
+    method = "tensor-factor-iterative" if iterative else "tensor-exact"
+
+    def info(factors, converged, iterations, cg):
+        return {"value": float(math.prod(factors)), "method": method,
+                "factors": [float(v) for v in factors], "converged": converged,
+                "iterations": iterations, "cg_iterations": cg}
+
+    return (info(tops, top_conv, top_iters, 0),
+            info(bottoms, bottom_conv, bottom_iters, cg_iters))
+
+
 def choose_epsilon(K: KernelRep, spec: GridSpec, paper_eps: bool = False,
                    seed: int = 0, budget: int = PAIR_BUDGET,
                    max_iter: int = 80) -> EpsilonChoice:
@@ -251,10 +308,20 @@ def choose_epsilon(K: KernelRep, spec: GridSpec, paper_eps: bool = False,
     contraction rate at both spectral edges; paper_eps selects the plain
     eps = 1 / sigma_max^2, which keeps the remainder positive
     semidefinite at the cost of a slower bottom edge.
+
+    Tensor kernels get exact edges: products of per-factor extremes from a
+    dense SVD of each factor's operator (factors above DENSE_FACTOR_SITES
+    sites fall back to the iterative estimators on that factor's grid).
+    Other kernels use power iteration for sigma_max and shifted inverse
+    iteration for sigma_min on the whole grid.
     """
-    top = op_norm(K, spec, max_iter=max_iter, seed=seed, budget=budget)
-    smax = top.value
-    bottom = smallest_singular(K, spec, sigma_max=smax, seed=seed, budget=budget)
+    if isinstance(K, TensorKernel):
+        top, bottom = _tensor_edges(K, spec, max_iter, seed, budget)
+    else:
+        top = op_norm(K, spec, max_iter=max_iter, seed=seed, budget=budget).to_dict()
+        bottom = smallest_singular(K, spec, sigma_max=top["value"], seed=seed,
+                                   budget=budget)
+    smax = top["value"]
     smin = bottom["value"]
     if smax == 0.0 or smin < 1e-8 * smax:
         raise ValueError(
@@ -273,7 +340,7 @@ def choose_epsilon(K: KernelRep, spec: GridSpec, paper_eps: bool = False,
         sigma_min=float(smin),
         s_norm_pred=float(pred),
         paper_eps=bool(paper_eps),
-        sigma_max_info=top.to_dict(),
+        sigma_max_info=top,
         sigma_min_info=bottom,
     )
 

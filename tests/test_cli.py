@@ -282,6 +282,22 @@ def test_check_cancel_report_and_csv(tmp_path):
     assert len(rows) == 4
 
 
+def test_cancel_rows_pick_the_zero_order_constant():
+    # the order-0 column must come from the zero multi-index wherever it
+    # sits in the constants dict, not from whichever constant comes first
+    from nilconv.cli import _cancel_rows
+    from nilconv.kernels import CancellationEntry, GrowthReport
+    from nilconv.product import MultiIndex
+
+    first = GrowthReport(mode="product", n_samples=1, argmax={}, constants={
+        MultiIndex(((1,), (0,))): 5.0, MultiIndex(((0,), (0,))): 2.0})
+    missing = GrowthReport(mode="product", n_samples=1, argmax={},
+                           constants={MultiIndex(((0,), (1,))): 3.0})
+    rows = _cancel_rows([CancellationEntry("b", 0.5, first, 0.25),
+                         CancellationEntry("b", 1.0, missing, 0.125)])
+    assert rows == [["b", "0.5", "2", "5", "0.25"], ["b", "1", "0", "3", "0.125"]]
+
+
 def test_unknown_kernel_name(tmp_path, capsys):
     code, _ = run(tmp_path, "opnorm", "--preset", "abelian1",
                   "--kernel", "nosuch")

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dense_matrix, padded_symbol
+from oracles import dense_matrix, padded_symbol, toeplitz_convolution_matrix
 from nilconv.convolution import apply_op, compose_kernels, op_norm
-from nilconv.grid import GridFunction, GridSpec
+from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
+from nilconv import inversion
 from nilconv.inversion import (
     NOT_INVERTIBLE,
     DecayReport,
@@ -24,6 +25,7 @@ from nilconv.inversion import (
     smallest_singular,
 )
 from nilconv.kernels import (
+    ClosedFormKernel,
     DeltaKernel,
     DiscreteHilbertKernel,
     GridKernel,
@@ -154,6 +156,94 @@ def test_choose_epsilon_tensor_hilbert():
     assert abs(ec.sigma_max - 1.0) <= 0.1
     assert 0.03 <= ec.sigma_min <= 0.3
     assert ec.s_norm_pred < 1.0
+    # both factors are the same box Toeplitz operator, so the edges are
+    # exactly the squares of its extreme singular values
+    H = DiscreteHilbertKernel(AB1).render(sub).values
+    s = np.linalg.svd(toeplitz_convolution_matrix(H, sub.spacings[0]),
+                      compute_uv=False)
+    assert np.abs(np.fft.ifft(sym)[:64] / sub.volume - H).max() <= 1e-12
+    assert ec.sigma_max >= s[0] ** 2
+    assert abs(ec.sigma_max - s[0] ** 2) <= 1e-12 * s[0] ** 2
+    assert abs(ec.sigma_min - s[-1] ** 2) <= 1e-12 * s[-1] ** 2
+
+
+def _heisenberg_abelian_tensor(N):
+    sub_h = GridSpec(ProductGroup([heisenberg1()]), N, 1.0)
+    rng = np.random.default_rng(10)
+    part_h = GridKernel(sub_h, zero_lowest_face(rng.normal(size=sub_h.shape)))
+    K = TensorKernel([part_h, ClosedFormKernel(AB1, "hilbert")])
+    return K, GridSpec(K.group, N, 1.0)
+
+
+def _random_part(N, seed):
+    sub = GridSpec(AB1, N, 1.0)
+    rng = np.random.default_rng(seed)
+    return GridKernel(sub, rng.normal(size=sub.shape) + 1j * rng.normal(size=sub.shape))
+
+
+def _tensor_cases():
+    return {
+        "hilbert2": (_tensor_hilbert(), GridSpec(AB2, 8, 1.0)),
+        "delta-grid": (TensorKernel([DeltaKernel(AB1, -2 + 1j), _random_part(8, 4)]),
+                       GridSpec(AB2, 8, 1.0)),
+        "heisenberg-abelian": _heisenberg_abelian_tensor(4),
+    }
+
+
+@pytest.mark.parametrize("name", ["hilbert2", "delta-grid", "heisenberg-abelian"])
+def test_choose_epsilon_tensor_matches_dense_svd(name):
+    # the full operator's dense SVD, not the per-factor product, is the oracle
+    K, spec = _tensor_cases()[name]
+    sv = _dense_singular_values(K, spec)
+    ec = choose_epsilon(K, spec)
+    assert ec.sigma_max >= sv[0]
+    assert abs(ec.sigma_max - sv[0]) <= 1e-10 * sv[0]
+    assert abs(ec.sigma_min - sv[-1]) <= 1e-10 * sv[-1]
+    for info in (ec.sigma_max_info, ec.sigma_min_info):
+        assert info["method"] == "tensor-exact"
+        assert info["converged"] is True
+        assert info["iterations"] == 0 and info["cg_iterations"] == 0
+        assert len(info["factors"]) == 2
+    assert ec.sigma_max_info["value"] == ec.sigma_max
+    assert ec.sigma_min_info["value"] == ec.sigma_min
+    if name == "delta-grid":
+        assert ec.sigma_max_info["factors"][0] == abs(-2 + 1j)
+        assert ec.sigma_min_info["factors"][0] == abs(-2 + 1j)
+
+
+def test_choose_epsilon_tensor_factor_iterative_fallback(monkeypatch):
+    # both 16-site factors go past the lowered dense limit and run the
+    # iterative estimators on their own grids
+    monkeypatch.setattr(inversion, "DENSE_FACTOR_SITES", 8)
+    K = TensorKernel([_random_part(16, 4), _random_part(16, 5)])
+    spec = GridSpec(AB2, 16, 1.0)
+    sv = _dense_singular_values(K, spec)
+    ec = choose_epsilon(K, spec)
+    top, bottom = ec.sigma_max_info, ec.sigma_min_info
+    assert top["method"] == bottom["method"] == "tensor-factor-iterative"
+    assert top["converged"] and bottom["converged"]
+    assert abs(ec.sigma_max - sv[0]) <= 1e-6 * sv[0]
+    assert sv[-1] * (1.0 - 1e-9) <= ec.sigma_min <= 1.02 * sv[-1]
+    sub = GridSpec(AB1, 16, 1.0)
+    runs = [op_norm(p, sub, max_iter=80) for p in K.parts]
+    assert top["factors"] == [r.value for r in runs]
+    assert top["iterations"] == sum(r.iterations for r in runs)
+    assert top["cg_iterations"] == 0
+    assert bottom["iterations"] > 0 and bottom["cg_iterations"] > 0
+
+
+def test_choose_epsilon_tensor_zero_part_not_invertible():
+    K = TensorKernel([DeltaKernel(AB1, 3.0), GridKernel(GridSpec(AB1, 8, 1.0), np.zeros(8))])
+    with pytest.raises(ValueError, match=NOT_INVERTIBLE):
+        choose_epsilon(K, GridSpec(AB2, 8, 1.0))
+
+
+def test_choose_epsilon_keeps_iterative_provenance_for_other_kernels():
+    spec = GridSpec(AB2, 8, 1.0)
+    K = _near_identity_dyadic(spec, strength=0.4, seed=3)
+    ec = choose_epsilon(K, spec)
+    assert ec.sigma_max_info == op_norm(K, spec, max_iter=80).to_dict()
+    assert ec.sigma_min_info == smallest_singular(K, spec, sigma_max=ec.sigma_max)
 
 
 # --- probes -------------------------------------------------------------------
@@ -227,6 +317,21 @@ def test_invert_tensor_hilbert_smoke():
     cos = np.real(np.vdot(Hv, Lv)) / (np.linalg.norm(Hv) * np.linalg.norm(Lv))
     assert cos >= 0.95
     assert all(r["right"] <= 0.08 and r["left"] <= 0.08 for r in res.residuals)
+
+
+def test_invert_tensor_padded_reports_padded_factor_sigmas():
+    spec = GridSpec(AB2, 16, 1.0)
+    K = _tensor_hilbert()
+    res = neumann_invert(K, spec, max_n=4, pad_factor=2)
+    # the padded factor grid has 2N points at the same spacing
+    big = GridSpec(AB1, 32, 2.0)
+    H = DiscreteHilbertKernel(AB1).render(big).values
+    s = np.linalg.svd(toeplitz_convolution_matrix(H, big.spacings[0]),
+                      compute_uv=False)
+    assert res.eps.sigma_max_info["factors"] == pytest.approx([s[0]] * 2, rel=1e-12)
+    assert res.eps.sigma_min_info["factors"] == pytest.approx([s[-1]] * 2, rel=1e-12)
+    small = choose_epsilon(K, spec)
+    assert abs(small.sigma_min - res.eps.sigma_min) > 1e-6
 
 
 def test_invert_near_identity_converges_two_sided():
