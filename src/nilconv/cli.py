@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -132,7 +131,6 @@ def _defaults():
             "pairs": 8,
             "k": None,
             "kind": "pk",
-            "jobs": 1,
             "radius_factors": [1.0],
         },
         "invert": {
@@ -336,8 +334,6 @@ def validate_config(cfg, command):
               "pairs must be a positive integer")
         _need(errors, t.get("kind") in ("pk", "fk"), "/tame/kind",
               "kind must be 'pk' or 'fk'")
-        _need(errors, _is_int(t.get("jobs")) and t["jobs"] >= 1, "/tame/jobs",
-              "jobs must be a positive integer")
         _validate_kvec(errors, t.get("k"), "/tame/k")
     elif command == "invert":
         i = cfg["invert"]
@@ -770,7 +766,8 @@ def _cmd_tame(cfg, args):
     flag_mode = t["kind"] == "fk" or bool(k.get("flag", False))
     fn = tame_report_pk if t["kind"] == "pk" else tame_report_fk
 
-    def one_pair(i):
+    reports = []
+    for i in range(t["pairs"]):
         base = cfg["seed"] + 2 * i
         K = synth_dyadic(group, k["n_min"], k["n_max"], k["family"],
                          seed=base, moment_order=k["moment_order"],
@@ -778,15 +775,7 @@ def _cmd_tame(cfg, args):
         L = synth_dyadic(group, k["n_min"], k["n_max"], k["family"],
                          seed=base + 1, moment_order=k["moment_order"],
                          flag_mode=flag_mode)
-        return fn(K, L, spec, kvec, cfg=sc, ids=(f"K{i}", f"L{i}"))
-
-    indices = range(t["pairs"])
-    if t["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=t["jobs"]) as pool:
-            futures = [pool.submit(one_pair, i) for i in indices]
-            reports = [f.result() for f in futures]  # input order
-    else:
-        reports = [one_pair(i) for i in indices]
+        reports.append(fn(K, L, spec, kvec, cfg=sc, ids=(f"K{i}", f"L{i}")))
 
     ratios = [r.ratio for r in reports]
     finite = all(np.isfinite(v) for v in ratios)
@@ -1049,17 +1038,14 @@ def build_parser():
         epilog="CSV output: tame.csv with columns "
                "kind,kernels,kvec,N,lhs,summand0..summandM,rhs,ratio,"
                "tameness_ok (one row per pair, input order). Pairs are "
-               "synthesized from consecutive seeds; --jobs runs them in "
-               "parallel with results merged in input order.")
+               "synthesized from consecutive seeds.")
     _common_flags(p, kernel=False)
     p.add_argument("--pairs", dest="tame_pairs", type=int)
     _kvec_flag(p, dest="tame_k")
     p.add_argument("--kind", dest="tame_kind", choices=("pk", "fk"))
-    p.add_argument("--jobs", dest="tame_jobs", type=int,
-                   help="worker threads for the pair loop")
     p.set_defaults(handler=_cmd_tame, name="tame", flags=[
         ("tame_pairs", "tame.pairs"), ("tame_k", "tame.k"),
-        ("tame_kind", "tame.kind"), ("tame_jobs", "tame.jobs")])
+        ("tame_kind", "tame.kind")])
 
     p = sub.add_parser(
         "invert", help="invert an operator through the damped Neumann series",

@@ -4,12 +4,14 @@ Convention: (f * g)(x) = sum_y f(x y^{-1}) g(y) vol.  The subgroup
 lattice is closed under the group law, so the direct path gathers exact
 lattice points; values falling outside the box contribute zero.  Fully
 abelian groups route through zero-padded FFT convolution, which equals
-the direct sum up to rounding.
+the direct sum up to rounding.  Pipelines apply Op(K) through
+prepare(K, spec), which does the per-kernel work once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,27 +23,14 @@ from .kernels import (
     TensorKernel,
     adjoint_kernel,
 )
-from .product import MultiIndex, ProductGroup
+from .product import MultiIndex
 
 PAIR_BUDGET = int(2e8)
 
 
-def _check_specs(f: GridFunction, g: GridFunction):
-    if f.spec is not g.spec and not f.spec.compatible(g.spec):
+def _check_specs(a: GridSpec, b: GridSpec):
+    if a is not b and not a.compatible(b):
         raise ValueError("grid specs do not match")
-
-
-def _fast_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    spec = f.spec
-    q, N = spec.q_total, spec.N
-    M = 2 * N
-    ax = tuple(range(q))
-    F = np.fft.fftn(f.values, s=(M,) * q, axes=ax)
-    G = np.fft.fftn(g.values, s=(M,) * q, axes=ax)
-    full = np.fft.ifftn(F * G, axes=ax)
-    c = spec.origin
-    crop = tuple(slice(c, c + N) for _ in range(q))
-    return GridFunction(spec, full[crop] * spec.volume)
 
 
 def _gather(values: np.ndarray, spec: GridSpec, points: np.ndarray) -> np.ndarray:
@@ -75,146 +64,206 @@ def _site_translation(spec: GridSpec, i: int, side: str):
     return tables[key]
 
 
-def _direct_convolve(f: GridFunction, g: GridFunction, budget: int) -> GridFunction:
-    spec = f.spec
-    mesh = spec.mesh.reshape(-1, spec.q_total)
-    fv = f.values.reshape(-1)
-    gv = g.values.reshape(-1)
-    nz_f = np.flatnonzero(np.abs(fv) > 0)
-    nz_g = np.flatnonzero(np.abs(gv) > 0)
-    # loop over the sparser side: either sum_y f(x y^{-1}) g(y) over supp g,
-    # or equivalently sum_z f(z) g(z^{-1} x) over supp f
-    loop_f = nz_f.size <= nz_g.size
-    nz = nz_f if loop_f else nz_g
-    cost = nz.size * mesh.shape[0]
-    if cost > budget:
-        raise ValueError(
-            f"direct convolution needs {cost} point pairs; budget is {budget}"
-        )
-    out = np.zeros(mesh.shape[0], dtype=complex)
-    for i in nz:
-        if loop_f:
-            ravel, inb = _site_translation(spec, i, "left")  # z^{-1} x
-            out[inb] += fv[i] * gv[ravel[inb]]
+class _Block:
+    """Convolution along some grid axes; _convolve gets them last, the rest as rows."""
+
+    def __init__(self, spec: GridSpec, axes: tuple):
+        self.spec, self.axes = spec, axes
+        self.vol = float(np.prod(spec.spacings[list(axes)]))
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        axes = tuple(v.ndim - self.spec.q_total + a for a in self.axes)
+        last = range(v.ndim - len(axes), v.ndim)
+        moved = np.moveaxis(v, axes, last)
+        out = self._convolve(moved.reshape(-1, *(self.spec.N,) * len(axes)))
+        return np.moveaxis(out.reshape(moved.shape), last, axes)
+
+
+class _Spectrum(_Block):
+    """Abelian axes: zero-padded FFT against the kernel spectrum.
+
+    numpy's complex products are not bitwise commutative; whole-grid
+    kernels multiply the kernel spectrum first and tensor factors the
+    operand spectrum first, which keeps existing reports byte-stable.
+    """
+
+    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray,
+                 kernel_first: bool):
+        super().__init__(spec, axes)
+        self.pad = (2 * spec.N,) * len(axes)
+        self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=tuple(range(len(axes))))
+        self.kernel_first = kernel_first
+
+    def _convolve(self, flat: np.ndarray) -> np.ndarray:
+        ax = tuple(range(1, flat.ndim))
+        F = np.fft.fftn(flat, s=self.pad, axes=ax)
+        full = np.fft.ifftn(self.spectrum * F if self.kernel_first else F * self.spectrum,
+                            axes=ax)
+        c = self.spec.origin
+        return full[(slice(None),) + (slice(c, c + self.spec.N),) * len(ax)] * self.vol
+
+
+class _Direct(_Block):
+    """Any group: (k * v)(x) summed through cached translation tables.
+
+    sub is the grid of the block's own group (spec for a whole-grid kernel).
+    Each row loops over the sparser of supp k and its own support, which
+    must stay within budget point pairs; the rows that loop over supp k
+    share one loop, and the others run one at a time.
+    """
+
+    def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
+                 kvals: np.ndarray, budget: int):
+        super().__init__(spec, axes)
+        self.sub, self.budget = sub, budget
+        self.kflat = kvals.reshape(-1)
+        self.nz = np.flatnonzero(np.abs(self.kflat) > 0)
+
+    def _convolve(self, flat: np.ndarray) -> np.ndarray:
+        rows = flat.reshape(flat.shape[0], -1)
+        acc = np.zeros_like(rows)
+        supports = [np.flatnonzero(np.abs(v) > 0) for v in rows]
+        cost = max(min(self.nz.size, nz.size) for nz in supports) * self.sub.size
+        if cost > self.budget:
+            raise ValueError(f"direct sum needs {cost} point pairs; budget {self.budget}")
+        kside = [j for j, nz in enumerate(supports) if self.nz.size <= nz.size]
+        if kside:  # sites first: one row stays 1-D, several gather whole site rows
+            sel = kside[0] if len(kside) == 1 else kside
+            vs = np.ascontiguousarray(rows[sel].T)
+            out = np.zeros_like(vs)
+            for i in self.nz:  # sum_z k(z) v(z^{-1} x)
+                ravel, inb = _site_translation(self.sub, int(i), "left")
+                out[inb] += self.kflat[i] * vs[ravel[inb]]
+            acc[sel] = out.T
+        for v, out, nz in zip(rows, acc, supports):
+            for i in nz if nz.size < self.nz.size else ():  # sum_y v(y) k(x y^{-1})
+                ravel, inb = _site_translation(self.sub, int(i), "right")
+                out[inb] += v[i] * self.kflat[ravel[inb]]
+        return (acc * self.vol).reshape(flat.shape)
+
+
+def _convolve_each(K: GridKernel, spec: GridSpec, budget: int):
+    """Whole-grid direct step: one public convolve per input, which bench/tracer.py counts."""
+    def step(v: np.ndarray) -> np.ndarray:
+        outs = [convolve(K.data, GridFunction(spec, row), "direct", budget).values
+                for row in v.reshape(-1, *spec.shape)]
+        return np.stack(outs).reshape(v.shape)
+    return step
+
+
+class ConvOp:
+    """Op(K) prepared on one grid by prepare(K, spec).
+
+    apply, adjoint and normal act on arrays of shape (*batch, *spec.shape),
+    each leading index an independent input.  kernel is K as applied (rendered
+    unless a grid, delta or tensor kernel); Op(K~) is prepared on first use.
+    """
+
+    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list, budget: int):
+        self.kernel, self.spec, self.steps, self.budget = kernel, spec, steps, budget
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Op(K) v."""
+        v = np.asarray(v, dtype=complex)
+        if v.shape[v.ndim - self.spec.q_total:] != self.spec.shape:
+            raise ValueError(f"values shape {v.shape} does not end in grid {self.spec.shape}")
+        for step in self.steps:
+            v = step(v)
+        return v
+
+    @cached_property
+    def adjoint_op(self) -> "ConvOp":
+        """Op(K~), the L2 adjoint, prepared on the same grid."""
+        return prepare(adjoint_kernel(self.kernel), self.spec, self.budget)
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """Op(K~) v."""
+        return self.adjoint_op.apply(v)
+
+    def normal(self, v: np.ndarray) -> np.ndarray:
+        """Op(K~) Op(K) v."""
+        return self.adjoint(self.apply(v))
+
+
+def prepare(K, spec: GridSpec, budget: int = PAIR_BUDGET) -> ConvOp:
+    """Prepare Op(K) on spec; a ConvOp is returned unchanged, with its budget.
+
+    A delta kernel scales.  A tensor kernel gets one step per factor on the
+    factor's own grid: a scale for a delta part, else the part rendered once.
+    Any other kernel is rendered on spec (a grid kernel must live there).
+    Abelian groups keep the padded kernel spectrum; others run the direct
+    sum within budget point pairs (through convolve for a whole-grid kernel).
+    """
+    if isinstance(K, ConvOp):
+        _check_specs(K.spec, spec)
+        return K
+    if isinstance(K, DeltaKernel):
+        steps = [lambda v: v * K.amplitude]
+    elif isinstance(K, TensorKernel):
+        steps = []
+        for part, sub, sl in zip(K.parts, spec.factor_specs, K.group.slices):
+            if isinstance(part, DeltaKernel):
+                steps.append(lambda v, c=part.amplitude: v * c)
+                continue
+            axes, kvals = tuple(range(sl.start, sl.stop)), part.render(sub).values
+            block = (_Spectrum(spec, axes, kvals, False) if sub.group.factors[0].is_abelian
+                     else _Direct(spec, sub, axes, kvals, budget))
+            steps.append(block.apply)
+    else:
+        K = K if isinstance(K, GridKernel) else K.render(spec)
+        _check_specs(K.spec, spec)
+        if all(fac.is_abelian for fac in spec.group.factors):
+            steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values, True).apply]
         else:
-            ravel, inb = _site_translation(spec, i, "right")  # x y^{-1}
-            out[inb] += gv[i] * fv[ravel[inb]]
-    return GridFunction(spec, out.reshape(spec.shape) * spec.volume)
+            steps = [_convolve_each(K, spec, budget)]
+    return ConvOp(K, spec, steps, budget)
 
 
 def convolve(f: GridFunction, g: GridFunction, path: str = "auto",
              budget: int = PAIR_BUDGET) -> GridFunction:
     """Group convolution f * g on a shared grid."""
-    _check_specs(f, g)
-    abelian = all(fac.is_abelian for fac in f.spec.group.factors)
+    _check_specs(f.spec, g.spec)
+    spec = f.spec
+    axes = tuple(range(spec.q_total))
+    abelian = all(fac.is_abelian for fac in spec.group.factors)
     if path == "auto":
         path = "fast" if abelian else "direct"
     if path == "fast":
         if not abelian:
             raise ValueError("fast path requires a fully abelian group")
-        return _fast_convolve(f, g)
-    if path == "direct":
-        return _direct_convolve(f, g, budget)
-    raise ValueError(f"unknown convolution path {path!r}")
-
-
-def _convolve_factor(vals: np.ndarray, part_vals: np.ndarray, factor,
-                     spec: GridSpec, axes, budget: int) -> np.ndarray:
-    """Convolve along one factor's axes, batching over the rest."""
-    q_mu = len(axes)
-    N = spec.N
-    vol = float(np.prod(spec.spacings[list(axes)]))
-    moved = np.moveaxis(vals, axes, range(vals.ndim - q_mu, vals.ndim))
-    lead = moved.shape[: vals.ndim - q_mu]
-    flat = moved.reshape(-1, *(N,) * q_mu)
-    if factor.is_abelian:
-        M = 2 * N
-        ax = tuple(range(1, q_mu + 1))
-        Kf = np.fft.fftn(part_vals, s=(M,) * q_mu, axes=tuple(range(q_mu)))
-        Ff = np.fft.fftn(flat, s=(M,) * q_mu, axes=ax)
-        full = np.fft.ifftn(Ff * Kf[None], axes=ax)
-        c = spec.origin
-        crop = (slice(None),) + tuple(slice(c, c + N) for _ in range(q_mu))
-        out = full[crop] * vol
-    else:
-        subs = spec.__dict__.setdefault("_factor_subspecs", {})
-        if axes not in subs:
-            subs[axes] = GridSpec(ProductGroup([factor]), N, spec.T)
-        sub = subs[axes]
-        m = N ** q_mu
-        kflat = part_vals.reshape(-1)
-        nz = np.flatnonzero(np.abs(kflat) > 0)
-        if nz.size * m > budget:
-            raise ValueError("factor convolution exceeds the point-pair budget")
-        rows = flat.reshape(flat.shape[0], -1)
-        acc = np.zeros_like(rows)
-        for i in nz:
-            ravel, inb = _site_translation(sub, int(i), "left")  # z^{-1} x
-            acc[:, inb] += kflat[i] * rows[:, ravel[inb]]
-        out = (acc * vol).reshape(flat.shape)
-    return np.moveaxis(
-        out.reshape(*lead, *(N,) * q_mu),
-        range(vals.ndim - q_mu, vals.ndim), axes,
-    )
+        return GridFunction(spec, _Spectrum(spec, axes, f.values, True).apply(g.values))
+    if path != "direct":
+        raise ValueError(f"unknown convolution path {path!r}")
+    return GridFunction(spec, _Direct(spec, spec, axes, f.values, budget).apply(g.values))
 
 
 def factor_matrix(part: KernelRep, sub: GridSpec, budget: int = PAIR_BUDGET) -> np.ndarray:
-    """Dense matrix of the operator apply_op applies for one tensor part.
+    """Dense matrix of the operator a tensor kernel applies for one part.
 
     sub is the part's single-factor grid; column j is Op(part) applied to
-    the unit vector at flat site j.  On an abelian factor the identity's
-    columns go through one factor convolution batched over a trailing
-    axis.  On a nilpotent factor column y is K(x y^{-1}) vol, read off
-    the right-translation table of site y that the direct path uses; a
-    batched convolution would cost n^3 pairs instead of n^2.
+    the unit vector at flat site j, all columns as one batch of the
+    prepared one-part operator.  The direct path sums each unit vector
+    over its one site, so a nilpotent factor costs n^2 point pairs.
     """
     n = sub.size
-    factor = sub.group.factors[0]
-    pv = part.render(sub).values
-    if factor.is_abelian:
-        basis = np.eye(n, dtype=complex).reshape(*sub.shape, n)
-        cols = _convolve_factor(basis, pv, factor, sub, tuple(range(sub.q_total)), budget)
-        return cols.reshape(n, n)
-    kflat = pv.reshape(-1)
-    if np.count_nonzero(kflat) * n > budget:
-        raise ValueError("factor convolution exceeds the point-pair budget")
-    cols = np.empty((n, n), dtype=complex)
-    for y in range(n):
-        ravel, inb = _site_translation(sub, y, "right")  # x y^{-1}
-        cols[:, y] = np.where(inb, kflat[ravel], 0.0)
-    return cols * sub.volume
+    basis = np.eye(n, dtype=complex).reshape(n, *sub.shape)
+    return prepare(TensorKernel([part]), sub, budget).apply(basis).reshape(n, n).T
 
 
-def apply_op(K: KernelRep, f: GridFunction, budget: int = PAIR_BUDGET) -> GridFunction:
-    """Op(K) f = K * f."""
-    spec = f.spec
-    if isinstance(K, DeltaKernel):
-        return f.scaled(K.amplitude)
-    if isinstance(K, TensorKernel):
-        vals = f.values
-        for part, factor, sl in zip(K.parts, K.group.factors, K.group.slices):
-            if isinstance(part, DeltaKernel):
-                vals = vals * part.amplitude
-                continue
-            sub = GridSpec(ProductGroup([factor]), spec.N, spec.T)
-            pv = part.render(sub).values
-            vals = _convolve_factor(vals, pv, factor, spec,
-                                    tuple(range(sl.start, sl.stop)), budget)
-        return GridFunction(spec, vals)
-    if not isinstance(K, GridKernel):
-        K = K.render(spec)
-    return convolve(K.data, f, budget=budget)
+def apply_op(K, f: GridFunction, budget: int = PAIR_BUDGET) -> GridFunction:
+    """Op(K) f = K * f; K may be a kernel or a ConvOp."""
+    return GridFunction(f.spec, prepare(K, f.spec, budget).apply(f.values))
 
 
-def compose_kernels(K: KernelRep, L: KernelRep, spec: GridSpec,
+def compose_kernels(K, L: KernelRep, spec: GridSpec,
                     budget: int = PAIR_BUDGET) -> GridKernel:
-    """Grid kernel of Op(K) Op(L): K applied to L's rendering."""
+    """Grid kernel of Op(K) Op(L): K applied to L's rendering.
+
+    A delta K keeps L's principal-value flag.
+    """
     Lr = L.render(spec)
-    if isinstance(K, DeltaKernel):
-        return GridKernel(spec, Lr.values * K.amplitude,
-                          principal_value=Lr.principal_value, mode=Lr.mode)
-    out = apply_op(K, Lr.data, budget=budget)
-    return GridKernel(spec, out.values, mode=Lr.mode)
+    return GridKernel(spec, prepare(K, spec, budget).apply(Lr.values), mode=Lr.mode,
+                      principal_value=Lr.principal_value and isinstance(K, DeltaKernel))
 
 
 def right_translate(f: GridFunction, a) -> GridFunction:
@@ -316,12 +365,12 @@ class OpNormEstimate:
         }
 
 
-def power_method(normal_step, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
+def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
                  seed: int = 0) -> OpNormEstimate:
     """Largest singular value from power iteration on a normal operator.
 
-    normal_step maps a GridFunction v to A~(A v); the returned value is the
-    square root of the dominant Rayleigh quotient.
+    normal maps an array v of shape spec.shape to A~(A v), as ConvOp.normal
+    does; the returned value is the square root of the dominant Rayleigh quotient.
     """
     if max_iter < 8:
         raise ValueError("max_iter must be at least 8")
@@ -336,7 +385,7 @@ def power_method(normal_step, spec: GridSpec, max_iter: int = 60, tol: float = 1
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        w = normal_step(v)
+        w = GridFunction(spec, normal(v.values))
         new_rho = float(np.real(w.inner(v)))
         resid_vec = w.plus(v.scaled(-new_rho))
         residual = resid_vec.l2_norm() / max(new_rho, 1e-300)
@@ -365,14 +414,9 @@ def power_method(normal_step, spec: GridSpec, max_iter: int = 60, tol: float = 1
     )
 
 
-def op_norm(K: KernelRep, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
+def op_norm(K, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
             seed: int = 0, budget: int = PAIR_BUDGET) -> OpNormEstimate:
-    """Largest singular value of Op(K) by power iteration on Op(K~) Op(K)."""
-    if not isinstance(K, (GridKernel, DeltaKernel, TensorKernel)):
-        K = K.render(spec)
-    Kt = adjoint_kernel(K)
-
-    def step(v):
-        return apply_op(Kt, apply_op(K, v, budget=budget), budget=budget)
-
-    return power_method(step, spec, max_iter=max_iter, tol=tol, seed=seed)
+    """Largest singular value of Op(K) by power iteration on Op(K~) Op(K);
+    a ConvOp K keeps the budget it was prepared with."""
+    return power_method(prepare(K, spec, budget).normal, spec, max_iter=max_iter,
+                        tol=tol, seed=seed)

@@ -51,6 +51,13 @@ class GridSpec:
         """Per-axis magnitude of the lowest grid coordinate."""
         return self.origin * self.spacings
 
+    @cached_property
+    def factor_specs(self) -> list:
+        """Each factor's grid (one factor: self), built once so caches on them are shared."""
+        facs = self.group.factors
+        return [self] if len(facs) == 1 else [GridSpec(ProductGroup([f]), self.N, self.T)
+                                              for f in facs]
+
     def axis_coords(self, j: int) -> np.ndarray:
         return (np.arange(self.N) - self.origin) * self.spacings[j]
 

@@ -29,16 +29,15 @@ import numpy as np
 
 from .convolution import (
     PAIR_BUDGET,
-    apply_op,
     boundary_mass_fraction,
     compose_kernels,
     convolve,
     factor_matrix,
     op_norm,
     power_method,
+    prepare,
 )
 from .grid import GridFunction, GridSpec
-from .product import ProductGroup
 from .kernels import (
     DeltaKernel,
     GridKernel,
@@ -51,13 +50,6 @@ from .kernels import (
 from .seminorms import SeminormConfig, fk_seminorm, pk_seminorm
 
 NOT_INVERTIBLE = "not invertible at this resolution"
-
-
-def _structured(K: KernelRep, spec: GridSpec) -> KernelRep:
-    """Keep fast-path kernel structure; render anything else once."""
-    if isinstance(K, (GridKernel, DeltaKernel, TensorKernel)):
-        return K
-    return K.render(spec)
 
 
 def _padded_spec(spec: GridSpec, pad_factor: int) -> GridSpec:
@@ -75,12 +67,8 @@ def _embed_kernel(K: KernelRep, spec: GridSpec, big: GridSpec) -> KernelRep:
         vals[window] = K.values
         return GridKernel(big, vals, principal_value=K.principal_value, mode=K.mode)
     if isinstance(K, TensorKernel):
-        parts = []
-        for part, factor in zip(K.parts, K.group.factors):
-            sub = GridSpec(ProductGroup([factor]), spec.N, spec.T)
-            bsub = GridSpec(ProductGroup([factor]), big.N, big.T)
-            parts.append(_embed_kernel(part, sub, bsub))
-        return TensorKernel(parts)
+        return TensorKernel([_embed_kernel(part, sub, bsub) for part, sub, bsub
+                             in zip(K.parts, spec.factor_specs, big.factor_specs)])
     return K
 
 
@@ -126,9 +114,9 @@ def probe_functions(spec: GridSpec, count: int = 3, seed: int = 101,
 # ---------------------------------------------------------------------------
 
 
-def _cg_normal_solve(normal_step, rhs: GridFunction, shift: float,
+def _cg_normal_solve(normal, rhs: GridFunction, shift: float,
                      tol: float, max_iter: int):
-    """Solve (A~A + shift) x = rhs by conjugate gradients, matrix-free."""
+    """Solve (A~A + shift) x = rhs by CG; normal maps an array v to A~(A v)."""
     spec = rhs.spec
     x = spec.zeros()
     r = rhs.copy()
@@ -139,7 +127,7 @@ def _cg_normal_solve(normal_step, rhs: GridFunction, shift: float,
         return x, 0
     it = 0
     for it in range(1, max_iter + 1):
-        Mp = normal_step(p).plus(p.scaled(shift))
+        Mp = GridFunction(spec, normal(p.values)).plus(p.scaled(shift))
         denom = float(np.real(Mp.inner(p)))
         if denom <= 0.0:
             break
@@ -155,7 +143,7 @@ def _cg_normal_solve(normal_step, rhs: GridFunction, shift: float,
     return x, it
 
 
-def smallest_singular(K: KernelRep, spec: GridSpec, sigma_max: float | None = None,
+def smallest_singular(K, spec: GridSpec, sigma_max: float | None = None,
                       max_iter: int = 24, tol: float = 1e-8, shift_rel: float = 1e-6,
                       cg_tol: float = 1e-10, cg_max_iter: int = 200,
                       seed: int = 0, budget: int = PAIR_BUDGET) -> dict:
@@ -169,16 +157,11 @@ def smallest_singular(K: KernelRep, spec: GridSpec, sigma_max: float | None = No
     below the optimum; the contraction survives, at the cost of a
     slightly optimistic predicted rate.  Clustered bottom spectra are
     resolved to a few percent, not to tol; `drift` reports the residual
-    eigenvalue movement honestly.
+    eigenvalue movement honestly.  budget prepares K; a ConvOp keeps its own.
     """
-    Kop = _structured(K, spec)
-    Kt = adjoint_kernel(Kop)
-
-    def normal(v):
-        return apply_op(Kt, apply_op(Kop, v, budget=budget), budget=budget)
-
+    op = prepare(K, spec, budget)
     if sigma_max is None:
-        sigma_max = op_norm(Kop, spec, seed=seed, budget=budget).value
+        sigma_max = op_norm(op, spec, seed=seed).value
     if sigma_max == 0.0:
         return {"value": 0.0, "iterations": 0, "cg_iterations": 0,
                 "drift": 0.0, "converged": True, "shift": 0.0}
@@ -194,7 +177,7 @@ def smallest_singular(K: KernelRep, spec: GridSpec, sigma_max: float | None = No
     cg_total = 0
     outer = 0
     for outer in range(1, max_iter + 1):
-        w, cg_it = _cg_normal_solve(normal, v, shift, cg_tol, cg_max_iter)
+        w, cg_it = _cg_normal_solve(op.normal, v, shift, cg_tol, cg_max_iter)
         cg_total += cg_it
         wn = w.l2_norm()
         if wn == 0.0:
@@ -263,12 +246,11 @@ def _tensor_edges(K: TensorKernel, spec: GridSpec, max_iter: int, seed: int,
     top_iters = bottom_iters = cg_iters = 0
     top_conv = bottom_conv = True
     iterative = False
-    for part, factor in zip(K.parts, K.group.factors):
+    for part, sub in zip(K.parts, spec.factor_specs):
         if isinstance(part, DeltaKernel):
             tops.append(abs(part.amplitude))
             bottoms.append(abs(part.amplitude))
             continue
-        sub = GridSpec(ProductGroup([factor]), spec.N, spec.T)
         if sub.size <= DENSE_FACTOR_SITES:
             s = np.linalg.svd(factor_matrix(part, sub, budget), compute_uv=False)
             # LAPACK's values are exact for a perturbation of relative size
@@ -278,9 +260,9 @@ def _tensor_edges(K: TensorKernel, spec: GridSpec, max_iter: int, seed: int,
             bottoms.append(float(s[-1]))
             continue
         iterative = True
-        top = op_norm(part, sub, max_iter=max_iter, seed=seed, budget=budget)
-        bottom = smallest_singular(part, sub, sigma_max=top.value, seed=seed,
-                                   budget=budget)
+        op = prepare(part, sub, budget)
+        top = op_norm(op, sub, max_iter=max_iter, seed=seed)
+        bottom = smallest_singular(op, sub, sigma_max=top.value, seed=seed)
         tops.append(top.value)
         bottoms.append(bottom["value"])
         top_iters += top.iterations
@@ -299,7 +281,7 @@ def _tensor_edges(K: TensorKernel, spec: GridSpec, max_iter: int, seed: int,
             info(bottoms, bottom_conv, bottom_iters, cg_iters))
 
 
-def choose_epsilon(K: KernelRep, spec: GridSpec, paper_eps: bool = False,
+def choose_epsilon(K, spec: GridSpec, paper_eps: bool = False,
                    seed: int = 0, budget: int = PAIR_BUDGET,
                    max_iter: int = 80) -> EpsilonChoice:
     """Damping factor making I - eps Op(K~) Op(K) a contraction.
@@ -313,14 +295,15 @@ def choose_epsilon(K: KernelRep, spec: GridSpec, paper_eps: bool = False,
     dense SVD of each factor's operator (factors above DENSE_FACTOR_SITES
     sites fall back to the iterative estimators on that factor's grid).
     Other kernels use power iteration for sigma_max and shifted inverse
-    iteration for sigma_min on the whole grid.
+    iteration for sigma_min on the whole grid.  budget prepares K; a
+    ConvOp keeps its own, which also bounds the per-factor work.
     """
-    if isinstance(K, TensorKernel):
-        top, bottom = _tensor_edges(K, spec, max_iter, seed, budget)
+    op = prepare(K, spec, budget)
+    if isinstance(op.kernel, TensorKernel):
+        top, bottom = _tensor_edges(op.kernel, spec, max_iter, seed, op.budget)
     else:
-        top = op_norm(K, spec, max_iter=max_iter, seed=seed, budget=budget).to_dict()
-        bottom = smallest_singular(K, spec, sigma_max=top["value"], seed=seed,
-                                   budget=budget)
+        top = op_norm(op, spec, max_iter=max_iter, seed=seed).to_dict()
+        bottom = smallest_singular(op, spec, sigma_max=top["value"], seed=seed)
     smax = top["value"]
     smin = bottom["value"]
     if smax == 0.0 or smin < 1e-8 * smax:
@@ -403,7 +386,7 @@ def _track_points(max_n: int) -> set:
     return pts
 
 
-def neumann_invert(K: KernelRep, spec: GridSpec, max_n: int = 64,
+def neumann_invert(K, spec: GridSpec, max_n: int = 64,
                    tol: float = 1e-8, kvec_track=None, *,
                    eps: EpsilonChoice | float | None = None,
                    paper_eps: bool = False,
@@ -442,16 +425,14 @@ def neumann_invert(K: KernelRep, spec: GridSpec, max_n: int = 64,
         raise ValueError("tol must be nonnegative")
     if pad_factor < 1 or int(pad_factor) != pad_factor:
         raise ValueError("pad_factor must be a positive integer")
-    Kop = _structured(K, spec)
+    Kop = Kwork = prepare(K, spec, budget)
     work = spec
-    Kwork = Kop
     if pad_factor > 1:
         work = _padded_spec(spec, int(pad_factor))
-        Kwork = _embed_kernel(Kop, spec, work)
-    Kt = adjoint_kernel(Kwork)
+        Kwork = prepare(_embed_kernel(Kop.kernel, spec, work), work, budget)
 
     if eps is None:
-        eps = choose_epsilon(Kwork, work, paper_eps=paper_eps, seed=seed, budget=budget)
+        eps = choose_epsilon(Kwork, work, paper_eps=paper_eps, seed=seed)
     elif isinstance(eps, (int, float)):
         if amplification_cap is not None:
             raise ValueError("amplification cap needs sigma estimates; "
@@ -487,13 +468,12 @@ def neumann_invert(K: KernelRep, spec: GridSpec, max_n: int = 64,
     converged = False
     n = 0
     for n in range(1, n_cap + 1):
-        term = term.plus(apply_op(Kt, apply_op(Kwork, term, budget=budget),
-                                  budget=budget).scaled(-ev))
+        term = term.plus(GridFunction(work, Kwork.normal(term.values)).scaled(-ev))
         accum = accum.plus(term)
         rel = term.l2_norm() / dnorm
         rels.append(float(rel))
         if n in track_at:
-            rep = pk_seminorm(GridKernel(work, term.values, mode=Kop.mode),
+            rep = pk_seminorm(GridKernel(work, term.values, mode=Kop.kernel.mode),
                               work, kvec_track, cfg)
             tracked.append({
                 "n": n,
@@ -509,9 +489,9 @@ def neumann_invert(K: KernelRep, spec: GridSpec, max_n: int = 64,
     if not converged:
         flag = TRACK_FLAG_CAP if capped else TRACK_FLAG_STALL
 
-    ktilde = Kt.render(work)
+    ktilde = Kwork.adjoint_op.kernel.render(work)
     L = GridKernel(work, convolve(accum, ktilde.data, budget=budget).values * ev,
-                   mode=Kop.mode)
+                   mode=Kop.kernel.mode)
     if pad_factor > 1:
         L = _crop_kernel(L, spec)
 
@@ -519,18 +499,17 @@ def neumann_invert(K: KernelRep, spec: GridSpec, max_n: int = 64,
     # box-truncated convolution is the only step breaking that symmetry, and
     # averaging with the adjoint (an L2 isometry on kernels) projects it out
     # without increasing the distance to the true inverse
-    kvals = Kwork.render(work).values
+    kvals = Kwork.kernel.render(work).values
     scale = np.abs(kvals).max()
     if scale > 0 and np.abs(kvals - ktilde.values).max() <= 1e-10 * scale:
         Lt = adjoint_kernel(L).render(spec).values
         L = GridKernel(spec, 0.5 * (L.values + Lt), mode=L.mode)
 
+    Lop = prepare(L, spec, budget)
     residuals = []
     for f in probe_functions(spec, count=probes, seed=probe_seed):
-        Lf = apply_op(L, f, budget=budget)
-        right = apply_op(Kop, Lf, budget=budget).plus(f.scaled(-1.0)).l2_norm()
-        Kf = apply_op(Kop, f, budget=budget)
-        left = apply_op(L, Kf, budget=budget).plus(f.scaled(-1.0)).l2_norm()
+        right = GridFunction(spec, Kop.apply(Lop.apply(f.values)) - f.values).l2_norm()
+        left = GridFunction(spec, Lop.apply(Kop.apply(f.values)) - f.values).l2_norm()
         residuals.append({"right": float(right), "left": float(left)})
 
     nu = spec.group.nu
@@ -611,7 +590,7 @@ class DecayReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def seminorm_decay(K: KernelRep, spec: GridSpec, kvec, n_list, *,
+def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
                    cfg: SeminormConfig | None = None,
                    eps: EpsilonChoice | float | None = None,
                    kind: str = "pk", seed: int = 0,
@@ -630,30 +609,25 @@ def seminorm_decay(K: KernelRep, spec: GridSpec, kvec, n_list, *,
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive integers")
 
+    Kop = prepare(K, spec, budget)
     if eps is None:
-        eps = choose_epsilon(K, spec, seed=seed, budget=budget)
+        eps = choose_epsilon(Kop, spec, seed=seed)
     ev = eps.epsilon if isinstance(eps, EpsilonChoice) else float(eps)
     if not ev > 0.0:
         raise ValueError("epsilon must be positive")
 
-    Kop = _structured(K, spec)
-    Kt = adjoint_kernel(Kop)
-    normal = compose_kernels(Kt, Kop, spec, budget=budget)
+    normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
     s_vals = DeltaKernel(spec.group).render(spec).values - ev * normal.values
-    S1 = GridKernel(spec, s_vals, mode=Kop.mode)
-
-    def s_step(v):
-        return apply_op(S1, apply_op(S1, v, budget=budget), budget=budget)
-
-    s_norm = power_method(s_step, spec, seed=seed).value
+    Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec, budget)
+    s_norm = power_method(Sop.normal, spec, seed=seed).value
 
     estimator = pk_seminorm if kind == "pk" else fk_seminorm
     rows = []
-    cur = S1
+    cur = Sop.kernel
     m = 1
     for n in n_list:
         while m < n:
-            cur = compose_kernels(S1, cur, spec, budget=budget)
+            cur = compose_kernels(Sop, cur, spec)
             m += 1
         rep = estimator(cur, spec, kvec, cfg)
         val = float(rep.total)

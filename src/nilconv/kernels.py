@@ -134,10 +134,7 @@ class TensorKernel(KernelRep):
         return out
 
     def render(self, spec):
-        blocks = []
-        for p, factor in zip(self.parts, self.group.factors):
-            sub = GridSpec(ProductGroup([factor]), spec.N, spec.T)
-            blocks.append(p.render(sub).values)
+        blocks = [p.render(sub).values for p, sub in zip(self.parts, spec.factor_specs)]
         vals = blocks[0]
         for b in blocks[1:]:
             vals = np.tensordot(vals, b, axes=0)
@@ -874,7 +871,7 @@ def reduce_kernel(kernel: KernelRep, mu: int, bump: str, R: float,
             if (rho / R) ** float(d) > kernel.spec.extents[j] * (1 + 1e-9):
                 raise ValueError("quadrature support exceeds the kernel grid box")
     pts_mu, wq = _quad_points(factor, rho, R, n_quad)
-    bump_vals = bump_fn(_dilate_single(factor, R, pts_mu))
+    bump_vals = bump_fn(factor.dilate(R, pts_mu))
     keep = np.abs(bump_vals) > 0
     pts_mu, bump_vals = pts_mu[keep], bump_vals[keep]
 
@@ -890,10 +887,6 @@ def reduce_kernel(kernel: KernelRep, mu: int, bump: str, R: float,
         vals = kernel.eval(full)
         out[i0:i0 + chunk] = np.sum(vals * bump_vals[None, :], axis=1) * wq
     return GridKernel(red_spec, out.reshape(red_spec.shape), mode=kernel.mode)
-
-
-def _dilate_single(factor, R, pts):
-    return factor.dilate(R, pts)
 
 
 def _scaled_kernel(k: KernelRep, c) -> KernelRep:

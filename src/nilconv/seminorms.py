@@ -28,16 +28,17 @@ import numpy as np
 
 from .convolution import (
     PAIR_BUDGET,
+    ConvOp,
     OpNormEstimate,
-    apply_op,
+    apply_op,  # noqa: F401  (public name of this module; bench/test_bench.py reads it)
     left_derivative,
     left_derivative_adjoint,
     op_norm,
     power_method,
+    prepare,
 )
 from .grid import GridFunction, GridSpec
-from .kernels import DeltaKernel, GridKernel, TensorKernel, smooth_bump
-from .kernels import adjoint_kernel
+from .kernels import smooth_bump
 from .product import (
     MultiIndex,
     all_subsets,
@@ -116,12 +117,6 @@ class SeminormConfig:
 def _block_seed(base: int, *key) -> int:
     text = repr((base,) + key).encode()
     return zlib.crc32(text)
-
-
-def _rendered(K, spec: GridSpec):
-    if isinstance(K, (GridKernel, DeltaKernel, TensorKernel)):
-        return K
-    return K.render(spec)
 
 
 def _factor_bump(spec: GridSpec, mu: int, center, radius: float, profile: str):
@@ -205,21 +200,18 @@ def _center_candidates(fac, distance: float, directions: str):
 
 
 class BlockOperator:
-    """f -> phi X^alpha (K * (gamma f)) with its exact discrete adjoint."""
+    """f -> phi X^alpha (K * (gamma f)) and its exact adjoint; op is Op(K) on spec."""
 
-    def __init__(self, K, spec: GridSpec, alpha: MultiIndex, phi: np.ndarray,
-                 gamma: np.ndarray, budget: int = PAIR_BUDGET):
-        self.K = _rendered(K, spec)
-        self.Kt = adjoint_kernel(self.K)
+    def __init__(self, op: ConvOp, spec: GridSpec, alpha: MultiIndex,
+                 phi: np.ndarray, gamma: np.ndarray):
+        self.op = op
         self.spec = spec
         self.alpha = alpha
         self.phi = phi
         self.gamma = gamma
-        self.budget = budget
 
     def apply(self, v: GridFunction) -> GridFunction:
-        w = GridFunction(self.spec, self.gamma * v.values)
-        w = apply_op(self.K, w, budget=self.budget)
+        w = GridFunction(self.spec, self.op.apply(self.gamma * v.values))
         if not self.alpha.is_zero():
             w = left_derivative(w, self.alpha)
         return GridFunction(self.spec, self.phi * w.values)
@@ -228,22 +220,22 @@ class BlockOperator:
         w = GridFunction(self.spec, self.phi * v.values)
         if not self.alpha.is_zero():
             w = left_derivative_adjoint(w, self.alpha)
-        w = apply_op(self.Kt, w, budget=self.budget)
-        return GridFunction(self.spec, self.gamma * w.values)
+        return GridFunction(self.spec, self.gamma * self.op.adjoint(w.values))
 
-    def normal_step(self, v: GridFunction) -> GridFunction:
-        return self.apply_adjoint(self.apply(v))
+    def normal(self, v: np.ndarray) -> np.ndarray:
+        """Adjoint after apply, on an array of shape spec.shape."""
+        return self.apply_adjoint(self.apply(GridFunction(self.spec, v))).values
 
     def estimate(self, max_iter: int = 48, tol: float = 1e-11,
                  seed: int = 0) -> OpNormEstimate:
-        return power_method(self.normal_step, self.spec, max_iter=max_iter,
+        return power_method(self.normal, self.spec, max_iter=max_iter,
                             tol=tol, seed=seed)
 
 
 def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
                    gamma_spec: dict, sep_constants=None, profile: str = "bump",
                    budget: int = PAIR_BUDGET) -> BlockOperator:
-    """Validated localized block operator.
+    """Validated localized block operator; K is a kernel or a ConvOp on spec.
 
     phi_spec and gamma_spec map each mu in subset to (center, radius); the
     supports must fit the grid box and be separated by 3 C_mu times the
@@ -273,7 +265,7 @@ def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
             )
     phi = _bump_multiplier(spec, phi_spec, profile)
     gamma = _bump_multiplier(spec, gamma_spec, profile)
-    return BlockOperator(K, spec, alpha, phi, gamma, budget)
+    return BlockOperator(prepare(K, spec, budget), spec, alpha, phi, gamma)
 
 
 def localized_block(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
@@ -456,23 +448,21 @@ def _subset_samples(spec: GridSpec, cfg: SeminormConfig, subset, seps):
     return samples
 
 
-def _evaluate_blocks(K, spec, cfg, subset, alphas, samples, seps, weight_fn,
+def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
                      label, blocks_out):
     """Max of block x weight over the sample lattice; returns (value, best)."""
     group = spec.group
     best_val = -1.0
     best = None
-    Kren = _rendered(K, spec)
     for alpha in alphas:
         degs = hom_degree(group, alpha)
         for (j, l, parts, dists) in samples:
             phi_spec = {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j) for mu in subset}
             seed = _block_seed(cfg.seed, label, alpha.entries, j, l,
                                tuple(sorted(parts.items())))
-            op = block_operator(Kren, spec, alpha, subset, phi_spec, parts,
-                                sep_constants=seps, profile=cfg.profile,
-                                budget=cfg.budget)
-            est = op.estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
+            block = block_operator(op, spec, alpha, subset, phi_spec, parts,
+                                   sep_constants=seps, profile=cfg.profile)
+            est = block.estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
             weight = weight_fn(degs, dists)
             value = float(est.value) * weight
             row = {
@@ -532,10 +522,10 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     kvec = _check_kvec(spec, kvec, cfg)
     group = spec.group
     seps = tuple(cfg.safety * c for c in group.triangle_constants())
-    Kren = _rendered(K, spec)
+    op = prepare(K, spec, cfg.budget)
 
-    opn = op_norm(Kren, spec, max_iter=max(cfg.max_iter, 8), tol=cfg.tol,
-                  seed=cfg.seed, budget=cfg.budget)
+    opn = op_norm(op, spec, max_iter=max(cfg.max_iter, 8), tol=cfg.tol,
+                  seed=cfg.seed)
     entries = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
     blocks: list = []
     for subset in all_subsets(group.nu):
@@ -556,7 +546,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
                 w *= dists[mu] ** (group.Q[mu] + degs[mu])
             return w
 
-        value, best = _evaluate_blocks(Kren, spec, cfg, subset, alphas, samples,
+        value, best = _evaluate_blocks(op, spec, cfg, subset, alphas, samples,
                                        seps, weight_fn, label, blocks)
         entries.append(SubsetEntry(label=label, subset=tuple(subset), value=value,
                                    best=best))
@@ -584,9 +574,9 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     kvec = _check_kvec(spec, kvec, cfg)
     group = spec.group
     seps = tuple(cfg.safety * c for c in group.triangle_constants())
-    Kren = _rendered(K, spec)
+    op = prepare(K, spec, cfg.budget)
 
-    base = pk_seminorm(Kren, spec, kvec, cfg)
+    base = pk_seminorm(op, spec, kvec, cfg)
     blocks = list(base.blocks)
     flag_entries = []
     for mu in range(group.nu):
@@ -605,7 +595,7 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
             expo = sum(group.Q[mb] + degs[mb] for mb in tail)
             return dists[mu] ** expo
 
-        value, best = _evaluate_blocks(Kren, spec, cfg, subset, alphas, samples,
+        value, best = _evaluate_blocks(op, spec, cfg, subset, alphas, samples,
                                        seps, weight_fn, label, blocks)
         flag_entries.append(SubsetEntry(label=label, subset=subset, value=value,
                                         best=best))

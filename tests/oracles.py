@@ -89,6 +89,25 @@ def loop_group_convolution(group, kernel_vals, fn_vals, coords, volume):
         out[ix] = acc * volume
     return out
 
+
+def convolution_matrix(group, kernel_vals, coords, volume):
+    """Dense matrix of f -> K * f, M[x, y] = K(x y^{-1}) vol.
+
+    The rule of loop_group_convolution with the group law evaluated on all
+    pairs at once; off-lattice products stay zero.  Use on tiny grids.
+    """
+    n = coords.shape[0]
+    key = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
+    diffs = group.multiply(coords[:, None, :], group.invert(coords)[None, :, :])
+    M = np.zeros((n, n), dtype=complex)
+    for ix in range(n):
+        for iy in range(n):
+            j = key.get(tuple(np.round(diffs[ix, iy], 9)))
+            if j is not None:
+                M[ix, iy] = kernel_vals[j] * volume
+    return M
+
+
 def toeplitz_convolution_matrix(kernel_vals, spacing):
     """Dense matrix of f -> K*f on a 1-d grid with zero extension.
 

@@ -140,11 +140,9 @@ def test_report_byte_determinism(tmp_path):
 def test_tame_rows_merge_in_input_order(tmp_path):
     argv = ["tame", "--preset", "abelian2", "--pairs", "3", "--k", "1", "1",
             "--seed", "7"]
-    code1, out1 = run(tmp_path / "serial", *argv)
-    code2, out2 = run(tmp_path / "parallel", *argv, "--jobs", "3")
-    assert code1 == code2 == EXIT_OK
-    assert (out1 / "tame.csv").read_bytes() == (out2 / "tame.csv").read_bytes()
-    rows = (out1 / "tame.csv").read_text().strip().splitlines()
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    rows = (out / "tame.csv").read_text().strip().splitlines()
     assert rows[0].startswith("kind,kernels,kvec,N,lhs")
     assert len(rows) == 4
     assert [r.split(",")[1] for r in rows[1:]] == ["K0*L0", "K1*L1", "K2*L2"]

@@ -1,5 +1,7 @@
 """Group convolution, operator application, and operator norms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,7 @@ from nilconv.convolution import (
     convolve,
     left_derivative,
     op_norm,
+    prepare,
     right_translate,
 )
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
@@ -26,11 +29,17 @@ from nilconv.kernels import (
 )
 from nilconv.product import MultiIndex, ProductGroup
 
-from oracles import dense_matrix, loop_group_convolution, toeplitz_convolution_matrix
+from oracles import (
+    convolution_matrix,
+    dense_matrix,
+    loop_group_convolution,
+    toeplitz_convolution_matrix,
+)
 
 AB1 = ProductGroup([abelian(1)])
 AB2 = ProductGroup([abelian(1), abelian(1)])
 HEIS = ProductGroup([heisenberg1()])
+HX = ProductGroup([heisenberg1(), abelian(1)])
 
 
 def _bump(spec, center, width):
@@ -357,3 +366,90 @@ def test_dense_matrix_oracle_agrees_with_toeplitz():
     M1 = dense_matrix(act, spec.size)
     M2 = toeplitz_convolution_matrix(K.values, spec.spacings[0])
     assert np.abs(M1 - M2).max() <= 1e-12 * np.abs(M2).max()
+
+
+def _few_sites(spec):
+    # a few sites: the direct path then loops over the input, not the kernel
+    vals = np.zeros(spec.shape, dtype=complex)
+    vals.reshape(-1)[[5, spec.size // 2, spec.size - 7]] = [1.0, -2.0j, 0.5 + 1.0j]
+    return vals
+
+
+def _random_kernel(spec, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    return GridKernel(spec, zero_lowest_face(vals))
+
+
+def _convop_case(name):
+    if name == "delta":
+        return DeltaKernel(AB2, 2.0 - 1.0j), GridSpec(AB2, 6, 1.0)
+    if name == "abelian2":
+        spec = GridSpec(AB2, 6, 1.0)
+        return _random_kernel(spec, 30), spec
+    if name == "heisenberg1":
+        spec = GridSpec(HEIS, 4, 1.0)
+        return _random_kernel(spec, 31), spec
+    spec = GridSpec(HX, 4, 1.0)
+    sub_h = GridSpec(HEIS, 4, 1.0)
+    sub_a = GridSpec(AB1, 4, 1.0)
+    if name == "tensor-heis-delta":
+        parts = [_random_kernel(sub_h, 32), DeltaKernel(AB1, -0.5 + 2.0j)]
+    else:
+        parts = [DeltaKernel(HEIS, 1.5j), _random_kernel(sub_a, 33)]
+    return TensorKernel(parts), spec
+
+
+CONVOP_CASES = ("delta", "abelian2", "heisenberg1", "tensor-heis-delta",
+                "tensor-delta-ab")
+
+
+@pytest.mark.parametrize("name", CONVOP_CASES)
+def test_convop_matches_dense_oracle(name):
+    K, spec = _convop_case(name)
+    op = prepare(K, spec)
+    M = convolution_matrix(spec.group, K.render(spec).values.reshape(-1),
+                           spec.mesh.reshape(-1, spec.q_total), spec.volume)
+    g = _random_field(spec, 35).values.reshape(-1)
+    for f in (_random_field(spec, 34).values, _few_sites(spec)):
+        want = M @ f.reshape(-1)
+        got = op.apply(f).reshape(-1)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        want_adj = M.conj().T @ f.reshape(-1)
+        got_adj = op.adjoint(f).reshape(-1)
+        assert np.abs(got_adj - want_adj).max() <= 1e-12 * np.abs(want_adj).max()
+        # <A f, g> = <f, A* g>
+        lhs = np.vdot(g, got)
+        rhs = np.vdot(op.adjoint(g.reshape(spec.shape)).reshape(-1), f.reshape(-1))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("name", CONVOP_CASES)
+def test_convop_batch_equals_single_applies(name):
+    K, spec = _convop_case(name)
+    op = prepare(K, spec)
+    stack = np.stack([_random_field(spec, 40).values, _few_sites(spec),
+                      _random_field(spec, 41).values])
+    for method in (op.apply, op.adjoint, op.normal):
+        out = method(stack)
+        assert out.shape == stack.shape
+        for i in range(3):
+            assert np.array_equal(out[i], method(stack[i]))
+    assert prepare(op, spec) is op
+    with pytest.raises(ValueError, match="grid"):
+        op.apply(np.zeros((spec.N + 1,) * spec.q_total))
+
+
+def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
+    spec = GridSpec(AB2, 16, 1.0)
+    op = prepare(_random_kernel(spec, 36), spec)
+    f = _random_field(spec, 37).values
+    counts = Counter()
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    op.apply(f)
+    assert counts == {"fftn": 1, "ifftn": 1}

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_matrix, padded_symbol, toeplitz_convolution_matrix
-from nilconv.convolution import apply_op, compose_kernels, op_norm
+from nilconv.convolution import apply_op, compose_kernels, factor_matrix, op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv import inversion
@@ -236,6 +236,22 @@ def test_choose_epsilon_tensor_zero_part_not_invertible():
     K = TensorKernel([DeltaKernel(AB1, 3.0), GridKernel(GridSpec(AB1, 8, 1.0), np.zeros(8))])
     with pytest.raises(ValueError, match=NOT_INVERTIBLE):
         choose_epsilon(K, GridSpec(AB2, 8, 1.0))
+
+
+def test_invert_budget_reaches_tensor_factor_edges(monkeypatch):
+    # the caller's budget bounds the dense factor operators of choose_epsilon
+    seen = []
+
+    def spy(part, sub, budget):
+        seen.append(budget)
+        return factor_matrix(part, sub, budget)
+
+    monkeypatch.setattr(inversion, "factor_matrix", spy)
+    K, spec = _heisenberg_abelian_tensor(4)
+    neumann_invert(K, spec, max_n=1, budget=10**6)
+    assert seen == [10**6, 10**6]
+    with pytest.raises(ValueError, match="budget 10$"):
+        choose_epsilon(prepare(K, spec, budget=10), spec)
 
 
 def test_choose_epsilon_keeps_iterative_provenance_for_other_kernels():
