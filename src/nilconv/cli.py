@@ -691,6 +691,12 @@ def _cmd_kernel_check_cancel(cfg, args):
 def _cmd_convolve(cfg, args):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
+    check = cfg["convolve"]["check"]
+    if check and not all(fac.is_abelian for fac in group.factors):
+        raise ConfigError("/convolve/check", "the fast path needs a fully abelian group")
+    if check and spec.size ** 2 > PAIR_BUDGET:
+        raise ConfigError("/convolve/check",
+                          "grid too large for the direct path; lower /grid/N")
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
     other = dict(_defaults()["kernel"])
     other.update(cfg["convolve"]["other"])
@@ -701,10 +707,7 @@ def _cmd_convolve(cfg, args):
         "max_abs": float(M.data.max_abs()),
         "boundary_mass_fraction": float(boundary_mass_fraction(M.data)),
     }
-    if cfg["convolve"]["check"]:
-        if spec.size ** 2 > PAIR_BUDGET:
-            raise ConfigError("/convolve/check",
-                              "grid too large for the direct path; lower /grid/N")
+    if check:
         f = K.render(spec).data
         g = L.render(spec).data
         fast = convolve(f, g, path="fast")

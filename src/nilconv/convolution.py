@@ -273,27 +273,40 @@ def right_translate(f: GridFunction, a) -> GridFunction:
     return GridFunction(spec, _gather(f.values, spec, pts))
 
 
-def left_derivative(f: GridFunction, alpha: MultiIndex) -> GridFunction:
-    """X^alpha f: left-invariant fields via centered differences.
-
-    Fields compose in ascending coordinate order within each factor,
-    factors in order; on abelian factors this is the plain mixed partial.
-    """
-    spec = f.spec
+def _field_steps(spec: GridSpec, alpha: MultiIndex) -> list:
+    """Single-field steps of X^alpha in application order: (grid axes, coefficients)."""
     group = spec.group
-    out = f.values
+    steps = []
     for fac, sl, e in zip(group.factors, group.slices, alpha.entries):
         fields = fac.left_invariant_fields
         coords_mu = spec.mesh[..., sl]
         for j, reps in enumerate(e):
-            for _ in range(reps):
+            if reps:
                 coeffs = fields[j].coeff_arrays(coords_mu)
-                acc = np.zeros_like(out)
-                for k_local, c in enumerate(coeffs):
-                    axis = sl.start + k_local
-                    acc = acc + c * np.gradient(out, spec.spacings[axis], axis=axis)
-                out = acc
-    return GridFunction(spec, out)
+                steps += [(range(sl.start, sl.stop), coeffs)] * reps
+    return steps
+
+
+def _values(f, spec):
+    return (f.spec, f.values) if isinstance(f, GridFunction) else (spec, np.asarray(f))
+
+
+def left_derivative(f, alpha: MultiIndex, spec: GridSpec | None = None):
+    """X^alpha f: left-invariant fields via centered differences.
+
+    Fields compose in ascending coordinate order within each factor,
+    factors in order; on abelian factors this is the plain mixed partial.
+    f is a GridFunction, or an array of shape (*batch, *spec.shape) whose
+    leading indices are independent inputs; the result has f's type.
+    """
+    spec, out = _values(f, spec)
+    lead = out.ndim - spec.q_total
+    for axes, coeffs in _field_steps(spec, alpha):
+        acc = np.zeros_like(out)
+        for axis, c in zip(axes, coeffs):
+            acc = acc + c * np.gradient(out, spec.spacings[axis], axis=lead + axis)
+        out = acc
+    return GridFunction(spec, out) if isinstance(f, GridFunction) else out
 
 
 def _gradient_adjoint(a: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -310,27 +323,20 @@ def _gradient_adjoint(a: np.ndarray, spacing: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def left_derivative_adjoint(f: GridFunction, alpha: MultiIndex) -> GridFunction:
-    """Exact discrete adjoint of left_derivative.
+def left_derivative_adjoint(f, alpha: MultiIndex, spec: GridSpec | None = None):
+    """Exact discrete adjoint of left_derivative, on the same inputs.
 
     Single-field steps X = sum_k c_k d_k transpose to sum_k d_k^T c_k
     (coefficients are real polynomials), applied in reversed order.
     """
-    spec = f.spec
-    group = spec.group
-    out = f.values
-    for fac, sl, e in reversed(list(zip(group.factors, group.slices, alpha.entries))):
-        fields = fac.left_invariant_fields
-        coords_mu = spec.mesh[..., sl]
-        for j in reversed(range(len(e))):
-            for _ in range(e[j]):
-                coeffs = fields[j].coeff_arrays(coords_mu)
-                acc = np.zeros_like(out)
-                for k_local, c in enumerate(coeffs):
-                    axis = sl.start + k_local
-                    acc = acc + _gradient_adjoint(c * out, spec.spacings[axis], axis)
-                out = acc
-    return GridFunction(spec, out)
+    spec, out = _values(f, spec)
+    lead = out.ndim - spec.q_total
+    for axes, coeffs in reversed(_field_steps(spec, alpha)):
+        acc = np.zeros_like(out)
+        for axis, c in zip(axes, coeffs):
+            acc = acc + _gradient_adjoint(c * out, spec.spacings[axis], lead + axis)
+        out = acc
+    return GridFunction(spec, out) if isinstance(f, GridFunction) else out
 
 
 def boundary_mass_fraction(f: GridFunction, cells: int = 2) -> float:
@@ -365,53 +371,79 @@ class OpNormEstimate:
         }
 
 
+def _power_iteration(normal, spec: GridSpec, seeds, max_iter: int,
+                     tol: float) -> list:
+    """Power iteration on a stack of normal operators, one start per seed.
+
+    normal(v, rows) maps v of shape (len(rows), *spec.shape) to the stack's
+    normal operators numbered rows, applied row by row.  Each row runs the
+    iteration power_method documents, from the vector its seed draws, and
+    leaves the stack once it stops, so it costs no further applies.
+    Reductions run over each row's grid axes, in the order numpy takes for
+    one grid function, so every row is bit-identical to a run on its own.
+    """
+    if max_iter < 8:
+        raise ValueError("max_iter must be at least 8")
+    grid = tuple(range(1, spec.q_total + 1))
+
+    def norms(a):
+        return np.sqrt(np.sum(np.abs(a) ** 2, axis=grid) * spec.volume)
+
+    def per_row(x):
+        return x.reshape((-1,) + (1,) * spec.q_total)
+
+    starts = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        starts.append(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
+    v = np.stack(starts)
+    v = v * per_row(1.0 / norms(v))
+
+    count = len(starts)
+    rho = np.zeros(count)
+    residual = np.full(count, np.inf)
+    iterations = np.full(count, max_iter)
+    converged = np.zeros(count, dtype=bool)
+    rows = np.arange(count)
+    for it in range(1, max_iter + 1):
+        w = normal(v, rows)
+        new_rho = np.real(np.sum(w * np.conj(v), axis=grid) * spec.volume)
+        floor = np.maximum(new_rho, 1e-300)
+        resid = norms(w + v * per_row(-new_rho)) / floor
+        wn = norms(w)
+        # a zero operator stops at once with value 0; otherwise drift
+        # measures the value settling, and the residual quantifies how far
+        # the iterate is from an eigenvector (reported, not gated on)
+        zero = wn == 0.0
+        done = zero | (np.abs(new_rho - rho[rows]) / floor <= tol)
+        rho[rows] = np.where(zero, 0.0, new_rho)
+        residual[rows] = np.where(zero, 0.0, resid)
+        iterations[rows[done]] = it
+        converged[rows[done]] = True
+        go = ~done
+        if not go.any():
+            break
+        rows = rows[go]
+        v = w[go] * per_row(1.0 / wn[go])
+    return [
+        OpNormEstimate(value=float(np.sqrt(max(float(r), 0.0))), iterations=int(n),
+                       residual=float(e), converged=bool(c), N=spec.N, T=spec.T,
+                       seed=seed)
+        for r, n, e, c, seed in zip(rho, iterations, residual, converged, seeds)
+    ]
+
+
 def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
                  seed: int = 0) -> OpNormEstimate:
     """Largest singular value from power iteration on a normal operator.
 
     normal maps an array v of shape spec.shape to A~(A v), as ConvOp.normal
-    does; the returned value is the square root of the dominant Rayleigh quotient.
+    does; the returned value is the square root of the dominant Rayleigh
+    quotient.  The iteration stops when that quotient's relative drift is
+    at most tol, or after max_iter steps with converged False.
     """
-    if max_iter < 8:
-        raise ValueError("max_iter must be at least 8")
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
-    v = GridFunction(spec, v)
-    nrm = v.l2_norm()
-    v = v.scaled(1.0 / nrm)
-
-    rho = 0.0
-    residual = np.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        w = GridFunction(spec, normal(v.values))
-        new_rho = float(np.real(w.inner(v)))
-        resid_vec = w.plus(v.scaled(-new_rho))
-        residual = resid_vec.l2_norm() / max(new_rho, 1e-300)
-        wn = w.l2_norm()
-        if wn == 0.0:
-            rho = 0.0
-            residual = 0.0
-            converged = True
-            break
-        drift = abs(new_rho - rho) / max(new_rho, 1e-300)
-        rho = new_rho
-        v = w.scaled(1.0 / wn)
-        # drift measures the value settling; the residual quantifies how far
-        # the iterate is from an eigenvector (reported, not gated on)
-        if drift <= tol:
-            converged = True
-            break
-    return OpNormEstimate(
-        value=float(np.sqrt(max(rho, 0.0))),
-        iterations=it,
-        residual=float(residual),
-        converged=converged,
-        N=spec.N,
-        T=spec.T,
-        seed=seed,
-    )
+    return _power_iteration(lambda v, rows: normal(v[0])[None], spec, [seed],
+                            max_iter, tol)[0]
 
 
 def op_norm(K, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,

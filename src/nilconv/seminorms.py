@@ -30,6 +30,7 @@ from .convolution import (
     PAIR_BUDGET,
     ConvOp,
     OpNormEstimate,
+    _power_iteration,
     apply_op,  # noqa: F401  (public name of this module; bench/test_bench.py reads it)
     left_derivative,
     left_derivative_adjoint,
@@ -200,7 +201,11 @@ def _center_candidates(fac, distance: float, directions: str):
 
 
 class BlockOperator:
-    """f -> phi X^alpha (K * (gamma f)) and its exact adjoint; op is Op(K) on spec."""
+    """f -> phi X^alpha (K * (gamma f)) and its exact adjoint; op is Op(K) on spec.
+
+    phi and gamma have shape spec.shape for one block, or (B, *spec.shape)
+    for a stack of B blocks that share op and alpha.
+    """
 
     def __init__(self, op: ConvOp, spec: GridSpec, alpha: MultiIndex,
                  phi: np.ndarray, gamma: np.ndarray):
@@ -210,43 +215,52 @@ class BlockOperator:
         self.phi = phi
         self.gamma = gamma
 
-    def apply(self, v: GridFunction) -> GridFunction:
-        w = GridFunction(self.spec, self.op.apply(self.gamma * v.values))
+    def _forward(self, v, phi, gamma):
+        w = self.op.apply(gamma * v)
         if not self.alpha.is_zero():
-            w = left_derivative(w, self.alpha)
-        return GridFunction(self.spec, self.phi * w.values)
+            w = left_derivative(w, self.alpha, self.spec)
+        return phi * w
+
+    def _backward(self, v, phi, gamma):
+        w = phi * v
+        if not self.alpha.is_zero():
+            w = left_derivative_adjoint(w, self.alpha, self.spec)
+        return gamma * self.op.adjoint(w)
+
+    def apply(self, v: GridFunction) -> GridFunction:
+        """The block on one grid function (a one-block operator)."""
+        return GridFunction(self.spec, self._forward(v.values, self.phi, self.gamma))
 
     def apply_adjoint(self, v: GridFunction) -> GridFunction:
-        w = GridFunction(self.spec, self.phi * v.values)
-        if not self.alpha.is_zero():
-            w = left_derivative_adjoint(w, self.alpha)
-        return GridFunction(self.spec, self.gamma * self.op.adjoint(w.values))
+        """The block's adjoint on one grid function (a one-block operator)."""
+        return GridFunction(self.spec, self._backward(v.values, self.phi, self.gamma))
 
-    def normal(self, v: np.ndarray) -> np.ndarray:
-        """Adjoint after apply, on an array of shape spec.shape."""
-        return self.apply_adjoint(self.apply(GridFunction(self.spec, v))).values
+    def normal(self, v: np.ndarray, rows=None) -> np.ndarray:
+        """Adjoint after apply, on an array of shape spec.shape for one block,
+        or on (len(rows), *spec.shape) for the stacked blocks numbered rows."""
+        phi, gamma = (self.phi, self.gamma) if rows is None else (self.phi[rows],
+                                                                   self.gamma[rows])
+        return self._backward(self._forward(v, phi, gamma), phi, gamma)
 
-    def estimate(self, max_iter: int = 48, tol: float = 1e-11,
-                 seed: int = 0) -> OpNormEstimate:
-        return power_method(self.normal, self.spec, max_iter=max_iter,
-                            tol=tol, seed=seed)
+    def estimate(self, max_iter: int = 48, tol: float = 1e-11, seed=0):
+        """Power-iteration estimate of the block's norm.
+
+        For a stack of B blocks, seed is a sequence of B seeds and the
+        result a list of B estimates, each one bit-identical to the
+        estimate of its block on its own.
+        """
+        if self.phi.ndim == self.spec.q_total:
+            return power_method(self.normal, self.spec, max_iter=max_iter,
+                                tol=tol, seed=seed)
+        return _power_iteration(self.normal, self.spec, seed, max_iter, tol)
 
 
-def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
-                   gamma_spec: dict, sep_constants=None, profile: str = "bump",
-                   budget: int = PAIR_BUDGET) -> BlockOperator:
-    """Validated localized block operator; K is a kernel or a ConvOp on spec.
-
-    phi_spec and gamma_spec map each mu in subset to (center, radius); the
-    supports must fit the grid box and be separated by 3 C_mu times the
-    larger radius in every localized factor.
-    """
-    subset = tuple(sorted(subset))
+def _block_multipliers(spec: GridSpec, subset, phi_spec: dict, gamma_spec: dict,
+                       sep_constants, profile: str):
+    """Validated bump multipliers (phi, gamma) of one localized block."""
     group = spec.group
     if set(phi_spec) != set(subset) or set(gamma_spec) != set(subset):
         raise ValueError("phi_spec and gamma_spec must cover exactly the subset")
-    if sep_constants is None:
-        sep_constants = tuple(1.1 * c for c in group.triangle_constants())
     for mu in subset:
         fac = group.factors[mu]
         C = sep_constants[mu]
@@ -263,8 +277,23 @@ def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
             raise ValueError(
                 f"separation violated in factor {mu}: |w z^-1| = {dist:.4g} < {need:.4g}"
             )
-    phi = _bump_multiplier(spec, phi_spec, profile)
-    gamma = _bump_multiplier(spec, gamma_spec, profile)
+    return (_bump_multiplier(spec, phi_spec, profile),
+            _bump_multiplier(spec, gamma_spec, profile))
+
+
+def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
+                   gamma_spec: dict, sep_constants=None, profile: str = "bump",
+                   budget: int = PAIR_BUDGET) -> BlockOperator:
+    """Validated localized block operator; K is a kernel or a ConvOp on spec.
+
+    phi_spec and gamma_spec map each mu in subset to (center, radius); the
+    supports must fit the grid box and be separated by 3 C_mu times the
+    larger radius in every localized factor.
+    """
+    if sep_constants is None:
+        sep_constants = tuple(1.1 * c for c in spec.group.triangle_constants())
+    phi, gamma = _block_multipliers(spec, tuple(sorted(subset)), phi_spec, gamma_spec,
+                                    sep_constants, profile)
     return BlockOperator(prepare(K, spec, budget), spec, alpha, phi, gamma)
 
 
@@ -450,19 +479,27 @@ def _subset_samples(spec: GridSpec, cfg: SeminormConfig, subset, seps):
 
 def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
                      label, blocks_out):
-    """Max of block x weight over the sample lattice; returns (value, best)."""
+    """Max of block x weight over the sample lattice; returns (value, best).
+
+    The samples' multipliers are built and checked once; for each alpha
+    all sampled blocks run as one stack, and rows keep alpha-major order.
+    """
     group = spec.group
+    phi, gamma = map(np.stack, zip(*(
+        _block_multipliers(spec, subset,
+                           {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j) for mu in subset},
+                           parts, seps, cfg.profile)
+        for (j, l, parts, dists) in samples)))
     best_val = -1.0
     best = None
     for alpha in alphas:
         degs = hom_degree(group, alpha)
-        for (j, l, parts, dists) in samples:
-            phi_spec = {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j) for mu in subset}
-            seed = _block_seed(cfg.seed, label, alpha.entries, j, l,
-                               tuple(sorted(parts.items())))
-            block = block_operator(op, spec, alpha, subset, phi_spec, parts,
-                                   sep_constants=seps, profile=cfg.profile)
-            est = block.estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
+        seeds = [_block_seed(cfg.seed, label, alpha.entries, j, l,
+                             tuple(sorted(parts.items())))
+                 for (j, l, parts, dists) in samples]
+        stack = BlockOperator(op, spec, alpha, phi, gamma)
+        estimates = stack.estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seeds)
+        for (j, l, parts, dists), est in zip(samples, estimates):
             weight = weight_fn(degs, dists)
             value = float(est.value) * weight
             row = {

@@ -316,6 +316,13 @@ def test_convolve_check_paths_agree(tmp_path):
     assert res["l2_norm"] > 0
 
 
+def test_convolve_check_rejects_nonabelian_group(tmp_path, capsys):
+    code, _ = run(tmp_path, "convolve", "--preset", "heisenberg1", "--kernel",
+                  "dyadic", "--other", "dyadic", "--N", "8", "--check")
+    assert code == EXIT_CONFIG
+    assert stderr_errors(capsys)[0]["path"] == "/convolve/check"
+
+
 def test_opnorm_delta(tmp_path):
     code, out = run(tmp_path, "opnorm", "--preset", "abelian1", "--kernel",
                     "delta", "--set", "kernel.amplitude=2.0", "--N", "8")

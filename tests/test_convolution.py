@@ -8,12 +8,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilconv.convolution import (
+    _power_iteration,
     apply_op,
     boundary_mass_fraction,
     compose_kernels,
     convolve,
     left_derivative,
+    left_derivative_adjoint,
     op_norm,
+    power_method,
     prepare,
     right_translate,
 )
@@ -453,3 +456,50 @@ def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     op.apply(f)
     assert counts == {"fftn": 1, "ifftn": 1}
+
+
+def test_stacked_power_iteration_equals_single_runs():
+    spec = GridSpec(AB1, 16, 1.0)
+
+    def diagonal(top, second):
+        # a diagonal normal operator; the gap between its two largest
+        # entries sets how many steps the Rayleigh quotient takes to settle
+        d = np.linspace(0.1, 0.4, spec.N)
+        d[3], d[7] = top, second
+        return d
+
+    diag = np.stack([diagonal(2.0, 0.5), diagonal(0.8, 0.5), diagonal(1.0, 0.999),
+                     np.zeros(spec.N)])
+    seeds = [11, 12, 13, 14]
+    calls = []
+
+    def normal(v, rows):
+        calls.append(rows.tolist())
+        return diag[rows] * v
+
+    stacked = _power_iteration(normal, spec, seeds, max_iter=40, tol=1e-12)
+    for d, seed, est in zip(diag, seeds, stacked):
+        single = power_method(lambda v, d=d: d * v, spec, max_iter=40, tol=1e-12,
+                              seed=seed)
+        assert repr(est) == repr(single)
+    iters = [est.iterations for est in stacked]
+    assert iters[3] == 1 and stacked[3].value == 0.0 and stacked[3].converged
+    assert iters[0] < iters[1] < 40 and stacked[1].converged
+    assert iters[2] == 40 and not stacked[2].converged
+    # a row that stopped is applied no more
+    assert [sum(i in c for c in calls) for i in range(4)] == iters
+
+
+@pytest.mark.parametrize("group, alpha", [
+    (AB2, ((1,), (2,))),
+    (HEIS, ((1, 1, 1),)),
+])
+def test_left_derivative_stack_equals_single_calls(group, alpha):
+    spec = GridSpec(group, 6, 1.0)
+    alpha = MultiIndex.make(group, alpha)
+    stack = np.stack([_random_field(spec, 60 + i).values for i in range(3)])
+    for fn in (left_derivative, left_derivative_adjoint):
+        out = fn(stack, alpha, spec)
+        assert out.shape == stack.shape
+        for i in range(3):
+            assert np.array_equal(out[i], fn(GridFunction(spec, stack[i]), alpha).values)

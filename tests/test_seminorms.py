@@ -1,6 +1,7 @@
 """Seminorm estimators: localized blocks, subset tables, flag extras."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,17 @@ from hypothesis import strategies as st
 from nilconv.convolution import op_norm
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
-from nilconv.kernels import ClosedFormKernel, DeltaKernel, GridKernel, smooth_bump
+from nilconv.kernels import (
+    ClosedFormKernel,
+    DeltaKernel,
+    GridKernel,
+    smooth_bump,
+    synth_dyadic,
+)
 from nilconv.product import MultiIndex, ProductGroup
 from nilconv.seminorms import (
     SeminormConfig,
+    _block_seed,
     block_operator,
     fk_seminorm,
     localized_block,
@@ -364,3 +372,43 @@ def test_delta_total_tracks_amplitude(re, im):
     spec = GridSpec(AB2, 8, 2.0)
     rep = pk_seminorm(DeltaKernel(AB2, c), spec, (0, 0))
     assert abs(rep.total - abs(c)) <= 1e-9 * abs(c)
+
+
+def test_blocks_of_one_alpha_share_their_ffts(monkeypatch):
+    # the sampled blocks of a (subset, alpha) run as one stack: one batched
+    # apply and adjoint (two fftn calls) per step of the longest block
+    spec = GridSpec(AB2, 8, 1.0)
+    K = synth_dyadic(AB2, -2, 0, "random", seed=1)
+    cfg = SeminormConfig()
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
+    op_norm(K, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
+    own = len(calls)
+    calls.clear()
+    rep = pk_seminorm(K, spec, (1, 1), cfg)
+    longest = Counter()
+    for row in rep.blocks:
+        key = (row["label"], str(row["alpha"]))
+        longest[key] = max(longest[key], row["iterations"])
+    assert len(rep.blocks) > len(longest)
+    assert len(calls) <= 2 * sum(longest.values()) + own
+
+
+def test_stacked_report_blocks_equal_single_block_estimates():
+    spec = GridSpec(AB2, 8, 1.0)
+    K = synth_dyadic(AB2, -2, 0, "random", seed=1)
+    cfg = SeminormConfig()
+    rep = pk_seminorm(K, spec, (1, 1), cfg)
+    seps = rep.config["sep_constants"]
+    for row in rep.blocks:
+        subset = tuple(row["subset"])
+        alpha = MultiIndex(tuple(tuple(e) for e in row["alpha"]))
+        phi = {mu: ((0.0,), 2.0 ** row["j"]) for mu in subset}
+        gam = {mu: (tuple(row["z"][str(mu)]), 2.0 ** row["l"]) for mu in subset}
+        seed = _block_seed(cfg.seed, row["label"], alpha.entries, row["j"], row["l"],
+                           tuple(sorted(gam.items())))
+        est = block_operator(K, spec, alpha, subset, phi, gam, sep_constants=seps
+                             ).estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
+        assert (est.value, est.iterations, est.residual) == (
+            row["block"], row["iterations"], row["residual"])
