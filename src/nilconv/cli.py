@@ -3,8 +3,10 @@
 Configuration is resolved in four layers, deepest wins: built-in defaults,
 then the --config JSON file, then the subcommand's own flags, then repeated
 --set key=value overrides (dotted keys, values parsed as JSON with a plain
-string fallback).  The fully resolved configuration is embedded in every
-report so a run can be reproduced from its output alone.
+string fallback).  A flag is declared once: its argparse dest is the dotted
+key it sets (the usage line shows it), and every parsed dest that names a
+key of the defaults is an override.  The fully resolved configuration is
+embedded in every report so a run can be reproduced from its output alone.
 
 Each run writes <out>/report.json with sorted keys and no timestamps, so
 identical configuration and seed give byte-identical files; wall clock data
@@ -15,7 +17,11 @@ NaN becomes null, infinities become the strings "Infinity" / "-Infinity".
 
 Exit codes: 0 on success, 2 on configuration errors (a JSON object on stderr
 with a JSON-pointer path per error), 3 when a numerical procedure misses its
-convergence or residual target.
+convergence or residual target.  validate_config checks the configuration
+before a command runs; what only the library can detect (a sampling window
+the grid cannot hold, a direct sum over its pair budget, a lattice-only
+kernel sampled off the grid) is mapped in one place, _run, and reported at
+the command's section (/tame, /growth, ...) or at /kernel/name.
 """
 
 import argparse
@@ -159,14 +165,19 @@ def _defaults():
     }
 
 
-def _merge(dst, src, path=""):
+def _merge(dst, src):
     for key, value in src.items():
-        here = f"{path}/{key}"
         if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _merge(dst[key], value, here)
+            _merge(dst[key], value)
         else:
             dst[key] = value
     return dst
+
+
+def _tree(dotted, value):
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
 
 
 def _parse_set(item):
@@ -178,14 +189,7 @@ def _parse_set(item):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    tree = {}
-    node = tree
-    parts = key.split(".")
-    for part in parts[:-1]:
-        node[part] = {}
-        node = node[part]
-    node[parts[-1]] = value
-    return tree
+    return _tree(key, value)
 
 
 def _load_config_file(path):
@@ -207,17 +211,23 @@ def _check_known_keys(overlay, known):
             raise ConfigError(f"/{key}", f"unknown configuration section {key!r}")
 
 
-def resolve_config(args, flag_map):
+def _is_config_key(dotted, tree):
+    for part in dotted.split("."):
+        if not isinstance(tree, dict) or part not in tree:
+            return False
+        tree = tree[part]
+    return True
+
+
+def resolve_config(args):
     """defaults <- config file <- subcommand flags <- --set overrides."""
     base = _defaults()
     user = {}
     if getattr(args, "config", None):
         _merge(user, _load_config_file(args.config))
-    for dest, dotted in flag_map:
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        _merge(user, _parse_set(f"{dotted}={json.dumps(value)}"))
+    for dest, value in vars(args).items():
+        if value is not None and _is_config_key(dest, base):
+            _merge(user, _tree(dest, value))
     for item in getattr(args, "set", None) or []:
         _merge(user, _parse_set(item))
     _check_known_keys(user, base)
@@ -456,7 +466,7 @@ def _load_kernel_file(name, group, spec, path):
     return kernel
 
 
-def _seminorm_config(cfg, section, extra=None):
+def _seminorm_config(cfg, section):
     kw = {"seed": cfg["seed"]}
     rf = section.get("radius_factors")
     if rf is not None:
@@ -466,19 +476,14 @@ def _seminorm_config(cfg, section, extra=None):
         kw["j_window"] = tuple(jw)
     if section.get("directions") is not None:
         kw["directions"] = section["directions"]
-    if extra:
-        kw.update(extra)
-    try:
-        return SeminormConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError("/seminorm", str(exc))
+    return SeminormConfig(**kw)
 
 
 def _kvec(value, group):
     if value is None:
         return (1,) * group.nu
     if len(value) != group.nu:
-        raise ConfigError("/k", f"order vector needs {group.nu} entries")
+        raise ValueError(f"order vector needs {group.nu} entries, got {len(value)}")
     return tuple(int(v) for v in value)
 
 
@@ -543,7 +548,7 @@ def _write_csv(outdir, filename, header, rows):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_group_check(cfg, args):
+def _cmd_group_check(cfg):
     group = _build_group(cfg)
     c = cfg["check"]
     rng = np.random.default_rng(cfg["seed"])
@@ -602,18 +607,15 @@ def _cmd_group_check(cfg, args):
     return result, (EXIT_OK if ok else EXIT_NUMERIC), line, {}
 
 
-def _cmd_kernel_synth(cfg, args):
+def _cmd_kernel_synth(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     k = cfg["kernel"]
-    try:
-        kernel = synth_dyadic(
-            group, k["n_min"], k["n_max"], k["family"],
-            seed=_kernel_seed(k, cfg), moment_order=k["moment_order"],
-            flag_mode=bool(k.get("flag", False)),
-        )
-    except ValueError as exc:
-        raise ConfigError("/kernel", str(exc))
+    kernel = synth_dyadic(
+        group, k["n_min"], k["n_max"], k["family"],
+        seed=_kernel_seed(k, cfg), moment_order=k["moment_order"],
+        flag_mode=bool(k.get("flag", False)),
+    )
     rendered = kernel.render(spec)
     result = {
         "kernel_file": "kernel.nckr",
@@ -633,17 +635,14 @@ def _cmd_kernel_synth(cfg, args):
     return result, EXIT_OK, line, {"emit": emit}
 
 
-def _cmd_kernel_check_growth(cfg, args):
+def _cmd_kernel_check_growth(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     kernel = _build_kernel(cfg["kernel"], group, spec, cfg)
     g = cfg["growth"]
     kvec = None if g["k"] is None else _kvec(g["k"], group)
-    try:
-        rep = check_growth(kernel, spec, kvec=kvec, n_samples=g["n_samples"],
-                           seed=cfg["seed"], margin_cells=g["margin_cells"])
-    except ValueError as exc:
-        raise ConfigError("/growth", str(exc))
+    rep = check_growth(kernel, spec, kvec=kvec, n_samples=g["n_samples"],
+                       seed=cfg["seed"], margin_cells=g["margin_cells"])
     result = dict(rep.to_dict(), max_constant=rep.max_constant())
     ok = rep.valid and all(np.isfinite(v) for v in rep.constants.values())
     line = f"check-growth: max constant {rep.max_constant():.6g} over {len(rep.constants)} orders"
@@ -660,7 +659,7 @@ def _cancel_rows(entries) -> list:
     return rows
 
 
-def _cmd_kernel_check_cancel(cfg, args):
+def _cmd_kernel_check_cancel(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     kernel = _build_kernel(cfg["kernel"], group, spec, cfg)
@@ -668,14 +667,11 @@ def _cmd_kernel_check_cancel(cfg, args):
     if not 0 <= c["mu"] < group.nu:
         raise ConfigError("/cancel/mu", f"factor index must lie in [0, {group.nu})")
     rv = None if c["R_values"] is None else tuple(float(v) for v in c["R_values"])
-    try:
-        rep = check_cancellation(
-            kernel, c["mu"], spec, bumps=tuple(c["bumps"]), R_values=rv,
-            kvec=None if c["k"] is None else tuple(c["k"]),
-            n_samples=c["n_samples"], seed=cfg["seed"], n_quad=c["n_quad"],
-        )
-    except ValueError as exc:
-        raise ConfigError("/cancel", str(exc))
+    rep = check_cancellation(
+        kernel, c["mu"], spec, bumps=tuple(c["bumps"]), R_values=rv,
+        kvec=None if c["k"] is None else tuple(c["k"]),
+        n_samples=c["n_samples"], seed=cfg["seed"], n_quad=c["n_quad"],
+    )
     rows = _cancel_rows(rep.entries)
     ok = np.isfinite(rep.sup_constant)
     result = dict(rep.to_dict(), ok=bool(ok))
@@ -688,7 +684,7 @@ def _cmd_kernel_check_cancel(cfg, args):
     return result, (EXIT_OK if ok else EXIT_NUMERIC), line, {"emit": emit}
 
 
-def _cmd_convolve(cfg, args):
+def _cmd_convolve(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     check = cfg["convolve"]["check"]
@@ -715,7 +711,6 @@ def _cmd_convolve(cfg, args):
         denom = max(np.linalg.norm(direct.values.ravel()), 1e-300)
         result["path_rel_error"] = float(
             np.linalg.norm((fast.values - direct.values).ravel()) / denom)
-    exit_code = EXIT_OK
     extras = {}
     if cfg["convolve"]["save"]:
         extras["emit"] = lambda outdir: save_kernel(
@@ -724,10 +719,10 @@ def _cmd_convolve(cfg, args):
     line = f"convolve: |K*L|_2 = {result['l2_norm']:.6g}"
     if "path_rel_error" in result:
         line += f", fast vs direct rel error {result['path_rel_error']:.3g}"
-    return result, exit_code, line, extras
+    return result, EXIT_OK, line, extras
 
 
-def _cmd_opnorm(cfg, args):
+def _cmd_opnorm(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
@@ -739,7 +734,7 @@ def _cmd_opnorm(cfg, args):
     return est.to_dict(), (EXIT_OK if est.converged else EXIT_NUMERIC), line, {}
 
 
-def _cmd_seminorm(cfg, args):
+def _cmd_seminorm(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
@@ -747,17 +742,14 @@ def _cmd_seminorm(cfg, args):
     kvec = _kvec(s["k"], group)
     sc = _seminorm_config(cfg, s)
     fn = pk_seminorm if s["kind"] == "pk" else fk_seminorm
-    try:
-        rep = fn(K, spec, kvec, cfg=sc)
-    except ValueError as exc:
-        raise ConfigError("/seminorm", str(exc))
+    rep = fn(K, spec, kvec, cfg=sc)
     line = f"seminorm: {s['kind']} at k={list(kvec)} is {rep.total:.8g}"
     extras = {"emit": lambda outdir: rep.export_csv(
         os.path.join(outdir, "seminorm.csv"))}
     return rep.to_dict(), EXIT_OK, line, extras
 
 
-def _cmd_tame(cfg, args):
+def _cmd_tame(cfg):
     group = _build_group(cfg)
     if group.nu < 2:
         raise ConfigError("/group", "tame reports need at least two factors")
@@ -808,7 +800,7 @@ def _apply_kernel_bundle(cfg, user):
         cfg["invert"]["amplification_cap"] = touched.get("amplification_cap")
 
 
-def _cmd_invert(cfg, args):
+def _cmd_invert(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
@@ -816,21 +808,14 @@ def _cmd_invert(cfg, args):
     track = None if i["track_k"] is None else _kvec(i["track_k"], group)
     growth_k = None if i["growth_k"] is None else _kvec(i["growth_k"], group)
     sc = SeminormConfig(radius_factors=(1.0,), seed=cfg["seed"]) if track else None
-    try:
-        res = neumann_invert(
-            K, spec, max_n=i["max_n"], tol=i["tol"], kvec_track=track,
-            eps=i["eps"], paper_eps=bool(i["paper_eps"]),
-            amplification_cap=i["amplification_cap"], cond_cap=i["cond_cap"],
-            pad_factor=i["pad_factor"], probes=i["probes"],
-            probe_seed=i["probe_seed"], cfg=sc, growth_kvec=growth_k,
-            seed=cfg["seed"],
-        )
-    except ValueError as exc:
-        if NOT_INVERTIBLE not in str(exc):
-            raise
-        line = f"invert: {exc}"
-        return {"error": str(exc)}, EXIT_NUMERIC, line, {}
-
+    res = neumann_invert(
+        K, spec, max_n=i["max_n"], tol=i["tol"], kvec_track=track,
+        eps=i["eps"], paper_eps=bool(i["paper_eps"]),
+        amplification_cap=i["amplification_cap"], cond_cap=i["cond_cap"],
+        pad_factor=i["pad_factor"], probes=i["probes"],
+        probe_seed=i["probe_seed"], cfg=sc, growth_kvec=growth_k,
+        seed=cfg["seed"],
+    )
     ok = res.max_residual <= i["residual_tol"]
     result = dict(res.to_dict(), max_residual=res.max_residual,
                   residual_ok=bool(ok))
@@ -858,23 +843,18 @@ def _cmd_invert(cfg, args):
     return result, (EXIT_OK if ok else EXIT_NUMERIC), line, {"emit": emit}
 
 
-def _cmd_decay(cfg, args):
+def _cmd_decay(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
     d = cfg["decay"]
     kvec = _kvec(d["k"], group)
     sc = _seminorm_config(cfg, d)
-    try:
-        eps = d["eps"]
-        if eps is None and d["paper_eps"]:
-            eps = choose_epsilon(K, spec, paper_eps=True, seed=cfg["seed"])
-        rep = seminorm_decay(K, spec, kvec, d["n_list"], cfg=sc, eps=eps,
-                             kind=d["kind"], seed=cfg["seed"])
-    except ValueError as exc:
-        if NOT_INVERTIBLE not in str(exc):
-            raise
-        return {"error": str(exc)}, EXIT_NUMERIC, f"decay: {exc}", {}
+    eps = d["eps"]
+    if eps is None and d["paper_eps"]:
+        eps = choose_epsilon(K, spec, paper_eps=True, seed=cfg["seed"])
+    rep = seminorm_decay(K, spec, kvec, d["n_list"], cfg=sc, eps=eps,
+                         kind=d["kind"], seed=cfg["seed"])
     roots = [row["root"] for row in rep.rows]
     line = (f"decay: |S| = {rep.s_norm_measured:.4g}, roots "
             + " ".join(f"{r:.4g}" for r in roots))
@@ -895,26 +875,22 @@ def _common_flags(p, kernel=True):
                    help="output directory (default: $NILCONV_OUT or ./nilconv-out)")
     p.add_argument("--preset", dest="group", metavar="GROUP",
                    help="group preset (abelian<q>, heisenberg1) or a group JSON file")
-    p.add_argument("--N", dest="grid_N", type=int, help="samples per axis")
-    p.add_argument("--T", dest="grid_T", type=float, help="box half-width")
+    p.add_argument("--N", dest="grid.N", type=int, help="samples per axis")
+    p.add_argument("--T", dest="grid.T", type=float, help="box half-width")
     p.add_argument("--seed", type=int, help="master seed")
     if kernel:
-        p.add_argument("--kernel", dest="kernel_name", metavar="NAME",
+        p.add_argument("--kernel", dest="kernel.name", metavar="NAME",
                        help="kernel preset (" + ", ".join(KERNEL_NAMES)
                             + ") or a saved .nckr file")
 
 
-BASE_FLAGS = [
-    ("group", "group"),
-    ("grid_N", "grid.N"),
-    ("grid_T", "grid.T"),
-    ("seed", "seed"),
-    ("kernel_name", "kernel.name"),
-]
-
-
-def _kvec_flag(p, flag="--k", dest="k", help="derivative orders, one per factor"):
+def _kvec_flag(p, dest, flag="--k", help="derivative orders, one per factor"):
     p.add_argument(flag, dest=dest, type=int, nargs="+", metavar="K", help=help)
+
+
+def _switch(p, flag, dest, help=None):
+    p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction,
+                   default=None, help=help)
 
 
 def build_parser():
@@ -937,12 +913,11 @@ def build_parser():
         epilog="CSV output: none. Exit 3 when a sampled invariant exceeds "
                "/check/tol.")
     _common_flags(p, kernel=False)
-    p.add_argument("--samples", type=int, dest="check_samples",
+    p.add_argument("--samples", type=int, dest="check.samples",
                    help="sample triples per invariant")
-    p.add_argument("--tol", type=float, dest="check_tol",
+    p.add_argument("--tol", type=float, dest="check.tol",
                    help="absolute tolerance for sampled invariants")
-    p.set_defaults(handler=_cmd_group_check, name="group check", flags=[
-        ("check_samples", "check.samples"), ("check_tol", "check.tol")])
+    p.set_defaults(handler=_cmd_group_check, name="group check", section="/check")
 
     pk = sub.add_parser("kernel", help="kernel synthesis and diagnostics")
     pks = pk.add_subparsers(dest="subcommand", required=True)
@@ -953,31 +928,23 @@ def build_parser():
                "The profile family, scale window, and moment order come from "
                "the /kernel section.")
     _common_flags(p, kernel=False)
-    p.add_argument("--family", dest="kernel_family", choices=DYADIC_FAMILIES)
-    p.add_argument("--n-min", dest="kernel_n_min", type=int)
-    p.add_argument("--n-max", dest="kernel_n_max", type=int)
-    p.add_argument("--moment-order", dest="kernel_moment_order", type=int)
-    p.add_argument("--flag", dest="kernel_flag",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="restrict scales to the flag window")
-    p.set_defaults(handler=_cmd_kernel_synth, name="kernel synth", flags=[
-        ("kernel_family", "kernel.family"), ("kernel_n_min", "kernel.n_min"),
-        ("kernel_n_max", "kernel.n_max"),
-        ("kernel_moment_order", "kernel.moment_order"),
-        ("kernel_flag", "kernel.flag")])
+    p.add_argument("--family", dest="kernel.family", choices=DYADIC_FAMILIES)
+    p.add_argument("--n-min", dest="kernel.n_min", type=int)
+    p.add_argument("--n-max", dest="kernel.n_max", type=int)
+    p.add_argument("--moment-order", dest="kernel.moment_order", type=int)
+    _switch(p, "--flag", "kernel.flag", help="restrict scales to the flag window")
+    p.set_defaults(handler=_cmd_kernel_synth, name="kernel synth", section="/kernel")
 
     p = pks.add_parser(
         "check-growth", help="sampled growth constants of a kernel",
         epilog="CSV output: none; per-order constants live in report.json. "
                "Exit 3 when a constant is not finite.")
     _common_flags(p)
-    _kvec_flag(p, dest="growth_k")
-    p.add_argument("--n-samples", dest="growth_n_samples", type=int)
-    p.add_argument("--margin-cells", dest="growth_margin", type=float)
+    _kvec_flag(p, "growth.k")
+    p.add_argument("--n-samples", dest="growth.n_samples", type=int)
+    p.add_argument("--margin-cells", dest="growth.margin_cells", type=float)
     p.set_defaults(handler=_cmd_kernel_check_growth, name="kernel check-growth",
-                   flags=[("growth_k", "growth.k"),
-                          ("growth_n_samples", "growth.n_samples"),
-                          ("growth_margin", "growth.margin_cells")])
+                   section="/growth")
 
     p = pks.add_parser(
         "check-cancel", help="cancellation via reductions over one factor",
@@ -985,43 +952,34 @@ def build_parser():
                "bump,R,order0_constant,max_constant,reduced_sup. "
                "Exit 3 when the sup constant is not finite.")
     _common_flags(p)
-    p.add_argument("--mu", dest="cancel_mu", type=int,
+    p.add_argument("--mu", dest="cancel.mu", type=int,
                    help="factor index to reduce over")
-    p.add_argument("--bumps", dest="cancel_bumps", nargs="+")
-    p.add_argument("--R", dest="cancel_R", type=float, nargs="+",
+    p.add_argument("--bumps", dest="cancel.bumps", nargs="+")
+    p.add_argument("--R", dest="cancel.R_values", type=float, nargs="+",
                    help="bump dilation scales")
-    p.add_argument("--n-quad", dest="cancel_n_quad", type=int)
+    p.add_argument("--n-quad", dest="cancel.n_quad", type=int)
     p.set_defaults(handler=_cmd_kernel_check_cancel, name="kernel check-cancel",
-                   flags=[("cancel_mu", "cancel.mu"),
-                          ("cancel_bumps", "cancel.bumps"),
-                          ("cancel_R", "cancel.R_values"),
-                          ("cancel_n_quad", "cancel.n_quad")])
+                   section="/cancel")
 
     p = sub.add_parser(
         "convolve", help="compose two kernels on the grid",
         epilog="CSV output: none. --check compares the fast and direct "
                "convolution paths on the kernel renderings.")
     _common_flags(p)
-    p.add_argument("--other", dest="convolve_other", metavar="NAME",
+    p.add_argument("--other", dest="convolve.other.name", metavar="NAME",
                    help="second kernel preset or file (applied on the right)")
-    p.add_argument("--check", dest="convolve_check",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--save", dest="convolve_save",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="write the composed kernel to result.nckr")
-    p.set_defaults(handler=_cmd_convolve, name="convolve", flags=[
-        ("convolve_other", "convolve.other.name"),
-        ("convolve_check", "convolve.check"),
-        ("convolve_save", "convolve.save")])
+    _switch(p, "--check", "convolve.check")
+    _switch(p, "--save", "convolve.save",
+            help="write the composed kernel to result.nckr")
+    p.set_defaults(handler=_cmd_convolve, name="convolve", section="/convolve")
 
     p = sub.add_parser(
         "opnorm", help="operator norm by power iteration",
         epilog="CSV output: none. Exit 3 when the iteration does not converge.")
     _common_flags(p)
-    p.add_argument("--max-iter", dest="opnorm_max_iter", type=int)
-    p.add_argument("--tol", dest="opnorm_tol", type=float)
-    p.set_defaults(handler=_cmd_opnorm, name="opnorm", flags=[
-        ("opnorm_max_iter", "opnorm.max_iter"), ("opnorm_tol", "opnorm.tol")])
+    p.add_argument("--max-iter", dest="opnorm.max_iter", type=int)
+    p.add_argument("--tol", dest="opnorm.tol", type=float)
+    p.set_defaults(handler=_cmd_opnorm, name="opnorm", section="/opnorm")
 
     p = sub.add_parser(
         "seminorm", help="product or flag kernel seminorm",
@@ -1029,12 +987,11 @@ def build_parser():
                "label,alpha,j,l,z_norms,block,weight,value,iterations,residual "
                "(one row per localized block).")
     _common_flags(p)
-    p.add_argument("--kind", dest="seminorm_kind", choices=("pk", "fk"))
-    _kvec_flag(p, dest="seminorm_k")
-    p.add_argument("--radius-factors", dest="seminorm_rf", type=float, nargs="+")
-    p.set_defaults(handler=_cmd_seminorm, name="seminorm", flags=[
-        ("seminorm_kind", "seminorm.kind"), ("seminorm_k", "seminorm.k"),
-        ("seminorm_rf", "seminorm.radius_factors")])
+    p.add_argument("--kind", dest="seminorm.kind", choices=("pk", "fk"))
+    _kvec_flag(p, "seminorm.k")
+    p.add_argument("--radius-factors", dest="seminorm.radius_factors",
+                   type=float, nargs="+")
+    p.set_defaults(handler=_cmd_seminorm, name="seminorm", section="/seminorm")
 
     p = sub.add_parser(
         "tame", help="two-sided estimates on synthesized kernel pairs",
@@ -1043,12 +1000,10 @@ def build_parser():
                "tameness_ok (one row per pair, input order). Pairs are "
                "synthesized from consecutive seeds.")
     _common_flags(p, kernel=False)
-    p.add_argument("--pairs", dest="tame_pairs", type=int)
-    _kvec_flag(p, dest="tame_k")
-    p.add_argument("--kind", dest="tame_kind", choices=("pk", "fk"))
-    p.set_defaults(handler=_cmd_tame, name="tame", flags=[
-        ("tame_pairs", "tame.pairs"), ("tame_k", "tame.k"),
-        ("tame_kind", "tame.kind")])
+    p.add_argument("--pairs", dest="tame.pairs", type=int)
+    _kvec_flag(p, "tame.k")
+    p.add_argument("--kind", dest="tame.kind", choices=("pk", "fk"))
+    p.set_defaults(handler=_cmd_tame, name="tame", section="/tame")
 
     p = sub.add_parser(
         "invert", help="invert an operator through the damped Neumann series",
@@ -1060,56 +1015,57 @@ def build_parser():
                "--paper-eps, an amplification cap of 1.5, cond-cap 4, and "
                "pad-factor 2 unless overridden.")
     _common_flags(p)
-    p.add_argument("--max-n", dest="invert_max_n", type=int)
-    p.add_argument("--tol", dest="invert_tol", type=float)
-    p.add_argument("--eps", dest="invert_eps", type=float,
+    p.add_argument("--max-n", dest="invert.max_n", type=int)
+    p.add_argument("--tol", dest="invert.tol", type=float)
+    p.add_argument("--eps", dest="invert.eps", type=float,
                    help="fixed damping factor (skips the spectral estimate)")
-    p.add_argument("--paper-eps", dest="invert_paper_eps",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="use 1/sigma_max^2 instead of the midpoint rule")
-    p.add_argument("--cap", dest="invert_cap", type=float,
+    _switch(p, "--paper-eps", "invert.paper_eps",
+            help="use 1/sigma_max^2 instead of the midpoint rule")
+    p.add_argument("--cap", dest="invert.amplification_cap", type=float,
                    help="amplification cap for early stopping")
-    p.add_argument("--cond-cap", dest="invert_cond_cap", type=float)
-    p.add_argument("--pad-factor", dest="invert_pad", type=int,
+    p.add_argument("--cond-cap", dest="invert.cond_cap", type=float)
+    p.add_argument("--pad-factor", dest="invert.pad_factor", type=int,
                    help="run the series on an enlarged box, crop the result")
-    p.add_argument("--probes", dest="invert_probes", type=int)
-    p.add_argument("--probe-seed", dest="invert_probe_seed", type=int)
-    p.add_argument("--residual-tol", dest="invert_residual_tol", type=float)
-    _kvec_flag(p, flag="--track-k", dest="invert_track_k",
+    p.add_argument("--probes", dest="invert.probes", type=int)
+    p.add_argument("--probe-seed", dest="invert.probe_seed", type=int)
+    p.add_argument("--residual-tol", dest="invert.residual_tol", type=float)
+    _kvec_flag(p, "invert.track_k", flag="--track-k",
                help="track remainder seminorms at these orders")
-    p.add_argument("--save", dest="invert_save",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="write the inverse kernel to inverse.nckr")
-    p.set_defaults(handler=_cmd_invert, name="invert", flags=[
-        ("invert_max_n", "invert.max_n"), ("invert_tol", "invert.tol"),
-        ("invert_eps", "invert.eps"), ("invert_paper_eps", "invert.paper_eps"),
-        ("invert_cap", "invert.amplification_cap"),
-        ("invert_cond_cap", "invert.cond_cap"),
-        ("invert_pad", "invert.pad_factor"),
-        ("invert_probes", "invert.probes"),
-        ("invert_probe_seed", "invert.probe_seed"),
-        ("invert_residual_tol", "invert.residual_tol"),
-        ("invert_track_k", "invert.track_k"),
-        ("invert_save", "invert.save")])
+    _switch(p, "--save", "invert.save",
+            help="write the inverse kernel to inverse.nckr")
+    p.set_defaults(handler=_cmd_invert, name="invert", section="/invert")
 
     p = sub.add_parser(
         "decay", help="seminorms of Neumann remainder powers",
         epilog="CSV output: decay.csv with columns "
                "n,value,root,op_norm,truncation (one row per power).")
     _common_flags(p)
-    p.add_argument("--kind", dest="decay_kind", choices=("pk", "fk"))
-    _kvec_flag(p, dest="decay_k")
-    p.add_argument("--n-list", dest="decay_n_list", type=int, nargs="+",
+    p.add_argument("--kind", dest="decay.kind", choices=("pk", "fk"))
+    _kvec_flag(p, "decay.k")
+    p.add_argument("--n-list", dest="decay.n_list", type=int, nargs="+",
                    help="powers to evaluate")
-    p.add_argument("--eps", dest="decay_eps", type=float)
-    p.add_argument("--paper-eps", dest="decay_paper_eps",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(handler=_cmd_decay, name="decay", flags=[
-        ("decay_kind", "decay.kind"), ("decay_k", "decay.k"),
-        ("decay_n_list", "decay.n_list"), ("decay_eps", "decay.eps"),
-        ("decay_paper_eps", "decay.paper_eps")])
+    p.add_argument("--eps", dest="decay.eps", type=float)
+    _switch(p, "--paper-eps", "decay.paper_eps")
+    p.set_defaults(handler=_cmd_decay, name="decay", section="/decay")
 
     return parser
+
+
+def _run(args, cfg):
+    """Run the handler, turning library errors into exit codes: a grid that
+    cannot invert the operator is a missed target (exit 3, with a report),
+    any other ValueError a configuration error at the command's section.
+    """
+    try:
+        return args.handler(cfg)
+    except ValueError as exc:
+        if NOT_INVERTIBLE in str(exc):
+            return {"error": str(exc)}, EXIT_NUMERIC, f"{args.name}: {exc}", {}
+        raise ConfigError(args.section, str(exc))
+    except NotImplementedError:  # only lattice-only kernels leave eval open
+        name = cfg["kernel"]["name"]
+        raise ConfigError("/kernel/name", f"{name!r} is a lattice-only kernel; "
+                          "this command samples kernels off the grid")
 
 
 def main(argv=None):
@@ -1117,7 +1073,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        cfg, user = resolve_config(args, BASE_FLAGS + args.flags)
+        cfg, user = resolve_config(args)
         errors = validate_config(cfg, args.name)
         if errors:
             sys.stderr.write(json.dumps({"errors": errors}, indent=2,
@@ -1125,7 +1081,7 @@ def main(argv=None):
             return EXIT_CONFIG
         if args.name == "invert":
             _apply_kernel_bundle(cfg, user)
-        result, exit_code, line, extras = args.handler(cfg, args)
+        result, exit_code, line, extras = _run(args, cfg)
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"errors": [exc.entry()]}, indent=2,
                                     sort_keys=True) + "\n")

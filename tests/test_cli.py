@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from nilconv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from nilconv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _defaults, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -360,7 +360,86 @@ def test_decay_requires_two_factor_orders(tmp_path, capsys):
     code, _ = run(tmp_path, "decay", "--preset", "abelian2", "--kernel",
                   "delta", "--k", "1")
     assert code == EXIT_CONFIG
-    assert stderr_errors(capsys)[0]["path"] == "/k"
+    assert stderr_errors(capsys)[0]["path"] == "/decay"
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["seminorm", "--k", "1"], "/seminorm"),
+    (["invert", "--track-k", "1"], "/invert"),
+])
+def test_order_vector_length_reported_at_command_section(tmp_path, capsys,
+                                                         argv, path):
+    code, _ = run(tmp_path, *argv, "--preset", "abelian2", "--N", "8")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == path
+    assert "needs 2 entries" in errs[0]["message"]
+
+
+# --- library errors become configuration errors at the command's section ---
+
+
+@pytest.mark.parametrize("argv,path,needle", [
+    (["tame", "--set", "tame.j_window=[0,2]"], "/tame", "no admissible"),
+    (["tame", "--set", "tame.j_window=[0,1]"], "/tame", "at least 3 integers"),
+    (["decay", "--kernel", "dyadic", "--set", "decay.j_window=[0,2]"],
+     "/decay", "no admissible"),
+])
+def test_sampling_window_errors_at_command_section(tmp_path, capsys, argv,
+                                                   path, needle):
+    code, out = run(tmp_path, *argv, "--preset", "abelian2", "--N", "8")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == path
+    assert needle in errs[0]["message"]
+    assert not out.exists()
+
+
+def test_direct_sum_over_pair_budget_is_config_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "opnorm", "--preset", "heisenberg1", "--kernel",
+                  "dyadic", "--N", "26")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == "/opnorm"
+    assert "point pairs" in errs[0]["message"]
+
+
+@pytest.mark.parametrize("command,preset,kernel", [
+    ("check-growth", "abelian1", "discrete-hilbert"),
+    ("check-growth", "abelian2", "tensor-hilbert"),
+    ("check-cancel", "abelian2", "tensor-hilbert"),
+])
+def test_lattice_only_kernel_rejected_off_grid(tmp_path, capsys, command,
+                                               preset, kernel):
+    code, _ = run(tmp_path, "kernel", command, "--preset", preset,
+                  "--kernel", kernel, "--N", "32")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == "/kernel/name"
+    assert f"{kernel!r} is a lattice-only kernel" in errs[0]["message"]
+
+
+# --- every flag sets a configuration key ---
+
+
+def _actions(parser):
+    for action in parser._actions:
+        yield action
+        if isinstance(action.choices, dict):  # a subparsers action
+            for sub in action.choices.values():
+                yield from _actions(sub)
+
+
+def test_every_flag_dest_is_a_config_key():
+    # a dest that names no config key would be dropped without a word
+    plumbing = {"help", "config", "set", "out", "command", "subcommand"}
+    dests = {a.dest for a in _actions(build_parser())} - plumbing
+    assert "invert.amplification_cap" in dests
+    for dest in sorted(dests):
+        node = _defaults()
+        for part in dest.split("."):
+            assert isinstance(node, dict) and part in node, dest
+            node = node[part]
 
 
 # --- help text documents the CSV contracts ---
