@@ -56,7 +56,7 @@ from .kernels import (
     synth_dyadic,
 )
 from .product import ProductGroup, load_product
-from .seminorms import SeminormConfig, fk_seminorm, pk_seminorm
+from .seminorms import SeminormConfig, check_sampling, fk_seminorm, pk_seminorm
 from .tame import tame_csv, tame_report_fk, tame_report_pk
 
 EXIT_OK = 0
@@ -737,10 +737,11 @@ def _cmd_opnorm(cfg):
 def _cmd_seminorm(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
-    K = _build_kernel(cfg["kernel"], group, spec, cfg)
     s = cfg["seminorm"]
-    kvec = _kvec(s["k"], group)
     sc = _seminorm_config(cfg, s)
+    check_sampling(spec, sc)
+    K = _build_kernel(cfg["kernel"], group, spec, cfg)
+    kvec = _kvec(s["k"], group)
     fn = pk_seminorm if s["kind"] == "pk" else fk_seminorm
     rep = fn(K, spec, kvec, cfg=sc)
     line = f"seminorm: {s['kind']} at k={list(kvec)} is {rep.total:.8g}"
@@ -757,6 +758,7 @@ def _cmd_tame(cfg):
     t = cfg["tame"]
     kvec = _kvec(t["k"], group)
     sc = _seminorm_config(cfg, t)
+    check_sampling(spec, sc)
     k = cfg["kernel"]
     flag_mode = t["kind"] == "fk" or bool(k.get("flag", False))
     fn = tame_report_pk if t["kind"] == "pk" else tame_report_fk
@@ -846,10 +848,11 @@ def _cmd_invert(cfg):
 def _cmd_decay(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
-    K = _build_kernel(cfg["kernel"], group, spec, cfg)
     d = cfg["decay"]
-    kvec = _kvec(d["k"], group)
     sc = _seminorm_config(cfg, d)
+    check_sampling(spec, sc)
+    K = _build_kernel(cfg["kernel"], group, spec, cfg)
+    kvec = _kvec(d["k"], group)
     eps = d["eps"]
     if eps is None and d["paper_eps"]:
         eps = choose_epsilon(K, spec, paper_eps=True, seed=cfg["seed"])
@@ -984,7 +987,7 @@ def build_parser():
     p = sub.add_parser(
         "seminorm", help="product or flag kernel seminorm",
         epilog="CSV output: seminorm.csv with columns "
-               "label,alpha,j,l,z_norms,block,weight,value,iterations,residual "
+               "label,alpha,j,l,z_norms,block,weight,value,method,iterations,residual "
                "(one row per localized block).")
     _common_flags(p)
     p.add_argument("--kind", dest="seminorm.kind", choices=("pk", "fk"))

@@ -7,8 +7,14 @@ balls: phi around the origin at radius 2^j, gamma around a center z at radius
 factor bump is normalized to unit L2 mass on the grid, which calibrates
 well-separated blocks to |X^alpha K| near z; the weights |z|^(Q + deg alpha)
 then make block x weight scale-free for kernels with the critical growth.
-Blocks are estimated by power iteration on the normal operator and combined
-into per-subset components.
+
+A block's only nonzero part is its |supp phi| x |supp gamma| matrix, and
+each block is computed exactly from it: Op(K) takes the unit vectors of
+supp gamma, scaled by gamma, in one batch, X^alpha and phi act on the
+result, and the largest singular value of the rows in supp phi is the
+block.  Blocks with more than DENSE_BLOCK_COLUMNS columns fall back to
+power iteration on the normal operator.  Blocks combine into per-subset
+components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
 the grid box; reports carry the full block table, so every reported value is
@@ -22,7 +28,6 @@ import json
 import zlib
 from itertools import product as iproduct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +76,10 @@ class SeminormConfig:
     supports.  Finite-difference derivatives reach one cell per order, so
     orders up to stencil_gap - 1 per factor see truly disjoint supports;
     raise it when requesting higher orders.
+
+    max_iter and tol govern only the power iterations: the op_norm entry
+    of the empty subset, and blocks above DENSE_BLOCK_COLUMNS columns.
+    Every other block is exact.
     """
 
     kvec: tuple | None = None
@@ -200,6 +209,35 @@ def _center_candidates(fac, distance: float, directions: str):
     return out
 
 
+# a block with at most this many columns (sites of supp gamma) is computed
+# exactly by a dense SVD; abelian2 tame reports need at most 72 at N=24, while
+# a block localized in one factor next to a whole heisenberg1 factor has 512
+# at N=8, and building those columns through the direct path costs more than
+# power iteration on them
+DENSE_BLOCK_COLUMNS = 256
+
+
+def _dense_block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
+                       gamma: np.ndarray) -> list:
+    """Exact norm of the block phi X^alpha Op(K) gamma for each alpha.
+
+    The block's nonzero part has one column per site y of supp gamma:
+    Op(K) applied to gamma(y) e_y, all columns in one batch shared by
+    every alpha, then X^alpha and phi, kept on the rows of supp phi.
+    """
+    cols = np.flatnonzero(gamma)
+    rows = np.flatnonzero(phi)
+    units = np.zeros((cols.size, spec.size), dtype=complex)
+    units[np.arange(cols.size), cols] = gamma.reshape(-1)[cols]
+    images = op.apply(units.reshape(cols.size, *spec.shape))
+    out = []
+    for alpha in alphas:
+        d = left_derivative(images, alpha, spec).reshape(cols.size, -1)
+        M = d[:, rows] * phi.reshape(-1)[rows]
+        out.append(float(np.linalg.svd(M, compute_uv=False)[0]))
+    return out
+
+
 class BlockOperator:
     """f -> phi X^alpha (K * (gamma f)) and its exact adjoint; op is Op(K) on spec.
 
@@ -243,11 +281,13 @@ class BlockOperator:
         return self._backward(self._forward(v, phi, gamma), phi, gamma)
 
     def estimate(self, max_iter: int = 48, tol: float = 1e-11, seed=0):
-        """Power-iteration estimate of the block's norm.
+        """Power-iteration estimate of the block's norm, from below.
 
-        For a stack of B blocks, seed is a sequence of B seeds and the
-        result a list of B estimates, each one bit-identical to the
-        estimate of its block on its own.
+        Reports use it only for blocks above DENSE_BLOCK_COLUMNS columns;
+        localized_block gives the exact norm of smaller ones.  For a stack
+        of B blocks, seed is a sequence of B seeds and the result a list of
+        B estimates, each one bit-identical to the estimate of its block on
+        its own.
         """
         if self.phi.ndim == self.spec.q_total:
             return power_method(self.normal, self.spec, max_iter=max_iter,
@@ -301,9 +341,15 @@ def localized_block(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict
                     gamma_spec: dict, sep_constants=None, profile: str = "bump",
                     max_iter: int = 48, tol: float = 1e-11, seed: int = 0,
                     budget: int = PAIR_BUDGET) -> float:
-    """Power-iteration estimate of the localized block operator norm."""
+    """Norm of the localized block operator, as a report row computes it.
+
+    Exact (a dense SVD) for at most DENSE_BLOCK_COLUMNS columns; a larger
+    block gets the power-iteration estimate from max_iter, tol and seed.
+    """
     op = block_operator(K, spec, alpha, subset, phi_spec, gamma_spec,
                         sep_constants=sep_constants, profile=profile, budget=budget)
+    if np.count_nonzero(op.gamma) <= DENSE_BLOCK_COLUMNS:
+        return _dense_block_norms(op.op, spec, [alpha], op.phi, op.gamma)[0]
     return float(op.estimate(max_iter=max_iter, tol=tol, seed=seed).value)
 
 
@@ -372,7 +418,7 @@ class SeminormReport:
 
     def export_csv(self, path) -> None:
         cols = ["label", "alpha", "j", "l", "z_norms", "block", "weight",
-                "value", "iterations", "residual"]
+                "value", "method", "iterations", "residual"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(cols)
@@ -386,6 +432,7 @@ class SeminormReport:
                     f"{row['block']:.12g}",
                     f"{row['weight']:.12g}",
                     f"{row['value']:.12g}",
+                    row["method"],
                     row["iterations"],
                     f"{row['residual']:.3g}",
                 ])
@@ -477,31 +524,78 @@ def _subset_samples(spec: GridSpec, cfg: SeminormConfig, subset, seps):
     return samples
 
 
+def _admissible_samples(spec: GridSpec, cfg: SeminormConfig, subset, seps):
+    """_subset_samples, or a ValueError when the lattice of subset is empty."""
+    samples = _subset_samples(spec, cfg, subset, seps)
+    if not samples:
+        raise ValueError(
+            f"no admissible (j, l, z) sample fits the grid box for subset {subset}; "
+            "shrink j_window or radius_factors"
+        )
+    return samples
+
+
+def _separations(spec: GridSpec, cfg: SeminormConfig) -> tuple:
+    return tuple(cfg.safety * c for c in spec.group.triangle_constants())
+
+
+def check_sampling(spec: GridSpec, cfg: SeminormConfig | None = None) -> None:
+    """Raise the ValueError a pk or fk report on spec would raise for an
+    empty sample lattice, without any kernel.
+
+    Admissibility depends only on the grid, its group and cfg.  Every
+    nonempty subset is checked; the flag blocks of fk localize the
+    singletons among them.
+    """
+    cfg = cfg if cfg is not None else SeminormConfig()
+    seps = _separations(spec, cfg)
+    for subset in all_subsets(spec.group.nu):
+        if subset:
+            _admissible_samples(spec, cfg, subset, seps)
+
+
 def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
                      label, blocks_out):
     """Max of block x weight over the sample lattice; returns (value, best).
 
-    The samples' multipliers are built and checked once; for each alpha
-    all sampled blocks run as one stack, and rows keep alpha-major order.
+    Samples with at most DENSE_BLOCK_COLUMNS columns are exact, one sample
+    at a time; for each alpha the rest run as one power-iteration stack.
+    Rows keep alpha-major order.
     """
     group = spec.group
-    phi, gamma = map(np.stack, zip(*(
-        _block_multipliers(spec, subset,
-                           {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j) for mu in subset},
-                           parts, seps, cfg.profile)
-        for (j, l, parts, dists) in samples)))
+    mults = [_block_multipliers(spec, subset,
+                                {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j)
+                                 for mu in subset},
+                                parts, seps, cfg.profile)
+             for (j, l, parts, dists) in samples]
+    found = [[None] * len(samples) for _ in alphas]
+    wide = []
+    for s, (phi, gamma) in enumerate(mults):
+        if np.count_nonzero(gamma) > DENSE_BLOCK_COLUMNS:
+            wide.append(s)
+            continue
+        for a, value in enumerate(_dense_block_norms(op, spec, alphas, phi, gamma)):
+            found[a][s] = ("dense", value, 0, 0.0)
+    if wide:
+        stack = [np.stack([mults[s][k] for s in wide]) for k in (0, 1)]
+        for a, alpha in enumerate(alphas):
+            seeds = [_block_seed(cfg.seed, label, alpha.entries, j, l,
+                                 tuple(sorted(parts.items())))
+                     for (j, l, parts, dists) in (samples[s] for s in wide)]
+            estimates = BlockOperator(op, spec, alpha, *stack).estimate(
+                max_iter=cfg.max_iter, tol=cfg.tol, seed=seeds)
+            for s, est in zip(wide, estimates):
+                found[a][s] = ("iterative", float(est.value), est.iterations,
+                               est.residual)
+
     best_val = -1.0
     best = None
-    for alpha in alphas:
+    for alpha, per_sample in zip(alphas, found):
         degs = hom_degree(group, alpha)
-        seeds = [_block_seed(cfg.seed, label, alpha.entries, j, l,
-                             tuple(sorted(parts.items())))
-                 for (j, l, parts, dists) in samples]
-        stack = BlockOperator(op, spec, alpha, phi, gamma)
-        estimates = stack.estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seeds)
-        for (j, l, parts, dists), est in zip(samples, estimates):
+        for (j, l, parts, dists), (method, block, iterations, residual) in zip(
+                samples, per_sample):
             weight = weight_fn(degs, dists)
-            value = float(est.value) * weight
+            value = block * weight
             row = {
                 "label": label,
                 "subset": list(subset),
@@ -510,11 +604,12 @@ def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
                 "l": l,
                 "z": {str(mu): list(parts[mu][0]) for mu in subset},
                 "dists": [dists[mu] for mu in subset],
-                "block": float(est.value),
+                "block": block,
                 "weight": weight,
                 "value": value,
-                "iterations": est.iterations,
-                "residual": est.residual,
+                "method": method,
+                "iterations": iterations,
+                "residual": residual,
             }
             blocks_out.append(row)
             if value > best_val:
@@ -558,7 +653,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     cfg = cfg if cfg is not None else SeminormConfig()
     kvec = _check_kvec(spec, kvec, cfg)
     group = spec.group
-    seps = tuple(cfg.safety * c for c in group.triangle_constants())
+    seps = _separations(spec, cfg)
     op = prepare(K, spec, cfg.budget)
 
     opn = op_norm(op, spec, max_iter=max(cfg.max_iter, 8), tol=cfg.tol,
@@ -568,12 +663,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     for subset in all_subsets(group.nu):
         if not subset:
             continue
-        samples = _subset_samples(spec, cfg, subset, seps)
-        if not samples:
-            raise ValueError(
-                f"no admissible (j, l, z) sample fits the grid box for subset {subset}; "
-                "shrink j_window or radius_factors"
-            )
+        samples = _admissible_samples(spec, cfg, subset, seps)
         alphas = list(multi_indices_up_to(group, zero_outside(kvec, subset), subset))
         label = "S=" + str(tuple(subset))
 
@@ -610,7 +700,7 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     cfg = cfg if cfg is not None else SeminormConfig()
     kvec = _check_kvec(spec, kvec, cfg)
     group = spec.group
-    seps = tuple(cfg.safety * c for c in group.triangle_constants())
+    seps = _separations(spec, cfg)
     op = prepare(K, spec, cfg.budget)
 
     base = pk_seminorm(op, spec, kvec, cfg)
@@ -619,12 +709,7 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     for mu in range(group.nu):
         tail = tuple(range(mu, group.nu))
         subset = (mu,)
-        samples = _subset_samples(spec, cfg, subset, seps)
-        if not samples:
-            raise ValueError(
-                f"no admissible (j, l, z) sample fits the grid box for factor {mu}; "
-                "shrink j_window or radius_factors"
-            )
+        samples = _admissible_samples(spec, cfg, subset, seps)
         alphas = list(multi_indices_up_to(group, zero_outside(kvec, tail), tail))
         label = f"flag mu={mu}"
 

@@ -58,14 +58,20 @@ def dynkin_bch(alg, x, y, depth):
     return z
 
 
-def dense_matrix(apply_fn, n, dtype=complex):
-    """Materialize a linear operator on C^n column by column."""
-    A = np.zeros((n, n), dtype=dtype)
+def dense_matrix(apply_fn, n, dtype=complex, columns=None):
+    """Materialize a linear operator on C^n column by column.
+
+    columns lists the unit vectors to apply, in order (default all n); the
+    result has one column each.  Leaving out columns the operator maps to
+    zero keeps every nonzero singular value.
+    """
+    columns = range(n) if columns is None else columns
+    A = np.zeros((n, len(columns)), dtype=dtype)
     e = np.zeros(n, dtype=dtype)
-    for j in range(n):
+    for k, j in enumerate(columns):
         e[:] = 0
         e[j] = 1.0
-        A[:, j] = np.asarray(apply_fn(e.copy()), dtype=dtype).reshape(n)
+        A[:, k] = np.asarray(apply_fn(e.copy()), dtype=dtype).reshape(n)
     return A
 
 

@@ -4,11 +4,13 @@ Commands run in-process through main(argv); every test pins its output
 directory to tmp_path so runs stay isolated.
 """
 
+import csv
 import json
 import os
 
 import pytest
 
+from nilconv import cli
 from nilconv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _defaults, build_parser, main
 
 
@@ -339,8 +341,11 @@ def test_seminorm_csv(tmp_path):
     assert code == EXIT_OK
     res = read_report(out)["result"]
     assert res["total"] > 0
-    header = (out / "seminorm.csv").read_text().splitlines()[0]
-    assert header == "label,alpha,j,l,z_norms,block,weight,value,iterations,residual"
+    with open(out / "seminorm.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["label", "alpha", "j", "l", "z_norms", "block", "weight",
+                      "value", "method", "iterations", "residual"]
+    assert rows and all(row[8:] == ["dense", "0", "0"] for row in rows)
 
 
 def test_decay_delta_fixed_eps(tmp_path):
@@ -392,6 +397,28 @@ def test_sampling_window_errors_at_command_section(tmp_path, capsys, argv,
     errs = stderr_errors(capsys)
     assert errs[0]["path"] == path
     assert needle in errs[0]["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["tame", "--kind", "pk", "--pairs", "1"], "/tame"),
+    (["tame", "--kind", "fk", "--pairs", "1"], "/tame"),
+    (["seminorm", "--kind", "fk", "--kernel", "dyadic"], "/seminorm"),
+    (["decay", "--kernel", "dyadic"], "/decay"),
+])
+def test_sampling_window_checked_before_kernel_work(tmp_path, capsys,
+                                                    monkeypatch, argv, path):
+    calls = []
+    monkeypatch.setattr(cli, "synth_dyadic", lambda *a, **kw: calls.append(a))
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"factors": ["heisenberg1", "abelian1"]}))
+    code, out = run(tmp_path, *argv, "--preset", str(group), "--k", "1", "1",
+                    "--N", "6")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == path
+    assert "no admissible" in errs[0]["message"]
+    assert calls == []
     assert not out.exists()
 
 

@@ -8,18 +8,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilconv import seminorms
 from nilconv.convolution import op_norm
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv.kernels import (
     ClosedFormKernel,
     DeltaKernel,
+    DiscreteHilbertKernel,
     GridKernel,
+    TensorKernel,
     smooth_bump,
     synth_dyadic,
 )
 from nilconv.product import MultiIndex, ProductGroup
 from nilconv.seminorms import (
+    DENSE_BLOCK_COLUMNS,
     SeminormConfig,
     _block_seed,
     block_operator,
@@ -31,6 +35,7 @@ from oracles import dense_matrix, pairing_operator_norm
 
 AB1 = ProductGroup([abelian(1)])
 AB2 = ProductGroup([abelian(1), abelian(1)])
+H1 = ProductGroup([heisenberg1()])
 HX = ProductGroup([heisenberg1(), abelian(1)])
 
 ALPHA0_AB2 = MultiIndex(((0,), (0,)))
@@ -219,13 +224,18 @@ def test_flag_total_dominates_product_total():
     assert all(e.value >= 0.0 for e in fk.flag_entries)
 
 
-def test_every_reported_block_matches_dense_svd():
+@pytest.mark.parametrize("method,columns", [("iterative", 0),
+                                            ("dense", DENSE_BLOCK_COLUMNS)],
+                         ids=["iterative", "dense"])
+def test_every_reported_block_matches_dense_svd(monkeypatch, method, columns):
+    monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", columns)
     spec = GridSpec(AB2, 8, 2.0)
     K = _random_kernel(spec, 17)
     cfg = SeminormConfig(max_iter=4000, tol=1e-14)
     rep = pk_seminorm(K, spec, (1, 1), cfg)
     n = spec.N ** spec.q_total
     assert rep.blocks
+    assert all(row["method"] == method for row in rep.blocks)
     for row in rep.blocks:
         subset = tuple(row["subset"])
         alpha = MultiIndex(tuple(tuple(e) for e in row["alpha"]))
@@ -375,8 +385,10 @@ def test_delta_total_tracks_amplitude(re, im):
 
 
 def test_blocks_of_one_alpha_share_their_ffts(monkeypatch):
-    # the sampled blocks of a (subset, alpha) run as one stack: one batched
-    # apply and adjoint (two fftn calls) per step of the longest block
+    # on the power-iteration fallback, the sampled blocks of a (subset, alpha)
+    # run as one stack: one batched apply and adjoint (two fftn calls) per
+    # step of the longest block
+    monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
     spec = GridSpec(AB2, 8, 1.0)
     K = synth_dyadic(AB2, -2, 0, "random", seed=1)
     cfg = SeminormConfig()
@@ -395,7 +407,8 @@ def test_blocks_of_one_alpha_share_their_ffts(monkeypatch):
     assert len(calls) <= 2 * sum(longest.values()) + own
 
 
-def test_stacked_report_blocks_equal_single_block_estimates():
+def test_stacked_report_blocks_equal_single_block_estimates(monkeypatch):
+    monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
     spec = GridSpec(AB2, 8, 1.0)
     K = synth_dyadic(AB2, -2, 0, "random", seed=1)
     cfg = SeminormConfig()
@@ -412,3 +425,73 @@ def test_stacked_report_blocks_equal_single_block_estimates():
                              ).estimate(max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
         assert (est.value, est.iterations, est.residual) == (
             row["block"], row["iterations"], row["residual"])
+
+
+def _sparse_random_kernel(spec, seed, density):
+    # direct-path convolutions cost one translation per kernel site
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    return GridKernel(spec, np.where(rng.random(spec.shape) < density, vals, 0.0))
+
+
+def _oracle_case(name):
+    if name == "abelian2":
+        spec = GridSpec(AB2, 8, 2.0)
+        return spec, _random_kernel(spec, 17), (1, 1)
+    if name == "heisenberg1-dyadic":
+        spec = GridSpec(H1, 8, 2.0)
+        return spec, synth_dyadic(H1, -2, 0, "random", seed=3), (1,)
+    if name == "heisenberg1xabelian1":
+        spec = GridSpec(HX, 8, 2.0)
+        return spec, _sparse_random_kernel(spec, 19, 0.1), (1, 0)
+    spec = GridSpec(AB2, 8, 2.0)
+    return spec, TensorKernel([DiscreteHilbertKernel(AB1), DeltaKernel(AB1, 0.5 - 1j)]), (1, 1)
+
+
+def _block_key(row):
+    return (row["label"], str(row["alpha"]), row["j"], row["l"], str(row["z"]))
+
+
+@pytest.mark.parametrize("case", ["abelian2", "heisenberg1-dyadic",
+                                  "heisenberg1xabelian1", "tensor-hilbert-delta"])
+def test_dense_blocks_are_exact_and_dominate_the_fallback(monkeypatch, case):
+    spec, K, kvec = _oracle_case(case)
+    rep = fk_seminorm(K, spec, kvec)
+    seps = rep.config["sep_constants"]
+    dense = [row for row in rep.blocks if row["method"] == "dense"]
+    assert any(row["block"] > 0.0 for row in dense)
+    for row in dense:
+        subset = tuple(row["subset"])
+        alpha = MultiIndex(tuple(tuple(e) for e in row["alpha"]))
+        phi = {mu: ((0.0,) * spec.group.factors[mu].dim, 2.0 ** row["j"])
+               for mu in subset}
+        gam = {mu: (tuple(row["z"][str(mu)]), 2.0 ** row["l"]) for mu in subset}
+        op = block_operator(K, spec, alpha, subset, phi, gam, sep_constants=seps)
+
+        def apply_flat(x, op=op):
+            return op.apply(GridFunction(spec, x.reshape(spec.shape))).values.reshape(-1)
+
+        # columns off supp gamma are zero
+        A = dense_matrix(apply_flat, spec.size, columns=np.flatnonzero(op.gamma))
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+        assert (row["iterations"], row["residual"]) == (0, 0.0)
+        assert abs(row["block"] - sigma) <= 1e-12 * sigma
+        assert localized_block(K, spec, alpha, subset, phi, gam,
+                               sep_constants=seps) == row["block"]
+
+    monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
+    fallback = fk_seminorm(K, spec, kvec)
+    assert [_block_key(r) for r in fallback.blocks] == [_block_key(r) for r in rep.blocks]
+    assert all(r["method"] == "iterative" for r in fallback.blocks)
+    for row, old in zip(rep.blocks, fallback.blocks):
+        assert row["block"] >= old["block"] * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 24])
+def test_tame_lattice_blocks_are_all_dense(N):
+    # the abelian2 tame setup of the benchmark and criterion 5
+    spec = GridSpec(AB2, N, 1.0)
+    rep = fk_seminorm(DeltaKernel(AB2, 1.0), spec, (1, 1),
+                      SeminormConfig(radius_factors=(1.0,)))
+    assert rep.blocks
+    assert all(row["method"] == "dense" for row in rep.blocks)
