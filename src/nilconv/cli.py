@@ -802,6 +802,15 @@ def _apply_kernel_bundle(cfg, user):
         cfg["invert"]["amplification_cap"] = touched.get("amplification_cap")
 
 
+def _warn_unconverged(name, eps):
+    """One stderr line when a spectral edge behind a computed eps did not converge."""
+    infos = (eps["sigma_max_info"], eps["sigma_min_info"]) if isinstance(eps, dict) else ()
+    if any(info.get("converged") is False for info in infos):  # a fixed eps has no edges
+        sys.stderr.write(f"{name}: warning: spectral edges not converged after "
+                         f"{infos[0]['iterations']} Lanczos steps; sigma_max from "
+                         f"{infos[0]['method']}, sigma_min from {infos[1]['method']}\n")
+
+
 def _cmd_invert(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
@@ -821,6 +830,7 @@ def _cmd_invert(cfg):
     ok = res.max_residual <= i["residual_tol"]
     result = dict(res.to_dict(), max_residual=res.max_residual,
                   residual_ok=bool(ok))
+    _warn_unconverged("invert", result["eps"])
     step_rows = [[str(n + 1), f"{v:.12g}"]
                  for n, v in enumerate(res.step_rel_norms)]
     track_rows = [[str(t["n"]), f"{t['seminorm']:.12g}",
@@ -858,6 +868,7 @@ def _cmd_decay(cfg):
         eps = choose_epsilon(K, spec, paper_eps=True, seed=cfg["seed"])
     rep = seminorm_decay(K, spec, kvec, d["n_list"], cfg=sc, eps=eps,
                          kind=d["kind"], seed=cfg["seed"])
+    _warn_unconverged("decay", rep.config["eps"])
     roots = [row["root"] for row in rep.rows]
     line = (f"decay: |S| = {rep.s_norm_measured:.4g}, roots "
             + " ".join(f"{r:.4g}" for r in roots))

@@ -237,19 +237,6 @@ def convolve(f: GridFunction, g: GridFunction, path: str = "auto",
     return GridFunction(spec, _Direct(spec, spec, axes, f.values, budget).apply(g.values))
 
 
-def factor_matrix(part: KernelRep, sub: GridSpec, budget: int = PAIR_BUDGET) -> np.ndarray:
-    """Dense matrix of the operator a tensor kernel applies for one part.
-
-    sub is the part's single-factor grid; column j is Op(part) applied to
-    the unit vector at flat site j, all columns as one batch of the
-    prepared one-part operator.  The direct path sums each unit vector
-    over its one site, so a nilpotent factor costs n^2 point pairs.
-    """
-    n = sub.size
-    basis = np.eye(n, dtype=complex).reshape(n, *sub.shape)
-    return prepare(TensorKernel([part]), sub, budget).apply(basis).reshape(n, n).T
-
-
 def apply_op(K, f: GridFunction, budget: int = PAIR_BUDGET) -> GridFunction:
     """Op(K) f = K * f; K may be a kernel or a ConvOp."""
     return GridFunction(f.spec, prepare(K, f.spec, budget).apply(f.values))

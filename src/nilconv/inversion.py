@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .convolution import (
     boundary_mass_fraction,
     compose_kernels,
     convolve,
-    factor_matrix,
     op_norm,
     power_method,
     prepare,
@@ -50,6 +49,7 @@ from .kernels import (
 from .seminorms import SeminormConfig, fk_seminorm, pk_seminorm
 
 NOT_INVERTIBLE = "not invertible at this resolution"
+EPS = np.finfo(float).eps
 
 
 def _padded_spec(spec: GridSpec, pad_factor: int) -> GridSpec:
@@ -114,92 +114,119 @@ def probe_functions(spec: GridSpec, count: int = 3, seed: int = 101,
 # ---------------------------------------------------------------------------
 
 
-def _cg_normal_solve(normal, rhs: GridFunction, shift: float,
-                     tol: float, max_iter: int):
-    """Solve (A~A + shift) x = rhs by CG; normal maps an array v to A~(A v)."""
-    spec = rhs.spec
-    x = spec.zeros()
-    r = rhs.copy()
-    p = r.copy()
-    rs = float(np.real(r.inner(r)))
-    rhs_norm = math.sqrt(rs)
-    if rhs_norm == 0.0:
-        return x, 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        Mp = GridFunction(spec, normal(p.values)).plus(p.scaled(shift))
-        denom = float(np.real(Mp.inner(p)))
-        if denom <= 0.0:
-            break
-        a = rs / denom
-        x = x.plus(p.scaled(a))
-        r = r.plus(Mp.scaled(-a))
-        rs_new = float(np.real(r.inner(r)))
-        if math.sqrt(rs_new) <= tol * rhs_norm:
-            rs = rs_new
-            break
-        p = r.plus(p.scaled(rs_new / rs))
-        rs = rs_new
-    return x, it
+# a part of at most this many sites takes a dense SVD: a 2048 x 2048 complex
+# matrix takes 64 MB, and a random heisenberg1 kernel at N=12 (1728 sites)
+# needs it, as Lanczos leaves its tiny sigma_min unresolved after 300 steps
+DENSE_SITES = 2048
+LANCZOS_STEPS = 300
+LANCZOS_TOL = 1e-12
 
 
-def smallest_singular(K, spec: GridSpec, sigma_max: float | None = None,
-                      max_iter: int = 24, tol: float = 1e-8, shift_rel: float = 1e-6,
-                      cg_tol: float = 1e-10, cg_max_iter: int = 200,
-                      seed: int = 0, budget: int = PAIR_BUDGET) -> dict:
-    """Smallest singular value of Op(K) by shifted inverse power iteration.
+def _lanczos_edges(op, spec: GridSpec, seed: int) -> tuple:
+    """(top, bottom, steps, converged): extreme singular values of op.
 
-    Each outer step solves (Op(K~)Op(K) + shift) w = v with conjugate
-    gradients; the Rayleigh quotient of the normal operator at w comes
-    for free from the solve.  The estimate approaches sigma_min from
-    above (Rayleigh quotients of the normal operator never go below the
-    bottom eigenvalue), so a slow run only lowers the damping factor
-    below the optimum; the contraction survives, at the cost of a
-    slightly optimistic predicted rate.  Clustered bottom spectra are
-    resolved to a few percent, not to tol; `drift` reports the residual
-    eigenvalue movement honestly.  budget prepares K; a ConvOp keeps its own.
+    Golub-Kahan-Lanczos bidiagonalization (Golub & Kahan, SIAM J. Numer.
+    Anal. B 2, 1965) from the unit vector u_1 that seed draws builds fully
+    reorthogonalized bases with Op V_k = U_{k+1} B_k, B_k lower bidiagonal
+    of shape (k+1, k).  B_k's singular values are Ritz values on span V_k,
+    so its top never exceeds sigma_max and its bottom never falls below
+    sigma_min.  The run stops when both drift by at most LANCZOS_TOL of the
+    top in one step, on breakdown (an invariant subspace is exact; a
+    vanishing alpha makes Op singular), or after LANCZOS_STEPS steps with
+    converged False.
+    """
+    n = spec.size
+    steps = min(LANCZOS_STEPS, n)
+    U, V = np.empty((steps + 1, n), dtype=complex), np.empty((steps, n), dtype=complex)
+    B = np.zeros((steps + 1, steps))
+
+    def orth(x, Q):
+        for _ in range(2):
+            x = x - Q.T @ (Q.conj() @ x)
+        return x
+
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    U[0] = u / np.linalg.norm(u)
+    w = op.adjoint(U[0].reshape(spec.shape)).ravel()
+    top = bottom = 0.0
+    for k in range(steps):
+        w = orth(w, V[:k])
+        B[k, k] = alpha = np.linalg.norm(w)
+        rows = k + 1  # a vanishing alpha leaves B square and ends the run
+        if alpha > n * EPS * B.max():
+            V[k] = w / alpha
+            p = orth(op.apply(V[k].reshape(spec.shape)).ravel() - alpha * U[k], U[:k + 1])
+            B[k + 1, k] = beta = np.linalg.norm(p)
+            rows = k + 2
+        s = np.linalg.svd(B[:rows, :k + 1], compute_uv=False)
+        drift = max(abs(s[0] - top), abs(s[-1] - bottom))
+        top, bottom = float(s[0]), float(s[-1])
+        if rows == k + 1 or beta <= n * EPS * top or drift <= LANCZOS_TOL * top:
+            return top, bottom, k + 1, True
+        U[k + 1] = p / beta
+        w = op.adjoint(U[k + 1].reshape(spec.shape)).ravel() - beta * V[k]
+    return top, bottom, steps, False
+
+
+def singular_edges(K, spec: GridSpec, seed: int = 0,
+                   budget: int = PAIR_BUDGET) -> tuple:
+    """(sigma_max_info, sigma_min_info): the spectral edges of Op(K).
+
+    A tensor kernel's operator is the Kronecker product of its per-factor
+    box operators, so its singular values are products of the factors'
+    (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.15) and each edge is
+    the product of the parts' edges; any other kernel is one part on the
+    whole grid.  A delta part contributes |amplitude|.  A part of at most
+    DENSE_SITES sites takes a dense SVD of its prepared operator, a larger
+    one _lanczos_edges.  An unconverged Lanczos top is only a lower bound,
+    so that part's sigma_max becomes Young's bound sum |k| vol (the Schur
+    test: a translation maps no two lattice sites onto one).
+
+    Each info dict has value, method ("dense", "lanczos" or "young-bound":
+    the least exact any part used), factors (one edge per part), converged
+    and iterations (Lanczos steps over all parts).  budget prepares K; a
+    ConvOp keeps its own, which also bounds the parts.
     """
     op = prepare(K, spec, budget)
-    if sigma_max is None:
-        sigma_max = op_norm(op, spec, seed=seed).value
-    if sigma_max == 0.0:
-        return {"value": 0.0, "iterations": 0, "cg_iterations": 0,
-                "drift": 0.0, "converged": True, "shift": 0.0}
+    tensor = isinstance(op.kernel, TensorKernel)
+    parts = zip(op.kernel.parts, spec.factor_specs) if tensor else [(op.kernel, spec)]
+    tops, bottoms = [], []
+    iterations, converged, lanczos, young = 0, True, False, False
+    for part, sub in parts:
+        if isinstance(part, DeltaKernel):
+            tops.append(abs(part.amplitude))
+            bottoms.append(abs(part.amplitude))
+            continue
+        prep = prepare(TensorKernel([part]), sub, op.budget) if tensor else op
+        n = sub.size
+        if n <= DENSE_SITES:
+            # 256 unit vectors at a time keep the padded FFT work arrays small
+            basis = np.eye(n, dtype=complex).reshape(n, *sub.shape)
+            cols = np.concatenate([prep.apply(basis[i:i + 256]) for i in range(0, n, 256)])
+            s = np.linalg.svd(cols.reshape(n, n).T, compute_uv=False)
+            top, bottom, steps, ok = float(s[0]), float(s[-1]), 0, True
+        else:
+            top, bottom, steps, ok = _lanczos_edges(prep, sub, seed)
+            lanczos = True
+        # LAPACK's values are exact for a perturbation of relative size about
+        # n eps; widening the top edge by that keeps it an upper bound, so the
+        # damping never overshoots by rounding
+        top *= 1.0 + n * EPS
+        if not ok:
+            top = float(np.abs(part.render(sub).values).sum() * sub.volume)
+            young = True
+        iterations, converged = iterations + steps, converged and ok
+        tops.append(top)
+        bottoms.append(bottom)
+    method = "lanczos" if lanczos else "dense"
 
-    shift = shift_rel * sigma_max ** 2
-    rng = np.random.default_rng(seed)
-    v = GridFunction(spec, rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-    v = v.scaled(1.0 / v.l2_norm())
+    def info(edges, method):
+        return {"value": float(math.prod(edges)), "method": method,
+                "factors": [float(v) for v in edges], "converged": converged,
+                "iterations": iterations}
 
-    lam = math.inf
-    drift = math.inf
-    converged = False
-    cg_total = 0
-    outer = 0
-    for outer in range(1, max_iter + 1):
-        w, cg_it = _cg_normal_solve(op.normal, v, shift, cg_tol, cg_max_iter)
-        cg_total += cg_it
-        wn = w.l2_norm()
-        if wn == 0.0:
-            lam = 0.0
-            converged = True
-            break
-        # (A~A + shift) w = v  =>  <A~A w, w> = <v, w> - shift |w|^2
-        lam_new = (float(np.real(v.inner(w))) - shift * wn ** 2) / wn ** 2
-        drift = abs(lam_new - lam) / max(abs(lam_new), 1e-300)
-        lam = lam_new
-        v = w.scaled(1.0 / wn)
-        if drift <= tol:
-            converged = True
-            break
-    return {
-        "value": float(math.sqrt(max(lam, 0.0))),
-        "iterations": outer,
-        "cg_iterations": cg_total,
-        "drift": float(drift),
-        "converged": converged,
-        "shift": float(shift),
-    }
+    return info(tops, "young-bound" if young else method), info(bottoms, method)
 
 
 @dataclass
@@ -215,75 +242,11 @@ class EpsilonChoice:
     sigma_min_info: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "sigma_max": self.sigma_max,
-            "sigma_min": self.sigma_min,
-            "s_norm_pred": self.s_norm_pred,
-            "paper_eps": self.paper_eps,
-            "sigma_max_info": dict(self.sigma_max_info),
-            "sigma_min_info": dict(self.sigma_min_info),
-        }
-
-
-# a tensor factor with at most this many sites gets its singular values from
-# a dense SVD (a 2048 x 2048 complex matrix takes 64 MB, and building it on
-# an abelian factor briefly needs the padded FFT of that many columns, a few
-# times more); larger factors run the iterative estimators on their own grid
-DENSE_FACTOR_SITES = 2048
-
-
-def _tensor_edges(K: TensorKernel, spec: GridSpec, max_iter: int, seed: int,
-                  budget: int) -> tuple:
-    """sigma_max and sigma_min info dicts of a tensor kernel's operator.
-
-    Op(K) is the Kronecker product of the per-factor box operators, so its
-    singular values are the products of the factors' singular values
-    (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.15) and each edge is
-    the product of the factors' edges.  A delta part scales by |amplitude|.
-    """
-    tops, bottoms = [], []
-    top_iters = bottom_iters = cg_iters = 0
-    top_conv = bottom_conv = True
-    iterative = False
-    for part, sub in zip(K.parts, spec.factor_specs):
-        if isinstance(part, DeltaKernel):
-            tops.append(abs(part.amplitude))
-            bottoms.append(abs(part.amplitude))
-            continue
-        if sub.size <= DENSE_FACTOR_SITES:
-            s = np.linalg.svd(factor_matrix(part, sub, budget), compute_uv=False)
-            # LAPACK's values are exact for a perturbation of relative size
-            # about n eps; widening the top edge by that keeps it an upper
-            # bound, so the damping never overshoots by rounding
-            tops.append(float(s[0]) * (1.0 + sub.size * np.finfo(float).eps))
-            bottoms.append(float(s[-1]))
-            continue
-        iterative = True
-        op = prepare(part, sub, budget)
-        top = op_norm(op, sub, max_iter=max_iter, seed=seed)
-        bottom = smallest_singular(op, sub, sigma_max=top.value, seed=seed)
-        tops.append(top.value)
-        bottoms.append(bottom["value"])
-        top_iters += top.iterations
-        bottom_iters += bottom["iterations"]
-        cg_iters += bottom["cg_iterations"]
-        top_conv = top_conv and top.converged
-        bottom_conv = bottom_conv and bottom["converged"]
-    method = "tensor-factor-iterative" if iterative else "tensor-exact"
-
-    def info(factors, converged, iterations, cg):
-        return {"value": float(math.prod(factors)), "method": method,
-                "factors": [float(v) for v in factors], "converged": converged,
-                "iterations": iterations, "cg_iterations": cg}
-
-    return (info(tops, top_conv, top_iters, 0),
-            info(bottoms, bottom_conv, bottom_iters, cg_iters))
+        return asdict(self)
 
 
 def choose_epsilon(K, spec: GridSpec, paper_eps: bool = False,
-                   seed: int = 0, budget: int = PAIR_BUDGET,
-                   max_iter: int = 80) -> EpsilonChoice:
+                   seed: int = 0, budget: int = PAIR_BUDGET) -> EpsilonChoice:
     """Damping factor making I - eps Op(K~) Op(K) a contraction.
 
     The default eps = 2 / (sigma_max^2 + sigma_min^2) equalizes the
@@ -291,19 +254,10 @@ def choose_epsilon(K, spec: GridSpec, paper_eps: bool = False,
     eps = 1 / sigma_max^2, which keeps the remainder positive
     semidefinite at the cost of a slower bottom edge.
 
-    Tensor kernels get exact edges: products of per-factor extremes from a
-    dense SVD of each factor's operator (factors above DENSE_FACTOR_SITES
-    sites fall back to the iterative estimators on that factor's grid).
-    Other kernels use power iteration for sigma_max and shifted inverse
-    iteration for sigma_min on the whole grid.  budget prepares K; a
-    ConvOp keeps its own, which also bounds the per-factor work.
+    Both edges come from singular_edges, for every kernel.  budget
+    prepares K; a ConvOp keeps its own, which also bounds the per-factor work.
     """
-    op = prepare(K, spec, budget)
-    if isinstance(op.kernel, TensorKernel):
-        top, bottom = _tensor_edges(op.kernel, spec, max_iter, seed, op.budget)
-    else:
-        top = op_norm(op, spec, max_iter=max_iter, seed=seed).to_dict()
-        bottom = smallest_singular(op, spec, sigma_max=top["value"], seed=seed)
+    top, bottom = singular_edges(K, spec, seed, budget)
     smax = top["value"]
     smin = bottom["value"]
     if smax == 0.0 or smin < 1e-8 * smax:

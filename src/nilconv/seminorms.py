@@ -558,16 +558,22 @@ def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
                      label, blocks_out):
     """Max of block x weight over the sample lattice; returns (value, best).
 
-    Samples with at most DENSE_BLOCK_COLUMNS columns are exact, one sample
-    at a time; for each alpha the rest run as one power-iteration stack.
-    Rows keep alpha-major order.
+    A sample whose multipliers and distances, once sampled on the grid,
+    repeat an earlier sample's is the same block with the same weight, so
+    only the first is kept.  Samples with at most DENSE_BLOCK_COLUMNS
+    columns are exact, one sample at a time; for each alpha the rest run
+    as one power-iteration stack.  Rows keep alpha-major order.
     """
     group = spec.group
-    mults = [_block_multipliers(spec, subset,
-                                {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j)
-                                 for mu in subset},
-                                parts, seps, cfg.profile)
-             for (j, l, parts, dists) in samples]
+    unique = {}
+    for j, l, parts, dists in samples:
+        pair = _block_multipliers(spec, subset,
+                                  {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j)
+                                   for mu in subset},
+                                  parts, seps, cfg.profile)
+        key = (pair[0].tobytes(), pair[1].tobytes(), tuple(dists[mu] for mu in subset))
+        unique.setdefault(key, ((j, l, parts, dists), pair))
+    samples, mults = [s for s, _ in unique.values()], [m for _, m in unique.values()]
     found = [[None] * len(samples) for _ in alphas]
     wide = []
     for s, (phi, gamma) in enumerate(mults):

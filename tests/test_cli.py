@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from nilconv import cli
+from nilconv import cli, inversion
 from nilconv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _defaults, build_parser, main
 
 
@@ -359,6 +359,25 @@ def test_decay_delta_fixed_eps(tmp_path):
     assert rows[0] == "n,value,root,op_norm,truncation"
     values = [float(r.split(",")[1]) for r in rows[1:]]
     assert values == pytest.approx([0.5, 0.25, 0.125], abs=1e-10)
+
+
+@pytest.mark.parametrize("command", ["invert", "decay"])
+def test_unconverged_spectral_edges_warn(tmp_path, capsys, monkeypatch, command):
+    argv = [command, "--preset", "abelian2", "--kernel", "near-identity-dyadic",
+            "--N", "8"]
+    code, _ = run(tmp_path / "dense", *argv)
+    monkeypatch.setattr(inversion, "DENSE_SITES", 8)
+    assert run(tmp_path / "lanczos", *argv)[0] == code
+    assert "warning" not in capsys.readouterr().err
+    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
+    code_short, out = run(tmp_path / "short", *argv)
+    assert code_short == code
+    result = read_report(out)["result"]
+    eps = result["eps"] if command == "invert" else result["config"]["eps"]
+    assert eps["sigma_max_info"]["converged"] is False
+    assert capsys.readouterr().err.splitlines() == [
+        f"{command}: warning: spectral edges not converged after 3 Lanczos "
+        "steps; sigma_max from young-bound, sigma_min from lanczos"]
 
 
 def test_decay_requires_two_factor_orders(tmp_path, capsys):

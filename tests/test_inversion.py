@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_matrix, padded_symbol, toeplitz_convolution_matrix
-from nilconv.convolution import apply_op, compose_kernels, factor_matrix, op_norm, prepare
+from nilconv.convolution import PAIR_BUDGET, apply_op, compose_kernels, op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv import inversion
@@ -22,7 +22,7 @@ from nilconv.inversion import (
     neumann_invert,
     probe_functions,
     seminorm_decay,
-    smallest_singular,
+    singular_edges,
 )
 from nilconv.kernels import (
     ClosedFormKernel,
@@ -63,35 +63,87 @@ def _dense_singular_values(K, spec):
 # --- sigma estimation against the dense oracle -------------------------------
 
 
-def test_smallest_singular_matches_dense_svd():
-    # this operator's bottom spectrum is clustered, which slows the inverse
-    # iteration to a crawl; the contract is an estimate from above within a
-    # few percent, with the residual drift reported honestly
-    spec = GridSpec(AB2, 8, 1.0)
-    K = _near_identity_dyadic(spec, strength=0.4, seed=3)
+INFO_KEYS = {"value", "method", "factors", "converged", "iterations"}
+
+
+def _random_grid_kernel(spec, seed):
+    rng = np.random.default_rng(seed)
+    return GridKernel(spec, rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
+
+
+def _oracle_kernel(name):
+    if name == "near-identity-abelian2":
+        spec = GridSpec(AB2, 8, 1.0)
+        return _near_identity_dyadic(spec, strength=0.4, seed=3), spec
+    if name == "random-abelian2":
+        spec = GridSpec(AB2, 8, 1.0)
+        return _random_grid_kernel(spec, 5), spec
+    spec = GridSpec(ProductGroup([heisenberg1()]), 6, 1.0)
+    return _random_grid_kernel(spec, 6), spec
+
+
+@pytest.mark.parametrize("path", ["dense", "lanczos"])
+@pytest.mark.parametrize("name", ["near-identity-abelian2", "random-abelian2",
+                                  "random-heisenberg1"])
+def test_singular_edges_match_dense_oracle(monkeypatch, name, path):
+    K, spec = _oracle_kernel(name)
     sv = _dense_singular_values(K, spec)
-    est = smallest_singular(K, spec)
-    assert sv[-1] * (1.0 - 1e-9) <= est["value"] <= 1.02 * sv[-1]
-    assert est["drift"] >= 0.0 and est["cg_iterations"] > 0
-    top = op_norm(K, spec)
-    assert abs(top.value - sv[0]) <= 1e-6 * sv[0]
+    if path == "lanczos":
+        monkeypatch.setattr(inversion, "DENSE_SITES", 8)
+    top, bottom = singular_edges(K, spec)
+    for info in (top, bottom):
+        assert set(info) == INFO_KEYS
+        assert info["method"] == path and info["converged"] is True
+        assert info["factors"] == [info["value"]]
+    if path == "dense":
+        assert top["iterations"] == 0
+        assert top["value"] >= sv[0]
+        assert abs(top["value"] - sv[0]) <= 1e-12 * sv[0]
+        assert abs(bottom["value"] - sv[-1]) <= 1e-12 * sv[-1]
+    else:
+        # Ritz values of a compression: the top from below, the bottom from above
+        assert 0 < top["iterations"] == bottom["iterations"] <= spec.size
+        assert sv[0] * (1.0 - 1e-8) <= top["value"] <= sv[0] * (1.0 + 1e-12)
+        assert sv[-1] * (1.0 - 1e-12) <= bottom["value"] <= sv[-1] * (1.0 + 1e-8)
+    if name == "near-identity-abelian2":
+        assert abs(op_norm(K, spec).value - sv[0]) <= 1e-6 * sv[0]
 
 
-def test_smallest_singular_hilbert_1d():
+def test_singular_edges_young_bound_when_lanczos_stops_early(monkeypatch):
+    # three steps leave both Ritz values short; the damping then uses
+    # Young's bound, which is never below sigma_max
+    monkeypatch.setattr(inversion, "DENSE_SITES", 8)
+    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
+    K, spec = _oracle_kernel("near-identity-abelian2")
+    sv = _dense_singular_values(K, spec)
+    ec = choose_epsilon(K, spec)
+    top, bottom = ec.sigma_max_info, ec.sigma_min_info
+    assert top["method"] == "young-bound" and bottom["method"] == "lanczos"
+    assert top["converged"] is False and bottom["converged"] is False
+    assert top["iterations"] == bottom["iterations"] == 3
+    assert ec.sigma_max >= sv[0]
+    assert ec.sigma_max == float(np.abs(K.values).sum() * spec.volume)
+    assert ec.sigma_min >= sv[-1] * (1.0 - 1e-12)
+
+
+def test_singular_edges_hilbert_1d():
     spec = GridSpec(AB1, 64, 1.0)
     K = DiscreteHilbertKernel(AB1)
     sv = _dense_singular_values(K, spec)
-    est = smallest_singular(K, spec)
-    assert abs(est["value"] - sv[-1]) <= 1e-6 * sv[0]
+    top, bottom = singular_edges(K, spec)
+    assert abs(bottom["value"] - sv[-1]) <= 1e-12 * sv[-1]
+    assert top["value"] >= sv[0]
     # box restriction leaves an order-one bottom edge for the lattice kernel
     assert sv[-1] >= 0.2
 
 
-def test_smallest_singular_zero_operator():
+@pytest.mark.parametrize("dense_sites", [2048, 8], ids=["dense", "lanczos"])
+def test_singular_edges_zero_operator(monkeypatch, dense_sites):
+    monkeypatch.setattr(inversion, "DENSE_SITES", dense_sites)
     spec = GridSpec(AB2, 8, 1.0)
     K = GridKernel(spec, np.zeros(spec.shape))
-    est = smallest_singular(K, spec)
-    assert est["value"] == 0.0 and est["converged"]
+    for info in singular_edges(K, spec):
+        assert info["value"] == 0.0 and info["converged"]
 
 
 # --- damping choice -----------------------------------------------------------
@@ -115,8 +167,8 @@ def test_choose_epsilon_formulas():
 
 
 def test_choose_epsilon_predicts_contraction():
-    # sigma_min converges from above, so the predicted rate can undershoot
-    # the measured one by the estimation gap; the contraction itself holds
+    # exact edges predict the measured rate up to power iteration's own
+    # error in measuring |S|
     spec = GridSpec(AB2, 8, 1.0)
     K = _near_identity_dyadic(spec, strength=0.4, seed=3)
     ec = choose_epsilon(K, spec)
@@ -125,7 +177,7 @@ def test_choose_epsilon_predicts_contraction():
     S = GridKernel(spec, base - ec.epsilon * normal.values)
     measured = op_norm(S, spec).value
     assert measured < 1.0
-    assert abs(measured - ec.s_norm_pred) <= 0.03
+    assert abs(measured - ec.s_norm_pred) <= 1e-3
 
 
 def test_choose_epsilon_rejects_zero_kernel():
@@ -200,9 +252,10 @@ def test_choose_epsilon_tensor_matches_dense_svd(name):
     assert abs(ec.sigma_max - sv[0]) <= 1e-10 * sv[0]
     assert abs(ec.sigma_min - sv[-1]) <= 1e-10 * sv[-1]
     for info in (ec.sigma_max_info, ec.sigma_min_info):
-        assert info["method"] == "tensor-exact"
+        assert set(info) == INFO_KEYS
+        assert info["method"] == "dense"
         assert info["converged"] is True
-        assert info["iterations"] == 0 and info["cg_iterations"] == 0
+        assert info["iterations"] == 0
         assert len(info["factors"]) == 2
     assert ec.sigma_max_info["value"] == ec.sigma_max
     assert ec.sigma_min_info["value"] == ec.sigma_min
@@ -212,24 +265,24 @@ def test_choose_epsilon_tensor_matches_dense_svd(name):
 
 
 def test_choose_epsilon_tensor_factor_iterative_fallback(monkeypatch):
-    # both 16-site factors go past the lowered dense limit and run the
-    # iterative estimators on their own grids
-    monkeypatch.setattr(inversion, "DENSE_FACTOR_SITES", 8)
+    # both 16-site factors go past the lowered dense limit and run Lanczos
+    # on their own grids
+    monkeypatch.setattr(inversion, "DENSE_SITES", 8)
     K = TensorKernel([_random_part(16, 4), _random_part(16, 5)])
     spec = GridSpec(AB2, 16, 1.0)
     sv = _dense_singular_values(K, spec)
     ec = choose_epsilon(K, spec)
     top, bottom = ec.sigma_max_info, ec.sigma_min_info
-    assert top["method"] == bottom["method"] == "tensor-factor-iterative"
+    assert top["method"] == bottom["method"] == "lanczos"
     assert top["converged"] and bottom["converged"]
-    assert abs(ec.sigma_max - sv[0]) <= 1e-6 * sv[0]
-    assert sv[-1] * (1.0 - 1e-9) <= ec.sigma_min <= 1.02 * sv[-1]
+    assert abs(ec.sigma_max - sv[0]) <= 1e-8 * sv[0]
+    assert abs(ec.sigma_min - sv[-1]) <= 1e-8 * sv[-1]
     sub = GridSpec(AB1, 16, 1.0)
-    runs = [op_norm(p, sub, max_iter=80) for p in K.parts]
-    assert top["factors"] == [r.value for r in runs]
-    assert top["iterations"] == sum(r.iterations for r in runs)
-    assert top["cg_iterations"] == 0
-    assert bottom["iterations"] > 0 and bottom["cg_iterations"] > 0
+    runs = [singular_edges(TensorKernel([p]), sub) for p in K.parts]
+    assert top["factors"] == [r[0]["value"] for r in runs]
+    assert bottom["factors"] == [r[1]["value"] for r in runs]
+    assert top["iterations"] == bottom["iterations"] == sum(r[0]["iterations"] for r in runs)
+    assert top["iterations"] > 0
 
 
 def test_choose_epsilon_tensor_zero_part_not_invertible():
@@ -242,11 +295,12 @@ def test_invert_budget_reaches_tensor_factor_edges(monkeypatch):
     # the caller's budget bounds the dense factor operators of choose_epsilon
     seen = []
 
-    def spy(part, sub, budget):
-        seen.append(budget)
-        return factor_matrix(part, sub, budget)
+    def spy(K, spec, budget=PAIR_BUDGET):
+        if isinstance(K, TensorKernel) and len(K.parts) == 1:
+            seen.append(budget)
+        return prepare(K, spec, budget)
 
-    monkeypatch.setattr(inversion, "factor_matrix", spy)
+    monkeypatch.setattr(inversion, "prepare", spy)
     K, spec = _heisenberg_abelian_tensor(4)
     neumann_invert(K, spec, max_n=1, budget=10**6)
     assert seen == [10**6, 10**6]
@@ -254,12 +308,14 @@ def test_invert_budget_reaches_tensor_factor_edges(monkeypatch):
         choose_epsilon(prepare(K, spec, budget=10), spec)
 
 
-def test_choose_epsilon_keeps_iterative_provenance_for_other_kernels():
+def test_choose_epsilon_keeps_iterative_provenance_for_other_kernels(monkeypatch):
+    monkeypatch.setattr(inversion, "DENSE_SITES", 8)
     spec = GridSpec(AB2, 8, 1.0)
     K = _near_identity_dyadic(spec, strength=0.4, seed=3)
     ec = choose_epsilon(K, spec)
-    assert ec.sigma_max_info == op_norm(K, spec, max_iter=80).to_dict()
-    assert ec.sigma_min_info == smallest_singular(K, spec, sigma_max=ec.sigma_max)
+    assert (ec.sigma_max_info, ec.sigma_min_info) == singular_edges(K, spec)
+    assert ec.sigma_max_info["method"] == "lanczos"
+    assert ec.sigma_max_info["iterations"] > 0
 
 
 # --- probes -------------------------------------------------------------------

@@ -495,3 +495,24 @@ def test_tame_lattice_blocks_are_all_dense(N):
                       SeminormConfig(radius_factors=(1.0,)))
     assert rep.blocks
     assert all(row["method"] == "dense" for row in rep.blocks)
+
+
+@pytest.mark.parametrize("spec,cfg", [
+    (GridSpec(AB2, 16, 1.0), SeminormConfig(radius_factors=(1.0,))),
+    (GridSpec(HX, 8, 2.0), SeminormConfig()),
+])
+def test_report_rows_are_distinct_blocks(spec, cfg):
+    # on these lattices several (j, l, z) give bumps that catch the same
+    # cells at the same distances; each distinct block is reported once
+    rep = fk_seminorm(DeltaKernel(spec.group, 1.0), spec, (1, 1), cfg)
+    seps = rep.config["sep_constants"]
+    keys = []
+    for row in rep.blocks:
+        subset = tuple(row["subset"])
+        phi = {mu: ((0.0,) * spec.group.factors[mu].dim, 2.0 ** row["j"])
+               for mu in subset}
+        gam = {mu: (tuple(row["z"][str(mu)]), 2.0 ** row["l"]) for mu in subset}
+        phi, gam = seminorms._block_multipliers(spec, subset, phi, gam, seps, cfg.profile)
+        keys.append((row["label"], str(row["alpha"]), phi.tobytes(), gam.tobytes(),
+                     tuple(row["dists"])))
+    assert rep.blocks and len(set(keys)) == len(keys)
