@@ -869,6 +869,10 @@ def _cmd_decay(cfg):
     rep = seminorm_decay(K, spec, kvec, d["n_list"], cfg=sc, eps=eps,
                          kind=d["kind"], seed=cfg["seed"])
     _warn_unconverged("decay", rep.config["eps"])
+    s_est = rep.s_norm_estimate
+    if not s_est.converged:
+        sys.stderr.write(f"decay: warning: |S| not converged after {s_est.iterations} "
+                         f"power steps (residual {s_est.residual:.3g})\n")
     roots = [row["root"] for row in rep.rows]
     line = (f"decay: |S| = {rep.s_norm_measured:.4g}, roots "
             + " ".join(f"{r:.4g}" for r in roots))

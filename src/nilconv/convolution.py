@@ -10,7 +10,7 @@ prepare(K, spec), which does the per-kernel work once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -347,77 +347,7 @@ class OpNormEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "N": self.N,
-            "T": self.T,
-            "seed": self.seed,
-        }
-
-
-def _power_iteration(normal, spec: GridSpec, seeds, max_iter: int,
-                     tol: float) -> list:
-    """Power iteration on a stack of normal operators, one start per seed.
-
-    normal(v, rows) maps v of shape (len(rows), *spec.shape) to the stack's
-    normal operators numbered rows, applied row by row.  Each row runs the
-    iteration power_method documents, from the vector its seed draws, and
-    leaves the stack once it stops, so it costs no further applies.
-    Reductions run over each row's grid axes, in the order numpy takes for
-    one grid function, so every row is bit-identical to a run on its own.
-    """
-    if max_iter < 8:
-        raise ValueError("max_iter must be at least 8")
-    grid = tuple(range(1, spec.q_total + 1))
-
-    def norms(a):
-        return np.sqrt(np.sum(np.abs(a) ** 2, axis=grid) * spec.volume)
-
-    def per_row(x):
-        return x.reshape((-1,) + (1,) * spec.q_total)
-
-    starts = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        starts.append(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-    v = np.stack(starts)
-    v = v * per_row(1.0 / norms(v))
-
-    count = len(starts)
-    rho = np.zeros(count)
-    residual = np.full(count, np.inf)
-    iterations = np.full(count, max_iter)
-    converged = np.zeros(count, dtype=bool)
-    rows = np.arange(count)
-    for it in range(1, max_iter + 1):
-        w = normal(v, rows)
-        new_rho = np.real(np.sum(w * np.conj(v), axis=grid) * spec.volume)
-        floor = np.maximum(new_rho, 1e-300)
-        resid = norms(w + v * per_row(-new_rho)) / floor
-        wn = norms(w)
-        # a zero operator stops at once with value 0; otherwise drift
-        # measures the value settling, and the residual quantifies how far
-        # the iterate is from an eigenvector (reported, not gated on)
-        zero = wn == 0.0
-        done = zero | (np.abs(new_rho - rho[rows]) / floor <= tol)
-        rho[rows] = np.where(zero, 0.0, new_rho)
-        residual[rows] = np.where(zero, 0.0, resid)
-        iterations[rows[done]] = it
-        converged[rows[done]] = True
-        go = ~done
-        if not go.any():
-            break
-        rows = rows[go]
-        v = w[go] * per_row(1.0 / wn[go])
-    return [
-        OpNormEstimate(value=float(np.sqrt(max(float(r), 0.0))), iterations=int(n),
-                       residual=float(e), converged=bool(c), N=spec.N, T=spec.T,
-                       seed=seed)
-        for r, n, e, c, seed in zip(rho, iterations, residual, converged, seeds)
-    ]
+        return asdict(self)
 
 
 def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
@@ -427,10 +357,38 @@ def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
     normal maps an array v of shape spec.shape to A~(A v), as ConvOp.normal
     does; the returned value is the square root of the dominant Rayleigh
     quotient.  The iteration stops when that quotient's relative drift is
-    at most tol, or after max_iter steps with converged False.
+    at most tol, at once with value 0 on a zero operator, or after max_iter
+    steps with converged False.
     """
-    return _power_iteration(lambda v, rows: normal(v[0])[None], spec, [seed],
-                            max_iter, tol)[0]
+    if max_iter < 8:
+        raise ValueError("max_iter must be at least 8")
+
+    def norm(a):
+        return np.sqrt(np.sum(np.abs(a) ** 2) * spec.volume)
+
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    v = v * (1.0 / norm(v))
+    rho, residual, converged = 0.0, np.inf, False
+    for it in range(1, max_iter + 1):
+        w = normal(v)
+        new_rho = np.real(np.sum(w * np.conj(v)) * spec.volume)
+        floor = max(new_rho, 1e-300)
+        residual = norm(w + v * -new_rho) / floor
+        wn = norm(w)
+        if wn == 0.0:
+            rho, residual, converged = 0.0, 0.0, True
+            break
+        # drift measures the value settling; the residual quantifies how far
+        # the iterate is from an eigenvector (reported, not gated on)
+        converged = bool(abs(new_rho - rho) / floor <= tol)
+        rho = new_rho
+        if converged:
+            break
+        v = w * (1.0 / wn)
+    return OpNormEstimate(value=float(np.sqrt(max(float(rho), 0.0))), iterations=it,
+                          residual=float(residual), converged=converged, N=spec.N,
+                          T=spec.T, seed=seed)
 
 
 def op_norm(K, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,

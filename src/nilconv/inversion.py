@@ -29,11 +29,11 @@ import numpy as np
 
 from .convolution import (
     PAIR_BUDGET,
+    OpNormEstimate,
     boundary_mass_fraction,
     compose_kernels,
     convolve,
     op_norm,
-    power_method,
     prepare,
 )
 from .grid import GridFunction, GridSpec
@@ -510,12 +510,17 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
 
 @dataclass
 class DecayReport:
-    """Seminorms of S^n with nth roots, against the measured |S|."""
+    """Seminorms of S^n with nth roots, against the measured |S|.
+
+    s_norm_estimate is the power-iteration estimate behind s_norm_measured,
+    with its convergence flag.
+    """
 
     kind: str
     kvec: tuple
     epsilon: float
     s_norm_measured: float
+    s_norm_estimate: OpNormEstimate
     rows: list
     config: dict
 
@@ -528,6 +533,7 @@ class DecayReport:
             "kvec": list(self.kvec),
             "epsilon": self.epsilon,
             "s_norm_measured": self.s_norm_measured,
+            "s_norm_estimate": self.s_norm_estimate.to_dict(),
             "rows": [dict(r) for r in self.rows],
             "config": dict(self.config),
         }
@@ -573,7 +579,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
     normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
     s_vals = DeltaKernel(spec.group).render(spec).values - ev * normal.values
     Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec, budget)
-    s_norm = power_method(Sop.normal, spec, seed=seed).value
+    s_est = op_norm(Sop, spec, seed=seed)
 
     estimator = pk_seminorm if kind == "pk" else fk_seminorm
     rows = []
@@ -605,7 +611,8 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
         kind=kind,
         kvec=tuple(int(k) for k in kvec),
         epsilon=float(ev),
-        s_norm_measured=float(s_norm),
+        s_norm_measured=s_est.value,
+        s_norm_estimate=s_est,
         rows=rows,
         config=config,
     )

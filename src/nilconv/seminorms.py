@@ -12,9 +12,9 @@ A block's only nonzero part is its |supp phi| x |supp gamma| matrix, and
 each block is computed exactly from it: Op(K) takes the unit vectors of
 supp gamma, scaled by gamma, in one batch, X^alpha and phi act on the
 result, and the largest singular value of the rows in supp phi is the
-block.  Blocks with more than DENSE_BLOCK_COLUMNS columns fall back to
-power iteration on the normal operator.  Blocks combine into per-subset
-components.
+block.  A block with more than DENSE_BLOCK_COLUMNS columns falls back to
+its own power iteration on its normal operator.  Blocks combine into
+per-subset components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
 the grid box; reports carry the full block table, so every reported value is
@@ -35,7 +35,6 @@ from .convolution import (
     PAIR_BUDGET,
     ConvOp,
     OpNormEstimate,
-    _power_iteration,
     apply_op,  # noqa: F401  (public name of this module; bench/test_bench.py reads it)
     left_derivative,
     left_derivative_adjoint,
@@ -78,8 +77,8 @@ class SeminormConfig:
     raise it when requesting higher orders.
 
     max_iter and tol govern only the power iterations: the op_norm entry
-    of the empty subset, and blocks above DENSE_BLOCK_COLUMNS columns.
-    Every other block is exact.
+    of the empty subset, and each block above DENSE_BLOCK_COLUMNS columns,
+    which runs on its own.  Every other block is exact.
     """
 
     kvec: tuple | None = None
@@ -217,32 +216,10 @@ def _center_candidates(fac, distance: float, directions: str):
 DENSE_BLOCK_COLUMNS = 256
 
 
-def _dense_block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
-                       gamma: np.ndarray) -> list:
-    """Exact norm of the block phi X^alpha Op(K) gamma for each alpha.
-
-    The block's nonzero part has one column per site y of supp gamma:
-    Op(K) applied to gamma(y) e_y, all columns in one batch shared by
-    every alpha, then X^alpha and phi, kept on the rows of supp phi.
-    """
-    cols = np.flatnonzero(gamma)
-    rows = np.flatnonzero(phi)
-    units = np.zeros((cols.size, spec.size), dtype=complex)
-    units[np.arange(cols.size), cols] = gamma.reshape(-1)[cols]
-    images = op.apply(units.reshape(cols.size, *spec.shape))
-    out = []
-    for alpha in alphas:
-        d = left_derivative(images, alpha, spec).reshape(cols.size, -1)
-        M = d[:, rows] * phi.reshape(-1)[rows]
-        out.append(float(np.linalg.svd(M, compute_uv=False)[0]))
-    return out
-
-
 class BlockOperator:
-    """f -> phi X^alpha (K * (gamma f)) and its exact adjoint; op is Op(K) on spec.
+    """f -> phi X^alpha (K * (gamma f)) and its exact adjoint for one block.
 
-    phi and gamma have shape spec.shape for one block, or (B, *spec.shape)
-    for a stack of B blocks that share op and alpha.
+    op is Op(K) on spec; phi and gamma have shape spec.shape.
     """
 
     def __init__(self, op: ConvOp, spec: GridSpec, alpha: MultiIndex,
@@ -253,46 +230,70 @@ class BlockOperator:
         self.phi = phi
         self.gamma = gamma
 
-    def _forward(self, v, phi, gamma):
-        w = self.op.apply(gamma * v)
+    def _forward(self, v):
+        w = self.op.apply(self.gamma * v)
         if not self.alpha.is_zero():
             w = left_derivative(w, self.alpha, self.spec)
-        return phi * w
+        return self.phi * w
 
-    def _backward(self, v, phi, gamma):
-        w = phi * v
+    def _backward(self, v):
+        w = self.phi * v
         if not self.alpha.is_zero():
             w = left_derivative_adjoint(w, self.alpha, self.spec)
-        return gamma * self.op.adjoint(w)
+        return self.gamma * self.op.adjoint(w)
 
     def apply(self, v: GridFunction) -> GridFunction:
-        """The block on one grid function (a one-block operator)."""
-        return GridFunction(self.spec, self._forward(v.values, self.phi, self.gamma))
+        """The block on one grid function."""
+        return GridFunction(self.spec, self._forward(v.values))
 
     def apply_adjoint(self, v: GridFunction) -> GridFunction:
-        """The block's adjoint on one grid function (a one-block operator)."""
-        return GridFunction(self.spec, self._backward(v.values, self.phi, self.gamma))
+        """The block's adjoint on one grid function."""
+        return GridFunction(self.spec, self._backward(v.values))
 
-    def normal(self, v: np.ndarray, rows=None) -> np.ndarray:
-        """Adjoint after apply, on an array of shape spec.shape for one block,
-        or on (len(rows), *spec.shape) for the stacked blocks numbered rows."""
-        phi, gamma = (self.phi, self.gamma) if rows is None else (self.phi[rows],
-                                                                   self.gamma[rows])
-        return self._backward(self._forward(v, phi, gamma), phi, gamma)
+    def normal(self, v: np.ndarray) -> np.ndarray:
+        """Adjoint after apply, on an array of shape spec.shape."""
+        return self._backward(self._forward(v))
 
-    def estimate(self, max_iter: int = 48, tol: float = 1e-11, seed=0):
+    def estimate(self, max_iter: int = 48, tol: float = 1e-11,
+                 seed: int = 0) -> OpNormEstimate:
         """Power-iteration estimate of the block's norm, from below.
 
-        Reports use it only for blocks above DENSE_BLOCK_COLUMNS columns;
-        localized_block gives the exact norm of smaller ones.  For a stack
-        of B blocks, seed is a sequence of B seeds and the result a list of
-        B estimates, each one bit-identical to the estimate of its block on
-        its own.
+        Reports and localized_block use it only for blocks above
+        DENSE_BLOCK_COLUMNS columns and take the exact norm of smaller ones.
         """
-        if self.phi.ndim == self.spec.q_total:
-            return power_method(self.normal, self.spec, max_iter=max_iter,
-                                tol=tol, seed=seed)
-        return _power_iteration(self.normal, self.spec, seed, max_iter, tol)
+        return power_method(self.normal, self.spec, max_iter=max_iter, tol=tol,
+                            seed=seed)
+
+
+def _block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
+                 gamma: np.ndarray, max_iter: int, tol: float, seed_for) -> list:
+    """(method, block, iterations, residual) of phi X^alpha Op(K) gamma for
+    each alpha.
+
+    A block with at most DENSE_BLOCK_COLUMNS columns is exact ("dense"):
+    its nonzero part has one column per site y of supp gamma, Op(K)
+    applied to gamma(y) e_y, all columns in one batch shared by every
+    alpha, then X^alpha and phi, kept on the rows of supp phi.  A wider
+    block runs its own power iteration ("iterative") from seed_for(alpha).
+    """
+    cols = np.flatnonzero(gamma)
+    if cols.size > DENSE_BLOCK_COLUMNS:
+        out = []
+        for alpha in alphas:
+            est = BlockOperator(op, spec, alpha, phi, gamma).estimate(
+                max_iter=max_iter, tol=tol, seed=seed_for(alpha))
+            out.append(("iterative", float(est.value), est.iterations, est.residual))
+        return out
+    rows = np.flatnonzero(phi)
+    units = np.zeros((cols.size, spec.size), dtype=complex)
+    units[np.arange(cols.size), cols] = gamma.reshape(-1)[cols]
+    images = op.apply(units.reshape(cols.size, *spec.shape))
+    out = []
+    for alpha in alphas:
+        d = left_derivative(images, alpha, spec).reshape(cols.size, -1)
+        M = d[:, rows] * phi.reshape(-1)[rows]
+        out.append(("dense", float(np.linalg.svd(M, compute_uv=False)[0]), 0, 0.0))
+    return out
 
 
 def _block_multipliers(spec: GridSpec, subset, phi_spec: dict, gamma_spec: dict,
@@ -341,16 +342,14 @@ def localized_block(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict
                     gamma_spec: dict, sep_constants=None, profile: str = "bump",
                     max_iter: int = 48, tol: float = 1e-11, seed: int = 0,
                     budget: int = PAIR_BUDGET) -> float:
-    """Norm of the localized block operator, as a report row computes it.
-
-    Exact (a dense SVD) for at most DENSE_BLOCK_COLUMNS columns; a larger
-    block gets the power-iteration estimate from max_iter, tol and seed.
+    """Norm of the localized block operator, as a report row computes it:
+    exact for at most DENSE_BLOCK_COLUMNS columns, else the power-iteration
+    estimate from max_iter, tol and seed (see _block_norms).
     """
     op = block_operator(K, spec, alpha, subset, phi_spec, gamma_spec,
                         sep_constants=sep_constants, profile=profile, budget=budget)
-    if np.count_nonzero(op.gamma) <= DENSE_BLOCK_COLUMNS:
-        return _dense_block_norms(op.op, spec, [alpha], op.phi, op.gamma)[0]
-    return float(op.estimate(max_iter=max_iter, tol=tol, seed=seed).value)
+    return _block_norms(op.op, spec, [alpha], op.phi, op.gamma, max_iter, tol,
+                        lambda _: seed)[0][1]
 
 
 @dataclass
@@ -560,9 +559,8 @@ def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
 
     A sample whose multipliers and distances, once sampled on the grid,
     repeat an earlier sample's is the same block with the same weight, so
-    only the first is kept.  Samples with at most DENSE_BLOCK_COLUMNS
-    columns are exact, one sample at a time; for each alpha the rest run
-    as one power-iteration stack.  Rows keep alpha-major order.
+    only the first is kept.  Each sample gets every alpha's block from
+    _block_norms; rows keep alpha-major order.
     """
     group = spec.group
     unique = {}
@@ -573,33 +571,21 @@ def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
                                   parts, seps, cfg.profile)
         key = (pair[0].tobytes(), pair[1].tobytes(), tuple(dists[mu] for mu in subset))
         unique.setdefault(key, ((j, l, parts, dists), pair))
-    samples, mults = [s for s, _ in unique.values()], [m for _, m in unique.values()]
-    found = [[None] * len(samples) for _ in alphas]
-    wide = []
-    for s, (phi, gamma) in enumerate(mults):
-        if np.count_nonzero(gamma) > DENSE_BLOCK_COLUMNS:
-            wide.append(s)
-            continue
-        for a, value in enumerate(_dense_block_norms(op, spec, alphas, phi, gamma)):
-            found[a][s] = ("dense", value, 0, 0.0)
-    if wide:
-        stack = [np.stack([mults[s][k] for s in wide]) for k in (0, 1)]
-        for a, alpha in enumerate(alphas):
-            seeds = [_block_seed(cfg.seed, label, alpha.entries, j, l,
-                                 tuple(sorted(parts.items())))
-                     for (j, l, parts, dists) in (samples[s] for s in wide)]
-            estimates = BlockOperator(op, spec, alpha, *stack).estimate(
-                max_iter=cfg.max_iter, tol=cfg.tol, seed=seeds)
-            for s, est in zip(wide, estimates):
-                found[a][s] = ("iterative", float(est.value), est.iterations,
-                               est.residual)
+    samples = [s for s, _ in unique.values()]
+    found = [
+        _block_norms(op, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
+                     lambda alpha, j=j, l=l, parts=parts: _block_seed(
+                         cfg.seed, label, alpha.entries, j, l,
+                         tuple(sorted(parts.items()))))
+        for (j, l, parts, _), (phi, gamma) in unique.values()
+    ]
 
     best_val = -1.0
     best = None
-    for alpha, per_sample in zip(alphas, found):
+    for a, alpha in enumerate(alphas):
         degs = hom_degree(group, alpha)
-        for (j, l, parts, dists), (method, block, iterations, residual) in zip(
-                samples, per_sample):
+        for (j, l, parts, dists), per_alpha in zip(samples, found):
+            method, block, iterations, residual = per_alpha[a]
             weight = weight_fn(degs, dists)
             value = block * weight
             row = {
@@ -662,8 +648,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     seps = _separations(spec, cfg)
     op = prepare(K, spec, cfg.budget)
 
-    opn = op_norm(op, spec, max_iter=max(cfg.max_iter, 8), tol=cfg.tol,
-                  seed=cfg.seed)
+    opn = op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
     entries = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
     blocks: list = []
     for subset in all_subsets(group.nu):

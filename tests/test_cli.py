@@ -365,19 +365,39 @@ def test_decay_delta_fixed_eps(tmp_path):
 def test_unconverged_spectral_edges_warn(tmp_path, capsys, monkeypatch, command):
     argv = [command, "--preset", "abelian2", "--kernel", "near-identity-dyadic",
             "--N", "8"]
+    def edge_warnings():
+        # decay on this kernel also warns that |S| did not converge, which
+        # test_decay_warns_when_s_norm_not_converged covers
+        return [line for line in capsys.readouterr().err.splitlines()
+                if "|S|" not in line]
+
     code, _ = run(tmp_path / "dense", *argv)
     monkeypatch.setattr(inversion, "DENSE_SITES", 8)
     assert run(tmp_path / "lanczos", *argv)[0] == code
-    assert "warning" not in capsys.readouterr().err
+    assert edge_warnings() == []
     monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
     code_short, out = run(tmp_path / "short", *argv)
     assert code_short == code
     result = read_report(out)["result"]
     eps = result["eps"] if command == "invert" else result["config"]["eps"]
     assert eps["sigma_max_info"]["converged"] is False
-    assert capsys.readouterr().err.splitlines() == [
+    assert edge_warnings() == [
         f"{command}: warning: spectral edges not converged after 3 Lanczos "
         "steps; sigma_max from young-bound, sigma_min from lanczos"]
+
+
+def test_decay_warns_when_s_norm_not_converged(tmp_path, capsys):
+    code, out = run(tmp_path, "decay", "--preset", "abelian2", "--kernel",
+                    "near-identity-dyadic", "--set", "kernel.strength=0.4",
+                    "--set", "kernel.seed=1", "--N", "8", "--n-list", "1")
+    assert code == EXIT_OK
+    result = read_report(out)["result"]
+    est = result["s_norm_estimate"]
+    assert est["converged"] is False and est["iterations"] == 60
+    assert est["value"] == result["s_norm_measured"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"decay: warning: |S| not converged after {est['iterations']} power steps "
+        f"(residual {est['residual']:.3g})"]
 
 
 def test_decay_requires_two_factor_orders(tmp_path, capsys):

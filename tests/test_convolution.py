@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilconv.convolution import (
-    _power_iteration,
     apply_op,
     boundary_mass_fraction,
     compose_kernels,
@@ -458,7 +457,7 @@ def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
     assert counts == {"fftn": 1, "ifftn": 1}
 
 
-def test_stacked_power_iteration_equals_single_runs():
+def test_power_method_stop_rules():
     spec = GridSpec(AB1, 16, 1.0)
 
     def diagonal(top, second):
@@ -468,26 +467,26 @@ def test_stacked_power_iteration_equals_single_runs():
         d[3], d[7] = top, second
         return d
 
-    diag = np.stack([diagonal(2.0, 0.5), diagonal(0.8, 0.5), diagonal(1.0, 0.999),
-                     np.zeros(spec.N)])
-    seeds = [11, 12, 13, 14]
-    calls = []
-
-    def normal(v, rows):
-        calls.append(rows.tolist())
-        return diag[rows] * v
-
-    stacked = _power_iteration(normal, spec, seeds, max_iter=40, tol=1e-12)
-    for d, seed, est in zip(diag, seeds, stacked):
-        single = power_method(lambda v, d=d: d * v, spec, max_iter=40, tol=1e-12,
-                              seed=seed)
-        assert repr(est) == repr(single)
-    iters = [est.iterations for est in stacked]
-    assert iters[3] == 1 and stacked[3].value == 0.0 and stacked[3].converged
-    assert iters[0] < iters[1] < 40 and stacked[1].converged
-    assert iters[2] == 40 and not stacked[2].converged
-    # a row that stopped is applied no more
-    assert [sum(i in c for c in calls) for i in range(4)] == iters
+    runs = []
+    for d, seed in zip([diagonal(2.0, 0.5), diagonal(0.8, 0.5), diagonal(1.0, 0.999),
+                        np.zeros(spec.N)], [11, 12, 13, 14]):
+        calls = []
+        est = power_method(lambda v, d=d: calls.append(1) or d * v, spec, max_iter=40,
+                           tol=1e-12, seed=seed)
+        assert len(calls) == est.iterations  # one apply per step
+        runs.append(est)
+    iters = [est.iterations for est in runs]
+    # the zero operator stops at once; a wide gap settles sooner than a narrow
+    # one, by drift; a near-tie runs to the cap unconverged
+    assert iters[3] == 1 and runs[3].value == 0.0 and runs[3].residual == 0.0
+    assert runs[3].converged
+    assert iters[0] < iters[1] < 40 and runs[0].converged and runs[1].converged
+    assert runs[0].value == pytest.approx(np.sqrt(2.0), rel=1e-9)
+    assert runs[1].value == pytest.approx(np.sqrt(0.8), rel=1e-9)
+    assert iters[2] == 40 and not runs[2].converged
+    assert np.sqrt(0.999) < runs[2].value <= 1.0
+    with pytest.raises(ValueError, match="max_iter"):
+        power_method(lambda v: v, spec, max_iter=7)
 
 
 @pytest.mark.parametrize("group, alpha", [

@@ -1,7 +1,6 @@
 """Seminorm estimators: localized blocks, subset tables, flag extras."""
 
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -384,10 +383,9 @@ def test_delta_total_tracks_amplitude(re, im):
     assert abs(rep.total - abs(c)) <= 1e-9 * abs(c)
 
 
-def test_blocks_of_one_alpha_share_their_ffts(monkeypatch):
-    # on the power-iteration fallback, the sampled blocks of a (subset, alpha)
-    # run as one stack: one batched apply and adjoint (two fftn calls) per
-    # step of the longest block
+def test_iterative_blocks_cost_two_ffts_per_step(monkeypatch):
+    # on the power-iteration fallback, each block runs on its own: one apply
+    # and one adjoint (two fftn calls) per step, and nothing else
     monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
     spec = GridSpec(AB2, 8, 1.0)
     K = synth_dyadic(AB2, -2, 0, "random", seed=1)
@@ -399,15 +397,11 @@ def test_blocks_of_one_alpha_share_their_ffts(monkeypatch):
     own = len(calls)
     calls.clear()
     rep = pk_seminorm(K, spec, (1, 1), cfg)
-    longest = Counter()
-    for row in rep.blocks:
-        key = (row["label"], str(row["alpha"]))
-        longest[key] = max(longest[key], row["iterations"])
-    assert len(rep.blocks) > len(longest)
-    assert len(calls) <= 2 * sum(longest.values()) + own
+    assert {row["method"] for row in rep.blocks} == {"iterative"}
+    assert len(calls) == 2 * sum(row["iterations"] for row in rep.blocks) + own
 
 
-def test_stacked_report_blocks_equal_single_block_estimates(monkeypatch):
+def test_iterative_report_blocks_equal_block_estimates(monkeypatch):
     monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
     spec = GridSpec(AB2, 8, 1.0)
     K = synth_dyadic(AB2, -2, 0, "random", seed=1)
