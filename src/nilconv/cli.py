@@ -870,9 +870,9 @@ def _cmd_decay(cfg):
                          kind=d["kind"], seed=cfg["seed"])
     _warn_unconverged("decay", rep.config["eps"])
     s_est = rep.s_norm_estimate
-    if not s_est.converged:
-        sys.stderr.write(f"decay: warning: |S| not converged after {s_est.iterations} "
-                         f"power steps (residual {s_est.residual:.3g})\n")
+    if not s_est["converged"]:
+        sys.stderr.write(f"decay: warning: |S| not converged after {s_est['iterations']} "
+                         f"Lanczos steps; |S| from {s_est['method']}\n")
     roots = [row["root"] for row in rep.rows]
     line = (f"decay: |S| = {rep.s_norm_measured:.4g}, roots "
             + " ".join(f"{r:.4g}" for r in roots))

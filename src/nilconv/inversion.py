@@ -29,7 +29,6 @@ import numpy as np
 
 from .convolution import (
     PAIR_BUDGET,
-    OpNormEstimate,
     boundary_mass_fraction,
     compose_kernels,
     convolve,
@@ -512,15 +511,16 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
 class DecayReport:
     """Seminorms of S^n with nth roots, against the measured |S|.
 
-    s_norm_estimate is the power-iteration estimate behind s_norm_measured,
-    with its convergence flag.
+    s_norm_estimate is singular_edges' sigma_max info dict of S, whose value
+    is s_norm_measured: a dense SVD up to DENSE_SITES sites, a converged
+    Lanczos top or Young's bound above them.
     """
 
     kind: str
     kvec: tuple
     epsilon: float
     s_norm_measured: float
-    s_norm_estimate: OpNormEstimate
+    s_norm_estimate: dict
     rows: list
     config: dict
 
@@ -533,7 +533,7 @@ class DecayReport:
             "kvec": list(self.kvec),
             "epsilon": self.epsilon,
             "s_norm_measured": self.s_norm_measured,
-            "s_norm_estimate": self.s_norm_estimate.to_dict(),
+            "s_norm_estimate": dict(self.s_norm_estimate),
             "rows": [dict(r) for r in self.rows],
             "config": dict(self.config),
         }
@@ -579,7 +579,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
     normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
     s_vals = DeltaKernel(spec.group).render(spec).values - ev * normal.values
     Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec, budget)
-    s_est = op_norm(Sop, spec, seed=seed)
+    s_est = singular_edges(Sop, spec, seed)[0]
 
     estimator = pk_seminorm if kind == "pk" else fk_seminorm
     rows = []
@@ -611,7 +611,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
         kind=kind,
         kvec=tuple(int(k) for k in kvec),
         epsilon=float(ev),
-        s_norm_measured=s_est.value,
+        s_norm_measured=s_est["value"],
         s_norm_estimate=s_est,
         rows=rows,
         config=config,

@@ -17,8 +17,12 @@ its own power iteration on its normal operator.  Blocks combine into
 per-subset components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
-the grid box; reports carry the full block table, so every reported value is
-an estimator of the corresponding seminorm, not a certified bound.
+the grid box.  _lattice builds it once per subset: it evaluates each factor
+bump once, decides admissibility from its cells and keeps each distinct
+block once, since scales whose bumps catch the same cells at the same
+distances give the same block.  Reports carry the full block table, so
+every reported value is an estimator of the corresponding seminorm, not a
+certified bound.
 """
 
 from __future__ import annotations
@@ -138,20 +142,23 @@ def _factor_bump(spec: GridSpec, mu: int, center, radius: float, profile: str):
     return PROFILES[profile](fac.hom_norm(rel) / radius)
 
 
-def _bump_multiplier(spec: GridSpec, parts: dict, profile: str) -> np.ndarray:
+def _unit_mass(spec: GridSpec, mu: int, b: np.ndarray) -> np.ndarray:
+    """Factor-mu bump values b scaled to unit L2 mass on the grid."""
+    facvol = float(np.prod(spec.spacings[spec.group.slices[mu]]))
+    nrm = float(np.sqrt(np.sum(b * b) * facvol))
+    if nrm == 0.0:
+        raise ValueError(f"bump catches no grid point in factor {mu}")
+    return b / nrm
+
+
+def _outer(spec: GridSpec, factors: dict) -> np.ndarray:
+    """Multiplier on spec.shape: the product of factor-local arrays, by mu."""
     vals = np.ones(spec.shape)
-    for mu in sorted(parts):
-        center, radius = parts[mu]
-        b = _factor_bump(spec, mu, center, radius, profile)
+    for mu in sorted(factors):
         sl = spec.group.slices[mu]
-        facvol = float(np.prod([spec.spacings[j] for j in range(sl.start, sl.stop)]))
-        nrm = float(np.sqrt(np.sum(b * b) * facvol))
-        if nrm == 0.0:
-            raise ValueError(f"bump catches no grid point in factor {mu}")
         shape = [1] * spec.q_total
-        for j in range(sl.start, sl.stop):
-            shape[j] = spec.N
-        vals = vals * (b / nrm).reshape(shape)
+        shape[sl] = [spec.N] * (sl.stop - sl.start)
+        vals = vals * factors[mu].reshape(shape)
     return vals
 
 
@@ -182,16 +189,8 @@ def _ball_fits_box(spec: GridSpec, mu: int, center, radius: float) -> bool:
     return True
 
 
-def _factor_support_cells(spec: GridSpec, mu: int, center, radius: float,
-                          profile: str) -> np.ndarray:
-    """Grid cells (factor-local indices) where the bump is positive."""
-    return np.argwhere(_factor_bump(spec, mu, center, radius, profile) > 0.0)
-
-
 def _cell_gap(a: np.ndarray, b: np.ndarray) -> int:
-    """Min Chebyshev distance in cells between two index sets."""
-    if a.size == 0 or b.size == 0:
-        return -1
+    """Min Chebyshev distance in cells between two nonempty index sets."""
     d = np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1)
     return int(d.min())
 
@@ -318,8 +317,12 @@ def _block_multipliers(spec: GridSpec, subset, phi_spec: dict, gamma_spec: dict,
             raise ValueError(
                 f"separation violated in factor {mu}: |w z^-1| = {dist:.4g} < {need:.4g}"
             )
-    return (_bump_multiplier(spec, phi_spec, profile),
-            _bump_multiplier(spec, gamma_spec, profile))
+
+    def multiplier(parts):
+        return _outer(spec, {mu: _unit_mass(spec, mu, _factor_bump(spec, mu, c, r, profile))
+                             for mu, (c, r) in parts.items()})
+
+    return multiplier(phi_spec), multiplier(gamma_spec)
 
 
 def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
@@ -437,95 +440,67 @@ class SeminormReport:
                 ])
 
 
-def _subset_samples(spec: GridSpec, cfg: SeminormConfig, subset, seps):
-    """All admissible (j, l, parts, dists) tuples for one localized subset.
+def _lattice(spec: GridSpec, cfg: SeminormConfig, subset, seps) -> list:
+    """Each distinct admissible block of one localized subset, once, as
+    (j, l, parts, dists, phi, gamma), in lattice order.
 
-    Admissibility: both bump supports fit the grid box, both catch at least
-    one grid cell, and the two cell sets are at least cfg.stencil_gap cells
-    apart in every localized factor, so finite differences of total order
-    below the gap cannot couple them.  The lattice does not depend on the
-    derivative orders, which keeps reports monotone in the order budget.
+    phi has radius 2^j at the origin of every factor in subset; parts[mu]
+    is gamma's (center, 2^l), the center at distance dists[mu] =
+    3 C_mu 2^(j v l) rho along a candidate axis, which separates the
+    supports.  A sample is admissible when both bumps fit the grid box,
+    catch a grid cell and stay cfg.stencil_gap cells apart in every
+    localized factor, so finite differences of total order below the gap
+    cannot couple them.  The lattice does not depend on the derivative
+    orders, which keeps reports monotone in the order budget.
+
+    Each factor bump is evaluated once, for its cells and its unit-mass
+    values.  A sample whose factor multipliers and distances repeat an
+    earlier one's is the same block with the same weight and is dropped.
+    Raises ValueError when no sample is admissible.
     """
     group = spec.group
-    j_min, j_max = int(cfg.j_window[0]), int(cfg.j_window[1])
-    window = range(j_min, j_max + 1)
+    window = range(int(cfg.j_window[0]), int(cfg.j_window[1]) + 1)
+    bumps = {}
 
-    phi_cells = {}
+    def bump(mu, center, radius):
+        # (cells, unit-mass values) of one factor bump; None if inadmissible
+        key = (mu, center, radius)
+        if key not in bumps:
+            bumps[key] = None
+            if _ball_fits_box(spec, mu, center, radius):
+                b = _factor_bump(spec, mu, center, radius, cfg.profile)
+                cells = np.argwhere(b > 0.0)
+                if cells.size:
+                    bumps[key] = (cells, _unit_mass(spec, mu, b))
+        return bumps[key]
+
+    def gamma_options(mu, j, l, phi_cells):
+        out = []
+        for rho in cfg.radius_factors:
+            dist = 3.0 * seps[mu] * (2.0 ** max(j, l)) * rho
+            for c in _center_candidates(group.factors[mu], dist, cfg.directions):
+                g = bump(mu, c, 2.0 ** l)
+                if g is not None and _cell_gap(phi_cells, g[0]) >= cfg.stencil_gap:
+                    out.append((c, dist, g[1]))
+        return out
+
+    samples, seen = [], set()
     for j in window:
-        r_phi = 2.0 ** j
-        cells = {}
-        for mu in subset:
-            origin = (0.0,) * group.factors[mu].dim
-            if not _ball_fits_box(spec, mu, origin, r_phi):
-                cells = None
-                break
-            cc = _factor_support_cells(spec, mu, origin, r_phi, cfg.profile)
-            if cc.size == 0:
-                cells = None
-                break
-            cells[mu] = cc
-        if cells is not None:
-            phi_cells[j] = cells
-
-    gamma_cache = {}
-
-    def gamma_options(mu, l, m):
-        key = (mu, l, m)
-        if key not in gamma_cache:
-            fac = group.factors[mu]
-            r_gam = 2.0 ** l
-            opts = []
-            for rho in cfg.radius_factors:
-                dist = 3.0 * seps[mu] * (2.0 ** m) * rho
-                for c in _center_candidates(fac, dist, cfg.directions):
-                    if not _ball_fits_box(spec, mu, c, r_gam):
-                        continue
-                    cc = _factor_support_cells(spec, mu, c, r_gam, cfg.profile)
-                    if cc.size == 0:
-                        continue
-                    opts.append((c, dist, cc))
-            gamma_cache[key] = opts
-        return gamma_cache[key]
-
-    samples = []
-    for j in sorted(phi_cells):
-        pc = phi_cells[j]
+        phi = {mu: bump(mu, (0.0,) * group.factors[mu].dim, 2.0 ** j) for mu in subset}
+        if any(b is None for b in phi.values()):
+            continue
+        phi_key = tuple(phi[mu][1].tobytes() for mu in subset)
+        phi_full = _outer(spec, {mu: phi[mu][1] for mu in subset})
         for l in window:
-            r_gam = 2.0 ** l
-            per_factor = []
-            for mu in subset:
-                opts = [
-                    (c, dist)
-                    for c, dist, cc in gamma_options(mu, l, max(j, l))
-                    if _cell_gap(pc[mu], cc) >= cfg.stencil_gap
-                ]
-                per_factor.append(opts)
-            if any(not opts for opts in per_factor):
-                continue
-            idx = [0] * len(subset)
-            while True:
-                parts = {}
-                dists = {}
-                for pos, mu in enumerate(subset):
-                    c, dist = per_factor[pos][idx[pos]]
-                    parts[mu] = (c, r_gam)
-                    dists[mu] = dist
-                samples.append((j, l, parts, dists))
-                pos = len(subset) - 1
-                while pos >= 0:
-                    idx[pos] += 1
-                    if idx[pos] < len(per_factor[pos]):
-                        break
-                    idx[pos] = 0
-                    pos -= 1
-                if pos < 0:
-                    break
-    return samples
-
-
-def _admissible_samples(spec: GridSpec, cfg: SeminormConfig, subset, seps):
-    """_subset_samples, or a ValueError when the lattice of subset is empty."""
-    samples = _subset_samples(spec, cfg, subset, seps)
+            per_factor = [gamma_options(mu, j, l, phi[mu][0]) for mu in subset]
+            for choice in iproduct(*per_factor):
+                centers, dists, gammas = (dict(zip(subset, col)) for col in zip(*choice))
+                key = (phi_key, tuple(g.tobytes() for g in gammas.values()),
+                       tuple(dists.values()))
+                if key not in seen:
+                    seen.add(key)
+                    parts = {mu: (c, 2.0 ** l) for mu, c in centers.items()}
+                    samples.append((j, l, parts, dists, phi_full, _outer(spec, gammas)))
     if not samples:
         raise ValueError(
             f"no admissible (j, l, z) sample fits the grid box for subset {subset}; "
@@ -543,48 +518,37 @@ def check_sampling(spec: GridSpec, cfg: SeminormConfig | None = None) -> None:
     empty sample lattice, without any kernel.
 
     Admissibility depends only on the grid, its group and cfg.  Every
-    nonempty subset is checked; the flag blocks of fk localize the
-    singletons among them.
+    nonempty subset's _lattice is built; the flag blocks of fk localize
+    the singletons among them.
     """
     cfg = cfg if cfg is not None else SeminormConfig()
     seps = _separations(spec, cfg)
     for subset in all_subsets(spec.group.nu):
         if subset:
-            _admissible_samples(spec, cfg, subset, seps)
+            _lattice(spec, cfg, subset, seps)
 
 
-def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, seps, weight_fn,
-                     label, blocks_out):
-    """Max of block x weight over the sample lattice; returns (value, best).
+def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, weight_fn, label,
+                     blocks_out):
+    """Max of block x weight over the _lattice samples; returns (value, best).
 
-    A sample whose multipliers and distances, once sampled on the grid,
-    repeat an earlier sample's is the same block with the same weight, so
-    only the first is kept.  Each sample gets every alpha's block from
-    _block_norms; rows keep alpha-major order.
+    The samples are distinct blocks already.  Each gets every alpha's block
+    from _block_norms; rows keep alpha-major order.
     """
     group = spec.group
-    unique = {}
-    for j, l, parts, dists in samples:
-        pair = _block_multipliers(spec, subset,
-                                  {mu: ((0.0,) * group.factors[mu].dim, 2.0 ** j)
-                                   for mu in subset},
-                                  parts, seps, cfg.profile)
-        key = (pair[0].tobytes(), pair[1].tobytes(), tuple(dists[mu] for mu in subset))
-        unique.setdefault(key, ((j, l, parts, dists), pair))
-    samples = [s for s, _ in unique.values()]
     found = [
         _block_norms(op, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
                      lambda alpha, j=j, l=l, parts=parts: _block_seed(
                          cfg.seed, label, alpha.entries, j, l,
                          tuple(sorted(parts.items()))))
-        for (j, l, parts, _), (phi, gamma) in unique.values()
+        for j, l, parts, _, phi, gamma in samples
     ]
 
     best_val = -1.0
     best = None
     for a, alpha in enumerate(alphas):
         degs = hom_degree(group, alpha)
-        for (j, l, parts, dists), per_alpha in zip(samples, found):
+        for (j, l, parts, dists, _, _), per_alpha in zip(samples, found):
             method, block, iterations, residual = per_alpha[a]
             weight = weight_fn(degs, dists)
             value = block * weight
@@ -654,7 +618,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     for subset in all_subsets(group.nu):
         if not subset:
             continue
-        samples = _admissible_samples(spec, cfg, subset, seps)
+        samples = _lattice(spec, cfg, subset, seps)
         alphas = list(multi_indices_up_to(group, zero_outside(kvec, subset), subset))
         label = "S=" + str(tuple(subset))
 
@@ -665,7 +629,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
             return w
 
         value, best = _evaluate_blocks(op, spec, cfg, subset, alphas, samples,
-                                       seps, weight_fn, label, blocks)
+                                       weight_fn, label, blocks)
         entries.append(SubsetEntry(label=label, subset=tuple(subset), value=value,
                                    best=best))
     total = float(sum(e.value for e in entries))
@@ -700,7 +664,7 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     for mu in range(group.nu):
         tail = tuple(range(mu, group.nu))
         subset = (mu,)
-        samples = _admissible_samples(spec, cfg, subset, seps)
+        samples = _lattice(spec, cfg, subset, seps)
         alphas = list(multi_indices_up_to(group, zero_outside(kvec, tail), tail))
         label = f"flag mu={mu}"
 
@@ -709,7 +673,7 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
             return dists[mu] ** expo
 
         value, best = _evaluate_blocks(op, spec, cfg, subset, alphas, samples,
-                                       seps, weight_fn, label, blocks)
+                                       weight_fn, label, blocks)
         flag_entries.append(SubsetEntry(label=label, subset=subset, value=value,
                                         best=best))
     total = float(base.total + sum(e.value for e in flag_entries))

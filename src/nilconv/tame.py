@@ -128,9 +128,18 @@ class TameReport:
         return text
 
 
-def _require_two_factors(spec: GridSpec):
+def _reports(estimator, K, L, spec: GridSpec, kvec, cfg):
+    """(kvec, cfg, rK, rL, rKL): estimator's reports of K, L and K * L at the
+    order vector kvec, under cfg or the default config.
+    """
     if spec.group.nu != 2:
         raise ValueError("composition reports require exactly two factor groups")
+    cfg = cfg if cfg is not None else SeminormConfig()
+    kvec = tuple(int(k) for k in kvec)
+    rK = estimator(K, spec, kvec, cfg)
+    rL = estimator(L, spec, kvec, cfg)
+    rKL = estimator(compose_kernels(K, L, spec, budget=cfg.budget), spec, kvec, cfg)
+    return kvec, cfg, rK, rL, rKL
 
 
 def _resolved(kind, kvec, spec, cfg, ids) -> dict:
@@ -147,13 +156,7 @@ def _resolved(kind, kvec, spec, cfg, ids) -> dict:
 def tame_report_pk(K, L, spec: GridSpec, kvec, cfg: SeminormConfig | None = None,
                    ids=("K", "L")) -> TameReport:
     """Product-seminorm composition report with the four-term right side."""
-    _require_two_factors(spec)
-    cfg = cfg if cfg is not None else SeminormConfig()
-    k1, k2 = (int(k) for k in kvec)
-    rK = pk_seminorm(K, spec, (k1, k2), cfg)
-    rL = pk_seminorm(L, spec, (k1, k2), cfg)
-    rKL = pk_seminorm(compose_kernels(K, L, spec, budget=cfg.budget), spec,
-                      (k1, k2), cfg)
+    (k1, k2), cfg, rK, rL, rKL = _reports(pk_seminorm, K, L, spec, kvec, cfg)
     idK, idL = ids
     summands = [
         Summand("op(K) * sem(L)",
@@ -184,13 +187,7 @@ def tame_report_single(K, L, spec: GridSpec, k1: int,
                        cfg: SeminormConfig | None = None,
                        ids=("K", "L")) -> TameReport:
     """First-factor-only composition report with the two-term right side."""
-    _require_two_factors(spec)
-    cfg = cfg if cfg is not None else SeminormConfig()
-    k1 = int(k1)
-    rK = pk_seminorm(K, spec, (k1, 0), cfg)
-    rL = pk_seminorm(L, spec, (k1, 0), cfg)
-    rKL = pk_seminorm(compose_kernels(K, L, spec, budget=cfg.budget), spec,
-                      (k1, 0), cfg)
+    (k1, _), cfg, rK, rL, rKL = _reports(pk_seminorm, K, L, spec, (k1, 0), cfg)
     idK, idL = ids
     summands = [
         Summand("sem0(K) * op(L)",
@@ -219,13 +216,7 @@ def tame_report_fk(K, L, spec: GridSpec, kvec, cfg: SeminormConfig | None = None
     The outer summands carry flag totals; the middle summands keep the
     product-kernel subset entries, which the flag report contains.
     """
-    _require_two_factors(spec)
-    cfg = cfg if cfg is not None else SeminormConfig()
-    k1, k2 = (int(k) for k in kvec)
-    rK = fk_seminorm(K, spec, (k1, k2), cfg)
-    rL = fk_seminorm(L, spec, (k1, k2), cfg)
-    rKL = fk_seminorm(compose_kernels(K, L, spec, budget=cfg.budget), spec,
-                      (k1, k2), cfg)
+    (k1, k2), cfg, rK, rL, rKL = _reports(fk_seminorm, K, L, spec, kvec, cfg)
     idK, idL = ids
     summands = [
         Summand("op(K) * flag(L)",

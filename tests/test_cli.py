@@ -366,8 +366,8 @@ def test_unconverged_spectral_edges_warn(tmp_path, capsys, monkeypatch, command)
     argv = [command, "--preset", "abelian2", "--kernel", "near-identity-dyadic",
             "--N", "8"]
     def edge_warnings():
-        # decay on this kernel also warns that |S| did not converge, which
-        # test_decay_warns_when_s_norm_not_converged covers
+        # under the 3-step cap decay also warns that |S| did not converge,
+        # which test_decay_warns_when_s_norm_not_converged covers
         return [line for line in capsys.readouterr().err.splitlines()
                 if "|S|" not in line]
 
@@ -386,18 +386,32 @@ def test_unconverged_spectral_edges_warn(tmp_path, capsys, monkeypatch, command)
         "steps; sigma_max from young-bound, sigma_min from lanczos"]
 
 
-def test_decay_warns_when_s_norm_not_converged(tmp_path, capsys):
-    code, out = run(tmp_path, "decay", "--preset", "abelian2", "--kernel",
-                    "near-identity-dyadic", "--set", "kernel.strength=0.4",
-                    "--set", "kernel.seed=1", "--N", "8", "--n-list", "1")
+def test_decay_warns_when_s_norm_not_converged(tmp_path, capsys, monkeypatch):
+    argv = ["decay", "--preset", "abelian2", "--kernel", "near-identity-dyadic",
+            "--N", "8", "--n-list", "1"]
+
+    def s_norm_warnings():
+        return [line for line in capsys.readouterr().err.splitlines() if "|S|" in line]
+
+    code, out = run(tmp_path / "dense", *argv)
+    assert code == EXIT_OK
+    exact = read_report(out)["result"]
+    assert exact["s_norm_estimate"]["method"] == "dense"
+    assert exact["s_norm_estimate"]["converged"] is True
+    assert s_norm_warnings() == []
+
+    # three Lanczos steps leave |S| unresolved; Young's bound stands in
+    monkeypatch.setattr(inversion, "DENSE_SITES", 8)
+    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
+    code, out = run(tmp_path / "short", *argv)
     assert code == EXIT_OK
     result = read_report(out)["result"]
     est = result["s_norm_estimate"]
-    assert est["converged"] is False and est["iterations"] == 60
-    assert est["value"] == result["s_norm_measured"]
-    assert capsys.readouterr().err.splitlines() == [
-        f"decay: warning: |S| not converged after {est['iterations']} power steps "
-        f"(residual {est['residual']:.3g})"]
+    assert est["converged"] is False and est["iterations"] == 3
+    assert est["method"] == "young-bound"
+    assert est["value"] == result["s_norm_measured"] >= exact["s_norm_measured"]
+    assert s_norm_warnings() == [
+        "decay: warning: |S| not converged after 3 Lanczos steps; |S| from young-bound"]
 
 
 def test_decay_requires_two_factor_orders(tmp_path, capsys):

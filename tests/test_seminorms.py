@@ -20,7 +20,7 @@ from nilconv.kernels import (
     smooth_bump,
     synth_dyadic,
 )
-from nilconv.product import MultiIndex, ProductGroup
+from nilconv.product import MultiIndex, ProductGroup, all_subsets
 from nilconv.seminorms import (
     DENSE_BLOCK_COLUMNS,
     SeminormConfig,
@@ -510,3 +510,33 @@ def test_report_rows_are_distinct_blocks(spec, cfg):
         keys.append((row["label"], str(row["alpha"]), phi.tobytes(), gam.tobytes(),
                      tuple(row["dists"])))
     assert rep.blocks and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("spec,cfg", [
+    (GridSpec(AB2, 16, 1.0), SeminormConfig(radius_factors=(1.0,))),
+    (GridSpec(AB2, 12, 1.0), SeminormConfig(directions="axes")),
+    (GridSpec(HX, 8, 2.0), SeminormConfig()),
+], ids=["abelian2-N16", "abelian2-N12-axes", "heisenberg1xabelian1-N8"])
+def test_lattice_multipliers_match_validated_path(spec, cfg):
+    # reports take (phi, gamma) from the lattice without re-validating them;
+    # the public validation must accept every sample and rebuild the same bits
+    seps = seminorms._separations(spec, cfg)
+    for subset in all_subsets(spec.group.nu):
+        if not subset:
+            continue
+        samples = seminorms._lattice(spec, cfg, subset, seps)
+        assert samples
+        for j, l, parts, dists, phi, gamma in samples:
+            assert set(parts) == set(dists) == set(subset)
+            assert all(radius == 2.0 ** l for _, radius in parts.values())
+            phi_spec = {mu: ((0.0,) * spec.group.factors[mu].dim, 2.0 ** j)
+                        for mu in subset}
+            phi2, gamma2 = seminorms._block_multipliers(spec, subset, phi_spec, parts,
+                                                        seps, cfg.profile)
+            assert phi2.tobytes() == phi.tobytes()
+            assert gamma2.tobytes() == gamma.tobytes()
+            # finite differences below the stencil gap cannot couple the supports
+            for mu in subset:
+                sl = spec.group.slices[mu]
+                a, b = (np.unique(np.argwhere(m > 0.0)[:, sl], axis=0) for m in (phi, gamma))
+                assert np.abs(a[:, None] - b[None]).max(axis=-1).min() >= cfg.stencil_gap
