@@ -92,6 +92,35 @@ class GridSpec:
         inb = np.all((idx >= 0) & (idx < self.N), axis=-1)
         return idx, inb
 
+    @cached_property
+    def shear(self):
+        """(plain, loop, sheared axes, integer shear B) of a step-2 group, else None.
+
+        Loop axes enter a bracket.  When no bracket lands on a loop axis the
+        group has step at most 2 and, in lattice index units,
+        x y = x + y + B(x_L, y_L) with B bilinear; the sheared axes are those
+        B reaches (the top layers), and every other axis (abelian factors,
+        first-layer axes outside every bracket) is plain.  B[i, j] is read
+        off the group law on lattice basis points; index_of raises if it
+        leaves the lattice.  Abelian groups and groups of higher step give
+        None.
+        """
+        group, q = self.group, self.q_total
+        loop, image = [], set()
+        for fac, sl in zip(group.factors, group.slices):
+            nz = fac.C != 0
+            loop += [sl.start + int(i) for i in np.flatnonzero(nz.any(axis=(1, 2)))]
+            image |= {sl.start + int(k) for k in np.flatnonzero(nz.any(axis=(0, 1)))}
+        if not loop or image & set(loop):
+            return None
+        unit = np.eye(q, dtype=np.int64)[loop]
+        basis = unit * self.spacings
+        idx, _ = self.index_of(group.multiply(basis[:, None], basis[None, :]))
+        B = idx - self.origin - unit[:, None] - unit[None, :]
+        sheared = [a for a in range(q) if B[..., a].any()]
+        plain = [a for a in range(q) if a not in loop and a not in sheared]
+        return plain, loop, sheared, B[..., sheared]
+
     def sample(self, fn) -> "GridFunction":
         """Sample fn(points) with points of shape (..., q_total)."""
         vals = np.asarray(fn(self.mesh), dtype=complex)

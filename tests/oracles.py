@@ -154,3 +154,20 @@ def pairing_operator_norm(kernel_fn, phi_fn, gamma_fn, T, n, q):
     diffs = pts[:, None, :] - pts[None, :, :]
     M = phi_fn(pts)[:, None] * kernel_fn(diffs) * gamma_fn(pts)[None, :]
     return float(np.linalg.svd(M, compute_uv=False)[0]) * h**q
+
+
+def site_convolution(group, kernel_vals, fn_vals, coords, volume, site):
+    """(K * f)(x) and sum_y |K(x y^{-1}) f(y)| vol at the one cell x = coords[site].
+
+    The rule of loop_group_convolution for a single output cell, with the
+    group law evaluated against every cell at once; use it to check single
+    sites of grids too large for the full loops.
+    """
+    key = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
+    diffs = group.multiply(coords[site], group.invert(coords))
+    terms = np.zeros(coords.shape[0], dtype=complex)
+    for iy, d in enumerate(np.round(diffs, 9)):
+        j = key.get(tuple(d))
+        if j is not None:
+            terms[iy] = kernel_vals[j] * fn_vals[iy] * volume
+    return complex(terms.sum()), float(np.abs(terms).sum())

@@ -476,8 +476,13 @@ def test_sampling_window_checked_before_kernel_work(tmp_path, capsys,
 
 
 def test_direct_sum_over_pair_budget_is_config_error(tmp_path, capsys):
-    code, _ = run(tmp_path, "opnorm", "--preset", "heisenberg1", "--kernel",
-                  "dyadic", "--N", "26")
+    # a step-3 (filiform) group keeps the table-driven direct sum, whose
+    # N^4 sites at N=12 take more than the 2e8 point pairs of the budget
+    group = tmp_path / "filiform3.json"
+    group.write_text(json.dumps({"n_layers": 3, "layer_dims": [2, 1, 1],
+                                 "structure_constants": [[0, 1, 2, 1.0], [0, 2, 3, 1.0]]}))
+    code, _ = run(tmp_path, "opnorm", "--preset", str(group), "--kernel",
+                  "dyadic", "--N", "12")
     assert code == EXIT_CONFIG
     errs = stderr_errors(capsys)
     assert errs[0]["path"] == "/opnorm"

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilconv import convolution
 from nilconv.convolution import (
+    _Direct,
+    _Sheared,
     apply_op,
     boundary_mass_fraction,
     compose_kernels,
@@ -20,7 +23,7 @@ from nilconv.convolution import (
     right_translate,
 )
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
-from nilconv.groups import abelian, heisenberg1
+from nilconv.groups import GradedLieAlgebra, abelian, heisenberg1
 from nilconv.kernels import (
     ClosedFormKernel,
     DeltaKernel,
@@ -35,6 +38,7 @@ from oracles import (
     convolution_matrix,
     dense_matrix,
     loop_group_convolution,
+    site_convolution,
     toeplitz_convolution_matrix,
 )
 
@@ -502,3 +506,134 @@ def test_left_derivative_stack_equals_single_calls(group, alpha):
         assert out.shape == stack.shape
         for i in range(3):
             assert np.array_equal(out[i], fn(GridFunction(spec, stack[i]), alpha).values)
+
+
+# --- the sheared direct sum of step-2 groups ---
+
+# step-2 groups as a group JSON file holds them: structure constants and
+# lattice denominators other than heisenberg1's
+STEP2_JSON = {
+    "bracket-3": {"n_layers": 2, "layer_dims": [2, 1],
+                  "structure_constants": [[0, 1, 2, 3.0]]},
+    "bracket-2/3": {"n_layers": 2, "layer_dims": [2, 1],
+                    "structure_constants": [[0, 1, 2, 2.0 / 3.0]]},
+    "heisenberg5": {"n_layers": 2, "layer_dims": [4, 1],
+                    "structure_constants": [[0, 1, 4, 1.0], [2, 3, 4, 1.0]]},
+}
+
+
+def _step2_case(name):
+    """(grid, the block's own grid, the block's axes) of one step-2 case."""
+    if name == "heisenberg1-N12":
+        spec = GridSpec(HEIS, 12, 1.0)
+        return spec, spec, (0, 1, 2)
+    if name == "heisenberg1xabelian1":
+        spec = GridSpec(HX, 6, 1.0)
+        return spec, spec, (0, 1, 2, 3)
+    if name == "tensor-factor":
+        spec = GridSpec(HX, 6, 1.0)
+        return spec, spec.factor_specs[0], (0, 1, 2)
+    group = ProductGroup.from_dict(STEP2_JSON[name])
+    spec = GridSpec(group, 4 if group.q_total > 3 else 6, 1.0)
+    return spec, spec, tuple(range(spec.q_total))
+
+
+STEP2_CASES = ("heisenberg1-N12", "heisenberg1xabelian1", "tensor-factor", *STEP2_JSON)
+
+
+def _one_hot(spec, site):
+    vals = np.zeros(spec.shape, dtype=complex)
+    vals.reshape(-1)[site] = 1.0 - 0.5j
+    return vals
+
+
+def test_grid_shear_reads_the_lattice_law():
+    heis = GridSpec(HEIS, 6, 1.0).shear
+    assert heis[:3] == ([], [0, 1], [2])
+    assert heis[3].tolist() == [[[0], [1]], [[-1], [0]]]
+    for name, b in (("bracket-3", 3), ("bracket-2/3", 1)):
+        B = GridSpec(ProductGroup.from_dict(STEP2_JSON[name]), 6, 1.0).shear[3]
+        assert B[0, 1].tolist() == [b] and B[1, 0].tolist() == [-b]
+    assert GridSpec(HX, 6, 1.0).shear[:3] == ([3], [0, 1], [2])
+    filiform = GradedLieAlgebra(3, [2, 1, 1], [(0, 1, 2, 1.0), (0, 2, 3, 1.0)])
+    assert GridSpec(ProductGroup([filiform]), 6, 1.0).shear is None
+    assert GridSpec(AB2, 6, 1.0).shear is None
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_sheared_matches_dense_oracle(N):
+    spec = GridSpec(HEIS, N, 1.0)
+    rng = np.random.default_rng(90 + N)
+    k = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    M = convolution_matrix(HEIS, k.reshape(-1), spec.mesh.reshape(-1, 3), spec.volume)
+    for f in (_random_field(spec, 91).values, _few_sites(spec), _one_hot(spec, 7)):
+        got = convolve(GridFunction(spec, k), GridFunction(spec, f), path="direct")
+        want = M @ f.reshape(-1)
+        assert np.abs(got.values.reshape(-1) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", STEP2_CASES)
+def test_sheared_matches_table_sum(name):
+    spec, sub, axes = _step2_case(name)
+    assert sub.shear is not None
+    kvals = _random_kernel(sub, 70).values
+    # a dense row loops over the kernel, the sparse ones over their own sites
+    rows = np.stack([_random_field(spec, 71).values, _one_hot(spec, spec.size // 3),
+                     _few_sites(spec), np.zeros(spec.shape)])
+    block = _Sheared(spec, sub, axes, kvals, 10 ** 12)
+    want = _Direct(spec, sub, axes, kvals, 10 ** 12).apply(rows)
+    for by_shifts in (True, False):  # the kernel's side by FFT shifts, or by its sites
+        block.by_shifts = by_shifts
+        got = block.apply(rows)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+        # the gathers keep the table sum's exact zeros
+        gathered = slice(None) if not by_shifts else slice(1, None)
+        assert np.array_equal(got[gathered] == 0, want[gathered] == 0)
+
+
+@pytest.mark.parametrize("by_shifts", [True, False])
+@pytest.mark.parametrize("name", ["heisenberg1xabelian1", "tensor-factor"])
+def test_sheared_rows_do_not_depend_on_their_batch(name, by_shifts, monkeypatch):
+    spec, sub, axes = _step2_case(name)
+    block = _Sheared(spec, sub, axes, _random_kernel(sub, 72).values, 10 ** 12)
+    block.by_shifts = by_shifts
+    stack = np.stack([_random_field(spec, 73).values, _one_hot(spec, 11),
+                      _random_field(spec, 74).values, _one_hot(spec, spec.size - 9)])
+    batched = block.apply(stack)
+    for i in range(len(stack)):
+        assert np.array_equal(batched[i], block.apply(stack[i]))
+    monkeypatch.setattr(convolution, "SHEAR_CHUNK", 1)  # one shift or site per chunk
+    assert np.array_equal(block.apply(stack), batched)
+
+
+@pytest.mark.parametrize("name", ["heisenberg1xabelian1", *STEP2_JSON])
+def test_sheared_adjoint_pairing(name):
+    spec, _, _ = _step2_case(name)
+    op = prepare(_random_kernel(spec, 75), spec)
+    f, g = _random_field(spec, 76).values, _random_field(spec, 77).values
+    Kf = op.apply(f)
+    lhs, rhs = np.vdot(g, Kf), np.vdot(op.adjoint(g), f)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Kf) * np.linalg.norm(g)
+
+
+def test_sheared_budget_counts_shifts_times_sites():
+    spec = GridSpec(HEIS, 6, 1.0)
+    f, g = _random_field(spec, 78), _random_field(spec, 79)
+    pairs = spec.N ** 2 * spec.size  # every horizontal shift, every site
+    convolve(f, g, path="direct", budget=pairs)
+    with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
+        convolve(f, g, path="direct", budget=pairs - 1)
+
+
+def test_compose_at_n26_matches_site_sums():
+    # N=26 was over the pair budget of the table-driven sum
+    spec = GridSpec(HEIS, 26, 1.0)
+    K, L = _random_kernel(spec, 80), _random_kernel(spec, 81)
+    got = compose_kernels(K, L, spec).values.reshape(-1)
+    coords = spec.mesh.reshape(-1, 3)
+    for idx in [(1, 1, 1), (13, 13, 13), (5, 20, 2), (25, 3, 24), (20, 21, 25)]:
+        site = int(np.ravel_multi_index(idx, spec.shape))
+        want, scale = site_convolution(HEIS, K.values.reshape(-1), L.values.reshape(-1),
+                                       coords, spec.volume, site)
+        assert abs(got[site] - want) <= 1e-13 * scale
