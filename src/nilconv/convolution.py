@@ -4,12 +4,12 @@ Convention: (f * g)(x) = sum_y f(x y^{-1}) g(y) vol.  The subgroup
 lattice is closed under the group law, so the direct sum reads exact
 lattice points; values falling outside the box contribute zero.  Fully
 abelian groups route through zero-padded FFT convolution, which equals
-the direct sum up to rounding.  On groups of step 2 the direct sum runs
-one zero-padded linear FFT along the sheared (top-layer) axes per
-horizontal shift of the kernel, read at the integer shear of the lattice
-group law, so it stays exact under box truncation; sparse kernels and
-inputs sum over their sites by gathers instead.  Groups of higher step
-sum through cached translation tables.  Pipelines apply Op(K) through
+the direct sum up to rounding.  On groups of step 2 the direct sum adds,
+per horizontal shift of the kernel, a zero-padded linear convolution
+along the other axes read at the integer shear of the lattice group law;
+the reads are phases on the spectra, and the sum stays exact under box
+truncation.  Sparse inputs sum over their own sites by gathers instead.  Groups of higher step sum
+through cached translation tables.  Pipelines apply Op(K) through
 prepare(K, spec), which does the per-kernel work once.
 """
 
@@ -31,7 +31,7 @@ from .kernels import (
 from .product import MultiIndex
 
 PAIR_BUDGET = int(2e8)
-# complex values transformed or gathered per chunk of _Sheared shifts or sites (8 MB)
+# complex kernel values gathered per chunk of a _Sheared site sum (8 MB)
 SHEAR_CHUNK = 2 ** 19
 
 
@@ -80,7 +80,9 @@ class _Block:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         axes = tuple(v.ndim - self.spec.q_total + a for a in self.axes)
-        last = range(v.ndim - len(axes), v.ndim)
+        last = tuple(range(v.ndim - len(axes), v.ndim))
+        if axes == last:
+            return self._convolve(v.reshape(-1, *v.shape[v.ndim - len(axes):])).reshape(v.shape)
         moved = np.moveaxis(v, axes, last)
         out = self._convolve(moved.reshape(-1, *(self.spec.N,) * len(axes)))
         return np.moveaxis(out.reshape(moved.shape), last, axes)
@@ -153,24 +155,25 @@ class _Direct(_Block):
 
 
 class _Sheared(_Block):
-    """Step-2 groups: one linear FFT along the sheared axes per kernel shift.
+    """Step-2 groups: the direct sum as sheared linear convolutions.
 
     With B from GridSpec.shear, x_S the sheared coordinates and *_C the
-    linear convolution along the plain and sheared axes (zero-padded to 2N,
-    so exact under box truncation),
+    linear convolution along the plain and sheared axes (zero-padded, so
+    exact under box truncation),
         (k * v)(x) = sum_a [k(a, .) *_C v(x_L - a, .)](x_C - B(a, x_L)),
-    a running over the horizontal (loop-axis) support of k.  B leaves the
-    plain axes alone, so they stay transformed until the sum over shifts is
-    done.  A kernel with few sites, against the values its shifts would
-    transform, sums over its sites z instead, and a sparse row (the one-hot
+    a running over the horizontal (loop-axis) support of k.  Rows on the
+    kernel's side add these terms as spectra, the shear read as a phase,
+    and are transformed back once (_shifts).  A sparse row (the one-hot
     columns of dense blocks and spectral edges, the localized inputs of
-    block power iterations) over its own sites y, by sheared gathers that
-    keep exact zeros exact:
-        (k * v)(x) = sum_z k(z) v(x_L - z_L, x_S - z_S - B(z_L, x_L), x_P - z_P)
-                   = sum_y v(y) k(x_L - y_L, x_S - y_S - B(x_L, y_L), x_P - y_P).
-    Each row takes the side that touches fewer values; its shifts or sites
-    times sub.size point pairs must stay within budget.  The rows that
-    loop over the kernel share one loop, and the others run one at a time.
+    block power iterations) sums over its own sites y instead, by sheared
+    gathers of the kernel that keep exact zeros exact:
+        (k * v)(x) = sum_y v(y) k(x_L - y_L, x_S - y_S - B(x_L, y_L), x_P - y_P).
+    A row takes its own sites when it touches fewer values that way, unless
+    only the kernel's side fits the budget: per destination row a shift
+    touches the (2N)^p (3N)^s frequencies of the p plain and s sheared axes
+    and a site N^(p+s) kernel values.  The charge is the row's shifts or
+    sites times sub.size point pairs.  Rows on the kernel's side share one
+    loop; the others run one at a time.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
@@ -179,6 +182,7 @@ class _Sheared(_Block):
         self.sub, self.budget = sub, budget
         plain, loop, sheared, self.B = sub.shear
         self.perm = plain + loop + sheared
+        self.unperm = tuple(1 + a for a in np.argsort(self.perm))
         N = spec.N
         self.n_plain, self.n_sheared, self.H = len(plain), len(sheared), N ** len(loop)
         # lattice coordinates of the loop grid's points, in flat index order
@@ -187,13 +191,7 @@ class _Sheared(_Block):
         self.kernel = self._rows(kvals[None])[0]
         horizontal = np.abs(self.kernel.reshape(-1, self.H, N ** self.n_sheared)).max(axis=(0, 2))
         self.kshifts = np.flatnonzero(horizontal > 0)
-        self.ksites = np.flatnonzero(self.kernel)
-        # per destination row a shift transforms (2N)^c values (c central
-        # axes) where a site gathers N^c; a shift cost about 2^(c+1) sites on
-        # heisenberg1 and heisenberg1 x abelian1 at N = 8 to 20
-        shift_work = self.kshifts.size * 2 ** (len(plain) + len(sheared) + 1)
-        self.by_shifts = shift_work < self.ksites.size
-        self.kside_work = min(shift_work, self.ksites.size)
+        self.shift_work = self.kshifts.size * 2 ** len(plain) * 3 ** len(sheared)
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
         """(R, *plain, H, *sheared) view of (R, *sub grid) values."""
@@ -205,128 +203,128 @@ class _Sheared(_Block):
         rows = self._rows(flat)
         out = np.zeros_like(rows)
         sites = [np.flatnonzero(row) for row in rows]
-        own = [s.size < self.kside_work for s in sites]
-        kside_pairs = self.kshifts.size if self.by_shifts else self.ksites.size
-        cost = max(s.size if o else kside_pairs for s, o in zip(sites, own)) * self.sub.size
+        n, shifts = self.sub.size, self.kshifts.size
+        own = [s.size < self.shift_work and (s.size * n <= self.budget or s.size < shifts)
+               for s in sites]
+        cost = max(s.size if o else shifts for s, o in zip(sites, own)) * n
         if cost > self.budget:
             raise ValueError(f"direct sum needs {cost} point pairs; budget {self.budget}")
         kside = [j for j, o in enumerate(own) if not o]
-        if kside and self.by_shifts:
+        if kside:
             out[kside] = self._shifts(rows[kside])
-        elif kside:
-            out[kside] = self._site_sum(self._windows(rows[kside]), self.kernel.reshape(-1),
-                                        self.ksites, self.B)
         for j, s in enumerate(sites):
             if own[j]:
-                out[j] = self._site_sum(self.kwindows, rows[j].reshape(-1), s,
-                                        self.B.transpose(1, 0, 2))[0]
+                out[j] = self._site_sum(rows[j].reshape(-1), s)
         out = out.reshape((flat.shape[0],) + (self.spec.N,) * len(self.perm))
-        return out.transpose(0, *(1 + a for a in np.argsort(self.perm))) * self.vol
+        return out.transpose(0, *self.unperm) * self.vol
 
     def _spectra(self, rows: np.ndarray) -> np.ndarray:
-        """(R, F, H, *pad) spectra of (R, *plain, H, *sheared) rows, F plain frequencies."""
-        axes = (tuple(range(1, 1 + self.n_plain))
-                + tuple(range(rows.ndim - self.n_sheared, rows.ndim)))
-        out = np.fft.fftn(rows, s=(2 * self.spec.N,) * len(axes), axes=axes)
-        return out.reshape(rows.shape[0], -1, *out.shape[1 + self.n_plain:])
+        """(R, F, H, P) spectra of (R, *plain, H, *sheared) rows: F frequencies
+        of the plain axes padded to 2N, P of the sheared axes padded to 3N."""
+        N, n_plain, ns = self.spec.N, self.n_plain, self.n_sheared
+        axes = tuple(range(1, 1 + n_plain)) + tuple(range(rows.ndim - ns, rows.ndim))
+        out = np.fft.fftn(rows, s=(2 * N,) * n_plain + (3 * N,) * ns, axes=axes)
+        return out.reshape(rows.shape[0], -1, self.H, (3 * N) ** ns)
 
     @cached_property
     def kspectra(self) -> np.ndarray:
-        """(F, shifts, *pad) spectra of the kernel's nonzero loop rows."""
-        return self._spectra(self.kernel[None])[0][:, self.kshifts]
+        """(shifts, F, P) spectra of the kernel's nonzero loop rows."""
+        return self._spectra(self.kernel[None])[0][:, self.kshifts].swapaxes(0, 1)
+
+    @cached_property
+    def twiddles(self) -> np.ndarray:
+        """(3N, 3N) table of exp(2 pi i m w / 3N), m the read offset, w the frequency."""
+        P = 3 * self.spec.N
+        return np.exp(2j * np.pi * np.arange(P) / P)[np.outer(np.arange(P), np.arange(P)) % P]
+
+    @cached_property
+    def pairs(self) -> list:
+        """Per kernel shift a, the (destination row, source row, read offset
+        mod 3N) of the pairs (a, x_L) that contribute, as in _shifts."""
+        N, o, X = self.spec.N, self.spec.origin, self.sites
+        out = []
+        for a in X[self.kshifts]:
+            src = X - a
+            m = o - X @ np.einsum("i,ijc->jc", a, self.B)
+            keep = np.all((src >= -o) & (src < N - o), axis=-1)
+            x = np.flatnonzero(keep & np.all((m > -N) & (m < 2 * N - 1), axis=-1))
+            out.append((x, (src[x] + o) @ self.loop_strides, m[x] % (3 * N)))
+        return out
 
     def _shifts(self, rows: np.ndarray) -> np.ndarray:
         """k * v for (R, *plain, H, *sheared) rows, summed over the kernel's shifts.
 
-        A (shift, x_L) pair is transformed back only if its source row lies
-        on the box and its read window meets the support of the linear
-        convolution; the window is read from a buffer padded by N zeros on
-        both sides of every sheared axis.  Shifts go in chunks of about
-        SHEAR_CHUNK buffer values and add up one at a time, so a row's
-        result does not depend on its batch.
+        Along the sheared axes a shift's linear convolution has 2N - 1 cells
+        and the window read from it N, fewer than 3N together, so on spectra
+        of 3N points the read at offset m = o - B(a, x_L) is exactly the
+        phase exp(2 pi i m w / 3N) whenever it meets the linear support.
+        Pairs (a, x_L) whose read misses that support, or whose source row
+        x_L - a is off the box, are skipped (pairs).  Every destination row
+        adds its terms in kernel shift order and is transformed back once,
+        so a row's result does not depend on its batch.
         """
-        N, o, ns, X = self.spec.N, self.spec.origin, self.n_sheared, self.sites
-        kspectra, spectra = self.kspectra, self._spectra(rows)
+        N, o, ns = self.spec.N, self.spec.origin, self.n_sheared
+        spectra = self._spectra(rows)
         R, F = spectra.shape[:2]
-        out = np.zeros((R, F, self.H, N ** ns), dtype=complex)
+        acc = np.zeros_like(spectra)
+        for (x, src, m), kspec in zip(self.pairs, self.kspectra):
+            phase = self.twiddles[m[:, 0]]
+            for c in range(1, ns):
+                phase = (phase[:, :, None] * self.twiddles[m[:, c]][:, None]).reshape(x.size, -1)
+            term = spectra[:, :, src]
+            term *= kspec[:, None]
+            term *= phase
+            acc[:, :, x] += term
         s_axes = tuple(range(3, 3 + ns))
-        step = max(1, SHEAR_CHUNK // (R * F * self.H * (4 * N) ** ns))
-        for lo in range(0, self.kshifts.size, step):
-            s = X[self.kshifts[lo:lo + step]]
-            src = X - s[:, None]
-            start = N + o - np.einsum("si,ijc,xj->sxc", s, self.B, X)
-            keep = np.all((src >= -o) & (src < N - o), axis=-1)
-            keep &= np.all((start > 0) & (start < 3 * N - 1), axis=-1)
-            pair_s, pair_x = np.nonzero(keep)
-            ends = np.cumsum(np.bincount(pair_s, minlength=len(s))).tolist()
-            segments = list(zip(range(lo, lo + len(s)), [0] + ends, ends))
-            prod = spectra[:, :, (src[pair_s, pair_x] + o) @ self.loop_strides]
-            for i, begin, end in segments:
-                prod[:, :, begin:end] *= kspectra[:, i, None]
-            buf = np.zeros(prod.shape[:3] + (4 * N,) * ns, dtype=complex)
-            np.fft.ifftn(prod, axes=s_axes, out=buf[(...,) + (slice(N, 3 * N),) * ns])
-            windows = np.lib.stride_tricks.sliding_window_view(buf, (N,) * ns, axis=s_axes)
-            got = windows[(slice(None), slice(None), np.arange(pair_s.size))
-                          + tuple(start[pair_s, pair_x].T)].reshape(R, F, pair_s.size, -1)
-            for _, begin, end in segments:
-                out[:, :, pair_x[begin:end]] += got[:, :, begin:end]
-        out = out.reshape((R,) + (2 * N,) * self.n_plain + (-1,))
+        out = np.fft.ifftn(acc.reshape(R, F, self.H, *(3 * N,) * ns), axes=s_axes)
+        out = out[(...,) + (slice(0, N),) * ns].reshape((R,) + (2 * N,) * self.n_plain + (-1,))
         if self.n_plain:
             plain = tuple(range(1, 1 + self.n_plain))
             out = np.fft.ifftn(out, axes=plain)[(slice(None),)
                                                 + (slice(o, o + N),) * self.n_plain]
         return out.reshape(rows.shape)
 
-    def _windows(self, rows: np.ndarray) -> np.ndarray:
-        """Windows of N cells along the plain and sheared axes of
-        (R, *plain, H, *sheared) rows, padded there by N zeros on both sides."""
-        N, n = self.spec.N, rows.ndim
-        central = tuple(a for a in range(1, n) if a != 1 + self.n_plain)
-        padded = np.pad(rows, [(N, N) if a in central else (0, 0) for a in range(n)])
+    @cached_property
+    def kwindows(self) -> np.ndarray:
+        """Windows of N cells along the plain and sheared axes of the kernel's
+        (*plain, H, *sheared) values, padded there by N zeros on both sides."""
+        N, n = self.spec.N, self.kernel.ndim
+        central = tuple(a for a in range(n) if a != self.n_plain)
+        padded = np.pad(self.kernel, [(N, N) if a in central else (0, 0) for a in range(n)])
         return np.lib.stride_tricks.sliding_window_view(padded, (N,) * len(central),
                                                         axis=central)
 
-    @cached_property
-    def kwindows(self) -> np.ndarray:
-        return self._windows(self.kernel[None])
+    def _site_sum(self, values: np.ndarray, sites: np.ndarray) -> np.ndarray:
+        """k * v for one row v with flat values, summed over its given sites.
 
-    def _site_sum(self, windows, values, sites, M) -> np.ndarray:
-        """sum_y values[y] w(x_P - y_P, x_L - y_L, x_S - y_S - sum_ij (y_L)_i (x_L)_j M_ij).
-
-        y runs over sites, flat indices of a (*plain, H, *sheared) grid; w
-        is the padded operand whose _windows are given, and the result has
-        its shape (R, *plain, H, *sheared).  The sites of one loop-grid
-        point share their destination rows and shear: they are gathered in
-        chunks of about SHEAR_CHUNK values and added one at a time, so a
-        row's result does not depend on its batch.
+        The sites of one loop-grid point share their destination rows and
+        shear: the kernel's windows at them are gathered in chunks of about
+        SHEAR_CHUNK values and added one at a time, so the result does not
+        depend on the chunking.
         """
         N, o, X, n_plain = self.spec.N, self.spec.origin, self.sites, self.n_plain
-        grid = (N,) * n_plain + (self.H,) + (N,) * self.n_sheared
-        out = np.zeros((windows.shape[0],) + grid, dtype=complex)
+        grid = self.kernel.shape
+        out = np.zeros(grid, dtype=complex)
         y = np.array(np.unravel_index(sites, grid))
         order = np.argsort(y[n_plain], kind="stable")
         groups, firsts = np.unique(y[n_plain, order], return_index=True)
-        M = M.reshape(X.shape[1], -1)
         for h, at in zip(groups, np.split(order, firsts[1:])):
             src = X - X[h]
             dest = np.flatnonzero(np.all((src >= -o) & (src < N - o), axis=-1))
-            shear = X[dest] @ (X[h] @ M).reshape(X.shape[1], -1)
-            acc = np.zeros((windows.shape[0], dest.size) + (N,) * (len(grid) - 1),
-                           dtype=complex)
+            shear = np.einsum("xi,ijc,j->xc", X[dest], self.B, X[h])  # B(x_L, y_L)
+            acc = np.zeros((dest.size,) + (N,) * (len(grid) - 1), dtype=complex)
             step = max(1, SHEAR_CHUNK // acc.size)
             for part in (at[i:i + step] for i in range(0, at.size, step)):
                 starts = [N + o - y[a, part][:, None] for a in range(n_plain)]
                 starts += [np.maximum(np.minimum(N + o - y[n_plain + 1 + c, part][:, None]
                                                  - shear[:, c], 2 * N), 0)
                            for c in range(self.n_sheared)]
-                got = windows[(slice(None),) + tuple(starts[:n_plain])
-                              + ((src[dest] + o) @ self.loop_strides,)
-                              + tuple(starts[n_plain:])]
-                for value, term in zip(values[sites[part]], got.swapaxes(0, 1)):
+                got = self.kwindows[tuple(starts[:n_plain])
+                                    + ((src[dest] + o) @ self.loop_strides,)
+                                    + tuple(starts[n_plain:])]
+                for value, term in zip(values[sites[part]], got):
                     acc += value * term
-            if n_plain:
-                acc = np.moveaxis(acc, 1, 1 + n_plain)
-            out[(slice(None),) * (1 + n_plain) + (dest,)] += acc
+            out[(slice(None),) * n_plain + (dest,)] += np.moveaxis(acc, 0, n_plain)
         return out
 
 
@@ -335,6 +333,23 @@ def _direct_block(spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray,
     """The exact direct sum on sub's group: _Sheared at step 2, else _Direct."""
     block = _Direct if sub.shear is None else _Sheared
     return block(spec, sub, axes, kvals, budget)
+
+
+def _whole_grid_block(spec: GridSpec, kvals: np.ndarray, budget: int) -> _Block:
+    """The direct block of a whole-grid kernel, memoized on spec by its values.
+
+    _convolve_each passes the same kernel once per row, so its shifts,
+    spectra and windows are built once for all rows; a few blocks are kept,
+    oldest evicted first, each on its own copy of the values.
+    """
+    blocks = spec.__dict__.setdefault("_direct_blocks", {})
+    key = (kvals.tobytes(), budget)
+    if key not in blocks:
+        while len(blocks) >= 4:
+            blocks.pop(next(iter(blocks)))
+        blocks[key] = _direct_block(spec, spec, tuple(range(spec.q_total)), kvals.copy(),
+                                    budget)
+    return blocks[key]
 
 
 def _convolve_each(K: GridKernel, spec: GridSpec, budget: int):
@@ -435,7 +450,7 @@ def convolve(f: GridFunction, g: GridFunction, path: str = "auto",
         return GridFunction(spec, _Spectrum(spec, axes, f.values, True).apply(g.values))
     if path != "direct":
         raise ValueError(f"unknown convolution path {path!r}")
-    return GridFunction(spec, _direct_block(spec, spec, axes, f.values, budget).apply(g.values))
+    return GridFunction(spec, _whole_grid_block(spec, f.values, budget).apply(g.values))
 
 
 def apply_op(K, f: GridFunction, budget: int = PAIR_BUDGET) -> GridFunction:

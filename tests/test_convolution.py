@@ -519,6 +519,8 @@ STEP2_JSON = {
                     "structure_constants": [[0, 1, 2, 2.0 / 3.0]]},
     "heisenberg5": {"n_layers": 2, "layer_dims": [4, 1],
                     "structure_constants": [[0, 1, 4, 1.0], [2, 3, 4, 1.0]]},
+    "center-2": {"n_layers": 2, "layer_dims": [3, 2],
+                 "structure_constants": [[0, 1, 3, 1.0], [0, 2, 4, 2.0]]},
 }
 
 
@@ -580,30 +582,27 @@ def test_sheared_matches_table_sum(name):
     # a dense row loops over the kernel, the sparse ones over their own sites
     rows = np.stack([_random_field(spec, 71).values, _one_hot(spec, spec.size // 3),
                      _few_sites(spec), np.zeros(spec.shape)])
-    block = _Sheared(spec, sub, axes, kvals, 10 ** 12)
+    got = _Sheared(spec, sub, axes, kvals, 10 ** 12).apply(rows)
     want = _Direct(spec, sub, axes, kvals, 10 ** 12).apply(rows)
-    for by_shifts in (True, False):  # the kernel's side by FFT shifts, or by its sites
-        block.by_shifts = by_shifts
-        got = block.apply(rows)
-        for g, w in zip(got, want):
-            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
-        # the gathers keep the table sum's exact zeros
-        gathered = slice(None) if not by_shifts else slice(1, None)
-        assert np.array_equal(got[gathered] == 0, want[gathered] == 0)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+    # the gathers of sparse rows keep the table sum's exact zeros
+    assert np.array_equal(got[1:] == 0, want[1:] == 0)
 
 
-@pytest.mark.parametrize("by_shifts", [True, False])
 @pytest.mark.parametrize("name", ["heisenberg1xabelian1", "tensor-factor"])
-def test_sheared_rows_do_not_depend_on_their_batch(name, by_shifts, monkeypatch):
+def test_sheared_rows_do_not_depend_on_their_batch(name, monkeypatch):
     spec, sub, axes = _step2_case(name)
     block = _Sheared(spec, sub, axes, _random_kernel(sub, 72).values, 10 ** 12)
-    block.by_shifts = by_shifts
+    cluster = np.zeros(spec.size, dtype=complex)
+    cluster[[7, 8, 9, 20]] = [1.0, -0.5j, 2.0, 0.25 + 1.0j]  # one loop-grid point
     stack = np.stack([_random_field(spec, 73).values, _one_hot(spec, 11),
-                      _random_field(spec, 74).values, _one_hot(spec, spec.size - 9)])
+                      _random_field(spec, 74).values, _few_sites(spec),
+                      cluster.reshape(spec.shape)])
     batched = block.apply(stack)
     for i in range(len(stack)):
         assert np.array_equal(batched[i], block.apply(stack[i]))
-    monkeypatch.setattr(convolution, "SHEAR_CHUNK", 1)  # one shift or site per chunk
+    monkeypatch.setattr(convolution, "SHEAR_CHUNK", 1)  # one site per chunk
     assert np.array_equal(block.apply(stack), batched)
 
 
@@ -624,6 +623,22 @@ def test_sheared_budget_counts_shifts_times_sites():
     convolve(f, g, path="direct", budget=pairs)
     with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
         convolve(f, g, path="direct", budget=pairs - 1)
+
+
+def test_sheared_sparse_row_over_budget_takes_the_kernel_side():
+    # 100 sites: fewer than 3 per kernel shift (36 shifts, one sheared axis),
+    # so the row prefers its own sites, but only the shifts fit the budget
+    spec = GridSpec(HEIS, 6, 1.0)
+    k = _random_field(spec, 78)
+    vals = np.zeros(spec.size, dtype=complex)
+    vals[np.random.default_rng(82).choice(spec.size, 100, replace=False)] = 1.0 + 0.5j
+    v = GridFunction(spec, vals.reshape(spec.shape))
+    pairs = spec.N ** 2 * spec.size
+    got = convolve(k, v, path="direct", budget=pairs).values
+    want = _Direct(spec, spec, (0, 1, 2), k.values, 10 ** 12).apply(v.values)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
+        convolve(k, v, path="direct", budget=pairs - 1)
 
 
 def test_compose_at_n26_matches_site_sums():
