@@ -8,9 +8,9 @@ the direct sum up to rounding.  On groups of step 2 the direct sum adds,
 per horizontal shift of the kernel, a zero-padded linear convolution
 along the other axes read at the integer shear of the lattice group law;
 the reads are phases on the spectra, and the sum stays exact under box
-truncation.  Sparse inputs sum over their own sites by gathers instead.  Groups of higher step sum
-through cached translation tables.  Pipelines apply Op(K) through
-prepare(K, spec), which does the per-kernel work once.
+truncation.  Sparse inputs sum over their own sites by gathers instead.
+Groups of higher step sum through cached translation tables.  Pipelines
+apply Op(K) through prepare(K, spec), which does the per-kernel work once.
 """
 
 from __future__ import annotations
