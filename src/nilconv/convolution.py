@@ -4,13 +4,14 @@ Convention: (f * g)(x) = sum_y f(x y^{-1}) g(y) vol.  The subgroup
 lattice is closed under the group law, so the direct sum reads exact
 lattice points; values falling outside the box contribute zero.  Fully
 abelian groups route through zero-padded FFT convolution, which equals
-the direct sum up to rounding.  On groups of step 2 the direct sum adds,
-per horizontal shift of the kernel, a zero-padded linear convolution
-along the other axes read at the integer shear of the lattice group law;
-the reads are phases on the spectra, and the sum stays exact under box
-truncation.  Sparse inputs sum over their own sites by gathers instead.
-Groups of higher step sum through cached translation tables.  Pipelines
-apply Op(K) through prepare(K, spec), which does the per-kernel work once.
+the direct sum up to rounding.  On other groups the direct sum adds, per
+shift of the kernel along the axes inside some bracket, a zero-padded
+linear convolution along the central rest, read at the integer shear
+that the lattice group law gives; the reads are phases on the spectra,
+and the sum stays exact under box truncation.  Sparse inputs, and every
+input of an abelian direct sum, sum over their own sites by gathers
+instead.  Pipelines apply Op(K) through prepare(K, spec), which does the
+per-kernel work once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .kernels import (
 from .product import MultiIndex
 
 PAIR_BUDGET = int(2e8)
-# complex kernel values gathered per chunk of a _Sheared site sum (8 MB)
+# complex kernel values gathered per chunk of a _Sheared site sum (8 MB);
+# its group law runs on SHEAR_CHUNK / 128 points per call
 SHEAR_CHUNK = 2 ** 19
 
 
@@ -45,30 +47,6 @@ def _gather(values: np.ndarray, spec: GridSpec, points: np.ndarray) -> np.ndarra
     safe = np.where(inb[..., None], idx, 0)
     out = values[tuple(np.moveaxis(safe, -1, 0))]
     return np.where(inb, out, 0.0)
-
-
-def _site_translation(spec: GridSpec, i: int, side: str):
-    """Cached lattice index map x -> site_i^{-1} x (left) or x site_i^{-1} (right).
-
-    Power iterations replay the same few translations many times; the maps
-    only depend on the grid, so they are memoized on the spec with a memory
-    cap and oldest-first eviction.
-    """
-    tables = spec.__dict__.setdefault("_translation_tables", {})
-    key = (i, side)
-    if key not in tables:
-        group = spec.group
-        mesh = spec.mesh.reshape(-1, spec.q_total)
-        inv = group.invert(mesh[i])
-        pts = group.multiply(inv, mesh) if side == "left" else group.multiply(mesh, inv)
-        idx, inb = spec.index_of(pts)
-        safe = np.where(inb[..., None], idx, 0)
-        ravel = np.ravel_multi_index(tuple(np.moveaxis(safe, -1, 0)), spec.shape)
-        cap = max(64, int(2.5e8 // (9 * mesh.shape[0])))
-        while len(tables) >= cap:
-            tables.pop(next(iter(tables)))
-        tables[key] = (ravel, inb)
-    return tables[key]
 
 
 class _Block:
@@ -112,99 +90,78 @@ class _Spectrum(_Block):
         return full[(slice(None),) + (slice(c, c + self.spec.N),) * len(ax)] * self.vol
 
 
-class _Direct(_Block):
-    """(k * v)(x) summed through cached translation tables.
-
-    Used on abelian groups (path="direct", the oracle of the FFT path) and
-    on groups of step 3 or more; step-2 groups take _Sheared.
-
-    sub is the grid of the block's own group (spec for a whole-grid kernel).
-    Each row loops over the sparser of supp k and its own support, which
-    must stay within budget point pairs; the rows that loop over supp k
-    share one loop, and the others run one at a time.
-    """
-
-    def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
-                 kvals: np.ndarray, budget: int):
-        super().__init__(spec, axes)
-        self.sub, self.budget = sub, budget
-        self.kflat = kvals.reshape(-1)
-        self.nz = np.flatnonzero(np.abs(self.kflat) > 0)
-
-    def _convolve(self, flat: np.ndarray) -> np.ndarray:
-        rows = flat.reshape(flat.shape[0], -1)
-        acc = np.zeros_like(rows)
-        supports = [np.flatnonzero(np.abs(v) > 0) for v in rows]
-        cost = max(min(self.nz.size, nz.size) for nz in supports) * self.sub.size
-        if cost > self.budget:
-            raise ValueError(f"direct sum needs {cost} point pairs; budget {self.budget}")
-        kside = [j for j, nz in enumerate(supports) if self.nz.size <= nz.size]
-        if kside:  # sites first: one row stays 1-D, several gather whole site rows
-            sel = kside[0] if len(kside) == 1 else kside
-            vs = np.ascontiguousarray(rows[sel].T)
-            out = np.zeros_like(vs)
-            for i in self.nz:  # sum_z k(z) v(z^{-1} x)
-                ravel, inb = _site_translation(self.sub, int(i), "left")
-                out[inb] += self.kflat[i] * vs[ravel[inb]]
-            acc[sel] = out.T
-        for v, out, nz in zip(rows, acc, supports):
-            for i in nz if nz.size < self.nz.size else ():  # sum_y v(y) k(x y^{-1})
-                ravel, inb = _site_translation(self.sub, int(i), "right")
-                out[inb] += v[i] * self.kflat[ravel[inb]]
-        return (acc * self.vol).reshape(flat.shape)
-
-
 class _Sheared(_Block):
-    """Step-2 groups: the direct sum as sheared linear convolutions.
+    """The exact direct sum on any graded group, as sheared linear convolutions.
 
-    With B from GridSpec.shear, x_S the sheared coordinates and *_C the
-    linear convolution along the plain and sheared axes (zero-padded, so
-    exact under box truncation),
-        (k * v)(x) = sum_a [k(a, .) *_C v(x_L - a, .)](x_C - B(a, x_L)),
-    a running over the horizontal (loop-axis) support of k.  Rows on the
-    kernel's side add these terms as spectra, the shear read as a phase,
-    and are transformed back once (_shifts).  A sparse row (the one-hot
-    columns of dense blocks and spectral edges, the localized inputs of
-    block power iterations) sums over its own sites y instead, by sheared
-    gathers of the kernel that keep exact zeros exact:
-        (k * v)(x) = sum_y v(y) k(x_L - y_L, x_S - y_S - B(x_L, y_L), x_P - y_P).
+    GridSpec.shear splits the axes into L, the loop axes inside some
+    bracket, and C, the rest: central, the sheared ones the bracket images
+    among them.  Every bracket term of the group law has zero C input, so
+    (a^{-1} x)_L depends on a_L and x_L only and (a^{-1} x)_C = x_C - a_C
+    + P(a_L, x_L) with P zero on the plain axes.  With *_C the linear
+    convolution along C (zero-padded, so exact under box truncation),
+        (k * v)(x) = sum_a [k(a, .) *_C v((a^{-1} x)_L, .)](x_C + P(a, x_L)),
+    a running over the horizontal (loop-axis) support of k; the source rows
+    and the integers P are read off the group law on loop-grid points
+    (pairs).  Rows on the kernel's side add these terms as spectra, the
+    shear read as a phase, and are transformed back once (_shifts).  A
+    sparse row (the one-hot columns of dense blocks and spectral edges, the
+    localized inputs of block power iterations) sums over its own sites y
+    instead, by sheared gathers of the kernel that keep exact zeros exact:
+        (k * v)(x) = sum_y v(y) k((x y^{-1})_L, x_C - y_C + P'(x_L, y_L)).
     A row takes its own sites when it touches fewer values that way, unless
     only the kernel's side fits the budget: per destination row a shift
     touches the (2N)^p (3N)^s frequencies of the p plain and s sheared axes
-    and a site N^(p+s) kernel values.  The charge is the row's shifts or
-    sites times sub.size point pairs.  Rows on the kernel's side share one
-    loop; the others run one at a time.
+    and a site N^(p+s) kernel values.  An abelian group has no loop axes and
+    one loop point; every row takes its own sites there, so the direct sum
+    (the oracle of the FFT path) runs no FFT.  The charge is the row's
+    shifts or sites times sub.size point pairs.  Rows on the kernel's side
+    share one loop; the others run one at a time.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
                  kvals: np.ndarray, budget: int):
         super().__init__(spec, axes)
         self.sub, self.budget = sub, budget
-        plain, loop, sheared, self.B = sub.shear
-        self.perm = plain + loop + sheared
+        plain, self.loop, self.sheared = sub.shear
+        self.central = plain + self.sheared
+        self.perm = plain + self.loop + self.sheared
         self.unperm = tuple(1 + a for a in np.argsort(self.perm))
         N = spec.N
-        self.n_plain, self.n_sheared, self.H = len(plain), len(sheared), N ** len(loop)
+        self.n_plain, self.n_sheared = len(plain), len(self.sheared)
+        self.H = N ** len(self.loop)
         # lattice coordinates of the loop grid's points, in flat index order
-        self.sites = np.indices((N,) * len(loop)).reshape(len(loop), -1).T - spec.origin
-        self.loop_strides = N ** np.arange(len(loop))[::-1]
+        self.sites = (np.indices((N,) * len(self.loop)).reshape(len(self.loop), self.H).T
+                      - spec.origin)
+        self.loop_strides = N ** np.arange(len(self.loop))[::-1]
         self.kernel = self._rows(kvals[None])[0]
         horizontal = np.abs(self.kernel.reshape(-1, self.H, N ** self.n_sheared)).max(axis=(0, 2))
         self.kshifts = np.flatnonzero(horizontal > 0)
-        self.shift_work = self.kshifts.size * 2 ** len(plain) * 3 ** len(sheared)
+        self.shift_work = self.kshifts.size * 2 ** len(plain) * 3 ** len(self.sheared)
+        self.offsets = {}  # _site_offsets per loop-grid point
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
         """(R, *plain, H, *sheared) view of (R, *sub grid) values."""
         moved = flat.transpose(0, *(1 + a for a in self.perm))
         return moved.reshape(moved.shape[:1 + self.n_plain] + (self.H,)
-                             + moved.shape[-self.n_sheared:])
+                             + moved.shape[moved.ndim - self.n_sheared:])
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Lattice coordinates of a b for loop-grid points a, b (zero on C),
+        broadcast; index_of raises if the group law leaves the lattice."""
+        def lift(p):
+            pts = np.zeros(p.shape[:-1] + (self.sub.q_total,))
+            pts[..., self.loop] = p * self.sub.spacings[self.loop]
+            return pts
+        idx, _ = self.sub.index_of(self.sub.group.multiply(lift(a), lift(b)))
+        return idx - self.spec.origin
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         rows = self._rows(flat)
         out = np.zeros_like(rows)
         sites = [np.flatnonzero(row) for row in rows]
         n, shifts = self.sub.size, self.kshifts.size
-        own = [s.size < self.shift_work and (s.size * n <= self.budget or s.size < shifts)
+        own = [not self.loop or (s.size < self.shift_work
+                                 and (s.size * n <= self.budget or s.size < shifts))
                for s in sites]
         cost = max(s.size if o else shifts for s, o in zip(sites, own)) * n
         if cost > self.budget:
@@ -240,15 +197,20 @@ class _Sheared(_Block):
     @cached_property
     def pairs(self) -> list:
         """Per kernel shift a, the (destination row, source row, read offset
-        mod 3N) of the pairs (a, x_L) that contribute, as in _shifts."""
+        mod 3N) of the pairs (a, x_L) that contribute, as in _shifts.  The
+        group law runs on a chunk of shifts at a time: one call per shift
+        costs more in overhead, one for all shifts more in memory.
+        """
         N, o, X = self.spec.N, self.spec.origin, self.sites
         out = []
-        for a in X[self.kshifts]:
-            src = X - a
-            m = o - X @ np.einsum("i,ijc->jc", a, self.B)
-            keep = np.all((src >= -o) & (src < N - o), axis=-1)
-            x = np.flatnonzero(keep & np.all((m > -N) & (m < 2 * N - 1), axis=-1))
-            out.append((x, (src[x] + o) @ self.loop_strides, m[x] % (3 * N)))
+        step = max(1, SHEAR_CHUNK // (128 * self.H))
+        for i in range(0, self.kshifts.size, step):
+            z = self._product(-X[self.kshifts[i:i + step], None], X[None])  # a^{-1} x_L
+            src, m = z[..., self.loop], o + z[..., self.sheared]
+            keep = (np.all((src >= -o) & (src < N - o), axis=-1)
+                    & np.all((m > -N) & (m < 2 * N - 1), axis=-1))
+            rows, m = (src + o) @ self.loop_strides, m % (3 * N)
+            out += [(x, r[x], w[x]) for x, r, w in zip(map(np.flatnonzero, keep), rows, m)]
         return out
 
     def _shifts(self, rows: np.ndarray) -> np.ndarray:
@@ -256,12 +218,12 @@ class _Sheared(_Block):
 
         Along the sheared axes a shift's linear convolution has 2N - 1 cells
         and the window read from it N, fewer than 3N together, so on spectra
-        of 3N points the read at offset m = o - B(a, x_L) is exactly the
+        of 3N points the read at offset m = o + P(a, x_L) is exactly the
         phase exp(2 pi i m w / 3N) whenever it meets the linear support.
         Pairs (a, x_L) whose read misses that support, or whose source row
-        x_L - a is off the box, are skipped (pairs).  Every destination row
-        adds its terms in kernel shift order and is transformed back once,
-        so a row's result does not depend on its batch.
+        (a^{-1} x)_L is off the box, are skipped (pairs).  Every destination
+        row adds its terms in kernel shift order and is transformed back
+        once, so a row's result does not depend on its batch.
         """
         N, o, ns = self.spec.N, self.spec.origin, self.n_sheared
         spectra = self._spectra(rows)
@@ -294,6 +256,19 @@ class _Sheared(_Block):
         return np.lib.stride_tricks.sliding_window_view(padded, (N,) * len(central),
                                                         axis=central)
 
+    def _site_offsets(self, h: int) -> tuple:
+        """For the sites y with y_L at loop-grid point h: the destination rows
+        x_L whose kernel row (x y^{-1})_L lies in the box, that row, and P'
+        along the plain and sheared axes; memoized per h."""
+        if h not in self.offsets:
+            N, o = self.spec.N, self.spec.origin
+            z = self._product(self.sites, -self.sites[h])  # x_L y_L^{-1}
+            krow = z[:, self.loop]
+            dest = np.flatnonzero(np.all((krow >= -o) & (krow < N - o), axis=-1))
+            self.offsets[h] = (dest, (krow[dest] + o) @ self.loop_strides,
+                               z[dest][:, self.central])
+        return self.offsets[h]
+
     def _site_sum(self, values: np.ndarray, sites: np.ndarray) -> np.ndarray:
         """k * v for one row v with flat values, summed over its given sites.
 
@@ -302,25 +277,21 @@ class _Sheared(_Block):
         SHEAR_CHUNK values and added one at a time, so the result does not
         depend on the chunking.
         """
-        N, o, X, n_plain = self.spec.N, self.spec.origin, self.sites, self.n_plain
+        N, o, n_plain = self.spec.N, self.spec.origin, self.n_plain
         grid = self.kernel.shape
+        cpos = [*range(n_plain), *range(n_plain + 1, len(grid))]  # C axes of grid
         out = np.zeros(grid, dtype=complex)
         y = np.array(np.unravel_index(sites, grid))
         order = np.argsort(y[n_plain], kind="stable")
         groups, firsts = np.unique(y[n_plain, order], return_index=True)
         for h, at in zip(groups, np.split(order, firsts[1:])):
-            src = X - X[h]
-            dest = np.flatnonzero(np.all((src >= -o) & (src < N - o), axis=-1))
-            shear = np.einsum("xi,ijc,j->xc", X[dest], self.B, X[h])  # B(x_L, y_L)
+            dest, krow, shear = self._site_offsets(int(h))
             acc = np.zeros((dest.size,) + (N,) * (len(grid) - 1), dtype=complex)
             step = max(1, SHEAR_CHUNK // acc.size)
             for part in (at[i:i + step] for i in range(0, at.size, step)):
-                starts = [N + o - y[a, part][:, None] for a in range(n_plain)]
-                starts += [np.maximum(np.minimum(N + o - y[n_plain + 1 + c, part][:, None]
-                                                 - shear[:, c], 2 * N), 0)
-                           for c in range(self.n_sheared)]
-                got = self.kwindows[tuple(starts[:n_plain])
-                                    + ((src[dest] + o) @ self.loop_strides,)
+                starts = [np.clip(N + o - y[a, part][:, None] + shear[:, c], 0, 2 * N)
+                          for c, a in enumerate(cpos)]
+                got = self.kwindows[tuple(starts[:n_plain]) + (krow,)
                                     + tuple(starts[n_plain:])]
                 for value, term in zip(values[sites[part]], got):
                     acc += value * term
@@ -328,27 +299,19 @@ class _Sheared(_Block):
         return out
 
 
-def _direct_block(spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray,
-                  budget: int) -> _Block:
-    """The exact direct sum on sub's group: _Sheared at step 2, else _Direct."""
-    block = _Direct if sub.shear is None else _Sheared
-    return block(spec, sub, axes, kvals, budget)
-
-
 def _whole_grid_block(spec: GridSpec, kvals: np.ndarray, budget: int) -> _Block:
     """The direct block of a whole-grid kernel, memoized on spec by its values.
 
     _convolve_each passes the same kernel once per row, so its shifts,
-    spectra and windows are built once for all rows; a few blocks are kept,
-    oldest evicted first, each on its own copy of the values.
+    spectra, windows and site offsets are built once for all rows; a few
+    blocks are kept, oldest evicted first, each on its own copy of the values.
     """
     blocks = spec.__dict__.setdefault("_direct_blocks", {})
     key = (kvals.tobytes(), budget)
     if key not in blocks:
         while len(blocks) >= 4:
             blocks.pop(next(iter(blocks)))
-        blocks[key] = _direct_block(spec, spec, tuple(range(spec.q_total)), kvals.copy(),
-                                    budget)
+        blocks[key] = _Sheared(spec, spec, tuple(range(spec.q_total)), kvals.copy(), budget)
     return blocks[key]
 
 
@@ -407,8 +370,8 @@ def prepare(K, spec: GridSpec, budget: int = PAIR_BUDGET) -> ConvOp:
     factor's own grid: a scale for a delta part, else the part rendered once.
     Any other kernel is rendered on spec (a grid kernel must live there).
     Abelian groups keep the padded kernel spectrum; others run the exact
-    direct sum within budget point pairs: sheared FFTs at step 2,
-    translation tables above (through convolve for a whole-grid kernel).
+    direct sum (_Sheared) within budget point pairs, through convolve for a
+    whole-grid kernel.
     """
     if isinstance(K, ConvOp):
         _check_specs(K.spec, spec)
@@ -423,7 +386,7 @@ def prepare(K, spec: GridSpec, budget: int = PAIR_BUDGET) -> ConvOp:
                 continue
             axes, kvals = tuple(range(sl.start, sl.stop)), part.render(sub).values
             block = (_Spectrum(spec, axes, kvals, False) if sub.group.factors[0].is_abelian
-                     else _direct_block(spec, sub, axes, kvals, budget))
+                     else _Sheared(spec, sub, axes, kvals, budget))
             steps.append(block.apply)
     else:
         K = K if isinstance(K, GridKernel) else K.render(spec)

@@ -94,32 +94,23 @@ class GridSpec:
 
     @cached_property
     def shear(self):
-        """(plain, loop, sheared axes, integer shear B) of a step-2 group, else None.
+        """(plain, loop, sheared) axes: the split of the axes into L and C.
 
-        Loop axes enter a bracket.  When no bracket lands on a loop axis the
-        group has step at most 2 and, in lattice index units,
-        x y = x + y + B(x_L, y_L) with B bilinear; the sheared axes are those
-        B reaches (the top layers), and every other axis (abelian factors,
-        first-layer axes outside every bracket) is plain.  B[i, j] is read
-        off the group law on lattice basis points; index_of raises if it
-        leaves the lattice.  Abelian groups and groups of higher step give
-        None.
+        Loop axes (L) enter some bracket; the others (C) are central.  Every
+        bracket term of the group law then has zero C input, so in lattice
+        index units x y = ((x y)_L, x_C + y_C + P(x_L, y_L)) with (x y)_L the
+        law of the quotient by C.  P can be nonzero only on the bracket
+        images in C, the sheared axes; the other C axes are plain.  Abelian
+        groups have no loop axes and no sheared axes.
         """
-        group, q = self.group, self.q_total
         loop, image = [], set()
-        for fac, sl in zip(group.factors, group.slices):
+        for fac, sl in zip(self.group.factors, self.group.slices):
             nz = fac.C != 0
             loop += [sl.start + int(i) for i in np.flatnonzero(nz.any(axis=(1, 2)))]
             image |= {sl.start + int(k) for k in np.flatnonzero(nz.any(axis=(0, 1)))}
-        if not loop or image & set(loop):
-            return None
-        unit = np.eye(q, dtype=np.int64)[loop]
-        basis = unit * self.spacings
-        idx, _ = self.index_of(group.multiply(basis[:, None], basis[None, :]))
-        B = idx - self.origin - unit[:, None] - unit[None, :]
-        sheared = [a for a in range(q) if B[..., a].any()]
-        plain = [a for a in range(q) if a not in loop and a not in sheared]
-        return plain, loop, sheared, B[..., sheared]
+        central = [a for a in range(self.q_total) if a not in loop]
+        return ([a for a in central if a not in image], loop,
+                [a for a in central if a in image])
 
     def sample(self, fn) -> "GridFunction":
         """Sample fn(points) with points of shape (..., q_total)."""

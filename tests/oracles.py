@@ -96,21 +96,42 @@ def loop_group_convolution(group, kernel_vals, fn_vals, coords, volume):
     return out
 
 
+def _coordinate_lookup(coords):
+    """Map points to the row of coords they equal once both are rounded to
+    9 decimals, or -1: the key rule of loop_group_convolution, vectorized
+    by ranking each coordinate among that axis's values."""
+    keys = np.round(coords, 9)
+    values = [np.unique(col) for col in keys.T]
+    shape = tuple(v.size for v in values)
+
+    def ranks(points):
+        pos = [np.minimum(np.searchsorted(v, col), v.size - 1) for v, col in zip(values, points.T)]
+        hit = np.all([v[p] == col for v, p, col in zip(values, pos, points.T)], axis=0)
+        return np.ravel_multi_index(pos, shape), hit
+
+    table = np.full(math.prod(shape), -1)
+    table[ranks(keys)[0]] = np.arange(keys.shape[0])
+
+    def find(points):
+        code, hit = ranks(np.round(points, 9))
+        return np.where(hit, table[code], -1)
+    return find
+
+
 def convolution_matrix(group, kernel_vals, coords, volume):
     """Dense matrix of f -> K * f, M[x, y] = K(x y^{-1}) vol.
 
-    The rule of loop_group_convolution with the group law evaluated on all
-    pairs at once; off-lattice products stay zero.  Use on tiny grids.
+    The rule of loop_group_convolution with the group law evaluated on one
+    row of pairs at a time; off-lattice products stay zero.  Use on tiny
+    grids.
     """
     n = coords.shape[0]
-    key = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
-    diffs = group.multiply(coords[:, None, :], group.invert(coords)[None, :, :])
+    find = _coordinate_lookup(coords)
+    inv = group.invert(coords)
     M = np.zeros((n, n), dtype=complex)
     for ix in range(n):
-        for iy in range(n):
-            j = key.get(tuple(np.round(diffs[ix, iy], 9)))
-            if j is not None:
-                M[ix, iy] = kernel_vals[j] * volume
+        j = find(group.multiply(coords[ix], inv))
+        M[ix, j >= 0] = kernel_vals[j[j >= 0]] * volume
     return M
 
 

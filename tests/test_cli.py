@@ -8,10 +8,15 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from nilconv import cli, inversion
 from nilconv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _defaults, build_parser, main
+from nilconv.grid import GridSpec
+from nilconv.groups import GradedLieAlgebra
+from nilconv.kernels import GridKernel, save_kernel
+from nilconv.product import ProductGroup
 
 
 def run(tmp_path, *argv):
@@ -476,13 +481,19 @@ def test_sampling_window_checked_before_kernel_work(tmp_path, capsys,
 
 
 def test_direct_sum_over_pair_budget_is_config_error(tmp_path, capsys):
-    # a step-3 (filiform) group keeps the table-driven direct sum, whose
-    # N^4 sites at N=12 take more than the 2e8 point pairs of the budget
-    group = tmp_path / "filiform3.json"
-    group.write_text(json.dumps({"n_layers": 3, "layer_dims": [2, 1, 1],
-                                 "structure_constants": [[0, 1, 2, 1.0], [0, 2, 3, 1.0]]}))
-    code, _ = run(tmp_path, "opnorm", "--preset", str(group), "--kernel",
-                  "dyadic", "--N", "12")
+    # a dense grid kernel on a step-4 (filiform) group at N=9 has 8^4 shifts
+    # along its loop axes (its lowest face is zero), each charged the 9^5
+    # sites: 2.4e8 point pairs, over the 2e8 of the budget (dyadic synthesis
+    # would exceed its own memory budget on five axes)
+    alg = GradedLieAlgebra(4, [2, 1, 1, 1], [(0, 1, 2, 1.0), (0, 2, 3, 1.0), (0, 3, 4, 1.0)])
+    group = tmp_path / "filiform4.json"
+    group.write_text(json.dumps(alg.to_dict()))
+    spec = GridSpec(ProductGroup([alg]), 9, 1.0)
+    rng = np.random.default_rng(0)
+    kernel = tmp_path / "dense.nckr"
+    save_kernel(GridKernel(spec, rng.normal(size=spec.shape) + 0.0j), str(kernel))
+    code, _ = run(tmp_path, "opnorm", "--preset", str(group), "--kernel", str(kernel),
+                  "--N", "9")
     assert code == EXIT_CONFIG
     errs = stderr_errors(capsys)
     assert errs[0]["path"] == "/opnorm"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nilconv import convolution
 from nilconv.convolution import (
-    _Direct,
     _Sheared,
     apply_op,
     boundary_mass_fraction,
@@ -46,6 +45,10 @@ AB1 = ProductGroup([abelian(1)])
 AB2 = ProductGroup([abelian(1), abelian(1)])
 HEIS = ProductGroup([heisenberg1()])
 HX = ProductGroup([heisenberg1(), abelian(1)])
+FILIFORM3 = GradedLieAlgebra(3, [2, 1, 1], [(0, 1, 2, 1.0), (0, 2, 3, 1.0)])
+FILIFORM4 = GradedLieAlgebra(4, [2, 1, 1, 1], [(0, 1, 2, 1.0), (0, 2, 3, 1.0),
+                                               (0, 3, 4, 1.0)])
+F3X = ProductGroup([FILIFORM3, abelian(1)])
 
 
 def _bump(spec, center, width):
@@ -396,6 +399,10 @@ def _convop_case(name):
     if name == "heisenberg1":
         spec = GridSpec(HEIS, 4, 1.0)
         return _random_kernel(spec, 31), spec
+    if name == "tensor-filiform3-delta":
+        spec = GridSpec(F3X, 4, 1.0)
+        return TensorKernel([_random_kernel(spec.factor_specs[0], 34),
+                             DeltaKernel(AB1, 0.5 + 1.0j)]), spec
     spec = GridSpec(HX, 4, 1.0)
     sub_h = GridSpec(HEIS, 4, 1.0)
     sub_a = GridSpec(AB1, 4, 1.0)
@@ -407,7 +414,7 @@ def _convop_case(name):
 
 
 CONVOP_CASES = ("delta", "abelian2", "heisenberg1", "tensor-heis-delta",
-                "tensor-delta-ab")
+                "tensor-delta-ab", "tensor-filiform3-delta")
 
 
 @pytest.mark.parametrize("name", CONVOP_CASES)
@@ -461,6 +468,21 @@ def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
     assert counts == {"fftn": 1, "ifftn": 1}
 
 
+def test_abelian_direct_convolve_runs_no_fft(monkeypatch):
+    # the direct sum is the oracle of the FFT path: every row sums over its sites
+    spec = GridSpec(AB2, 16, 1.0)
+    f, g = _random_field(spec, 38), _random_field(spec, 39)
+    counts = Counter()
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    convolve(f, g, path="direct")
+    assert not counts
+
+
 def test_power_method_stop_rules():
     spec = GridSpec(AB1, 16, 1.0)
 
@@ -508,7 +530,7 @@ def test_left_derivative_stack_equals_single_calls(group, alpha):
             assert np.array_equal(out[i], fn(GridFunction(spec, stack[i]), alpha).values)
 
 
-# --- the sheared direct sum of step-2 groups ---
+# --- the direct sum of non-abelian groups: shifts sheared along the centre ---
 
 # step-2 groups as a group JSON file holds them: structure constants and
 # lattice denominators other than heisenberg1's
@@ -524,8 +546,8 @@ STEP2_JSON = {
 }
 
 
-def _step2_case(name):
-    """(grid, the block's own grid, the block's axes) of one step-2 case."""
+def _direct_case(name):
+    """(grid, the block's own grid, the block's axes) of one direct-sum case."""
     if name == "heisenberg1-N12":
         spec = GridSpec(HEIS, 12, 1.0)
         return spec, spec, (0, 1, 2)
@@ -535,12 +557,25 @@ def _step2_case(name):
     if name == "tensor-factor":
         spec = GridSpec(HX, 6, 1.0)
         return spec, spec.factor_specs[0], (0, 1, 2)
+    if name == "filiform3":
+        spec = GridSpec(ProductGroup([FILIFORM3]), 6, 1.0)
+        return spec, spec, (0, 1, 2, 3)
+    if name == "filiform4":
+        spec = GridSpec(ProductGroup([FILIFORM4]), 4, 1.0)
+        return spec, spec, (0, 1, 2, 3, 4)
+    if name == "filiform3xabelian1":
+        spec = GridSpec(F3X, 4, 1.0)
+        return spec, spec, (0, 1, 2, 3, 4)
+    if name == "filiform3-factor":
+        spec = GridSpec(F3X, 4, 1.0)
+        return spec, spec.factor_specs[0], (0, 1, 2, 3)
     group = ProductGroup.from_dict(STEP2_JSON[name])
     spec = GridSpec(group, 4 if group.q_total > 3 else 6, 1.0)
     return spec, spec, tuple(range(spec.q_total))
 
 
 STEP2_CASES = ("heisenberg1-N12", "heisenberg1xabelian1", "tensor-factor", *STEP2_JSON)
+HIGHER_STEP_CASES = ("filiform3", "filiform4", "filiform3xabelian1", "filiform3-factor")
 
 
 def _one_hot(spec, site):
@@ -549,17 +584,43 @@ def _one_hot(spec, site):
     return vals
 
 
+def _oracle_apply(spec, sub, axes, kvals, rows):
+    """The dense oracle of sub's group applied along the block's axes of rows."""
+    M = convolution_matrix(sub.group, kvals.reshape(-1), sub.mesh.reshape(-1, sub.q_total),
+                           sub.volume)
+    front = tuple(range(1, 1 + len(axes)))
+    moved = np.moveaxis(rows, [1 + a for a in axes], front)
+    out = np.einsum("xy,ry...->rx...", M, moved.reshape(len(rows), sub.size, -1))
+    return np.moveaxis(out.reshape(moved.shape), front, [1 + a for a in axes])
+
+
+def _assert_rows_match_oracle(name):
+    spec, sub, axes = _direct_case(name)
+    kvals = _random_kernel(sub, 70).values
+    # a dense row loops over the kernel, the sparse ones over their own sites
+    rows = np.stack([_random_field(spec, 71).values, _one_hot(spec, spec.size // 3),
+                     _few_sites(spec), np.zeros(spec.shape)])
+    got = _Sheared(spec, sub, axes, kvals, 10 ** 12).apply(rows)
+    want = _oracle_apply(spec, sub, axes, kvals, rows)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+    # the gathers of sparse rows keep the oracle's exact zeros
+    assert np.array_equal(got[1:] == 0, want[1:] == 0)
+
+
 def test_grid_shear_reads_the_lattice_law():
-    heis = GridSpec(HEIS, 6, 1.0).shear
-    assert heis[:3] == ([], [0, 1], [2])
-    assert heis[3].tolist() == [[[0], [1]], [[-1], [0]]]
+    assert GridSpec(HEIS, 6, 1.0).shear == ([], [0, 1], [2])
+    assert GridSpec(HX, 6, 1.0).shear == ([3], [0, 1], [2])
+    assert GridSpec(ProductGroup([FILIFORM3]), 6, 1.0).shear == ([], [0, 1, 2], [3])
+    assert GridSpec(ProductGroup([FILIFORM4]), 6, 1.0).shear == ([], [0, 1, 2, 3], [4])
+    assert GridSpec(AB2, 6, 1.0).shear == ([0, 1], [], [])
+    # the group law in lattice units: e1 e2 = e1 + e2 + b e3
+    e1, e2 = np.array([1, 0]), np.array([0, 1])
     for name, b in (("bracket-3", 3), ("bracket-2/3", 1)):
-        B = GridSpec(ProductGroup.from_dict(STEP2_JSON[name]), 6, 1.0).shear[3]
-        assert B[0, 1].tolist() == [b] and B[1, 0].tolist() == [-b]
-    assert GridSpec(HX, 6, 1.0).shear[:3] == ([3], [0, 1], [2])
-    filiform = GradedLieAlgebra(3, [2, 1, 1], [(0, 1, 2, 1.0), (0, 2, 3, 1.0)])
-    assert GridSpec(ProductGroup([filiform]), 6, 1.0).shear is None
-    assert GridSpec(AB2, 6, 1.0).shear is None
+        spec = GridSpec(ProductGroup.from_dict(STEP2_JSON[name]), 6, 1.0)
+        block = _Sheared(spec, spec, (0, 1, 2), np.ones(spec.shape), 10 ** 12)
+        assert block._product(e1, e2).tolist() == [1, 1, b]
+        assert block._product(e2, e1).tolist() == [1, 1, -b]
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])
@@ -576,39 +637,37 @@ def test_sheared_matches_dense_oracle(N):
 
 @pytest.mark.parametrize("name", STEP2_CASES)
 def test_sheared_matches_table_sum(name):
-    spec, sub, axes = _step2_case(name)
-    assert sub.shear is not None
-    kvals = _random_kernel(sub, 70).values
-    # a dense row loops over the kernel, the sparse ones over their own sites
-    rows = np.stack([_random_field(spec, 71).values, _one_hot(spec, spec.size // 3),
-                     _few_sites(spec), np.zeros(spec.shape)])
-    got = _Sheared(spec, sub, axes, kvals, 10 ** 12).apply(rows)
-    want = _Direct(spec, sub, axes, kvals, 10 ** 12).apply(rows)
-    for g, w in zip(got, want):
-        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
-    # the gathers of sparse rows keep the table sum's exact zeros
-    assert np.array_equal(got[1:] == 0, want[1:] == 0)
+    _assert_rows_match_oracle(name)
 
 
-@pytest.mark.parametrize("name", ["heisenberg1xabelian1", "tensor-factor"])
+@pytest.mark.parametrize("name", HIGHER_STEP_CASES)
+def test_higher_step_matches_dense_oracle(name):
+    _assert_rows_match_oracle(name)
+
+
+@pytest.mark.parametrize("name", ["heisenberg1xabelian1", "tensor-factor",
+                                  *HIGHER_STEP_CASES])
 def test_sheared_rows_do_not_depend_on_their_batch(name, monkeypatch):
-    spec, sub, axes = _step2_case(name)
-    block = _Sheared(spec, sub, axes, _random_kernel(sub, 72).values, 10 ** 12)
+    spec, sub, axes = _direct_case(name)
+    kvals = _random_kernel(sub, 72).values
+    block = _Sheared(spec, sub, axes, kvals, 10 ** 12)
     cluster = np.zeros(spec.size, dtype=complex)
-    cluster[[7, 8, 9, 20]] = [1.0, -0.5j, 2.0, 0.25 + 1.0j]  # one loop-grid point
+    cluster[[7, 8, 9, 20]] = [1.0, -0.5j, 2.0, 0.25 + 1.0j]  # sites sharing loop points
     stack = np.stack([_random_field(spec, 73).values, _one_hot(spec, 11),
                       _random_field(spec, 74).values, _few_sites(spec),
                       cluster.reshape(spec.shape)])
     batched = block.apply(stack)
     for i in range(len(stack)):
         assert np.array_equal(batched[i], block.apply(stack[i]))
-    monkeypatch.setattr(convolution, "SHEAR_CHUNK", 1)  # one site per chunk
+    monkeypatch.setattr(convolution, "SHEAR_CHUNK", 1)  # one site or shift per chunk
     assert np.array_equal(block.apply(stack), batched)
+    assert np.array_equal(_Sheared(spec, sub, axes, kvals, 10 ** 12).apply(stack), batched)
 
 
-@pytest.mark.parametrize("name", ["heisenberg1xabelian1", *STEP2_JSON])
+@pytest.mark.parametrize("name", ["heisenberg1xabelian1", *STEP2_JSON, "filiform3",
+                                  "filiform4", "filiform3xabelian1"])
 def test_sheared_adjoint_pairing(name):
-    spec, _, _ = _step2_case(name)
+    spec, _, _ = _direct_case(name)
     op = prepare(_random_kernel(spec, 75), spec)
     f, g = _random_field(spec, 76).values, _random_field(spec, 77).values
     Kf = op.apply(f)
@@ -635,7 +694,7 @@ def test_sheared_sparse_row_over_budget_takes_the_kernel_side():
     v = GridFunction(spec, vals.reshape(spec.shape))
     pairs = spec.N ** 2 * spec.size
     got = convolve(k, v, path="direct", budget=pairs).values
-    want = _Direct(spec, spec, (0, 1, 2), k.values, 10 ** 12).apply(v.values)
+    want = _oracle_apply(spec, spec, (0, 1, 2), k.values, v.values[None])[0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
         convolve(k, v, path="direct", budget=pairs - 1)
