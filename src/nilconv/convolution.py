@@ -31,6 +31,7 @@ from .kernels import (
 )
 from .product import MultiIndex
 
+# point pairs one direct sum may charge (see _Sheared); read at call time
 PAIR_BUDGET = int(2e8)
 # complex kernel values gathered per chunk of a _Sheared site sum (8 MB);
 # its group law runs on SHEAR_CHUNK / 128 points per call
@@ -109,7 +110,7 @@ class _Sheared(_Block):
     instead, by sheared gathers of the kernel that keep exact zeros exact:
         (k * v)(x) = sum_y v(y) k((x y^{-1})_L, x_C - y_C + P'(x_L, y_L)).
     A row takes its own sites when it touches fewer values that way, unless
-    only the kernel's side fits the budget: per destination row a shift
+    only the kernel's side fits PAIR_BUDGET: per destination row a shift
     touches the (2N)^p (3N)^s frequencies of the p plain and s sheared axes
     and a site N^(p+s) kernel values.  An abelian group has no loop axes and
     one loop point; every row takes its own sites there, so the direct sum
@@ -119,9 +120,9 @@ class _Sheared(_Block):
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
-                 kvals: np.ndarray, budget: int):
+                 kvals: np.ndarray):
         super().__init__(spec, axes)
-        self.sub, self.budget = sub, budget
+        self.sub = sub
         plain, self.loop, self.sheared = sub.shear
         self.central = plain + self.sheared
         self.perm = plain + self.loop + self.sheared
@@ -161,11 +162,11 @@ class _Sheared(_Block):
         sites = [np.flatnonzero(row) for row in rows]
         n, shifts = self.sub.size, self.kshifts.size
         own = [not self.loop or (s.size < self.shift_work
-                                 and (s.size * n <= self.budget or s.size < shifts))
+                                 and (s.size * n <= PAIR_BUDGET or s.size < shifts))
                for s in sites]
         cost = max(s.size if o else shifts for s, o in zip(sites, own)) * n
-        if cost > self.budget:
-            raise ValueError(f"direct sum needs {cost} point pairs; budget {self.budget}")
+        if cost > PAIR_BUDGET:
+            raise ValueError(f"direct sum needs {cost} point pairs; budget {PAIR_BUDGET}")
         kside = [j for j, o in enumerate(own) if not o]
         if kside:
             out[kside] = self._shifts(rows[kside])
@@ -299,7 +300,7 @@ class _Sheared(_Block):
         return out
 
 
-def _whole_grid_block(spec: GridSpec, kvals: np.ndarray, budget: int) -> _Block:
+def _whole_grid_block(spec: GridSpec, kvals: np.ndarray) -> _Block:
     """The direct block of a whole-grid kernel, memoized on spec by its values.
 
     _convolve_each passes the same kernel once per row, so its shifts,
@@ -307,15 +308,15 @@ def _whole_grid_block(spec: GridSpec, kvals: np.ndarray, budget: int) -> _Block:
     blocks are kept, oldest evicted first, each on its own copy of the values.
     """
     blocks = spec.__dict__.setdefault("_direct_blocks", {})
-    key = (kvals.tobytes(), budget)
+    key = kvals.tobytes()
     if key not in blocks:
         while len(blocks) >= 4:
             blocks.pop(next(iter(blocks)))
-        blocks[key] = _Sheared(spec, spec, tuple(range(spec.q_total)), kvals.copy(), budget)
+        blocks[key] = _Sheared(spec, spec, tuple(range(spec.q_total)), kvals.copy())
     return blocks[key]
 
 
-def _convolve_each(K: GridKernel, spec: GridSpec, budget: int):
+def _convolve_each(K: GridKernel, spec: GridSpec):
     """Whole-grid direct step: one public convolve per input.
 
     bench/tracer.py counts direct calls and point pairs only at the public
@@ -323,7 +324,7 @@ def _convolve_each(K: GridKernel, spec: GridSpec, budget: int):
     counters itself (ROADMAP item 4).
     """
     def step(v: np.ndarray) -> np.ndarray:
-        outs = [convolve(K.data, GridFunction(spec, row), "direct", budget).values
+        outs = [convolve(K.data, GridFunction(spec, row), "direct").values
                 for row in v.reshape(-1, *spec.shape)]
         return np.stack(outs).reshape(v.shape)
     return step
@@ -337,8 +338,8 @@ class ConvOp:
     unless a grid, delta or tensor kernel); Op(K~) is prepared on first use.
     """
 
-    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list, budget: int):
-        self.kernel, self.spec, self.steps, self.budget = kernel, spec, steps, budget
+    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list):
+        self.kernel, self.spec, self.steps = kernel, spec, steps
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Op(K) v."""
@@ -352,7 +353,7 @@ class ConvOp:
     @cached_property
     def adjoint_op(self) -> "ConvOp":
         """Op(K~), the L2 adjoint, prepared on the same grid."""
-        return prepare(adjoint_kernel(self.kernel), self.spec, self.budget)
+        return prepare(adjoint_kernel(self.kernel), self.spec)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Op(K~) v."""
@@ -363,15 +364,15 @@ class ConvOp:
         return self.adjoint(self.apply(v))
 
 
-def prepare(K, spec: GridSpec, budget: int = PAIR_BUDGET) -> ConvOp:
-    """Prepare Op(K) on spec; a ConvOp is returned unchanged, with its budget.
+def prepare(K, spec: GridSpec) -> ConvOp:
+    """Prepare Op(K) on spec; a ConvOp is returned unchanged.
 
     A delta kernel scales.  A tensor kernel gets one step per factor on the
     factor's own grid: a scale for a delta part, else the part rendered once.
     Any other kernel is rendered on spec (a grid kernel must live there).
     Abelian groups keep the padded kernel spectrum; others run the exact
-    direct sum (_Sheared) within budget point pairs, through convolve for a
-    whole-grid kernel.
+    direct sum (_Sheared) within PAIR_BUDGET point pairs, through convolve
+    for a whole-grid kernel.
     """
     if isinstance(K, ConvOp):
         _check_specs(K.spec, spec)
@@ -386,7 +387,7 @@ def prepare(K, spec: GridSpec, budget: int = PAIR_BUDGET) -> ConvOp:
                 continue
             axes, kvals = tuple(range(sl.start, sl.stop)), part.render(sub).values
             block = (_Spectrum(spec, axes, kvals, False) if sub.group.factors[0].is_abelian
-                     else _Sheared(spec, sub, axes, kvals, budget))
+                     else _Sheared(spec, sub, axes, kvals))
             steps.append(block.apply)
     else:
         K = K if isinstance(K, GridKernel) else K.render(spec)
@@ -394,12 +395,11 @@ def prepare(K, spec: GridSpec, budget: int = PAIR_BUDGET) -> ConvOp:
         if all(fac.is_abelian for fac in spec.group.factors):
             steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values, True).apply]
         else:
-            steps = [_convolve_each(K, spec, budget)]
-    return ConvOp(K, spec, steps, budget)
+            steps = [_convolve_each(K, spec)]
+    return ConvOp(K, spec, steps)
 
 
-def convolve(f: GridFunction, g: GridFunction, path: str = "auto",
-             budget: int = PAIR_BUDGET) -> GridFunction:
+def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFunction:
     """Group convolution f * g on a shared grid."""
     _check_specs(f.spec, g.spec)
     spec = f.spec
@@ -413,22 +413,21 @@ def convolve(f: GridFunction, g: GridFunction, path: str = "auto",
         return GridFunction(spec, _Spectrum(spec, axes, f.values, True).apply(g.values))
     if path != "direct":
         raise ValueError(f"unknown convolution path {path!r}")
-    return GridFunction(spec, _whole_grid_block(spec, f.values, budget).apply(g.values))
+    return GridFunction(spec, _whole_grid_block(spec, f.values).apply(g.values))
 
 
-def apply_op(K, f: GridFunction, budget: int = PAIR_BUDGET) -> GridFunction:
+def apply_op(K, f: GridFunction) -> GridFunction:
     """Op(K) f = K * f; K may be a kernel or a ConvOp."""
-    return GridFunction(f.spec, prepare(K, f.spec, budget).apply(f.values))
+    return GridFunction(f.spec, prepare(K, f.spec).apply(f.values))
 
 
-def compose_kernels(K, L: KernelRep, spec: GridSpec,
-                    budget: int = PAIR_BUDGET) -> GridKernel:
+def compose_kernels(K, L: KernelRep, spec: GridSpec) -> GridKernel:
     """Grid kernel of Op(K) Op(L): K applied to L's rendering.
 
     A delta K keeps L's principal-value flag.
     """
     Lr = L.render(spec)
-    return GridKernel(spec, prepare(K, spec, budget).apply(Lr.values), mode=Lr.mode,
+    return GridKernel(spec, prepare(K, spec).apply(Lr.values), mode=Lr.mode,
                       principal_value=Lr.principal_value and isinstance(K, DeltaKernel))
 
 
@@ -571,8 +570,7 @@ def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
 
 
 def op_norm(K, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
-            seed: int = 0, budget: int = PAIR_BUDGET) -> OpNormEstimate:
-    """Largest singular value of Op(K) by power iteration on Op(K~) Op(K);
-    a ConvOp K keeps the budget it was prepared with."""
-    return power_method(prepare(K, spec, budget).normal, spec, max_iter=max_iter,
+            seed: int = 0) -> OpNormEstimate:
+    """Largest singular value of Op(K) by power iteration on Op(K~) Op(K)."""
+    return power_method(prepare(K, spec).normal, spec, max_iter=max_iter,
                         tol=tol, seed=seed)

@@ -22,6 +22,9 @@ import numpy as np
 
 from .product import ProductGroup
 
+# index_of accepts points within this fraction of a spacing of the lattice
+INDEX_TOL = 1e-8
+
 
 class GridSpec:
     """Cartesian lattice on a product group box."""
@@ -77,16 +80,16 @@ class GridSpec:
 
     # -- lattice indexing -----------------------------------------------------
 
-    def index_of(self, points: np.ndarray, tol: float = 1e-8):
+    def index_of(self, points: np.ndarray):
         """Integer indices of lattice points plus an in-bounds mask.
 
-        Points must lie on the lattice (within tol * spacing); use only for
-        coordinates produced by the group law on grid points.
+        Points must lie on the lattice (within INDEX_TOL * spacing); use only
+        for coordinates produced by the group law on grid points.
         """
         points = np.asarray(points, dtype=float)
         steps = points / self.spacings
         idx = np.rint(steps)
-        if np.any(np.abs(steps - idx) > tol):
+        if np.any(np.abs(steps - idx) > INDEX_TOL):
             raise ValueError("point off the lattice; group law not grid-exact")
         idx = idx.astype(np.int64) + self.origin
         inb = np.all((idx >= 0) & (idx < self.N), axis=-1)
@@ -133,9 +136,11 @@ class GridSpec:
 
 
 def zero_lowest_face(values: np.ndarray) -> np.ndarray:
-    """Zero the i=0 slice along every axis (negation-partnerless for even N)."""
+    """Zero the i=0 slice along every even-length axis (no negation partner there)."""
     out = np.array(values, dtype=complex)
     for ax in range(out.ndim):
+        if out.shape[ax] % 2:
+            continue
         sl = [slice(None)] * out.ndim
         sl[ax] = 0
         out[tuple(sl)] = 0.0

@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .convolution import (
-    PAIR_BUDGET,
     boundary_mass_fraction,
     compose_kernels,
     convolve,
@@ -79,26 +78,29 @@ def _crop_kernel(L: GridKernel, spec: GridSpec) -> GridKernel:
                       principal_value=L.principal_value, mode=L.mode)
 
 
-def probe_functions(spec: GridSpec, count: int = 3, seed: int = 101,
-                    modes: int = 4, band=(0.05, 0.5)) -> list:
+# each probe sums PROBE_MODES gratings with per-axis carrier frequencies in
+# PROBE_BAND x Nyquist
+PROBE_MODES = 4
+PROBE_BAND = (0.05, 0.5)
+
+
+def probe_functions(spec: GridSpec, count: int = 3, seed: int = 101) -> list:
     """Seeded band-limited probes of unit L2 norm.
 
     Random phase gratings under a half-box Gaussian envelope; carrier
-    frequencies per axis stay inside band x Nyquist, away from the mean
-    and Nyquist parity zeros that a box discretization cannot resolve.
+    frequencies per axis stay inside PROBE_BAND x Nyquist, away from the
+    mean and Nyquist parity zeros that a box discretization cannot resolve.
     """
     if count < 1:
         raise ValueError("need at least one probe")
-    lo, hi = band
-    if not (0.0 < lo < hi <= 1.0):
-        raise ValueError("band must satisfy 0 < lo < hi <= 1")
+    lo, hi = PROBE_BAND
     rng = np.random.default_rng(seed)
     mesh = spec.mesh
     envelope = np.exp(-0.5 * np.sum((mesh / (0.5 * spec.extents)) ** 2, axis=-1))
     out = []
     for _ in range(count):
         vals = np.zeros(spec.shape, dtype=complex)
-        for _ in range(modes):
+        for _ in range(PROBE_MODES):
             u = rng.uniform(lo, hi, spec.q_total) * rng.choice([-1.0, 1.0], spec.q_total)
             omega = u * np.pi / spec.spacings
             coeff = rng.normal() + 1j * rng.normal()
@@ -168,8 +170,7 @@ def _lanczos_edges(op, spec: GridSpec, seed: int) -> tuple:
     return top, bottom, steps, False
 
 
-def singular_edges(K, spec: GridSpec, seed: int = 0,
-                   budget: int = PAIR_BUDGET) -> tuple:
+def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     """(sigma_max_info, sigma_min_info): the spectral edges of Op(K).
 
     A tensor kernel's operator is the Kronecker product of its per-factor
@@ -184,10 +185,9 @@ def singular_edges(K, spec: GridSpec, seed: int = 0,
 
     Each info dict has value, method ("dense", "lanczos" or "young-bound":
     the least exact any part used), factors (one edge per part), converged
-    and iterations (Lanczos steps over all parts).  budget prepares K; a
-    ConvOp keeps its own, which also bounds the parts.
+    and iterations (Lanczos steps over all parts).
     """
-    op = prepare(K, spec, budget)
+    op = prepare(K, spec)
     tensor = isinstance(op.kernel, TensorKernel)
     parts = zip(op.kernel.parts, spec.factor_specs) if tensor else [(op.kernel, spec)]
     tops, bottoms = [], []
@@ -197,7 +197,7 @@ def singular_edges(K, spec: GridSpec, seed: int = 0,
             tops.append(abs(part.amplitude))
             bottoms.append(abs(part.amplitude))
             continue
-        prep = prepare(TensorKernel([part]), sub, op.budget) if tensor else op
+        prep = prepare(TensorKernel([part]), sub) if tensor else op
         n = sub.size
         if n <= DENSE_SITES:
             # 256 unit vectors at a time keep the padded FFT work arrays small
@@ -245,7 +245,7 @@ class EpsilonChoice:
 
 
 def choose_epsilon(K, spec: GridSpec, paper_eps: bool = False,
-                   seed: int = 0, budget: int = PAIR_BUDGET) -> EpsilonChoice:
+                   seed: int = 0) -> EpsilonChoice:
     """Damping factor making I - eps Op(K~) Op(K) a contraction.
 
     The default eps = 2 / (sigma_max^2 + sigma_min^2) equalizes the
@@ -253,10 +253,9 @@ def choose_epsilon(K, spec: GridSpec, paper_eps: bool = False,
     eps = 1 / sigma_max^2, which keeps the remainder positive
     semidefinite at the cost of a slower bottom edge.
 
-    Both edges come from singular_edges, for every kernel.  budget
-    prepares K; a ConvOp keeps its own, which also bounds the per-factor work.
+    Both edges come from singular_edges, for every kernel.
     """
-    top, bottom = singular_edges(K, spec, seed, budget)
+    top, bottom = singular_edges(K, spec, seed)
     smax = top["value"]
     smin = bottom["value"]
     if smax == 0.0 or smin < 1e-8 * smax:
@@ -348,8 +347,7 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
                    pad_factor: int = 1,
                    probes: int = 3, probe_seed: int = 101,
                    cfg: SeminormConfig | None = None,
-                   growth_kvec=None, seed: int = 0,
-                   budget: int = PAIR_BUDGET) -> InversionResult:
+                   growth_kvec=None, seed: int = 0) -> InversionResult:
     """Invert Op(K) through the damped Neumann series.
 
     Accumulates B = sum_{n <= N} S^n applied to the discrete delta and
@@ -378,11 +376,11 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
         raise ValueError("tol must be nonnegative")
     if pad_factor < 1 or int(pad_factor) != pad_factor:
         raise ValueError("pad_factor must be a positive integer")
-    Kop = Kwork = prepare(K, spec, budget)
+    Kop = Kwork = prepare(K, spec)
     work = spec
     if pad_factor > 1:
         work = _padded_spec(spec, int(pad_factor))
-        Kwork = prepare(_embed_kernel(Kop.kernel, spec, work), work, budget)
+        Kwork = prepare(_embed_kernel(Kop.kernel, spec, work), work)
 
     if eps is None:
         eps = choose_epsilon(Kwork, work, paper_eps=paper_eps, seed=seed)
@@ -443,7 +441,7 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
         flag = TRACK_FLAG_CAP if capped else TRACK_FLAG_STALL
 
     ktilde = Kwork.adjoint_op.kernel.render(work)
-    L = GridKernel(work, convolve(accum, ktilde.data, budget=budget).values * ev,
+    L = GridKernel(work, convolve(accum, ktilde.data).values * ev,
                    mode=Kop.kernel.mode)
     if pad_factor > 1:
         L = _crop_kernel(L, spec)
@@ -458,7 +456,7 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
         Lt = adjoint_kernel(L).render(spec).values
         L = GridKernel(spec, 0.5 * (L.values + Lt), mode=L.mode)
 
-    Lop = prepare(L, spec, budget)
+    Lop = prepare(L, spec)
     residuals = []
     for f in probe_functions(spec, count=probes, seed=probe_seed):
         right = GridFunction(spec, Kop.apply(Lop.apply(f.values)) - f.values).l2_norm()
@@ -553,8 +551,7 @@ class DecayReport:
 def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
                    cfg: SeminormConfig | None = None,
                    eps: EpsilonChoice | float | None = None,
-                   kind: str = "pk", seed: int = 0,
-                   budget: int = PAIR_BUDGET) -> DecayReport:
+                   kind: str = "pk", seed: int = 0) -> DecayReport:
     """Seminorms of the Neumann remainder powers S^n at the listed n.
 
     S^n kernels are formed by repeated kernel composition, so the
@@ -569,7 +566,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
     if not n_list or n_list[0] < 1:
         raise ValueError("n_list must contain positive integers")
 
-    Kop = prepare(K, spec, budget)
+    Kop = prepare(K, spec)
     if eps is None:
         eps = choose_epsilon(Kop, spec, seed=seed)
     ev = eps.epsilon if isinstance(eps, EpsilonChoice) else float(eps)
@@ -578,7 +575,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
 
     normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
     s_vals = DeltaKernel(spec.group).render(spec).values - ev * normal.values
-    Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec, budget)
+    Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec)
     s_est = singular_edges(Sop, spec, seed)[0]
 
     estimator = pk_seminorm if kind == "pk" else fk_seminorm
@@ -624,7 +621,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
 
 
 def near_identity_kernel(K: KernelRep, spec: GridSpec, strength: float = 0.45,
-                         seed: int = 0, budget: int = PAIR_BUDGET) -> GridKernel:
+                         seed: int = 0) -> GridKernel:
     """Delta plus a strength-scaled copy of K normalized to unit operator norm.
 
     The result has singular values inside [1 - strength, 1 + strength],
@@ -633,7 +630,7 @@ def near_identity_kernel(K: KernelRep, spec: GridSpec, strength: float = 0.45,
     """
     if not 0.0 < strength < 1.0:
         raise ValueError("strength must lie in (0, 1)")
-    est = op_norm(K, spec, seed=seed, budget=budget)
+    est = op_norm(K, spec, seed=seed)
     if est.value == 0.0:
         raise ValueError("cannot scale a zero operator toward the identity")
     Kr = K.render(spec)

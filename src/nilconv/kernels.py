@@ -28,6 +28,10 @@ from .product import MultiIndex, ProductGroup, hom_degree, multi_indices_up_to
 
 MAX_MOMENT_ORDER = 4
 MOMENT_TOL = 1e-12
+PROFILE_BUDGET = 1 << 28
+# half-width of a dyadic profile's smooth window, as a fraction of the box's;
+# enforce_moments uses the same window, so its correction keeps that support
+WINDOW_FRAC = 0.9
 
 
 def smooth_bump(s: np.ndarray) -> np.ndarray:
@@ -440,23 +444,22 @@ def _factor_axis_ids(group, mu):
 def _moment_exponents(q_mu, order):
     out = []
 
-    def rec(prefix, remaining, budget):
+    def rec(prefix, remaining, degree):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for v in range(budget + 1):
-            rec(prefix + [v], remaining - 1, budget - v)
+        for v in range(degree + 1):
+            rec(prefix + [v], remaining - 1, degree - v)
 
     rec([], q_mu, order)
     return out
 
 
-def enforce_moments(f: GridFunction, mu: int, order: int,
-                    window_frac: float = 0.9) -> GridFunction:
+def enforce_moments(f: GridFunction, mu: int, order: int) -> GridFunction:
     """Project out factor-mu moments up to total degree `order`.
 
-    Subtracts the minimal-norm correction from span{t^beta * w} with w a
-    smooth window supported inside the factor box, so that every slice
+    Subtracts the minimal-norm correction from span{t^beta * w} with w the
+    smooth WINDOW_FRAC window of the factor box, so that every slice
     integral of t^beta against the output vanishes.  Idempotent; |beta|
     ranges over total degree <= order.
     """
@@ -472,7 +475,7 @@ def enforce_moments(f: GridFunction, mu: int, order: int,
 
     w = np.ones(mesh.shape[:-1])
     for k, j in enumerate(axes):
-        w = w * smooth_bump(mesh[..., k] / (window_frac * spec.extents[j]))
+        w = w * smooth_bump(mesh[..., k] / (WINDOW_FRAC * spec.extents[j]))
 
     exps = _moment_exponents(q_mu, order)
     monos = []
@@ -566,7 +569,7 @@ def _profile_shape(family, group, spec, rng):
             raise ValueError(f"unknown profile family {family!r}")
     window = np.ones(mesh.shape[:-1])
     for j in range(spec.q_total):
-        window = window * smooth_bump(mesh[..., j] / (0.9 * spec.extents[j]))
+        window = window * smooth_bump(mesh[..., j] / (WINDOW_FRAC * spec.extents[j]))
     return out * window
 
 
@@ -593,8 +596,7 @@ def _derivative_sup_norms(g: GridFunction, order: int) -> float:
 
 def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
                  seed: int = 0, moment_order: int = 1, profile_N: int = 32,
-                 flag_mode: bool = False,
-                 memory_budget: int = 1 << 28) -> DyadicKernel:
+                 flag_mode: bool = False) -> DyadicKernel:
     """Build a dyadic kernel with moment-cancelling profiles.
 
     The scale window is the box [n_min, n_max]^nu, intersected with the
@@ -608,10 +610,10 @@ def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
     if flag_mode:
         scales = [n for n in scales if all(n[i] >= n[i + 1] for i in range(len(n) - 1))]
     est = len(scales) * profile_N ** group.q_total * 16
-    if est > memory_budget:
+    if est > PROFILE_BUDGET:
         raise ValueError(
             f"scale window needs about {est} bytes of profile storage; "
-            f"budget is {memory_budget}"
+            f"budget is {PROFILE_BUDGET}"
         )
     spec = GridSpec(group, profile_N, 1.0)
     rng = np.random.default_rng(seed)
@@ -691,7 +693,7 @@ def _fd_derivative(evalfn, pts, steps, axis_list):
     return (4.0 * d1 - d2) / 3.0
 
 
-def check_growth(kernel: KernelRep, spec: GridSpec, kvec=None, alphas=None,
+def check_growth(kernel: KernelRep, spec: GridSpec, kvec=None,
                  n_samples: int = 400, seed: int = 0,
                  margin_cells: float = 2.0) -> GrowthReport:
     """Empirical sup of |d^alpha K| * prod_mu w_mu^(Q_mu + deg alpha_mu).
@@ -703,10 +705,9 @@ def check_growth(kernel: KernelRep, spec: GridSpec, kvec=None, alphas=None,
     """
     group = kernel.group
     mode = kernel.mode
-    if alphas is None:
-        if kvec is None:
-            kvec = (0,) * group.nu
-        alphas = list(multi_indices_up_to(group, kvec))
+    if kvec is None:
+        kvec = (0,) * group.nu
+    alphas = list(multi_indices_up_to(group, kvec))
 
     is_delta = isinstance(kernel, DeltaKernel)
     target = kernel.render(spec) if is_delta else kernel
@@ -898,19 +899,21 @@ def _scaled_kernel(k: KernelRep, c) -> KernelRep:
         return GridKernel(k.spec, k.values * c, k.principal_value, k.mode)
     if isinstance(k, TensorKernel):
         return TensorKernel([_scaled_kernel(k.parts[0], c)] + list(k.parts[1:]))
-
-    class _Scaled(KernelRep):
-        def __init__(self, inner, c):
-            self.inner, self.c = inner, c
-            self.group, self.mode = inner.group, inner.mode
-
-        def eval(self, pts):
-            return self.c * self.inner.eval(pts)
-
-        def adjoint(self):
-            return _Scaled(self.inner.adjoint(), np.conj(self.c))
-
     return _Scaled(k, c)
+
+
+class _Scaled(KernelRep):
+    """c times a kernel that has no amplitude of its own."""
+
+    def __init__(self, inner, c):
+        self.inner, self.c = inner, c
+        self.group, self.mode = inner.group, inner.mode
+
+    def eval(self, pts):
+        return self.c * self.inner.eval(pts)
+
+    def adjoint(self):
+        return _Scaled(self.inner.adjoint(), np.conj(self.c))
 
 
 def _quad_points(factor, rho, R, n_quad):

@@ -172,12 +172,12 @@ def multi_indices_up_to(group: ProductGroup, kvec, subset=None):
     s = set(subset)
 
     def factor_indices(qmu, kmax):
-        def rec(prefix, remaining, budget):
+        def rec(prefix, remaining, degree):
             if remaining == 0:
                 yield tuple(prefix)
                 return
-            for v in range(budget + 1):
-                yield from rec(prefix + [v], remaining - 1, budget - v)
+            for v in range(degree + 1):
+                yield from rec(prefix + [v], remaining - 1, degree - v)
 
         yield from rec([], qmu, kmax)
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convolution import (
-    PAIR_BUDGET,
     ConvOp,
     OpNormEstimate,
     apply_op,  # noqa: F401  (public name of this module; bench/test_bench.py reads it)
@@ -67,7 +66,7 @@ PROFILES = {"bump": smooth_bump, "bump2": _bump_squared}
 
 @dataclass(frozen=True)
 class SeminormConfig:
-    """Sampling lattice and estimator budget for seminorm reports.
+    """Sampling lattice and estimator settings for seminorm reports.
 
     j and l both range over the inclusive integer window; gamma centers sit
     at homogeneous distance 3 C 2^(j v l) times each radius factor, along
@@ -95,7 +94,6 @@ class SeminormConfig:
     max_iter: int = 48
     tol: float = 1e-11
     seed: int = 0
-    budget: int = PAIR_BUDGET
 
     def __post_init__(self):
         j_min, j_max = self.j_window
@@ -326,31 +324,29 @@ def _block_multipliers(spec: GridSpec, subset, phi_spec: dict, gamma_spec: dict,
 
 
 def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
-                   gamma_spec: dict, sep_constants=None, profile: str = "bump",
-                   budget: int = PAIR_BUDGET) -> BlockOperator:
+                   gamma_spec: dict, sep_constants=None, profile: str = "bump") -> BlockOperator:
     """Validated localized block operator; K is a kernel or a ConvOp on spec.
 
     phi_spec and gamma_spec map each mu in subset to (center, radius); the
-    supports must fit the grid box and be separated by 3 C_mu times the
-    larger radius in every localized factor.
+    supports must fit the grid box and be separated by 3 C_mu (by default
+    as in SeminormConfig()) times the larger radius in every localized factor.
     """
     if sep_constants is None:
-        sep_constants = tuple(1.1 * c for c in spec.group.triangle_constants())
+        sep_constants = _separations(spec, SeminormConfig())
     phi, gamma = _block_multipliers(spec, tuple(sorted(subset)), phi_spec, gamma_spec,
                                     sep_constants, profile)
-    return BlockOperator(prepare(K, spec, budget), spec, alpha, phi, gamma)
+    return BlockOperator(prepare(K, spec), spec, alpha, phi, gamma)
 
 
 def localized_block(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
                     gamma_spec: dict, sep_constants=None, profile: str = "bump",
-                    max_iter: int = 48, tol: float = 1e-11, seed: int = 0,
-                    budget: int = PAIR_BUDGET) -> float:
+                    max_iter: int = 48, tol: float = 1e-11, seed: int = 0) -> float:
     """Norm of the localized block operator, as a report row computes it:
     exact for at most DENSE_BLOCK_COLUMNS columns, else the power-iteration
     estimate from max_iter, tol and seed (see _block_norms).
     """
     op = block_operator(K, spec, alpha, subset, phi_spec, gamma_spec,
-                        sep_constants=sep_constants, profile=profile, budget=budget)
+                        sep_constants=sep_constants, profile=profile)
     return _block_norms(op.op, spec, [alpha], op.phi, op.gamma, max_iter, tol,
                         lambda _: seed)[0][1]
 
@@ -610,7 +606,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     kvec = _check_kvec(spec, kvec, cfg)
     group = spec.group
     seps = _separations(spec, cfg)
-    op = prepare(K, spec, cfg.budget)
+    op = prepare(K, spec)
 
     opn = op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
     entries = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
@@ -656,7 +652,7 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     kvec = _check_kvec(spec, kvec, cfg)
     group = spec.group
     seps = _separations(spec, cfg)
-    op = prepare(K, spec, cfg.budget)
+    op = prepare(K, spec)
 
     base = pk_seminorm(op, spec, kvec, cfg)
     blocks = list(base.blocks)

@@ -138,7 +138,7 @@ def _reports(estimator, K, L, spec: GridSpec, kvec, cfg):
     kvec = tuple(int(k) for k in kvec)
     rK = estimator(K, spec, kvec, cfg)
     rL = estimator(L, spec, kvec, cfg)
-    rKL = estimator(compose_kernels(K, L, spec, budget=cfg.budget), spec, kvec, cfg)
+    rKL = estimator(compose_kernels(K, L, spec), spec, kvec, cfg)
     return kvec, cfg, rK, rL, rKL
 
 

@@ -481,10 +481,10 @@ def test_sampling_window_checked_before_kernel_work(tmp_path, capsys,
 
 
 def test_direct_sum_over_pair_budget_is_config_error(tmp_path, capsys):
-    # a dense grid kernel on a step-4 (filiform) group at N=9 has 8^4 shifts
-    # along its loop axes (its lowest face is zero), each charged the 9^5
-    # sites: 2.4e8 point pairs, over the 2e8 of the budget (dyadic synthesis
-    # would exceed its own memory budget on five axes)
+    # a dense grid kernel on a step-4 (filiform) group at N=9 has 9^4 shifts
+    # along its loop axes (an odd grid keeps its lowest face), each charged
+    # the 9^5 sites: 3.9e8 point pairs, over the 2e8 of the budget (dyadic
+    # synthesis would exceed its own memory budget on five axes)
     alg = GradedLieAlgebra(4, [2, 1, 1, 1], [(0, 1, 2, 1.0), (0, 2, 3, 1.0), (0, 3, 4, 1.0)])
     group = tmp_path / "filiform4.json"
     group.write_text(json.dumps(alg.to_dict()))

@@ -139,14 +139,15 @@ def test_heisenberg_associativity_interior():
     assert left.plus(right.scaled(-1)).l2_norm() <= 1e-6 * denom
 
 
-def test_convolve_validation():
+def test_convolve_validation(monkeypatch):
     a = GridSpec(AB2, 16, 1.0)
     b = GridSpec(AB2, 16, 2.0)
     with pytest.raises(ValueError, match="do not match"):
         convolve(a.zeros(), b.zeros())
     f = _random_field(a, 0)
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", 10)
     with pytest.raises(ValueError, match="budget"):
-        convolve(f, f, path="direct", budget=10)
+        convolve(f, f, path="direct")
     hspec = GridSpec(HEIS, 6, 1.0)
     with pytest.raises(ValueError, match="abelian"):
         convolve(hspec.zeros(), hspec.zeros(), path="fast")
@@ -600,7 +601,7 @@ def _assert_rows_match_oracle(name):
     # a dense row loops over the kernel, the sparse ones over their own sites
     rows = np.stack([_random_field(spec, 71).values, _one_hot(spec, spec.size // 3),
                      _few_sites(spec), np.zeros(spec.shape)])
-    got = _Sheared(spec, sub, axes, kvals, 10 ** 12).apply(rows)
+    got = _Sheared(spec, sub, axes, kvals).apply(rows)
     want = _oracle_apply(spec, sub, axes, kvals, rows)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
@@ -618,7 +619,7 @@ def test_grid_shear_reads_the_lattice_law():
     e1, e2 = np.array([1, 0]), np.array([0, 1])
     for name, b in (("bracket-3", 3), ("bracket-2/3", 1)):
         spec = GridSpec(ProductGroup.from_dict(STEP2_JSON[name]), 6, 1.0)
-        block = _Sheared(spec, spec, (0, 1, 2), np.ones(spec.shape), 10 ** 12)
+        block = _Sheared(spec, spec, (0, 1, 2), np.ones(spec.shape))
         assert block._product(e1, e2).tolist() == [1, 1, b]
         assert block._product(e2, e1).tolist() == [1, 1, -b]
 
@@ -650,7 +651,7 @@ def test_higher_step_matches_dense_oracle(name):
 def test_sheared_rows_do_not_depend_on_their_batch(name, monkeypatch):
     spec, sub, axes = _direct_case(name)
     kvals = _random_kernel(sub, 72).values
-    block = _Sheared(spec, sub, axes, kvals, 10 ** 12)
+    block = _Sheared(spec, sub, axes, kvals)
     cluster = np.zeros(spec.size, dtype=complex)
     cluster[[7, 8, 9, 20]] = [1.0, -0.5j, 2.0, 0.25 + 1.0j]  # sites sharing loop points
     stack = np.stack([_random_field(spec, 73).values, _one_hot(spec, 11),
@@ -661,13 +662,20 @@ def test_sheared_rows_do_not_depend_on_their_batch(name, monkeypatch):
         assert np.array_equal(batched[i], block.apply(stack[i]))
     monkeypatch.setattr(convolution, "SHEAR_CHUNK", 1)  # one site or shift per chunk
     assert np.array_equal(block.apply(stack), batched)
-    assert np.array_equal(_Sheared(spec, sub, axes, kvals, 10 ** 12).apply(stack), batched)
+    assert np.array_equal(_Sheared(spec, sub, axes, kvals).apply(stack), batched)
+
+
+# odd grids: the lowest face pairs with the top face under negation
+ODD_GRIDS = {f"{name}-N{N}": GridSpec(group, N, 1.0)
+             for name, group in (("abelian2", AB2), ("heisenberg1", HEIS),
+                                 ("filiform3", ProductGroup([FILIFORM3])))
+             for N in (5, 7)}
 
 
 @pytest.mark.parametrize("name", ["heisenberg1xabelian1", *STEP2_JSON, "filiform3",
-                                  "filiform4", "filiform3xabelian1"])
+                                  "filiform4", "filiform3xabelian1", *ODD_GRIDS])
 def test_sheared_adjoint_pairing(name):
-    spec, _, _ = _direct_case(name)
+    spec = ODD_GRIDS[name] if name in ODD_GRIDS else _direct_case(name)[0]
     op = prepare(_random_kernel(spec, 75), spec)
     f, g = _random_field(spec, 76).values, _random_field(spec, 77).values
     Kf = op.apply(f)
@@ -675,16 +683,31 @@ def test_sheared_adjoint_pairing(name):
     assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Kf) * np.linalg.norm(g)
 
 
-def test_sheared_budget_counts_shifts_times_sites():
+def test_sheared_budget_counts_shifts_times_sites(monkeypatch):
     spec = GridSpec(HEIS, 6, 1.0)
     f, g = _random_field(spec, 78), _random_field(spec, 79)
     pairs = spec.N ** 2 * spec.size  # every horizontal shift, every site
-    convolve(f, g, path="direct", budget=pairs)
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs)
+    convolve(f, g, path="direct")
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs - 1)
     with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
-        convolve(f, g, path="direct", budget=pairs - 1)
+        convolve(f, g, path="direct")
 
 
-def test_sheared_sparse_row_over_budget_takes_the_kernel_side():
+def test_cached_block_obeys_a_lowered_pair_budget(monkeypatch):
+    # the whole-grid block is cached by the first call, so the budget must be
+    # read when a row is summed, not when the block is built
+    spec = GridSpec(HEIS, 6, 1.0)
+    f, g = _random_field(spec, 78), _random_field(spec, 79)
+    convolve(f, g, path="direct")
+    blocks = dict(spec.__dict__["_direct_blocks"])
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", spec.N ** 2 * spec.size - 1)
+    with pytest.raises(ValueError, match="point pairs; budget"):
+        convolve(f, g, path="direct")
+    assert spec.__dict__["_direct_blocks"] == blocks
+
+
+def test_sheared_sparse_row_over_budget_takes_the_kernel_side(monkeypatch):
     # 100 sites: fewer than 3 per kernel shift (36 shifts, one sheared axis),
     # so the row prefers its own sites, but only the shifts fit the budget
     spec = GridSpec(HEIS, 6, 1.0)
@@ -693,11 +716,13 @@ def test_sheared_sparse_row_over_budget_takes_the_kernel_side():
     vals[np.random.default_rng(82).choice(spec.size, 100, replace=False)] = 1.0 + 0.5j
     v = GridFunction(spec, vals.reshape(spec.shape))
     pairs = spec.N ** 2 * spec.size
-    got = convolve(k, v, path="direct", budget=pairs).values
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs)
+    got = convolve(k, v, path="direct").values
     want = _oracle_apply(spec, spec, (0, 1, 2), k.values, v.values[None])[0]
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs - 1)
     with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
-        convolve(k, v, path="direct", budget=pairs - 1)
+        convolve(k, v, path="direct")
 
 
 def test_compose_at_n26_matches_site_sums():

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_matrix, padded_symbol, toeplitz_convolution_matrix
-from nilconv.convolution import PAIR_BUDGET, apply_op, compose_kernels, op_norm, prepare
+from nilconv import convolution
+from nilconv.convolution import apply_op, compose_kernels, op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv import inversion
@@ -292,20 +293,11 @@ def test_choose_epsilon_tensor_zero_part_not_invertible():
 
 
 def test_invert_budget_reaches_tensor_factor_edges(monkeypatch):
-    # the caller's budget bounds the dense factor operators of choose_epsilon
-    seen = []
-
-    def spy(K, spec, budget=PAIR_BUDGET):
-        if isinstance(K, TensorKernel) and len(K.parts) == 1:
-            seen.append(budget)
-        return prepare(K, spec, budget)
-
-    monkeypatch.setattr(inversion, "prepare", spy)
+    # the pair budget bounds the dense factor operators of choose_epsilon
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", 10)
     K, spec = _heisenberg_abelian_tensor(4)
-    neumann_invert(K, spec, max_n=1, budget=10**6)
-    assert seen == [10**6, 10**6]
     with pytest.raises(ValueError, match="budget 10$"):
-        choose_epsilon(prepare(K, spec, budget=10), spec)
+        choose_epsilon(K, spec)
 
 
 def test_choose_epsilon_keeps_iterative_provenance_for_other_kernels(monkeypatch):
@@ -336,8 +328,6 @@ def test_probe_functions_deterministic_and_validated():
         assert np.array_equal(fa.values, fb.values)
     with pytest.raises(ValueError, match="one probe"):
         probe_functions(spec, count=0)
-    with pytest.raises(ValueError, match="band"):
-        probe_functions(spec, band=(0.5, 0.2))
 
 
 # --- Neumann inversion --------------------------------------------------------

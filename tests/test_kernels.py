@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
+from nilconv import kernels
 from nilconv.groups import abelian, heisenberg1
 from nilconv.kernels import (
     CLOSED_FORM_CATALOG,
@@ -116,9 +117,10 @@ def test_synth_dyadic_flag_window():
     assert cancellation_subsets((3, 1), 2, False) == (0, 1)
 
 
-def test_synth_dyadic_memory_budget():
+def test_synth_dyadic_memory_budget(monkeypatch):
+    monkeypatch.setattr(kernels, "PROFILE_BUDGET", 10_000)
     with pytest.raises(ValueError, match="bytes"):
-        synth_dyadic(AB2, -6, 6, "mexican", profile_N=64, memory_budget=10_000)
+        synth_dyadic(AB2, -6, 6, "mexican", profile_N=64)
 
 
 def test_dilated_eval_scale_zero_is_profile():
@@ -241,6 +243,21 @@ def test_reduce_tensor_with_delta_part():
     red = reduce_kernel(K, 0, "even", 1.0, spec)
     pts = np.linspace(-0.9, 0.9, 17)[:, None]
     assert np.allclose(red.eval(pts), L.eval(pts), atol=1e-14)
+
+
+def test_reduce_delta_part_scales_a_dyadic_rest():
+    # a dyadic kernel has no amplitude of its own, so the reduction wraps it
+    ab1 = ProductGroup([abelian(1)])
+    D = synth_dyadic(ab1, -1, 0, "random", seed=4, profile_N=16)
+    c = 2.0 - 1.0j
+    K = TensorKernel([DeltaKernel(ab1, c), D])
+    red = reduce_kernel(K, 0, "even", 1.0, GridSpec(K.group, 32, 1.0))
+    pts = np.linspace(-0.9, 0.9, 17)[:, None]
+    want = D.eval(pts)
+    assert np.abs(want).max() > 0
+    assert np.allclose(red.eval(pts), c * want, rtol=1e-14, atol=0)
+    assert np.allclose(red.adjoint().eval(pts), np.conj(c) * D.adjoint().eval(pts),
+                       rtol=1e-14, atol=0)
 
 
 def test_reduce_grid_kernel_support_overflow():
