@@ -115,13 +115,6 @@ class GridSpec:
         return ([a for a in central if a not in image], loop,
                 [a for a in central if a in image])
 
-    def sample(self, fn) -> "GridFunction":
-        """Sample fn(points) with points of shape (..., q_total)."""
-        vals = np.asarray(fn(self.mesh), dtype=complex)
-        if vals.shape != self.shape:
-            raise ValueError("sampled values have wrong shape")
-        return GridFunction(self, vals)
-
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.shape, dtype=complex))
 

@@ -24,7 +24,13 @@ from itertools import product as iproduct
 import numpy as np
 
 from .grid import GridFunction, GridSpec, zero_lowest_face
-from .product import MultiIndex, ProductGroup, hom_degree, multi_indices_up_to
+from .product import (
+    MultiIndex,
+    ProductGroup,
+    _exponents_up_to,
+    hom_degree,
+    multi_indices_up_to,
+)
 
 MAX_MOMENT_ORDER = 4
 MOMENT_TOL = 1e-12
@@ -60,7 +66,7 @@ class KernelRep:
 
     def render(self, spec: GridSpec) -> "GridKernel":
         vals = self.eval(spec.mesh)
-        return GridKernel(spec, zero_lowest_face(vals), mode=self.mode)
+        return GridKernel(spec, vals, mode=self.mode)
 
     def adjoint(self) -> "KernelRep":
         raise NotImplementedError
@@ -87,7 +93,7 @@ class GridKernel(KernelRep):
         if spec is self.spec or spec.compatible(self.spec):
             return self
         return GridKernel(
-            spec, zero_lowest_face(self.data.interp(spec.mesh)),
+            spec, self.data.interp(spec.mesh),
             principal_value=self.principal_value, mode=self.mode,
         )
 
@@ -142,7 +148,7 @@ class TensorKernel(KernelRep):
         vals = blocks[0]
         for b in blocks[1:]:
             vals = np.tensordot(vals, b, axes=0)
-        return GridKernel(spec, zero_lowest_face(vals), mode=self.mode)
+        return GridKernel(spec, vals, mode=self.mode)
 
     def adjoint(self):
         return TensorKernel([p.adjoint() for p in self.parts])
@@ -307,7 +313,7 @@ class ClosedFormKernel(KernelRep):
     def render(self, spec):
         vals = self.eval(spec.mesh)
         return GridKernel(
-            spec, zero_lowest_face(vals), principal_value=True, mode=self.mode
+            spec, vals, principal_value=True, mode=self.mode
         )
 
     def adjoint(self):
@@ -377,9 +383,6 @@ class DyadicKernel(KernelRep):
         self.profile_bounds = dict(profile_bounds or {})
         self.meta = dict(meta or {})
 
-    def cancellation_set(self, n) -> tuple:
-        return cancellation_subsets(n, self.group.nu, self.flag_mode)
-
     def scale_factor(self, n) -> float:
         return float(2.0 ** sum(nm * Qm for nm, Qm in zip(n, self.group.Q)))
 
@@ -404,8 +407,7 @@ class DyadicKernel(KernelRep):
         step = 1 << 19  # keep per-scale temporaries modest on 4-axis grids
         for i0 in range(0, flat.shape[0], step):
             out[i0:i0 + step] = self.eval(flat[i0:i0 + step])
-        return GridKernel(spec, zero_lowest_face(out.reshape(spec.shape)),
-                          mode=self.mode)
+        return GridKernel(spec, out.reshape(spec.shape), mode=self.mode)
 
     def adjoint(self):
         flipped = {}
@@ -441,18 +443,13 @@ def _factor_axis_ids(group, mu):
     return list(range(sl.start, sl.stop))
 
 
-def _moment_exponents(q_mu, order):
-    out = []
-
-    def rec(prefix, remaining, degree):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(degree + 1):
-            rec(prefix + [v], remaining - 1, degree - v)
-
-    rec([], q_mu, order)
-    return out
+def _monomial(t: np.ndarray, e) -> np.ndarray:
+    """t^e on points t of shape (..., q): the product of t[..., k] ** e[k]."""
+    m = np.ones(t.shape[:-1])
+    for k, p in enumerate(e):
+        if p:
+            m = m * t[..., k] ** p
+    return m
 
 
 def enforce_moments(f: GridFunction, mu: int, order: int) -> GridFunction:
@@ -477,15 +474,8 @@ def enforce_moments(f: GridFunction, mu: int, order: int) -> GridFunction:
     for k, j in enumerate(axes):
         w = w * smooth_bump(mesh[..., k] / (WINDOW_FRAC * spec.extents[j]))
 
-    exps = _moment_exponents(q_mu, order)
-    monos = []
-    for e in exps:
-        m = np.ones(mesh.shape[:-1])
-        for k, p in enumerate(e):
-            if p:
-                m = m * mesh[..., k] ** p
-        monos.append(m.reshape(-1))
-    monos = np.stack(monos)  # (n_mom, m)
+    monos = np.stack([_monomial(mesh, e).reshape(-1)
+                      for e in _exponents_up_to(q_mu, order)])  # (n_mom, m)
 
     basis = monos * w.reshape(-1)  # (n_basis, m), n_basis == n_mom
     # modified Gram-Schmidt in discrete L2
@@ -529,12 +519,8 @@ def factor_moments(f: GridFunction, mu: int, order: int) -> np.ndarray:
     vals = np.moveaxis(f.values, axes, range(f.values.ndim - q_mu, f.values.ndim))
     flat = vals.reshape(-1, spec.N ** q_mu)
     out = []
-    for e in _moment_exponents(q_mu, order):
-        m = np.ones(mesh.shape[:-1])
-        for k, p in enumerate(e):
-            if p:
-                m = m * mesh[..., k] ** p
-        out.append(np.abs(flat @ m.reshape(-1) * vol).max())
+    for e in _exponents_up_to(q_mu, order):
+        out.append(np.abs(flat @ _monomial(mesh, e).reshape(-1) * vol).max())
     return np.array(out)
 
 
@@ -557,13 +543,9 @@ def _profile_shape(family, group, spec, rng):
         elif family == "random":
             q = t.shape[-1]
             poly = np.zeros(mesh.shape[:-1])
-            for e in _moment_exponents(q, 3):
+            for e in _exponents_up_to(q, 3):
                 c = rng.standard_normal()
-                m = np.ones(mesh.shape[:-1])
-                for k, p in enumerate(e):
-                    if p:
-                        m = m * t[..., k] ** p
-                poly = poly + c * m
+                poly = poly + c * _monomial(t, e)
             out = out * poly * np.exp(-3.0 * r2)
         else:
             raise ValueError(f"unknown profile family {family!r}")

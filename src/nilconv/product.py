@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
@@ -162,6 +162,22 @@ def all_subsets(nu: int):
             yield combo
 
 
+def _exponents_up_to(q: int, order: int) -> list:
+    """Every exponent tuple of length q with total degree <= order, in
+    lexicographic order."""
+    out = []
+
+    def rec(prefix, remaining, degree):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for v in range(degree + 1):
+            rec(prefix + [v], remaining - 1, degree - v)
+
+    rec([], q, order)
+    return out
+
+
 def multi_indices_up_to(group: ProductGroup, kvec, subset=None):
     """All MultiIndex with |alpha_mu| <= k_mu, restricted to the subset.
 
@@ -170,33 +186,9 @@ def multi_indices_up_to(group: ProductGroup, kvec, subset=None):
     if subset is None:
         subset = tuple(range(group.nu))
     s = set(subset)
-
-    def factor_indices(qmu, kmax):
-        def rec(prefix, remaining, degree):
-            if remaining == 0:
-                yield tuple(prefix)
-                return
-            for v in range(degree + 1):
-                yield from rec(prefix + [v], remaining - 1, degree - v)
-
-        yield from rec([], qmu, kmax)
-
-    pools = []
-    for mu, (qmu, k) in enumerate(zip(group.q, kvec)):
-        if mu in s:
-            pools.append(list(factor_indices(qmu, int(k))))
-        else:
-            pools.append([(0,) * qmu])
-
-    def product_rec(mu):
-        if mu == group.nu:
-            yield ()
-            return
-        for head in pools[mu]:
-            for tail in product_rec(mu + 1):
-                yield (head,) + tail
-
-    for ent in product_rec(0):
+    pools = [_exponents_up_to(qmu, int(k)) if mu in s else [(0,) * qmu]
+             for mu, (qmu, k) in enumerate(zip(group.q, kvec))]
+    for ent in iproduct(*pools):
         yield MultiIndex(ent)
 
 

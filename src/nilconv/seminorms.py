@@ -17,7 +17,10 @@ its own power iteration on its normal operator.  Blocks combine into
 per-subset components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
-the grid box.  _lattice builds it once per subset: it evaluates each factor
+the grid box.  pk and fk reports are one pass over their terms: one per
+nonempty subset, then, for fk, one flag term per factor, localized in that
+factor alone.  _lattice builds each subset's lattice once per report, so
+the flag terms share the singletons' lattices: it evaluates each factor
 bump once, decides admissibility from its cells and keeps each distinct
 block once, since scales whose bumps catch the same cells at the same
 distances give the same block.  Reports carry the full block table, so
@@ -407,12 +410,8 @@ class SeminormReport:
             "config": self.config,
         }
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def export_csv(self, path) -> None:
         cols = ["label", "alpha", "j", "l", "z_norms", "block", "weight",
@@ -524,14 +523,20 @@ def check_sampling(spec: GridSpec, cfg: SeminormConfig | None = None) -> None:
             _lattice(spec, cfg, subset, seps)
 
 
-def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, weight_fn, label,
-                     blocks_out):
-    """Max of block x weight over the _lattice samples; returns (value, best).
+def _evaluate_blocks(op, spec, cfg, kvec, term, samples, blocks_out):
+    """Max of block x weight over the _lattice samples of one report term;
+    returns (value, best).
 
-    The samples are distinct blocks already.  Each gets every alpha's block
-    from _block_norms; rows keep alpha-major order.
+    term is (label, subset, tails).  The alphas range over the union of the
+    tails, and a block's weight is the product over mu in subset of
+    |z_mu|^(sum over nu in tails[mu] of Q_nu + deg_nu alpha).  The samples
+    are distinct blocks already.  Each gets every alpha's block from
+    _block_norms; rows keep alpha-major order.
     """
+    label, subset, tails = term
     group = spec.group
+    scope = sorted(set().union(*tails.values()))
+    alphas = list(multi_indices_up_to(group, zero_outside(kvec, scope), scope))
     found = [
         _block_norms(op, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
                      lambda alpha, j=j, l=l, parts=parts: _block_seed(
@@ -546,7 +551,9 @@ def _evaluate_blocks(op, spec, cfg, subset, alphas, samples, weight_fn, label,
         degs = hom_degree(group, alpha)
         for (j, l, parts, dists, _, _), per_alpha in zip(samples, found):
             method, block, iterations, residual = per_alpha[a]
-            weight = weight_fn(degs, dists)
+            weight = 1.0
+            for mu in subset:
+                weight *= dists[mu] ** sum(group.Q[v] + degs[v] for v in tails[mu])
             value = block * weight
             row = {
                 "label": label,
@@ -596,49 +603,57 @@ def _check_kvec(spec: GridSpec, kvec, cfg: SeminormConfig):
     return kvec
 
 
+def _report(K, spec: GridSpec, kvec, cfg: SeminormConfig | None,
+            flag: bool) -> SeminormReport:
+    """The pk report, or with flag the fk report, in one pass over its terms.
+
+    A term (label, subset, tails) localizes the factors of subset and
+    differentiates each localized mu along the factors tails[mu].  The
+    product terms are ("S=(...)", s, {mu: (mu,)}) for each nonempty subset
+    s; the flag terms ("flag mu=m", (m,), {m: (m, ..., nu-1)}) follow them.
+    Each subset's _lattice is built once, so the flag terms reuse the
+    product singletons' lattices.
+    """
+    cfg = cfg if cfg is not None else SeminormConfig()
+    kvec = _check_kvec(spec, kvec, cfg)
+    nu = spec.group.nu
+    seps = _separations(spec, cfg)
+    op = prepare(K, spec)
+    opn = op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
+    lattices, blocks = {}, []
+
+    def entry(label, subset, tails):
+        if subset not in lattices:
+            lattices[subset] = _lattice(spec, cfg, subset, seps)
+        value, best = _evaluate_blocks(op, spec, cfg, kvec, (label, subset, tails),
+                                       lattices[subset], blocks)
+        return SubsetEntry(label=label, subset=subset, value=value, best=best)
+
+    entries = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
+    entries += [entry("S=" + str(s), s, {mu: (mu,) for mu in s})
+                for s in all_subsets(nu) if s]
+    flag_entries = [entry(f"flag mu={m}", (m,), {m: tuple(range(m, nu))})
+                    for m in range(nu)] if flag else []
+    kind = "flag" if flag else "product"
+    return SeminormReport(
+        kind=kind,
+        kvec=kvec,
+        entries=entries,
+        flag_entries=flag_entries,
+        total=float(sum(e.value for e in entries) + sum(e.value for e in flag_entries)),
+        op_norm_estimate=opn,
+        blocks=blocks,
+        config=_resolved_config(spec, cfg, kvec, kind, seps),
+    )
+
+
 def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None) -> SeminormReport:
     """Product-kernel seminorm estimate: sum over subsets of weighted blocks.
 
     The empty subset contributes op_norm(K); each nonempty subset contributes
     the max over sampled (alpha, j, l, z) of block x prod |z|^(Q + deg alpha).
     """
-    cfg = cfg if cfg is not None else SeminormConfig()
-    kvec = _check_kvec(spec, kvec, cfg)
-    group = spec.group
-    seps = _separations(spec, cfg)
-    op = prepare(K, spec)
-
-    opn = op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
-    entries = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
-    blocks: list = []
-    for subset in all_subsets(group.nu):
-        if not subset:
-            continue
-        samples = _lattice(spec, cfg, subset, seps)
-        alphas = list(multi_indices_up_to(group, zero_outside(kvec, subset), subset))
-        label = "S=" + str(tuple(subset))
-
-        def weight_fn(degs, dists, subset=subset):
-            w = 1.0
-            for mu in subset:
-                w *= dists[mu] ** (group.Q[mu] + degs[mu])
-            return w
-
-        value, best = _evaluate_blocks(op, spec, cfg, subset, alphas, samples,
-                                       weight_fn, label, blocks)
-        entries.append(SubsetEntry(label=label, subset=tuple(subset), value=value,
-                                   best=best))
-    total = float(sum(e.value for e in entries))
-    return SeminormReport(
-        kind="product",
-        kvec=kvec,
-        entries=entries,
-        flag_entries=[],
-        total=total,
-        op_norm_estimate=opn,
-        blocks=blocks,
-        config=_resolved_config(spec, cfg, kvec, "product", seps),
-    )
+    return _report(K, spec, kvec, cfg, flag=False)
 
 
 def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None) -> SeminormReport:
@@ -648,38 +663,4 @@ def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     alone with derivatives ranging over factors mu..nu and the stacked
     weight |z_mu|^(sum over later factors of Q + deg alpha).
     """
-    cfg = cfg if cfg is not None else SeminormConfig()
-    kvec = _check_kvec(spec, kvec, cfg)
-    group = spec.group
-    seps = _separations(spec, cfg)
-    op = prepare(K, spec)
-
-    base = pk_seminorm(op, spec, kvec, cfg)
-    blocks = list(base.blocks)
-    flag_entries = []
-    for mu in range(group.nu):
-        tail = tuple(range(mu, group.nu))
-        subset = (mu,)
-        samples = _lattice(spec, cfg, subset, seps)
-        alphas = list(multi_indices_up_to(group, zero_outside(kvec, tail), tail))
-        label = f"flag mu={mu}"
-
-        def weight_fn(degs, dists, mu=mu, tail=tail):
-            expo = sum(group.Q[mb] + degs[mb] for mb in tail)
-            return dists[mu] ** expo
-
-        value, best = _evaluate_blocks(op, spec, cfg, subset, alphas, samples,
-                                       weight_fn, label, blocks)
-        flag_entries.append(SubsetEntry(label=label, subset=subset, value=value,
-                                        best=best))
-    total = float(base.total + sum(e.value for e in flag_entries))
-    return SeminormReport(
-        kind="flag",
-        kvec=kvec,
-        entries=base.entries,
-        flag_entries=flag_entries,
-        total=total,
-        op_norm_estimate=base.op_norm_estimate,
-        blocks=blocks,
-        config=_resolved_config(spec, cfg, kvec, "flag", seps),
-    )
+    return _report(K, spec, kvec, cfg, flag=True)

@@ -10,10 +10,11 @@ threshold, since the underlying inequality carries an unspecified
 constant.
 
 The per-kernel seminorm reports are computed once at the full order
-vector.  The subset entries of that single report coincide with the
-dedicated lower-order runs because derivative budgets outside the subset
-are zeroed before enumeration and block seeds depend only on the block
-key, so no separate reports are needed for the middle summands.
+vector, and every summand of every kind is read from them by _tame.  The
+subset entries of that single report coincide with the dedicated
+lower-order runs because derivative budgets outside the subset are zeroed
+before enumeration and block seeds depend only on the block key, so no
+separate reports are needed for the middle summands.
 """
 
 from __future__ import annotations
@@ -120,26 +121,8 @@ class TameReport:
             "config": self.config,
         }
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-
-def _reports(estimator, K, L, spec: GridSpec, kvec, cfg):
-    """(kvec, cfg, rK, rL, rKL): estimator's reports of K, L and K * L at the
-    order vector kvec, under cfg or the default config.
-    """
-    if spec.group.nu != 2:
-        raise ValueError("composition reports require exactly two factor groups")
-    cfg = cfg if cfg is not None else SeminormConfig()
-    kvec = tuple(int(k) for k in kvec)
-    rK = estimator(K, spec, kvec, cfg)
-    rL = estimator(L, spec, kvec, cfg)
-    rKL = estimator(compose_kernels(K, L, spec), spec, kvec, cfg)
-    return kvec, cfg, rK, rL, rKL
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _resolved(kind, kvec, spec, cfg, ids) -> dict:
@@ -153,60 +136,68 @@ def _resolved(kind, kvec, spec, cfg, ids) -> dict:
     }
 
 
+def _tame(kind, K, L, spec: GridSpec, kvec, cfg, ids) -> TameReport:
+    """The composition report of one kind: "product", "flag" or "single".
+
+    The reports of K, L and K * L at kvec (pk, or fk for "flag") give every
+    summand from three entries: a factor's op norm, its whole-report
+    seminorm, and its one-factor entry with orders (k1, 0) or (0, k2).
+    "single" has two summands and the first-factor entry of K * L as its
+    left side; the others have four and the whole report of K * L.
+    """
+    if spec.group.nu != 2:
+        raise ValueError("composition reports require exactly two factor groups")
+    cfg = cfg if cfg is not None else SeminormConfig()
+    kvec = tuple(int(k) for k in kvec)
+    estimator = fk_seminorm if kind == "flag" else pk_seminorm
+    rK = estimator(K, spec, kvec, cfg)
+    rL = estimator(L, spec, kvec, cfg)
+    rKL = estimator(compose_kernels(K, L, spec), spec, kvec, cfg)
+    idK, idL = ids
+    variant, sem = ("flag", "flag") if kind == "flag" else ("product", "sem")
+
+    def op(r, rid):
+        return _op_meta(rid, 2, r.value_for(()))
+
+    def whole(r, rid):
+        return _semi_meta(rid, variant, None, kvec, r.total)
+
+    def part(r, rid, mu):
+        orders = (kvec[0], 0) if mu == 0 else (0, kvec[1])
+        return _semi_meta(rid, "product", (mu,), orders, r.value_for((mu,)))
+
+    if kind == "single":
+        summands = [Summand("sem0(K) * op(L)", part(rK, idK, 0), op(rL, idL)),
+                    Summand("op(K) * sem0(L)", op(rK, idK), part(rL, idL, 0))]
+        lhs_meta = part(rKL, f"{idK}*{idL}", 0)
+    else:
+        summands = [Summand(f"op(K) * {sem}(L)", op(rK, idK), whole(rL, idL)),
+                    Summand("sem0(K) * sem1(L)", part(rK, idK, 0), part(rL, idL, 1)),
+                    Summand("sem1(K) * sem0(L)", part(rK, idK, 1), part(rL, idL, 0)),
+                    Summand(f"{sem}(K) * op(L)", whole(rK, idK), op(rL, idL))]
+        lhs_meta = whole(rKL, f"{idK}*{idL}")
+    return TameReport(
+        kind=kind,
+        kvec=kvec,
+        lhs=lhs_meta["value"],
+        lhs_meta=lhs_meta,
+        summands=summands,
+        config=_resolved(kind, kvec, spec, cfg, ids),
+        seminorm_reports={"K": rK, "L": rL, "KL": rKL},
+    )
+
+
 def tame_report_pk(K, L, spec: GridSpec, kvec, cfg: SeminormConfig | None = None,
                    ids=("K", "L")) -> TameReport:
     """Product-seminorm composition report with the four-term right side."""
-    (k1, k2), cfg, rK, rL, rKL = _reports(pk_seminorm, K, L, spec, kvec, cfg)
-    idK, idL = ids
-    summands = [
-        Summand("op(K) * sem(L)",
-                _op_meta(idK, 2, rK.value_for(())),
-                _semi_meta(idL, "product", None, (k1, k2), rL.total)),
-        Summand("sem0(K) * sem1(L)",
-                _semi_meta(idK, "product", (0,), (k1, 0), rK.value_for((0,))),
-                _semi_meta(idL, "product", (1,), (0, k2), rL.value_for((1,)))),
-        Summand("sem1(K) * sem0(L)",
-                _semi_meta(idK, "product", (1,), (0, k2), rK.value_for((1,))),
-                _semi_meta(idL, "product", (0,), (k1, 0), rL.value_for((0,)))),
-        Summand("sem(K) * op(L)",
-                _semi_meta(idK, "product", None, (k1, k2), rK.total),
-                _op_meta(idL, 2, rL.value_for(()))),
-    ]
-    return TameReport(
-        kind="product",
-        kvec=(k1, k2),
-        lhs=rKL.total,
-        lhs_meta=_semi_meta(f"{idK}*{idL}", "product", None, (k1, k2), rKL.total),
-        summands=summands,
-        config=_resolved("product", (k1, k2), spec, cfg, ids),
-        seminorm_reports={"K": rK, "L": rL, "KL": rKL},
-    )
+    return _tame("product", K, L, spec, kvec, cfg, ids)
 
 
 def tame_report_single(K, L, spec: GridSpec, k1: int,
                        cfg: SeminormConfig | None = None,
                        ids=("K", "L")) -> TameReport:
     """First-factor-only composition report with the two-term right side."""
-    (k1, _), cfg, rK, rL, rKL = _reports(pk_seminorm, K, L, spec, (k1, 0), cfg)
-    idK, idL = ids
-    summands = [
-        Summand("sem0(K) * op(L)",
-                _semi_meta(idK, "product", (0,), (k1, 0), rK.value_for((0,))),
-                _op_meta(idL, 2, rL.value_for(()))),
-        Summand("op(K) * sem0(L)",
-                _op_meta(idK, 2, rK.value_for(())),
-                _semi_meta(idL, "product", (0,), (k1, 0), rL.value_for((0,)))),
-    ]
-    return TameReport(
-        kind="single",
-        kvec=(k1, 0),
-        lhs=rKL.value_for((0,)),
-        lhs_meta=_semi_meta(f"{idK}*{idL}", "product", (0,), (k1, 0),
-                            rKL.value_for((0,))),
-        summands=summands,
-        config=_resolved("single", (k1, 0), spec, cfg, ids),
-        seminorm_reports={"K": rK, "L": rL, "KL": rKL},
-    )
+    return _tame("single", K, L, spec, (k1, 0), cfg, ids)
 
 
 def tame_report_fk(K, L, spec: GridSpec, kvec, cfg: SeminormConfig | None = None,
@@ -216,31 +207,7 @@ def tame_report_fk(K, L, spec: GridSpec, kvec, cfg: SeminormConfig | None = None
     The outer summands carry flag totals; the middle summands keep the
     product-kernel subset entries, which the flag report contains.
     """
-    (k1, k2), cfg, rK, rL, rKL = _reports(fk_seminorm, K, L, spec, kvec, cfg)
-    idK, idL = ids
-    summands = [
-        Summand("op(K) * flag(L)",
-                _op_meta(idK, 2, rK.value_for(())),
-                _semi_meta(idL, "flag", None, (k1, k2), rL.total)),
-        Summand("sem0(K) * sem1(L)",
-                _semi_meta(idK, "product", (0,), (k1, 0), rK.value_for((0,))),
-                _semi_meta(idL, "product", (1,), (0, k2), rL.value_for((1,)))),
-        Summand("sem1(K) * sem0(L)",
-                _semi_meta(idK, "product", (1,), (0, k2), rK.value_for((1,))),
-                _semi_meta(idL, "product", (0,), (k1, 0), rL.value_for((0,)))),
-        Summand("flag(K) * op(L)",
-                _semi_meta(idK, "flag", None, (k1, k2), rK.total),
-                _op_meta(idL, 2, rL.value_for(()))),
-    ]
-    return TameReport(
-        kind="flag",
-        kvec=(k1, k2),
-        lhs=rKL.total,
-        lhs_meta=_semi_meta(f"{idK}*{idL}", "flag", None, (k1, k2), rKL.total),
-        summands=summands,
-        config=_resolved("flag", (k1, k2), spec, cfg, ids),
-        seminorm_reports={"K": rK, "L": rL, "KL": rKL},
-    )
+    return _tame("flag", K, L, spec, kvec, cfg, ids)
 
 
 def swap_consistent(a: TameReport, b: TameReport) -> bool:

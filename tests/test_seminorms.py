@@ -214,13 +214,48 @@ def test_widening_sampling_lattice_monotone():
 
 
 def test_flag_total_dominates_product_total():
+    # an fk report is the pk report plus its flag terms, in one pass
     spec = GridSpec(AB2, 8, 2.0)
     K = _random_kernel(spec, 16)
     pk = pk_seminorm(K, spec, (1, 1))
     fk = fk_seminorm(K, spec, (1, 1))
-    assert abs(fk.pk_total - pk.total) <= 1e-12 * pk.total
+    assert fk.entries == pk.entries
+    assert fk.op_norm_estimate == pk.op_norm_estimate
+    assert fk.blocks[:len(pk.blocks)] == pk.blocks
+    assert fk.pk_total == pk.total
     assert fk.total >= pk.total - 1e-9
     assert all(e.value >= 0.0 for e in fk.flag_entries)
+
+
+def test_flag_blocks_weigh_the_whole_tail():
+    # flag mu=0 stacks the exponents of factors 0 and 1; S=(0,) uses factor 0's
+    spec = GridSpec(AB2, 8, 2.0)
+    rep = fk_seminorm(_random_kernel(spec, 17), spec, (1, 1))
+    Q = AB2.Q
+    rows = {"S=(0,)": [], "flag mu=0": []}
+    for row in rep.blocks:
+        if row["label"] in rows:
+            rows[row["label"]].append(row)
+    for label, tail in (("S=(0,)", (0,)), ("flag mu=0", (0, 1))):
+        assert rows[label]
+        for row in rows[label]:
+            degs = [sum(e) for e in row["alpha"]]
+            assert row["weight"] == row["dists"][0] ** sum(Q[v] + degs[v] for v in tail)
+    assert any(row["alpha"][1] != [0] for row in rows["flag mu=0"])
+
+
+def test_fk_report_builds_each_subset_lattice_once(monkeypatch):
+    calls = []
+    lattice = seminorms._lattice
+
+    def counted(spec, cfg, subset, seps):
+        calls.append(subset)
+        return lattice(spec, cfg, subset, seps)
+
+    monkeypatch.setattr(seminorms, "_lattice", counted)
+    spec = GridSpec(AB2, 8, 2.0)
+    fk_seminorm(DeltaKernel(AB2, 1.0), spec, (1, 1))
+    assert sorted(calls) == [(0,), (0, 1), (1,)]
 
 
 @pytest.mark.parametrize("method,columns", [("iterative", 0),
@@ -348,7 +383,7 @@ def test_report_serialization_and_determinism(tmp_path):
     assert rep1.to_json() == rep2.to_json()
 
     jpath = tmp_path / "report.json"
-    rep1.to_json(str(jpath))
+    jpath.write_text(rep1.to_json())
     data = json.loads(jpath.read_text())
     assert data["kind"] == "product"
     assert data["kvec"] == [1, 1]

@@ -82,6 +82,23 @@ def test_summand_structure_and_tameness():
     for s in (pk.summands[1], pk.summands[2]):
         assert s.left["orders"][0] * s.left["orders"][1] == 0
         assert s.right["orders"][0] * s.right["orders"][1] == 0
+    # each summand's factors: (name, left (variant, subset), right (variant, subset))
+    op = (None, None)
+    middle = [("sem0(K) * sem1(L)", ("product", [0]), ("product", [1])),
+              ("sem1(K) * sem0(L)", ("product", [1]), ("product", [0]))]
+    expected = {
+        "single": ([("sem0(K) * op(L)", ("product", [0]), op),
+                    ("op(K) * sem0(L)", op, ("product", [0]))], ("product", [0])),
+        "product": ([("op(K) * sem(L)", op, ("product", None))] + middle
+                    + [("sem(K) * op(L)", ("product", None), op)], ("product", None)),
+        "flag": ([("op(K) * flag(L)", op, ("flag", None))] + middle
+                 + [("flag(K) * op(L)", ("flag", None), op)], ("flag", None)),
+    }
+    for rep in (pk, single, flag):
+        summands, lhs = expected[rep.kind]
+        assert [(s.name, (s.left["variant"], s.left["subset"]),
+                 (s.right["variant"], s.right["subset"])) for s in rep.summands] == summands
+        assert (rep.lhs_meta["variant"], rep.lhs_meta["subset"]) == lhs
 
 
 def test_tameness_check_rejects_double_carrier():
@@ -127,7 +144,7 @@ def test_report_serialization(tmp_path):
     assert rep1.to_json() == rep2.to_json()
 
     jpath = tmp_path / "tame.json"
-    rep1.to_json(str(jpath))
+    jpath.write_text(rep1.to_json())
     data = json.loads(jpath.read_text())
     assert data["kind"] == "product"
     assert data["config"]["kernel_ids"] == ["ka", "kb"]
