@@ -442,12 +442,12 @@ def _field_steps(spec: GridSpec, alpha: MultiIndex) -> list:
     """Single-field steps of X^alpha in application order: (grid axes, coefficients)."""
     group = spec.group
     steps = []
-    for fac, sl, e in zip(group.factors, group.slices, alpha.entries):
-        fields = fac.left_invariant_fields
-        coords_mu = spec.mesh[..., sl]
+    for fac, sl, sub, e in zip(group.factors, group.slices, spec.factor_specs,
+                               alpha.entries):
         for j, reps in enumerate(e):
             if reps:
-                coeffs = fields[j].coeff_arrays(coords_mu)
+                coeffs = [spec.lift(sl, c)
+                          for c in fac.left_invariant_fields[j].coeff_arrays(sub.mesh)]
                 steps += [(range(sl.start, sl.stop), coeffs)] * reps
     return steps
 

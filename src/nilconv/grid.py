@@ -14,7 +14,7 @@ exact involution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -60,6 +60,12 @@ class GridSpec:
         facs = self.group.factors
         return [self] if len(facs) == 1 else [GridSpec(ProductGroup([f]), self.N, self.T)
                                               for f in facs]
+
+    def lift(self, sl: slice, values: np.ndarray) -> np.ndarray:
+        """values over the axes sl, one length-N axis each, shaped to broadcast
+        against self.shape."""
+        return values.reshape((1,) * sl.start + values.shape
+                              + (1,) * (self.q_total - sl.stop))
 
     def axis_coords(self, j: int) -> np.ndarray:
         return (np.arange(self.N) - self.origin) * self.spacings[j]

@@ -60,13 +60,19 @@ class KernelRep:
 
     group: ProductGroup
     mode: str = "product"
+    principal_value: bool = False
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def render(self, spec: GridSpec) -> "GridKernel":
-        vals = self.eval(spec.mesh)
-        return GridKernel(spec, vals, mode=self.mode)
+        flat = spec.mesh.reshape(-1, spec.q_total)
+        out = np.zeros(flat.shape[0], dtype=complex)
+        step = 1 << 19  # keep per-scale temporaries modest on 4-axis grids
+        for i0 in range(0, flat.shape[0], step):
+            out[i0:i0 + step] = self.eval(flat[i0:i0 + step])
+        return GridKernel(spec, out.reshape(spec.shape),
+                          principal_value=self.principal_value, mode=self.mode)
 
     def adjoint(self) -> "KernelRep":
         raise NotImplementedError
@@ -293,6 +299,8 @@ CLOSED_FORM_CATALOG = {
 class ClosedFormKernel(KernelRep):
     """Catalog closed form with an overall amplitude."""
 
+    principal_value = True
+
     def __init__(self, group: ProductGroup, name: str, amplitude=1.0, **params):
         if name not in CLOSED_FORM_CATALOG:
             raise ValueError(f"unknown closed form {name!r}")
@@ -309,12 +317,6 @@ class ClosedFormKernel(KernelRep):
 
     def eval(self, points):
         return self.amplitude * self._eval(points)
-
-    def render(self, spec):
-        vals = self.eval(spec.mesh)
-        return GridKernel(
-            spec, vals, principal_value=True, mode=self.mode
-        )
 
     def adjoint(self):
         par = self._entry.parity(self.group, self.params)
@@ -401,14 +403,6 @@ class DyadicKernel(KernelRep):
             out = out + self.dilated_eval(n, points)
         return out
 
-    def render(self, spec):
-        flat = spec.mesh.reshape(-1, spec.q_total)
-        out = np.zeros(flat.shape[0], dtype=complex)
-        step = 1 << 19  # keep per-scale temporaries modest on 4-axis grids
-        for i0 in range(0, flat.shape[0], step):
-            out[i0:i0 + step] = self.eval(flat[i0:i0 + step])
-        return GridKernel(spec, out.reshape(spec.shape), mode=self.mode)
-
     def adjoint(self):
         flipped = {}
         for n, phi in self.profiles.items():
@@ -438,11 +432,6 @@ def cancellation_subsets(n, nu, flag_mode) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _factor_axis_ids(group, mu):
-    sl = group.slices[mu]
-    return list(range(sl.start, sl.stop))
-
-
 def _monomial(t: np.ndarray, e) -> np.ndarray:
     """t^e on points t of shape (..., q): the product of t[..., k] ** e[k]."""
     m = np.ones(t.shape[:-1])
@@ -450,6 +439,37 @@ def _monomial(t: np.ndarray, e) -> np.ndarray:
         if p:
             m = m * t[..., k] ** p
     return m
+
+
+def _window(spec: GridSpec) -> np.ndarray:
+    """Smooth window on spec.shape: per-axis bumps of half-width WINDOW_FRAC
+    times the box's, multiplied in axis order."""
+    w = np.ones(spec.shape)
+    for j in range(spec.q_total):
+        s = spec.axis_coords(j) / (WINDOW_FRAC * spec.extents[j])
+        w = w * spec.lift(slice(j, j + 1), smooth_bump(s))
+    return w
+
+
+def _moment_frame(f: GridFunction, mu: int, order: int):
+    """(sub, monos, flat, restore) for the factor-mu moments of f.
+
+    sub is factor mu's grid and monos (n_mom, sub.size) holds t^beta on it
+    for |beta| <= order.  flat (n_other, sub.size) holds f's values with
+    factor mu's axes last; restore puts such an array back on f's grid.
+    """
+    spec = f.spec
+    sl = spec.group.slices[mu]
+    sub = spec.factor_specs[mu]
+    monos = np.stack([_monomial(sub.mesh, e).reshape(-1)
+                      for e in _exponents_up_to(sub.q_total, order)])
+    axes, last = range(sl.start, sl.stop), range(spec.q_total - sub.q_total, spec.q_total)
+    moved = np.moveaxis(f.values, axes, last)
+
+    def restore(flat):
+        return GridFunction(spec, np.moveaxis(flat.reshape(moved.shape), last, axes))
+
+    return sub, monos, moved.reshape(-1, sub.size), restore
 
 
 def enforce_moments(f: GridFunction, mu: int, order: int) -> GridFunction:
@@ -462,22 +482,10 @@ def enforce_moments(f: GridFunction, mu: int, order: int) -> GridFunction:
     """
     if order < 0 or order > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order must be in 0..{MAX_MOMENT_ORDER}")
-    spec = f.spec
-    group = spec.group
-    axes = _factor_axis_ids(group, mu)
-    q_mu = len(axes)
-    coords = [spec.axis_coords(j) for j in axes]
-    mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    vol = float(np.prod(spec.spacings[axes]))
+    sub, monos, flat, restore = _moment_frame(f, mu, order)
+    vol = sub.volume
 
-    w = np.ones(mesh.shape[:-1])
-    for k, j in enumerate(axes):
-        w = w * smooth_bump(mesh[..., k] / (WINDOW_FRAC * spec.extents[j]))
-
-    monos = np.stack([_monomial(mesh, e).reshape(-1)
-                      for e in _exponents_up_to(q_mu, order)])  # (n_mom, m)
-
-    basis = monos * w.reshape(-1)  # (n_basis, m), n_basis == n_mom
+    basis = monos * _window(sub).reshape(-1)  # (n_basis, m), n_basis == n_mom
     # modified Gram-Schmidt in discrete L2
     U = []
     for row in basis:
@@ -494,34 +502,15 @@ def enforce_moments(f: GridFunction, mu: int, order: int) -> GridFunction:
     if np.linalg.cond(G) > 1e10:
         raise ValueError("moment basis degenerate: grid too coarse for this order")
 
-    vals = np.moveaxis(f.values, axes, range(f.values.ndim - q_mu, f.values.ndim))
-    lead = vals.shape[: f.values.ndim - q_mu]
-    flat = vals.reshape(-1, monos.shape[1])  # (n_other, m)
     mom = flat @ monos.T * vol  # (n_other, n_mom)
     coef = np.linalg.solve(G, mom.T).T  # (n_other, n_basis)
-    corrected = flat - coef @ U
-    out = np.moveaxis(
-        corrected.reshape(*lead, *(spec.N,) * q_mu),
-        range(f.values.ndim - q_mu, f.values.ndim), axes,
-    )
-    return GridFunction(spec, out)
+    return restore(flat - coef @ U)
 
 
 def factor_moments(f: GridFunction, mu: int, order: int) -> np.ndarray:
     """Max |integral of t^beta f| over slices, per exponent beta."""
-    spec = f.spec
-    group = spec.group
-    axes = _factor_axis_ids(group, mu)
-    q_mu = len(axes)
-    coords = [spec.axis_coords(j) for j in axes]
-    mesh = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)
-    vol = float(np.prod(spec.spacings[axes]))
-    vals = np.moveaxis(f.values, axes, range(f.values.ndim - q_mu, f.values.ndim))
-    flat = vals.reshape(-1, spec.N ** q_mu)
-    out = []
-    for e in _exponents_up_to(q_mu, order):
-        out.append(np.abs(flat @ _monomial(mesh, e).reshape(-1) * vol).max())
-    return np.array(out)
+    sub, monos, flat, _ = _moment_frame(f, mu, order)
+    return np.abs(flat @ monos.T * sub.volume).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,29 +519,30 @@ def factor_moments(f: GridFunction, mu: int, order: int) -> np.ndarray:
 
 
 def _profile_shape(family, group, spec, rng):
-    """Raw smooth profile on the unit-box grid, before moment projection."""
-    mesh = spec.mesh
-    out = np.ones(mesh.shape[:-1])
-    for f, sl in zip(group.factors, group.slices):
-        t = mesh[..., sl]
+    """Raw smooth profile on the unit-box grid, before moment projection.
+
+    Each factor's shape is evaluated on its own grid and multiplied in,
+    one lifted part at a time in factor order, then the window.
+    """
+    out = np.ones(spec.shape)
+    for sl, sub in zip(group.slices, spec.factor_specs):
+        t = sub.mesh
         r2 = np.sum(t * t, axis=-1)
         if family == "gauss-deriv":
-            out = out * t[..., 0] * np.exp(-4.0 * r2)
+            parts = (t[..., 0], np.exp(-4.0 * r2))
         elif family == "mexican":
-            out = out * (1.0 - 6.0 * r2) * np.exp(-4.0 * r2)
+            parts = (1.0 - 6.0 * r2, np.exp(-4.0 * r2))
         elif family == "random":
-            q = t.shape[-1]
-            poly = np.zeros(mesh.shape[:-1])
-            for e in _exponents_up_to(q, 3):
+            poly = np.zeros(sub.shape)
+            for e in _exponents_up_to(sub.q_total, 3):
                 c = rng.standard_normal()
                 poly = poly + c * _monomial(t, e)
-            out = out * poly * np.exp(-3.0 * r2)
+            parts = (poly, np.exp(-3.0 * r2))
         else:
             raise ValueError(f"unknown profile family {family!r}")
-    window = np.ones(mesh.shape[:-1])
-    for j in range(spec.q_total):
-        window = window * smooth_bump(mesh[..., j] / (WINDOW_FRAC * spec.extents[j]))
-    return out * window
+        for part in parts:
+            out = out * spec.lift(sl, part)
+    return out * _window(spec)
 
 
 def _derivative_sup_norms(g: GridFunction, order: int) -> float:
@@ -577,7 +567,7 @@ def _derivative_sup_norms(g: GridFunction, order: int) -> float:
 
 
 def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
-                 seed: int = 0, moment_order: int = 1, profile_N: int = 32,
+                 seed: int = 0, moment_order: int = 1, profile_N: int | None = None,
                  flag_mode: bool = False) -> DyadicKernel:
     """Build a dyadic kernel with moment-cancelling profiles.
 
@@ -585,13 +575,21 @@ def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
     nonincreasing cone in flag mode.  Each profile is a smooth compactly
     supported shape from the named family with factor-mu moments up to
     `moment_order` projected out for mu in the scale's cancellation set.
+    Profiles take 16 bytes per site and scale; without profile_N their grid
+    has the largest N <= 32 whose profiles fit PROFILE_BUDGET.
     """
     if n_max < n_min:
         raise ValueError("empty scale window")
     scales = list(iproduct(range(n_min, n_max + 1), repeat=group.nu))
     if flag_mode:
         scales = [n for n in scales if all(n[i] >= n[i + 1] for i in range(len(n) - 1))]
-    est = len(scales) * profile_N ** group.q_total * 16
+
+    def storage(N):
+        return len(scales) * N ** group.q_total * 16
+
+    if profile_N is None:
+        profile_N = max([N for N in range(4, 33) if storage(N) <= PROFILE_BUDGET], default=4)
+    est = storage(profile_N)
     if est > PROFILE_BUDGET:
         raise ValueError(
             f"scale window needs about {est} bytes of profile storage; "
@@ -827,10 +825,8 @@ def reduce_kernel(kernel: KernelRep, mu: int, bump: str, R: float,
     if group.nu < 2:
         raise ValueError("need at least two factors to reduce one away")
     factor = group.factors[mu]
-    rho = 0.8 * float(
-        min(spec.extents[j] ** (1.0 / d)
-            for j, d in zip(_factor_axis_ids(group, mu), factor.weights))
-    )
+    sl = group.slices[mu]
+    rho = 0.8 * float(min(e ** (1.0 / d) for e, d in zip(spec.extents[sl], factor.weights)))
     bump_fn = _reduction_bump(factor, bump, rho)
 
     if isinstance(kernel, TensorKernel):
@@ -848,7 +844,7 @@ def reduce_kernel(kernel: KernelRep, mu: int, bump: str, R: float,
 
     red_group = _reduced_group(group, mu)
     red_spec = GridSpec(red_group, spec.N, spec.T)
-    axes = _factor_axis_ids(group, mu)
+    axes = list(range(sl.start, sl.stop))
     if isinstance(kernel, GridKernel):
         for j, d in zip(axes, factor.weights):
             if (rho / R) ** float(d) > kernel.spec.extents[j] * (1 + 1e-9):

@@ -126,17 +126,6 @@ class MultiIndex:
     def zero(cls, group: ProductGroup) -> "MultiIndex":
         return cls(tuple((0,) * qmu for qmu in group.q))
 
-    def order_by_factor(self) -> tuple:
-        """Isotropic length |alpha_mu| per factor."""
-        return tuple(sum(e) for e in self.entries)
-
-    def project(self, subset) -> "MultiIndex":
-        """Zero every factor outside the subset (drops those derivatives)."""
-        s = set(subset)
-        return MultiIndex(
-            tuple(e if mu in s else (0,) * len(e) for mu, e in enumerate(self.entries))
-        )
-
     def is_zero(self) -> bool:
         return all(all(v == 0 for v in e) for e in self.entries)
 

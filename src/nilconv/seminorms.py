@@ -136,17 +136,14 @@ def _block_seed(base: int, *key) -> int:
 def _factor_bump(spec: GridSpec, mu: int, center, radius: float, profile: str):
     """Bump of the factor-mu homogeneous distance to center, factor-local."""
     fac = spec.group.factors[mu]
-    sl = spec.group.slices[mu]
-    axes = [spec.axis_coords(j) for j in range(sl.start, sl.stop)]
-    t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    t = spec.factor_specs[mu].mesh
     rel = fac.bch_multiply(fac.invert(np.asarray(center, dtype=float)), t)
     return PROFILES[profile](fac.hom_norm(rel) / radius)
 
 
 def _unit_mass(spec: GridSpec, mu: int, b: np.ndarray) -> np.ndarray:
     """Factor-mu bump values b scaled to unit L2 mass on the grid."""
-    facvol = float(np.prod(spec.spacings[spec.group.slices[mu]]))
-    nrm = float(np.sqrt(np.sum(b * b) * facvol))
+    nrm = float(np.sqrt(np.sum(b * b) * spec.factor_specs[mu].volume))
     if nrm == 0.0:
         raise ValueError(f"bump catches no grid point in factor {mu}")
     return b / nrm
@@ -156,10 +153,7 @@ def _outer(spec: GridSpec, factors: dict) -> np.ndarray:
     """Multiplier on spec.shape: the product of factor-local arrays, by mu."""
     vals = np.ones(spec.shape)
     for mu in sorted(factors):
-        sl = spec.group.slices[mu]
-        shape = [1] * spec.q_total
-        shape[sl] = [spec.N] * (sl.stop - sl.start)
-        vals = vals * factors[mu].reshape(shape)
+        vals = vals * spec.lift(spec.group.slices[mu], factors[mu])
     return vals
 
 

@@ -3,6 +3,7 @@
 These deliberately avoid the implementation's code paths: the BCH oracle
 enumerates the Dynkin series word by word, the convolution oracle is a
 plain nested loop, and the operator oracle materializes dense matrices.
+The profile oracle evaluates every factor's shape on the full product mesh.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import math
 from itertools import product as iproduct
 
 import numpy as np
+
+from nilconv.kernels import WINDOW_FRAC, _monomial, smooth_bump
+from nilconv.product import _exponents_up_to
 
 
 def dynkin_bch(alg, x, y, depth):
@@ -192,3 +196,30 @@ def site_convolution(group, kernel_vals, fn_vals, coords, volume, site):
         if j is not None:
             terms[iy] = kernel_vals[j] * fn_vals[iy] * volume
     return complex(terms.sum()), float(np.abs(terms).sum())
+
+
+def profile_shape_full_mesh(family, group, spec, rng):
+    """kernels._profile_shape as it was written on the full product mesh: every
+    factor's shape and the window evaluated at every grid point."""
+    mesh = spec.mesh
+    out = np.ones(mesh.shape[:-1])
+    for f, sl in zip(group.factors, group.slices):
+        t = mesh[..., sl]
+        r2 = np.sum(t * t, axis=-1)
+        if family == "gauss-deriv":
+            out = out * t[..., 0] * np.exp(-4.0 * r2)
+        elif family == "mexican":
+            out = out * (1.0 - 6.0 * r2) * np.exp(-4.0 * r2)
+        elif family == "random":
+            q = t.shape[-1]
+            poly = np.zeros(mesh.shape[:-1])
+            for e in _exponents_up_to(q, 3):
+                c = rng.standard_normal()
+                poly = poly + c * _monomial(t, e)
+            out = out * poly * np.exp(-3.0 * r2)
+        else:
+            raise ValueError(f"unknown profile family {family!r}")
+    window = np.ones(mesh.shape[:-1])
+    for j in range(spec.q_total):
+        window = window * smooth_bump(mesh[..., j] / (WINDOW_FRAC * spec.extents[j]))
+    return out * window

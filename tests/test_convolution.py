@@ -531,6 +531,23 @@ def test_left_derivative_stack_equals_single_calls(group, alpha):
             assert np.array_equal(out[i], fn(GridFunction(spec, stack[i]), alpha).values)
 
 
+@pytest.mark.parametrize("group, mu", [(HX, 0), (ProductGroup([abelian(1), heisenberg1()]), 1)],
+                         ids=["heisenberg1xabelian1", "abelian1xheisenberg1"])
+def test_left_fields_of_a_heisenberg_factor(group, mu):
+    """X_1 = d_1 - (x_2 / 2) d_3 and X_2 = d_2 + (x_1 / 2) d_3 on the
+    heisenberg factor, wherever it sits in the product."""
+    spec = GridSpec(group, 8, 1.0)
+    f = _random_field(spec, 70).values
+    a = group.slices[mu].start
+    x, d = spec.mesh, [np.gradient(f, spec.spacings[a + k], axis=a + k) for k in range(3)]
+    for k, want in ((0, d[0] - 0.5 * x[..., a + 1] * d[2]),
+                    (1, d[1] + 0.5 * x[..., a] * d[2])):
+        entries = [(0,) * q for q in group.q]
+        entries[mu] = tuple(int(j == k) for j in range(3))
+        got = left_derivative(GridFunction(spec, f), MultiIndex.make(group, entries)).values
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # --- the direct sum of non-abelian groups: shifts sheared along the centre ---
 
 # step-2 groups as a group JSON file holds them: structure constants and

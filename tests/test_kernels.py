@@ -29,8 +29,11 @@ from nilconv.kernels import (
     synth_dyadic,
 )
 from nilconv.product import MultiIndex, ProductGroup
+from oracles import profile_shape_full_mesh
 
 AB2 = ProductGroup([abelian(1), abelian(1)])
+H1 = ProductGroup([heisenberg1()])
+H1A1 = ProductGroup([heisenberg1(), abelian(1)])
 
 
 def _smooth_field(spec, seed=0):
@@ -70,11 +73,11 @@ def test_enforce_moments_kills_moments():
 
 
 def test_enforce_moments_idempotent():
-    spec = GridSpec(AB2, 24, 1.0)
-    f = _smooth_field(spec, seed=5)
-    once = enforce_moments(f, 1, 2)
-    twice = enforce_moments(once, 1, 2)
-    assert np.abs(twice.values - once.values).max() <= 1e-13 * max(once.max_abs(), 1.0)
+    for spec, mu in ((GridSpec(AB2, 24, 1.0), 1), (GridSpec(H1A1, 10, 1.0), 0)):
+        f = _smooth_field(spec, seed=5)
+        once = enforce_moments(f, mu, 2)
+        twice = enforce_moments(once, mu, 2)
+        assert np.abs(twice.values - once.values).max() <= 1e-13 * max(once.max_abs(), 1.0)
 
 
 def test_enforce_moments_constant_order_zero():
@@ -99,12 +102,39 @@ def test_enforce_moments_degenerate_basis():
 
 
 def test_synth_dyadic_profile_moments():
-    k = synth_dyadic(AB2, -1, 1, "random", seed=2, moment_order=2, profile_N=24)
-    assert len(k.window) == 9
-    for n in k.window:
-        for mu in (0, 1):
-            assert factor_moments(k.profiles[n], mu, 2).max() <= 1e-12
-        assert np.isfinite(k.profile_bounds[n])
+    for group, profile_N in ((AB2, 24), (H1A1, 12)):
+        k = synth_dyadic(group, -1, 1, "random", seed=2, moment_order=2,
+                         profile_N=profile_N)
+        assert len(k.window) == 9
+        for n in k.window:
+            for mu in (0, 1):
+                assert factor_moments(k.profiles[n], mu, 2).max() <= 1e-12
+            assert np.isfinite(k.profile_bounds[n])
+
+
+@pytest.mark.parametrize("family", ["gauss-deriv", "mexican", "random"])
+@pytest.mark.parametrize("group", [AB2, H1, H1A1],
+                         ids=["abelian2", "heisenberg1", "heisenberg1xabelian1"])
+def test_profile_shape_matches_full_mesh(group, family):
+    """Per-factor evaluation joined by broadcasting keeps every bit."""
+    spec = GridSpec(group, 16, 1.0)
+    got = kernels._profile_shape(family, group, spec, np.random.default_rng(7))
+    want = profile_shape_full_mesh(family, group, spec, np.random.default_rng(7))
+    assert got.shape == spec.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_synth_dyadic_profile_grid_fits_budget(monkeypatch):
+    """Without profile_N the profile grid is the largest N <= 32 within budget."""
+    group = ProductGroup.from_dict({"factors": ["heisenberg1", "abelian2"]})
+    monkeypatch.setattr(kernels, "PROFILE_BUDGET", 16 * 9 ** 5)
+    k = synth_dyadic(group, 0, 0, "random", seed=1)
+    assert k.meta["profile_N"] == 9
+    assert k.profiles[(0, 0, 0)].spec.N == 9
+    for mu in range(3):
+        assert factor_moments(k.profiles[(0, 0, 0)], mu, 1).max() <= 1e-12
+    with pytest.raises(ValueError, match="bytes"):
+        synth_dyadic(group, 0, 0, "random", profile_N=10)
 
 
 def test_synth_dyadic_flag_window():
