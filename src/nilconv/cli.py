@@ -3,10 +3,12 @@
 Configuration is resolved in four layers, deepest wins: built-in defaults,
 then the --config JSON file, then the subcommand's own flags, then repeated
 --set key=value overrides (dotted keys, values parsed as JSON with a plain
-string fallback).  A flag is declared once: its argparse dest is the dotted
-key it sets (the usage line shows it), and every parsed dest that names a
-key of the defaults is an override.  The fully resolved configuration is
-embedded in every report so a run can be reproduced from its output alone.
+string fallback).  Every key is declared once, in KEYS, with its default,
+its kind and its flag; a flag's argparse dest is the dotted key it sets (the
+usage line shows it).  A key no layer may set, at any depth, and a value not
+of its key's kind are configuration errors at their JSON pointer.  The fully
+resolved configuration is embedded in every report so a run can be
+reproduced from its output alone.
 
 Each run writes <out>/report.json with sorted keys and no timestamps, so
 identical configuration and seed give byte-identical files; wall clock data
@@ -29,7 +31,9 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from .inversion import (
 )
 from .kernels import (
     CLOSED_FORM_CATALOG,
+    REDUCTION_BUMPS,
     ClosedFormKernel,
     DeltaKernel,
     DiscreteHilbertKernel,
@@ -98,71 +103,175 @@ class ConfigError(Exception):
 # -- configuration ---------------------------------------------------------
 
 
-def _defaults():
-    return {
-        "group": "abelian1",
-        "grid": {"N": 16, "T": 1.0},
-        "seed": 0,
-        "kernel": {
-            "name": "delta",
-            "amplitude": 1.0,
-            "family": "random",
-            "n_min": -2,
-            "n_max": 0,
-            "moment_order": 1,
-            "flag": False,
-            "seed": None,
-            "strength": 0.2,
-        },
-        "check": {"samples": 200, "tol": 1e-9, "triangle_samples": 500},
-        "growth": {"k": None, "n_samples": 400, "margin_cells": 2.0},
-        "cancel": {
-            "mu": 0,
-            "bumps": ["even"],
-            "R_values": None,
-            "k": None,
-            "n_samples": 300,
-            "n_quad": 240,
-        },
-        "convolve": {"other": {"name": "delta"}, "check": False, "save": False},
-        "opnorm": {"max_iter": 60, "tol": 1e-10},
-        "seminorm": {
-            "kind": "pk",
-            "k": None,
-            "radius_factors": None,
-            "j_window": None,
-            "directions": None,
-        },
-        "tame": {
-            "pairs": 8,
-            "k": None,
-            "kind": "pk",
-            "radius_factors": [1.0],
-        },
-        "invert": {
-            "max_n": 64,
-            "tol": 1e-8,
-            "eps": None,
-            "paper_eps": False,
-            "amplification_cap": None,
-            "cond_cap": 4.0,
-            "pad_factor": 1,
-            "probes": 3,
-            "probe_seed": 101,
-            "residual_tol": 0.05,
-            "track_k": None,
-            "growth_k": None,
-            "save": False,
-        },
-        "decay": {
-            "kind": "pk",
-            "k": None,
-            "n_list": [1, 2, 4, 8],
-            "eps": None,
-            "paper_eps": False,
-            "radius_factors": [1.0],
-        },
-    }
+def _is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+class Kind(NamedTuple):
+    """What a key accepts: a test of its value, the rest of the sentence
+    that rejects a value (after the key's name), and the argparse keywords
+    of a flag that sets such a value."""
+
+    test: Callable
+    message: str
+    kwargs: dict
+
+
+class Key(NamedTuple):
+    """One configuration key: its default, its kind, and the flag that sets
+    it ("--preset GROUP" gives a metavar) with that flag's help."""
+
+    default: object
+    kind: Kind
+    flag: str | None = None
+    help: str | None = None
+
+
+def _int(lo):
+    return Kind(lambda v: _is_int(v) and v >= lo, f"must be an integer >= {lo}", {"type": int})
+
+
+def _num(test, what):
+    return Kind(lambda v: _is_num(v) and test(v), f"must be {what}", {"type": float})
+
+
+def _optional(kind):
+    return Kind(lambda v: v is None or kind.test(v), f"{kind.message} or null", kind.kwargs)
+
+
+def _list(test, what, **kwargs):
+    return Kind(lambda v: isinstance(v, list) and bool(v) and all(test(x) for x in v),
+                f"must be a nonempty list of {what}", {"nargs": "+", **kwargs})
+
+
+def _choice(options):
+    return Kind(lambda v: v in options, f"must be one of {', '.join(options)}",
+                {"choices": options})
+
+
+INT = Kind(_is_int, "must be an integer", {"type": int})
+NAME = Kind(lambda v: isinstance(v, str) and bool(v), "must be a nonempty string", {})
+SWITCH = Kind(lambda v: isinstance(v, bool), "must be true or false",
+              {"action": argparse.BooleanOptionalAction})
+POSITIVE = _num(lambda v: v > 0, "a positive number")
+NONNEGATIVE = _num(lambda v: v >= 0, "a nonnegative number")
+AMPLITUDE = Kind(
+    lambda v: _is_num(v) or (isinstance(v, list) and len(v) == 2 and all(map(_is_num, v))),
+    "must be a number or a [real, imag] pair", {})
+ORDERS = _optional(_list(lambda v: _is_int(v) and v >= 0, "nonnegative integer orders",
+                         type=int, metavar="K"))
+ORDERS_HELP = "derivative orders, one per factor"
+PK_FK = _choice(("pk", "fk"))
+RADII = _optional(_list(lambda v: _is_num(v) and v >= 1, "numbers >= 1", type=float))
+J_WINDOW = _optional(Kind(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+                          "must be a [j_min, j_max] pair of integers", {}))
+DIRECTIONS = _optional(_choice(("first", "axes")))
+
+_KERNEL = {
+    "name": Key("delta", NAME, "--kernel NAME",
+                "kernel preset (" + ", ".join(KERNEL_NAMES) + ") or a saved .nckr file"),
+    "amplitude": Key(1.0, AMPLITUDE),
+    "family": Key("random", _choice(DYADIC_FAMILIES), "--family"),
+    "n_min": Key(-2, INT, "--n-min"),
+    "n_max": Key(0, INT, "--n-max"),
+    "moment_order": Key(1, _int(0), "--moment-order"),
+    "flag": Key(False, SWITCH, "--flag", "restrict scales to the flag window"),
+    "seed": Key(None, _optional(_int(0))),
+    "strength": Key(0.2, _num(lambda v: 0 < v < 1, "strictly between 0 and 1")),
+}
+
+# Every configuration key, once.  Defaults, validation, flags and the
+# known-key check are all read off this table; a command's parser shows the
+# flags of the COMMON keys, of its own section and, when it takes a kernel,
+# --kernel, in table order.
+KEYS = {
+    "group": Key("abelian1", NAME, "--preset GROUP",
+                 "group preset (abelian<q>, heisenberg1) or a group JSON file"),
+    "grid.N": Key(16, _int(4), "--N", "samples per axis"),
+    "grid.T": Key(1.0, POSITIVE, "--T", "box half-width"),
+    "seed": Key(0, _int(0), "--seed", "master seed"),
+    **{f"kernel.{name}": key for name, key in _KERNEL.items()},
+    "check.samples": Key(200, _int(1), "--samples", "sample triples per invariant"),
+    "check.tol": Key(1e-9, POSITIVE, "--tol", "absolute tolerance for sampled invariants"),
+    "check.triangle_samples": Key(500, _int(1)),
+    "growth.k": Key(None, ORDERS, "--k", ORDERS_HELP),
+    "growth.n_samples": Key(400, _int(1), "--n-samples"),
+    "growth.margin_cells": Key(2.0, NONNEGATIVE, "--margin-cells"),
+    "cancel.mu": Key(0, _int(0), "--mu", "factor index to reduce over"),
+    "cancel.bumps": Key(["even"], _list(lambda v: v in REDUCTION_BUMPS,
+                                        f"bump names ({', '.join(REDUCTION_BUMPS)})"),
+                        "--bumps"),
+    "cancel.R_values": Key(None, _optional(_list(lambda v: _is_num(v) and v > 0,
+                                                 "positive numbers", type=float)),
+                           "--R", "bump dilation scales"),
+    "cancel.k": Key(None, ORDERS),
+    "cancel.n_samples": Key(300, _int(1)),
+    "cancel.n_quad": Key(240, _int(1), "--n-quad"),
+    "convolve.other.name": Key("delta", NAME, "--other NAME",
+                               "second kernel preset or file (applied on the right)"),
+    **{f"convolve.other.{name}": Key(key.default, key.kind)
+       for name, key in _KERNEL.items() if name != "name"},
+    "convolve.check": Key(False, SWITCH, "--check"),
+    "convolve.save": Key(False, SWITCH, "--save", "write the composed kernel to result.nckr"),
+    "opnorm.max_iter": Key(60, _int(8), "--max-iter"),
+    "opnorm.tol": Key(1e-10, POSITIVE, "--tol"),
+    "seminorm.kind": Key("pk", PK_FK, "--kind"),
+    "seminorm.k": Key(None, ORDERS, "--k", ORDERS_HELP),
+    "seminorm.radius_factors": Key(None, RADII, "--radius-factors"),
+    "seminorm.j_window": Key(None, J_WINDOW),
+    "seminorm.directions": Key(None, DIRECTIONS),
+    "tame.pairs": Key(8, _int(1), "--pairs"),
+    "tame.k": Key(None, ORDERS, "--k", ORDERS_HELP),
+    "tame.kind": Key("pk", PK_FK, "--kind"),
+    "tame.radius_factors": Key([1.0], RADII),
+    "tame.j_window": Key(None, J_WINDOW),
+    "tame.directions": Key(None, DIRECTIONS),
+    "invert.max_n": Key(64, _int(1), "--max-n"),
+    "invert.tol": Key(1e-8, NONNEGATIVE, "--tol"),
+    "invert.eps": Key(None, _optional(POSITIVE), "--eps",
+                      "fixed damping factor (skips the spectral estimate)"),
+    "invert.paper_eps": Key(False, SWITCH, "--paper-eps",
+                            "use 1/sigma_max^2 instead of the midpoint rule"),
+    "invert.amplification_cap": Key(None, _optional(POSITIVE), "--cap",
+                                    "amplification cap for early stopping"),
+    "invert.cond_cap": Key(4.0, _num(lambda v: v > 1, "a number > 1"), "--cond-cap"),
+    "invert.pad_factor": Key(1, _int(1), "--pad-factor",
+                             "run the series on an enlarged box, crop the result"),
+    "invert.probes": Key(3, _int(1), "--probes"),
+    "invert.probe_seed": Key(101, _int(0), "--probe-seed"),
+    "invert.residual_tol": Key(0.05, POSITIVE, "--residual-tol"),
+    "invert.track_k": Key(None, ORDERS, "--track-k", "track remainder seminorms at these orders"),
+    "invert.growth_k": Key(None, ORDERS),
+    "invert.save": Key(False, SWITCH, "--save", "write the inverse kernel to inverse.nckr"),
+    "decay.kind": Key("pk", PK_FK, "--kind"),
+    "decay.k": Key(None, ORDERS, "--k", ORDERS_HELP),
+    "decay.n_list": Key([1, 2, 4, 8], _list(lambda v: _is_int(v) and v >= 1,
+                                            "positive integers", type=int),
+                        "--n-list", "powers to evaluate"),
+    "decay.eps": Key(None, _optional(POSITIVE), "--eps"),
+    "decay.paper_eps": Key(False, SWITCH, "--paper-eps"),
+    "decay.radius_factors": Key([1.0], RADII),
+    "decay.j_window": Key(None, J_WINDOW),
+    "decay.directions": Key(None, DIRECTIONS),
+}
+
+COMMON = ("group", "grid", "seed")
+
+
+def _tree(dotted, value):
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+def _get(cfg, dotted):
+    for part in dotted.split("."):
+        cfg = cfg[part]
+    return cfg
 
 
 def _merge(dst, src):
@@ -174,10 +283,12 @@ def _merge(dst, src):
     return dst
 
 
-def _tree(dotted, value):
-    for part in reversed(dotted.split(".")):
-        value = {part: value}
-    return value
+def _defaults():
+    cfg = {}
+    for dotted, key in KEYS.items():
+        default = list(key.default) if isinstance(key.default, list) else key.default
+        _merge(cfg, _tree(dotted, default))
+    return cfg
 
 
 def _parse_set(item):
@@ -205,183 +316,52 @@ def _load_config_file(path):
     return data
 
 
-def _check_known_keys(overlay, known):
-    for key in overlay:
-        if key not in known:
-            raise ConfigError(f"/{key}", f"unknown configuration section {key!r}")
-
-
-def _is_config_key(dotted, tree):
-    for part in dotted.split("."):
-        if not isinstance(tree, dict) or part not in tree:
-            return False
-        tree = tree[part]
-    return True
+def _check_known_keys(overlay, known, path=""):
+    for name, value in overlay.items():
+        where = f"{path}/{name}"
+        if name not in known:
+            raise ConfigError(where, f"unknown configuration key {name!r}")
+        if isinstance(known[name], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(where, f"{name} must be an object of configuration keys")
+            _check_known_keys(value, known[name], where)
 
 
 def resolve_config(args):
     """defaults <- config file <- subcommand flags <- --set overrides."""
     base = _defaults()
+    layers = [_load_config_file(args.config)] if args.config else []
+    layers += [_tree(dest, value) for dest, value in vars(args).items()
+               if value is not None and dest in KEYS]
+    layers += [_parse_set(item) for item in args.set or []]
     user = {}
-    if getattr(args, "config", None):
-        _merge(user, _load_config_file(args.config))
-    for dest, value in vars(args).items():
-        if value is not None and _is_config_key(dest, base):
-            _merge(user, _tree(dest, value))
-    for item in getattr(args, "set", None) or []:
-        _merge(user, _parse_set(item))
-    _check_known_keys(user, base)
+    for layer in layers:
+        _check_known_keys(layer, base)
+        _merge(user, layer)
     return _merge(base, user), user
 
 
 # -- validation --------------------------------------------------------------
 
 
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _need(errors, cond, path, message):
-    if not cond:
-        errors.append({"path": path, "message": message})
-
-
-def _validate_kernel_section(errors, kcfg, path):
-    name = kcfg.get("name")
-    _need(errors, isinstance(name, str) and name, f"{path}/name",
-          "kernel name must be a nonempty string")
-    amp = kcfg.get("amplitude", 1.0)
-    amp_ok = _is_num(amp) or (
-        isinstance(amp, list) and len(amp) == 2 and all(_is_num(v) for v in amp))
-    _need(errors, amp_ok, f"{path}/amplitude",
-          "amplitude must be a number or a [real, imag] pair")
-    fam = kcfg.get("family", "random")
-    _need(errors, fam in DYADIC_FAMILIES, f"{path}/family",
-          f"family must be one of {', '.join(DYADIC_FAMILIES)}")
-    n_min, n_max = kcfg.get("n_min", -2), kcfg.get("n_max", 0)
-    _need(errors, _is_int(n_min) and _is_int(n_max) and n_min <= n_max,
-          f"{path}/n_min", "need integer scales with n_min <= n_max")
-    _need(errors, _is_int(kcfg.get("moment_order", 1)) and kcfg.get("moment_order", 1) >= 0,
-          f"{path}/moment_order", "moment_order must be a nonnegative integer")
-    ks = kcfg.get("seed")
-    _need(errors, ks is None or (_is_int(ks) and ks >= 0), f"{path}/seed",
-          "kernel seed must be a nonnegative integer or null")
-    st = kcfg.get("strength", 0.2)
-    _need(errors, _is_num(st) and 0.0 < st < 1.0, f"{path}/strength",
-          "strength must lie strictly between 0 and 1")
-
-
-def _validate_kvec(errors, value, path, allow_none=True):
-    if value is None:
-        _need(errors, allow_none, path, "order vector is required here")
-        return
-    ok = (isinstance(value, list) and value
-          and all(_is_int(v) and v >= 0 for v in value))
-    _need(errors, ok, path, "expected a list of nonnegative integer orders")
-
-
-def validate_config(cfg, command):
+def validate_config(cfg, section):
+    """Errors in the common sections, /kernel and the command's section."""
     errors = []
-    _need(errors, isinstance(cfg.get("group"), str) and cfg["group"], "/group",
-          "group must be a preset name or a JSON file path")
-    grid = cfg.get("grid")
-    if isinstance(grid, dict):
-        _need(errors, _is_int(grid.get("N")) and grid["N"] >= 4, "/grid/N",
-              "N must be an integer >= 4")
-        _need(errors, _is_num(grid.get("T")) and grid["T"] > 0, "/grid/T",
-              "T must be a positive number")
-    else:
-        _need(errors, False, "/grid", "grid must be an object with N and T")
-    _need(errors, _is_int(cfg.get("seed")) and cfg["seed"] >= 0, "/seed",
-          "seed must be a nonnegative integer")
-    _validate_kernel_section(errors, cfg.get("kernel", {}), "/kernel")
-
-    if command == "group check":
-        c = cfg["check"]
-        _need(errors, _is_int(c.get("samples")) and c["samples"] >= 1,
-              "/check/samples", "samples must be a positive integer")
-        _need(errors, _is_num(c.get("tol")) and c["tol"] > 0, "/check/tol",
-              "tol must be positive")
-    elif command == "kernel check-growth":
-        g = cfg["growth"]
-        _validate_kvec(errors, g.get("k"), "/growth/k")
-        _need(errors, _is_int(g.get("n_samples")) and g["n_samples"] >= 1,
-              "/growth/n_samples", "n_samples must be a positive integer")
-        _need(errors, _is_num(g.get("margin_cells")) and g["margin_cells"] >= 0,
-              "/growth/margin_cells", "margin_cells must be nonnegative")
-    elif command == "kernel check-cancel":
-        c = cfg["cancel"]
-        _need(errors, _is_int(c.get("mu")) and c["mu"] >= 0, "/cancel/mu",
-              "mu must be a nonnegative factor index")
-        _need(errors, isinstance(c.get("bumps"), list) and c["bumps"],
-              "/cancel/bumps", "bumps must be a nonempty list")
-        rv = c.get("R_values")
-        _need(errors, rv is None or (isinstance(rv, list) and rv
-                                     and all(_is_num(v) and v > 0 for v in rv)),
-              "/cancel/R_values", "R_values must be positive numbers or null")
-        _validate_kvec(errors, c.get("k"), "/cancel/k")
-    elif command == "convolve":
-        _validate_kernel_section(errors, cfg["convolve"].get("other", {}),
-                                 "/convolve/other")
-    elif command == "opnorm":
-        o = cfg["opnorm"]
-        _need(errors, _is_int(o.get("max_iter")) and o["max_iter"] >= 8,
-              "/opnorm/max_iter", "max_iter must be an integer >= 8")
-        _need(errors, _is_num(o.get("tol")) and o["tol"] > 0, "/opnorm/tol",
-              "tol must be positive")
-    elif command == "seminorm":
-        s = cfg["seminorm"]
-        _need(errors, s.get("kind") in ("pk", "fk"), "/seminorm/kind",
-              "kind must be 'pk' or 'fk'")
-        _validate_kvec(errors, s.get("k"), "/seminorm/k")
-    elif command == "tame":
-        t = cfg["tame"]
-        _need(errors, _is_int(t.get("pairs")) and t["pairs"] >= 1, "/tame/pairs",
-              "pairs must be a positive integer")
-        _need(errors, t.get("kind") in ("pk", "fk"), "/tame/kind",
-              "kind must be 'pk' or 'fk'")
-        _validate_kvec(errors, t.get("k"), "/tame/k")
-    elif command == "invert":
-        i = cfg["invert"]
-        _need(errors, _is_int(i.get("max_n")) and i["max_n"] >= 1,
-              "/invert/max_n", "max_n must be a positive integer")
-        _need(errors, _is_num(i.get("tol")) and i["tol"] >= 0, "/invert/tol",
-              "tol must be nonnegative")
-        eps = i.get("eps")
-        _need(errors, eps is None or (_is_num(eps) and eps > 0), "/invert/eps",
-              "eps must be a positive number or null")
-        cap = i.get("amplification_cap")
-        _need(errors, cap is None or (_is_num(cap) and cap > 0),
-              "/invert/amplification_cap", "amplification_cap must be positive or null")
-        if cap is not None and eps is not None:
-            _need(errors, False, "/invert/amplification_cap",
-                  "the cap needs computed sigma estimates; drop /invert/eps")
-        _need(errors, _is_num(i.get("cond_cap")) and i["cond_cap"] > 1,
-              "/invert/cond_cap", "cond_cap must exceed 1")
-        _need(errors, _is_int(i.get("pad_factor")) and i["pad_factor"] >= 1,
-              "/invert/pad_factor", "pad_factor must be a positive integer")
-        _need(errors, _is_int(i.get("probes")) and i["probes"] >= 1,
-              "/invert/probes", "probes must be a positive integer")
-        _need(errors, _is_num(i.get("residual_tol")) and i["residual_tol"] > 0,
-              "/invert/residual_tol", "residual_tol must be positive")
-        _validate_kvec(errors, i.get("track_k"), "/invert/track_k")
-        _validate_kvec(errors, i.get("growth_k"), "/invert/growth_k")
-    elif command == "decay":
-        d = cfg["decay"]
-        _need(errors, d.get("kind") in ("pk", "fk"), "/decay/kind",
-              "kind must be 'pk' or 'fk'")
-        _validate_kvec(errors, d.get("k"), "/decay/k")
-        nl = d.get("n_list")
-        _need(errors, isinstance(nl, list) and nl
-              and all(_is_int(v) and v >= 1 for v in nl),
-              "/decay/n_list", "n_list must be a list of positive integers")
-        eps = d.get("eps")
-        _need(errors, eps is None or (_is_num(eps) and eps > 0), "/decay/eps",
-              "eps must be a positive number or null")
+    for dotted, key in KEYS.items():
+        if dotted.partition(".")[0] in (*COMMON, "kernel", section):
+            if not key.kind.test(_get(cfg, dotted)):
+                errors.append({"path": "/" + dotted.replace(".", "/"),
+                               "message": f"{dotted.rpartition('.')[2]} {key.kind.message}"})
+    kernels = ("kernel", "convolve.other") if section == "convolve" else ("kernel",)
+    for kernel in kernels:
+        n_min, n_max = _get(cfg, f"{kernel}.n_min"), _get(cfg, f"{kernel}.n_max")
+        if _is_int(n_min) and _is_int(n_max) and n_min > n_max:
+            errors.append({"path": "/" + kernel.replace(".", "/") + "/n_min",
+                           "message": "need n_min <= n_max"})
+    if section == "invert" and None not in (cfg["invert"]["eps"],
+                                            cfg["invert"]["amplification_cap"]):
+        errors.append({"path": "/invert/amplification_cap",
+                       "message": "the cap needs computed sigma estimates; drop /invert/eps"})
     return errors
 
 
@@ -403,14 +383,14 @@ def _build_spec(cfg, group):
 
 
 def _amplitude(kcfg):
-    amp = kcfg.get("amplitude", 1.0)
+    amp = kcfg["amplitude"]
     if isinstance(amp, list):
         return complex(amp[0], amp[1])
     return complex(amp)
 
 
 def _kernel_seed(kcfg, cfg):
-    return cfg["seed"] if kcfg.get("seed") is None else kcfg["seed"]
+    return cfg["seed"] if kcfg["seed"] is None else kcfg["seed"]
 
 
 def _build_kernel(kcfg, group, spec, cfg, path="/kernel"):
@@ -435,7 +415,7 @@ def _build_kernel(kcfg, group, spec, cfg, path="/kernel"):
                 group, kcfg["n_min"], kcfg["n_max"], kcfg["family"],
                 seed=_kernel_seed(kcfg, cfg),
                 moment_order=kcfg["moment_order"],
-                flag_mode=bool(kcfg.get("flag", False)),
+                flag_mode=kcfg["flag"],
             )
             if name == "dyadic":
                 return D
@@ -468,14 +448,9 @@ def _load_kernel_file(name, group, spec, path):
 
 def _seminorm_config(cfg, section):
     kw = {"seed": cfg["seed"]}
-    rf = section.get("radius_factors")
-    if rf is not None:
-        kw["radius_factors"] = tuple(rf)
-    jw = section.get("j_window")
-    if jw is not None:
-        kw["j_window"] = tuple(jw)
-    if section.get("directions") is not None:
-        kw["directions"] = section["directions"]
+    for key in ("radius_factors", "j_window", "directions"):
+        if section[key] is not None:  # null keeps the SeminormConfig default
+            kw[key] = section[key] if key == "directions" else tuple(section[key])
     return SeminormConfig(**kw)
 
 
@@ -614,7 +589,7 @@ def _cmd_kernel_synth(cfg):
     kernel = synth_dyadic(
         group, k["n_min"], k["n_max"], k["family"],
         seed=_kernel_seed(k, cfg), moment_order=k["moment_order"],
-        flag_mode=bool(k.get("flag", False)),
+        flag_mode=k["flag"],
     )
     rendered = kernel.render(spec)
     result = {
@@ -694,9 +669,7 @@ def _cmd_convolve(cfg):
         raise ConfigError("/convolve/check",
                           "grid too large for the direct path; lower /grid/N")
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
-    other = dict(_defaults()["kernel"])
-    other.update(cfg["convolve"]["other"])
-    L = _build_kernel(other, group, spec, cfg, path="/convolve/other")
+    L = _build_kernel(cfg["convolve"]["other"], group, spec, cfg, path="/convolve/other")
     M = compose_kernels(K, L, spec)
     result = {
         "l2_norm": float(M.data.l2_norm()),
@@ -760,7 +733,7 @@ def _cmd_tame(cfg):
     sc = _seminorm_config(cfg, t)
     check_sampling(spec, sc)
     k = cfg["kernel"]
-    flag_mode = t["kind"] == "fk" or bool(k.get("flag", False))
+    flag_mode = t["kind"] == "fk" or k["flag"]
     fn = tame_report_pk if t["kind"] == "pk" else tame_report_fk
 
     reports = []
@@ -883,32 +856,54 @@ def _cmd_decay(cfg):
 
 # -- argument parsing ---------------------------------------------------------
 
+# (words, handler, section, takes --kernel, help, epilog)
+COMMANDS = (
+    ("group check", _cmd_group_check, "check", False,
+     "validate grading, Jacobi, and sampled group laws",
+     "CSV output: none. Exit 3 when a sampled invariant exceeds /check/tol."),
+    ("kernel synth", _cmd_kernel_synth, "kernel", False,
+     "synthesize a dyadic kernel and save it",
+     "Writes kernel.nckr plus its .json sidecar; CSV output: none. The profile "
+     "family, scale window, and moment order come from the /kernel section."),
+    ("kernel check-growth", _cmd_kernel_check_growth, "growth", True,
+     "sampled growth constants of a kernel",
+     "CSV output: none; per-order constants live in report.json. Exit 3 when a "
+     "constant is not finite."),
+    ("kernel check-cancel", _cmd_kernel_check_cancel, "cancel", True,
+     "cancellation via reductions over one factor",
+     "CSV output: cancel.csv with columns bump,R,order0_constant,max_constant,"
+     "reduced_sup. Exit 3 when the sup constant is not finite."),
+    ("convolve", _cmd_convolve, "convolve", True,
+     "compose two kernels on the grid",
+     "CSV output: none. --check compares the fast and direct convolution paths "
+     "on the kernel renderings."),
+    ("opnorm", _cmd_opnorm, "opnorm", True,
+     "operator norm by power iteration",
+     "CSV output: none. Exit 3 when the iteration does not converge."),
+    ("seminorm", _cmd_seminorm, "seminorm", True,
+     "product or flag kernel seminorm",
+     "CSV output: seminorm.csv with columns label,alpha,j,l,z_norms,block,weight,"
+     "value,method,iterations,residual (one row per localized block)."),
+    ("tame", _cmd_tame, "tame", False,
+     "two-sided estimates on synthesized kernel pairs",
+     "CSV output: tame.csv with columns kind,kernels,kvec,N,lhs,summand0..summandM,"
+     "rhs,ratio,tameness_ok (one row per pair, input order). Pairs are "
+     "synthesized from consecutive seeds."),
+    ("invert", _cmd_invert, "invert", True,
+     "invert an operator through the damped Neumann series",
+     "CSV output: steps.csv with columns n,step_rel_norm; with --track-k also "
+     "tracked.csv with columns n,seminorm,op_norm,root. Exit 3 when the largest "
+     "probe residual exceeds --residual-tol or the grid cannot resolve the "
+     "bottom singular value. The tensor-hilbert kernel bundles --paper-eps, an "
+     "amplification cap of 1.5, cond-cap 4, and pad-factor 2 unless overridden."),
+    ("decay", _cmd_decay, "decay", True,
+     "seminorms of Neumann remainder powers",
+     "CSV output: decay.csv with columns n,value,root,op_norm,truncation (one "
+     "row per power)."),
+)
 
-def _common_flags(p, kernel=True):
-    p.add_argument("--config", metavar="FILE", help="JSON configuration file")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="dotted-path override, e.g. --set invert.max_n=32; "
-                        "values are parsed as JSON, falling back to strings")
-    p.add_argument("--out", metavar="DIR",
-                   help="output directory (default: $NILCONV_OUT or ./nilconv-out)")
-    p.add_argument("--preset", dest="group", metavar="GROUP",
-                   help="group preset (abelian<q>, heisenberg1) or a group JSON file")
-    p.add_argument("--N", dest="grid.N", type=int, help="samples per axis")
-    p.add_argument("--T", dest="grid.T", type=float, help="box half-width")
-    p.add_argument("--seed", type=int, help="master seed")
-    if kernel:
-        p.add_argument("--kernel", dest="kernel.name", metavar="NAME",
-                       help="kernel preset (" + ", ".join(KERNEL_NAMES)
-                            + ") or a saved .nckr file")
-
-
-def _kvec_flag(p, dest, flag="--k", help="derivative orders, one per factor"):
-    p.add_argument(flag, dest=dest, type=int, nargs="+", metavar="K", help=help)
-
-
-def _switch(p, flag, dest, help=None):
-    p.add_argument(flag, dest=dest, action=argparse.BooleanOptionalAction,
-                   default=None, help=help)
+COMMAND_GROUPS = {"group": "group structure commands",
+                  "kernel": "kernel synthesis and diagnostics"}
 
 
 def build_parser():
@@ -923,149 +918,33 @@ def build_parser():
                "3 numerical target missed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pg = sub.add_parser("group", help="group structure commands")
-    pgs = pg.add_subparsers(dest="subcommand", required=True)
-    p = pgs.add_parser(
-        "check", help="validate grading, Jacobi, and sampled group laws",
-        epilog="CSV output: none. Exit 3 when a sampled invariant exceeds "
-               "/check/tol.")
-    _common_flags(p, kernel=False)
-    p.add_argument("--samples", type=int, dest="check.samples",
-                   help="sample triples per invariant")
-    p.add_argument("--tol", type=float, dest="check.tol",
-                   help="absolute tolerance for sampled invariants")
-    p.set_defaults(handler=_cmd_group_check, name="group check", section="/check")
-
-    pk = sub.add_parser("kernel", help="kernel synthesis and diagnostics")
-    pks = pk.add_subparsers(dest="subcommand", required=True)
-
-    p = pks.add_parser(
-        "synth", help="synthesize a dyadic kernel and save it",
-        epilog="Writes kernel.nckr plus its .json sidecar; CSV output: none. "
-               "The profile family, scale window, and moment order come from "
-               "the /kernel section.")
-    _common_flags(p, kernel=False)
-    p.add_argument("--family", dest="kernel.family", choices=DYADIC_FAMILIES)
-    p.add_argument("--n-min", dest="kernel.n_min", type=int)
-    p.add_argument("--n-max", dest="kernel.n_max", type=int)
-    p.add_argument("--moment-order", dest="kernel.moment_order", type=int)
-    _switch(p, "--flag", "kernel.flag", help="restrict scales to the flag window")
-    p.set_defaults(handler=_cmd_kernel_synth, name="kernel synth", section="/kernel")
-
-    p = pks.add_parser(
-        "check-growth", help="sampled growth constants of a kernel",
-        epilog="CSV output: none; per-order constants live in report.json. "
-               "Exit 3 when a constant is not finite.")
-    _common_flags(p)
-    _kvec_flag(p, "growth.k")
-    p.add_argument("--n-samples", dest="growth.n_samples", type=int)
-    p.add_argument("--margin-cells", dest="growth.margin_cells", type=float)
-    p.set_defaults(handler=_cmd_kernel_check_growth, name="kernel check-growth",
-                   section="/growth")
-
-    p = pks.add_parser(
-        "check-cancel", help="cancellation via reductions over one factor",
-        epilog="CSV output: cancel.csv with columns "
-               "bump,R,order0_constant,max_constant,reduced_sup. "
-               "Exit 3 when the sup constant is not finite.")
-    _common_flags(p)
-    p.add_argument("--mu", dest="cancel.mu", type=int,
-                   help="factor index to reduce over")
-    p.add_argument("--bumps", dest="cancel.bumps", nargs="+")
-    p.add_argument("--R", dest="cancel.R_values", type=float, nargs="+",
-                   help="bump dilation scales")
-    p.add_argument("--n-quad", dest="cancel.n_quad", type=int)
-    p.set_defaults(handler=_cmd_kernel_check_cancel, name="kernel check-cancel",
-                   section="/cancel")
-
-    p = sub.add_parser(
-        "convolve", help="compose two kernels on the grid",
-        epilog="CSV output: none. --check compares the fast and direct "
-               "convolution paths on the kernel renderings.")
-    _common_flags(p)
-    p.add_argument("--other", dest="convolve.other.name", metavar="NAME",
-                   help="second kernel preset or file (applied on the right)")
-    _switch(p, "--check", "convolve.check")
-    _switch(p, "--save", "convolve.save",
-            help="write the composed kernel to result.nckr")
-    p.set_defaults(handler=_cmd_convolve, name="convolve", section="/convolve")
-
-    p = sub.add_parser(
-        "opnorm", help="operator norm by power iteration",
-        epilog="CSV output: none. Exit 3 when the iteration does not converge.")
-    _common_flags(p)
-    p.add_argument("--max-iter", dest="opnorm.max_iter", type=int)
-    p.add_argument("--tol", dest="opnorm.tol", type=float)
-    p.set_defaults(handler=_cmd_opnorm, name="opnorm", section="/opnorm")
-
-    p = sub.add_parser(
-        "seminorm", help="product or flag kernel seminorm",
-        epilog="CSV output: seminorm.csv with columns "
-               "label,alpha,j,l,z_norms,block,weight,value,method,iterations,residual "
-               "(one row per localized block).")
-    _common_flags(p)
-    p.add_argument("--kind", dest="seminorm.kind", choices=("pk", "fk"))
-    _kvec_flag(p, "seminorm.k")
-    p.add_argument("--radius-factors", dest="seminorm.radius_factors",
-                   type=float, nargs="+")
-    p.set_defaults(handler=_cmd_seminorm, name="seminorm", section="/seminorm")
-
-    p = sub.add_parser(
-        "tame", help="two-sided estimates on synthesized kernel pairs",
-        epilog="CSV output: tame.csv with columns "
-               "kind,kernels,kvec,N,lhs,summand0..summandM,rhs,ratio,"
-               "tameness_ok (one row per pair, input order). Pairs are "
-               "synthesized from consecutive seeds.")
-    _common_flags(p, kernel=False)
-    p.add_argument("--pairs", dest="tame.pairs", type=int)
-    _kvec_flag(p, "tame.k")
-    p.add_argument("--kind", dest="tame.kind", choices=("pk", "fk"))
-    p.set_defaults(handler=_cmd_tame, name="tame", section="/tame")
-
-    p = sub.add_parser(
-        "invert", help="invert an operator through the damped Neumann series",
-        epilog="CSV output: steps.csv with columns n,step_rel_norm; with "
-               "--track-k also tracked.csv with columns n,seminorm,op_norm,"
-               "root. Exit 3 when the largest probe residual exceeds "
-               "--residual-tol or the grid cannot resolve the bottom "
-               "singular value. The tensor-hilbert kernel bundles "
-               "--paper-eps, an amplification cap of 1.5, cond-cap 4, and "
-               "pad-factor 2 unless overridden.")
-    _common_flags(p)
-    p.add_argument("--max-n", dest="invert.max_n", type=int)
-    p.add_argument("--tol", dest="invert.tol", type=float)
-    p.add_argument("--eps", dest="invert.eps", type=float,
-                   help="fixed damping factor (skips the spectral estimate)")
-    _switch(p, "--paper-eps", "invert.paper_eps",
-            help="use 1/sigma_max^2 instead of the midpoint rule")
-    p.add_argument("--cap", dest="invert.amplification_cap", type=float,
-                   help="amplification cap for early stopping")
-    p.add_argument("--cond-cap", dest="invert.cond_cap", type=float)
-    p.add_argument("--pad-factor", dest="invert.pad_factor", type=int,
-                   help="run the series on an enlarged box, crop the result")
-    p.add_argument("--probes", dest="invert.probes", type=int)
-    p.add_argument("--probe-seed", dest="invert.probe_seed", type=int)
-    p.add_argument("--residual-tol", dest="invert.residual_tol", type=float)
-    _kvec_flag(p, "invert.track_k", flag="--track-k",
-               help="track remainder seminorms at these orders")
-    _switch(p, "--save", "invert.save",
-            help="write the inverse kernel to inverse.nckr")
-    p.set_defaults(handler=_cmd_invert, name="invert", section="/invert")
-
-    p = sub.add_parser(
-        "decay", help="seminorms of Neumann remainder powers",
-        epilog="CSV output: decay.csv with columns "
-               "n,value,root,op_norm,truncation (one row per power).")
-    _common_flags(p)
-    p.add_argument("--kind", dest="decay.kind", choices=("pk", "fk"))
-    _kvec_flag(p, "decay.k")
-    p.add_argument("--n-list", dest="decay.n_list", type=int, nargs="+",
-                   help="powers to evaluate")
-    p.add_argument("--eps", dest="decay.eps", type=float)
-    _switch(p, "--paper-eps", "decay.paper_eps")
-    p.set_defaults(handler=_cmd_decay, name="decay", section="/decay")
-
+    nested = {}
+    for words, handler, section, takes_kernel, help, epilog in COMMANDS:
+        *head, word = words.split()
+        where = sub
+        if head:
+            if head[0] not in nested:
+                nested[head[0]] = sub.add_parser(
+                    head[0], help=COMMAND_GROUPS[head[0]]).add_subparsers(
+                        dest="subcommand", required=True)
+            where = nested[head[0]]
+        p = where.add_parser(word, help=help, epilog=epilog)
+        p.add_argument("--config", metavar="FILE", help="JSON configuration file")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="dotted-path override, e.g. --set invert.max_n=32; "
+                            "values are parsed as JSON, falling back to strings")
+        p.add_argument("--out", metavar="DIR",
+                       help="output directory (default: $NILCONV_OUT or ./nilconv-out)")
+        for dotted, key in KEYS.items():
+            shown = (takes_kernel if dotted == "kernel.name"
+                     else dotted.partition(".")[0] in (*COMMON, section))
+            if key.flag and shown:
+                flag, _, metavar = key.flag.partition(" ")
+                kw = dict(key.kind.kwargs, dest=dotted, help=key.help)
+                if metavar:
+                    kw["metavar"] = metavar
+                p.add_argument(flag, **kw)
+        p.set_defaults(handler=handler, name=words, section=section)
     return parser
 
 
@@ -1079,7 +958,7 @@ def _run(args, cfg):
     except ValueError as exc:
         if NOT_INVERTIBLE in str(exc):
             return {"error": str(exc)}, EXIT_NUMERIC, f"{args.name}: {exc}", {}
-        raise ConfigError(args.section, str(exc))
+        raise ConfigError(f"/{args.section}", str(exc))
     except NotImplementedError:  # only lattice-only kernels leave eval open
         name = cfg["kernel"]["name"]
         raise ConfigError("/kernel/name", f"{name!r} is a lattice-only kernel; "
@@ -1092,7 +971,7 @@ def main(argv=None):
     started = time.monotonic()
     try:
         cfg, user = resolve_config(args)
-        errors = validate_config(cfg, args.name)
+        errors = validate_config(cfg, args.section)
         if errors:
             sys.stderr.write(json.dumps({"errors": errors}, indent=2,
                                         sort_keys=True) + "\n")

@@ -14,7 +14,6 @@ at t_1 = 0 and use the cumulative weights |t_1| + ... + |t_mu|.
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 import struct
@@ -375,14 +374,13 @@ class DyadicKernel(KernelRep):
     """
 
     def __init__(self, group, window, profiles, moment_order, flag_mode=False,
-                 profile_bounds=None, meta=None):
+                 meta=None):
         self.group = group
         self.window = tuple(tuple(int(v) for v in n) for n in window)
         self.profiles = profiles
         self.moment_order = int(moment_order)
         self.flag_mode = bool(flag_mode)
         self.mode = "flag" if flag_mode else "product"
-        self.profile_bounds = dict(profile_bounds or {})
         self.meta = dict(meta or {})
 
     def scale_factor(self, n) -> float:
@@ -410,8 +408,7 @@ class DyadicKernel(KernelRep):
             flipped[n] = GridFunction(phi.spec, np.conj(g.values))
         return DyadicKernel(
             self.group, self.window, flipped, self.moment_order,
-            flag_mode=self.flag_mode, profile_bounds=self.profile_bounds,
-            meta=self.meta,
+            flag_mode=self.flag_mode, meta=self.meta,
         )
 
 
@@ -545,27 +542,6 @@ def _profile_shape(family, group, spec, rng):
     return out * _window(spec)
 
 
-def _derivative_sup_norms(g: GridFunction, order: int) -> float:
-    """Max sup-norm of grid finite differences up to the given total order."""
-    arrs = {(): g.values}
-    best = float(np.abs(g.values).max())
-    frontier = [()]
-    for _ in range(order):
-        nxt = []
-        for key in frontier:
-            base = arrs[key]
-            for ax in range(base.ndim):
-                nk = tuple(sorted(key + (ax,)))
-                if nk in arrs:
-                    continue
-                d = np.gradient(base, g.spec.spacings[ax], axis=ax)
-                arrs[nk] = d
-                nxt.append(nk)
-                best = max(best, float(np.abs(d).max()))
-        frontier = nxt
-    return best
-
-
 def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
                  seed: int = 0, moment_order: int = 1, profile_N: int | None = None,
                  flag_mode: bool = False) -> DyadicKernel:
@@ -598,7 +574,6 @@ def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
     spec = GridSpec(group, profile_N, 1.0)
     rng = np.random.default_rng(seed)
     profiles = {}
-    bounds = {}
     for n in scales:
         sub = np.random.default_rng((seed, 1000 + hash(n) % 100000))
         raw = _profile_shape(family, group, spec, sub if family == "random" else rng)
@@ -607,10 +582,8 @@ def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
             phi = enforce_moments(phi, mu, moment_order)
         phi = GridFunction(spec, zero_lowest_face(phi.values))
         profiles[n] = phi
-        bounds[n] = _derivative_sup_norms(phi, moment_order)
     return DyadicKernel(
         group, scales, profiles, moment_order, flag_mode=flag_mode,
-        profile_bounds=bounds,
         meta={"family": family, "seed": seed, "profile_N": profile_N,
               "n_min": n_min, "n_max": n_max},
     )
@@ -1008,7 +981,6 @@ def save_kernel(kernel: KernelRep, path: str):
             "window": [list(n) for n in kernel.window],
             "moment_order": kernel.moment_order,
             "flag_mode": kernel.flag_mode,
-            "profile_bounds": {repr(n): v for n, v in kernel.profile_bounds.items()},
             "meta": kernel.meta,
         }
     else:
@@ -1050,11 +1022,8 @@ def load_kernel(path: str) -> KernelRep:
             vals = np.frombuffer(buf, dtype="<c16", count=per, offset=off)
             profiles[n] = GridFunction(spec, vals.copy().reshape(spec.shape))
             off += per * 16
-        pb = {tuple(ast.literal_eval(k)): v
-              for k, v in side.get("profile_bounds", {}).items()}
         return DyadicKernel(
             group, window, profiles, side["moment_order"],
-            flag_mode=side["flag_mode"], profile_bounds=pb,
-            meta=side.get("meta", {}),
+            flag_mode=side["flag_mode"], meta=side.get("meta", {}),
         )
     raise ValueError(f"unknown kernel kind {kind}")

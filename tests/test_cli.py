@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 from nilconv import cli, inversion
-from nilconv.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _defaults, build_parser, main
+from nilconv.cli import (
+    COMMANDS,
+    EXIT_CONFIG,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    KEYS,
+    _defaults,
+    build_parser,
+    main,
+    validate_config,
+)
 from nilconv.grid import GridSpec
 from nilconv.groups import GradedLieAlgebra
 from nilconv.kernels import GridKernel, save_kernel
@@ -83,6 +93,40 @@ def test_validation_rejects_unknown_section(tmp_path, capsys):
                   "--set", "nosuch.key=1")
     assert code == EXIT_CONFIG
     assert stderr_errors(capsys)[0]["path"] == "/nosuch"
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["opnorm", "--set", "opnorm.max_itr=100"], "/opnorm/max_itr"),
+    (["opnorm", "--set", "grid.n=8"], "/grid/n"),
+    (["opnorm", "--set", "kernel.strenght=0.5"], "/kernel/strenght"),
+    (["convolve", "--set", 'convolve.other={"name":"delta","bogus":1}'],
+     "/convolve/other/bogus"),
+    (["kernel", "check-cancel", "--n-quad", "0"], "/cancel/n_quad"),
+    (["seminorm", "--set", "seminorm.radius_factors=5"], "/seminorm/radius_factors"),
+    (["seminorm", "--set", "seminorm.j_window=3"], "/seminorm/j_window"),
+    (["tame", "--set", "tame.radius_factors=abc"], "/tame/radius_factors"),
+    (["opnorm", "--set", "kernel=5"], "/kernel"),
+    (["group", "check", "--set", "check=5"], "/check"),
+    (["convolve", "--set", "convolve.other=5"], "/convolve/other"),
+])
+def test_unknown_or_malformed_key_rejected_at_its_path(tmp_path, capsys, argv, path):
+    # misspelled keys at any depth, sections given as non-objects and values
+    # of the wrong kind all stop before any work, at their own pointer
+    code, out = run(tmp_path, *argv, "--preset", "abelian2")
+    assert code == EXIT_CONFIG
+    assert [e["path"] for e in stderr_errors(capsys)] == [path]
+    assert not out.exists()
+
+
+def test_every_key_default_passes_its_kind(tmp_path, capsys):
+    for dotted, key in KEYS.items():
+        assert key.kind.test(key.default), dotted
+    for words, _, section, *_ in COMMANDS:
+        assert validate_config(_defaults(), section) == [], words
+    # --bumps carries no argparse choices: a bad name is a JSON error
+    code, _ = run(tmp_path, "kernel", "check-cancel", "--bumps", "nosuch")
+    assert code == EXIT_CONFIG
+    assert stderr_errors(capsys)[0]["path"] == "/cancel/bumps"
 
 
 def test_validation_rejects_bad_kernel_family(tmp_path, capsys):
@@ -547,6 +591,11 @@ def test_every_flag_dest_is_a_config_key():
     (["invert", "--help"], "n,step_rel_norm"),
     (["seminorm", "--help"], "label,alpha,j,l"),
     (["kernel", "check-cancel", "--help"], "bump,R,order0_constant"),
+    (["group", "check", "--help"], "/check/tol"),
+    (["kernel", "synth", "--help"], "kernel.nckr"),
+    (["kernel", "check-growth", "--help"], "per-order"),
+    (["convolve", "--help"], "convolution"),
+    (["opnorm", "--help"], "converge"),
 ])
 def test_help_lists_csv_columns(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:

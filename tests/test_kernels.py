@@ -1,5 +1,7 @@
 """Kernel representations: moments, synthesis, growth/cancellation, IO."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -109,7 +111,6 @@ def test_synth_dyadic_profile_moments():
         for n in k.window:
             for mu in (0, 1):
                 assert factor_moments(k.profiles[n], mu, 2).max() <= 1e-12
-            assert np.isfinite(k.profile_bounds[n])
 
 
 @pytest.mark.parametrize("family", ["gauss-deriv", "mexican", "random"])
@@ -430,6 +431,19 @@ def test_save_load_dyadic_roundtrip(tmp_path):
     assert back.moment_order == 1
     for n in k.window:
         assert np.array_equal(back.profiles[n].values, k.profiles[n].values)
+
+
+def test_load_dyadic_sidecar_with_profile_bounds(tmp_path):
+    # sidecars written before profile_bounds was dropped still load
+    k = synth_dyadic(AB2, 0, 0, "random", seed=3, profile_N=8)
+    path = tmp_path / "old.nckr"
+    save_kernel(k, str(path))
+    side = json.loads((tmp_path / "old.nckr.json").read_text())
+    side["profile_bounds"] = {repr(n): 1.5 for n in k.window}
+    (tmp_path / "old.nckr.json").write_text(json.dumps(side))
+    back = load_kernel(str(path))
+    assert back.window == k.window
+    assert np.array_equal(back.profiles[(0, 0)].values, k.profiles[(0, 0)].values)
 
 
 def test_load_kernel_errors(tmp_path):
