@@ -637,10 +637,15 @@ def _cancel_rows(entries) -> list:
 def _cmd_kernel_check_cancel(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
-    kernel = _build_kernel(cfg["kernel"], group, spec, cfg)
     c = cfg["cancel"]
+    if group.nu < 2:
+        raise ConfigError("/group", "cancellation reduces one factor and needs at least two")
     if not 0 <= c["mu"] < group.nu:
         raise ConfigError("/cancel/mu", f"factor index must lie in [0, {group.nu})")
+    if c["k"] is not None and len(c["k"]) != group.nu - 1:  # one order per factor left
+        raise ConfigError("/cancel/k", f"order vector needs {group.nu - 1} entries, "
+                          f"got {len(c['k'])}")
+    kernel = _build_kernel(cfg["kernel"], group, spec, cfg)
     rv = None if c["R_values"] is None else tuple(float(v) for v in c["R_values"])
     rep = check_cancellation(
         kernel, c["mu"], spec, bumps=tuple(c["bumps"]), R_values=rv,

@@ -12,6 +12,14 @@ and the sum stays exact under box truncation.  Sparse inputs, and every
 input of an abelian direct sum, sum over their own sites by gathers
 instead.  Pipelines apply Op(K) through prepare(K, spec), which does the
 per-kernel work once.
+
+A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
+The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
+the grid keeps [o, o + N) with o = N//2; a circular convolution of
+length M leaves that window unaliased whenever M >= o + N and
+M >= 2N - 1 - o, and N + N//2 meets both for every N.  The inverse
+transform runs one axis at a time, each axis cut to its N kept cells
+right after its pass (_inverse_windows).
 """
 
 from __future__ import annotations
@@ -43,11 +51,20 @@ def _check_specs(a: GridSpec, b: GridSpec):
         raise ValueError("grid specs do not match")
 
 
-def _gather(values: np.ndarray, spec: GridSpec, points: np.ndarray) -> np.ndarray:
-    idx, inb = spec.index_of(points)
-    safe = np.where(inb[..., None], idx, 0)
-    out = values[tuple(np.moveaxis(safe, -1, 0))]
-    return np.where(inb, out, 0.0)
+def _plain_pad(N: int) -> int:
+    """N + N//2, the padded length of a plain axis of N cells (module docstring)."""
+    return N + N // 2
+
+
+def _inverse_windows(spectra: np.ndarray, windows: dict, N: int) -> np.ndarray:
+    """Inverse FFT along the axes of windows, one pass per axis from the last;
+    right after its pass an axis keeps its N cells from windows[axis], so
+    later passes transform only kept lanes."""
+    for axis in sorted(windows, reverse=True):
+        start = windows[axis]
+        spectra = np.fft.ifftn(spectra, axes=(axis,))[(slice(None),) * axis
+                                                      + (slice(start, start + N),)]
+    return spectra
 
 
 class _Block:
@@ -68,27 +85,27 @@ class _Block:
 
 
 class _Spectrum(_Block):
-    """Abelian axes: zero-padded FFT against the kernel spectrum.
+    """Abelian axes: FFT against the kernel spectrum, every axis padded to
+    _plain_pad(N) and cropped to [o, o + N) after its inverse pass.
 
     numpy's complex products are not bitwise commutative; whole-grid
     kernels multiply the kernel spectrum first and tensor factors the
-    operand spectrum first, which keeps existing reports byte-stable.
+    operand spectrum first, the orders their report bytes were frozen with.
     """
 
     def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray,
                  kernel_first: bool):
         super().__init__(spec, axes)
-        self.pad = (2 * spec.N,) * len(axes)
+        self.pad = (_plain_pad(spec.N),) * len(axes)
         self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=tuple(range(len(axes))))
         self.kernel_first = kernel_first
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         ax = tuple(range(1, flat.ndim))
         F = np.fft.fftn(flat, s=self.pad, axes=ax)
-        full = np.fft.ifftn(self.spectrum * F if self.kernel_first else F * self.spectrum,
-                            axes=ax)
-        c = self.spec.origin
-        return full[(slice(None),) + (slice(c, c + self.spec.N),) * len(ax)] * self.vol
+        out = _inverse_windows(self.spectrum * F if self.kernel_first else F * self.spectrum,
+                               dict.fromkeys(ax, self.spec.origin), self.spec.N)
+        return out * self.vol
 
 
 class _Sheared(_Block):
@@ -104,19 +121,19 @@ class _Sheared(_Block):
     a running over the horizontal (loop-axis) support of k; the source rows
     and the integers P are read off the group law on loop-grid points
     (pairs).  Rows on the kernel's side add these terms as spectra, the
-    shear read as a phase, and are transformed back once (_shifts).  A
+    shear read as a phase, and are transformed back after the sum (_shifts).  A
     sparse row (the one-hot columns of dense blocks and spectral edges, the
     localized inputs of block power iterations) sums over its own sites y
     instead, by sheared gathers of the kernel that keep exact zeros exact:
         (k * v)(x) = sum_y v(y) k((x y^{-1})_L, x_C - y_C + P'(x_L, y_L)).
     A row takes its own sites when it touches fewer values that way, unless
     only the kernel's side fits PAIR_BUDGET: per destination row a shift
-    touches the (2N)^p (3N)^s frequencies of the p plain and s sheared axes
-    and a site N^(p+s) kernel values.  An abelian group has no loop axes and
-    one loop point; every row takes its own sites there, so the direct sum
-    (the oracle of the FFT path) runs no FFT.  The charge is the row's
-    shifts or sites times sub.size point pairs.  Rows on the kernel's side
-    share one loop; the others run one at a time.
+    touches the (N + N//2)^p (3N)^s frequencies of the p plain and s
+    sheared axes and a site N^(p+s) kernel values.  An abelian group has no
+    loop axes and one loop point; every row takes its own sites there, so
+    the direct sum (the oracle of the FFT path) runs no FFT.  The charge is
+    the row's shifts or sites times sub.size point pairs.  Rows on the
+    kernel's side share one loop; the others run one at a time.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
@@ -137,7 +154,8 @@ class _Sheared(_Block):
         self.kernel = self._rows(kvals[None])[0]
         horizontal = np.abs(self.kernel.reshape(-1, self.H, N ** self.n_sheared)).max(axis=(0, 2))
         self.kshifts = np.flatnonzero(horizontal > 0)
-        self.shift_work = self.kshifts.size * 2 ** len(plain) * 3 ** len(self.sheared)
+        p, s = len(plain), len(self.sheared)
+        self.shift_work = self.kshifts.size * _plain_pad(N) ** p * (3 * N) ** s / N ** (p + s)
         self.offsets = {}  # _site_offsets per loop-grid point
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
@@ -178,10 +196,11 @@ class _Sheared(_Block):
 
     def _spectra(self, rows: np.ndarray) -> np.ndarray:
         """(R, F, H, P) spectra of (R, *plain, H, *sheared) rows: F frequencies
-        of the plain axes padded to 2N, P of the sheared axes padded to 3N."""
+        of the plain axes padded to _plain_pad(N), P of the sheared axes
+        padded to 3N (_shifts)."""
         N, n_plain, ns = self.spec.N, self.n_plain, self.n_sheared
         axes = tuple(range(1, 1 + n_plain)) + tuple(range(rows.ndim - ns, rows.ndim))
-        out = np.fft.fftn(rows, s=(2 * N,) * n_plain + (3 * N,) * ns, axes=axes)
+        out = np.fft.fftn(rows, s=(_plain_pad(N),) * n_plain + (3 * N,) * ns, axes=axes)
         return out.reshape(rows.shape[0], -1, self.H, (3 * N) ** ns)
 
     @cached_property
@@ -223,12 +242,11 @@ class _Sheared(_Block):
         phase exp(2 pi i m w / 3N) whenever it meets the linear support.
         Pairs (a, x_L) whose read misses that support, or whose source row
         (a^{-1} x)_L is off the box, are skipped (pairs).  Every destination
-        row adds its terms in kernel shift order and is transformed back
-        once, so a row's result does not depend on its batch.
+        row adds its terms in kernel shift order before it is transformed
+        back, so a row's result does not depend on its batch.
         """
-        N, o, ns = self.spec.N, self.spec.origin, self.n_sheared
+        N, o, n_plain, ns = self.spec.N, self.spec.origin, self.n_plain, self.n_sheared
         spectra = self._spectra(rows)
-        R, F = spectra.shape[:2]
         acc = np.zeros_like(spectra)
         for (x, src, m), kspec in zip(self.pairs, self.kspectra):
             phase = self.twiddles[m[:, 0]]
@@ -238,14 +256,10 @@ class _Sheared(_Block):
             term *= kspec[:, None]
             term *= phase
             acc[:, :, x] += term
-        s_axes = tuple(range(3, 3 + ns))
-        out = np.fft.ifftn(acc.reshape(R, F, self.H, *(3 * N,) * ns), axes=s_axes)
-        out = out[(...,) + (slice(0, N),) * ns].reshape((R,) + (2 * N,) * self.n_plain + (-1,))
-        if self.n_plain:
-            plain = tuple(range(1, 1 + self.n_plain))
-            out = np.fft.ifftn(out, axes=plain)[(slice(None),)
-                                                + (slice(o, o + N),) * self.n_plain]
-        return out.reshape(rows.shape)
+        acc = acc.reshape(acc.shape[:1] + (_plain_pad(N),) * n_plain + (self.H,) + (3 * N,) * ns)
+        windows = {**dict.fromkeys(range(1, 1 + n_plain), o),
+                   **dict.fromkeys(range(2 + n_plain, acc.ndim), 0)}
+        return _inverse_windows(acc, windows, N)
 
     @cached_property
     def kwindows(self) -> np.ndarray:
@@ -429,13 +443,6 @@ def compose_kernels(K, L: KernelRep, spec: GridSpec) -> GridKernel:
     Lr = L.render(spec)
     return GridKernel(spec, prepare(K, spec).apply(Lr.values), mode=Lr.mode,
                       principal_value=Lr.principal_value and isinstance(K, DeltaKernel))
-
-
-def right_translate(f: GridFunction, a) -> GridFunction:
-    """(R_a f)(x) = f(x a), zero off the box; a must be a lattice point."""
-    spec = f.spec
-    pts = spec.group.multiply(spec.mesh, np.asarray(a, dtype=float))
-    return GridFunction(spec, _gather(f.values, spec, pts))
 
 
 def _field_steps(spec: GridSpec, alpha: MultiIndex) -> list:

@@ -13,6 +13,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
+from nilconv.grid import GridFunction
 from nilconv.kernels import WINDOW_FRAC, _monomial, smooth_bump
 from nilconv.product import _exponents_up_to
 
@@ -196,6 +197,16 @@ def site_convolution(group, kernel_vals, fn_vals, coords, volume, site):
         if j is not None:
             terms[iy] = kernel_vals[j] * fn_vals[iy] * volume
     return complex(terms.sum()), float(np.abs(terms).sum())
+
+
+def right_translate(f, a):
+    """(R_a f)(x) = f(x a) for a GridFunction f, zero off the box; a must be a
+    lattice point."""
+    spec = f.spec
+    idx, inb = spec.index_of(spec.group.multiply(spec.mesh, np.asarray(a, dtype=float)))
+    safe = np.where(inb[..., None], idx, 0)
+    values = np.where(inb, f.values[tuple(np.moveaxis(safe, -1, 0))], 0.0)
+    return GridFunction(spec, values)
 
 
 def profile_shape_full_mesh(family, group, spec, rng):

@@ -108,6 +108,7 @@ def test_validation_rejects_unknown_section(tmp_path, capsys):
     (["opnorm", "--set", "kernel=5"], "/kernel"),
     (["group", "check", "--set", "check=5"], "/check"),
     (["convolve", "--set", "convolve.other=5"], "/convolve/other"),
+    (["kernel", "check-cancel", "--set", "cancel.k=[1,1,1]"], "/cancel/k"),
 ])
 def test_unknown_or_malformed_key_rejected_at_its_path(tmp_path, capsys, argv, path):
     # misspelled keys at any depth, sections given as non-objects and values
@@ -115,6 +116,14 @@ def test_unknown_or_malformed_key_rejected_at_its_path(tmp_path, capsys, argv, p
     code, out = run(tmp_path, *argv, "--preset", "abelian2")
     assert code == EXIT_CONFIG
     assert [e["path"] for e in stderr_errors(capsys)] == [path]
+    assert not out.exists()
+
+
+def test_check_cancel_needs_a_factor_left_to_check(tmp_path, capsys):
+    code, out = run(tmp_path, "kernel", "check-cancel", "--preset", "abelian1",
+                    "--set", "cancel.k=[1]")
+    assert code == EXIT_CONFIG
+    assert [e["path"] for e in stderr_errors(capsys)] == ["/group"]
     assert not out.exists()
 
 

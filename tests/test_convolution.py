@@ -19,7 +19,6 @@ from nilconv.convolution import (
     op_norm,
     power_method,
     prepare,
-    right_translate,
 )
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import GradedLieAlgebra, abelian, heisenberg1
@@ -37,6 +36,7 @@ from oracles import (
     convolution_matrix,
     dense_matrix,
     loop_group_convolution,
+    right_translate,
     site_convolution,
     toeplitz_convolution_matrix,
 )
@@ -455,18 +455,72 @@ def test_convop_batch_equals_single_applies(name):
 
 
 def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
+    # one forward transform; the inverse runs one pass per axis, last axis
+    # first, each axis cut from N + N//2 = 24 to its 16 kept cells after its pass
     spec = GridSpec(AB2, 16, 1.0)
     op = prepare(_random_kernel(spec, 36), spec)
     f = _random_field(spec, 37).values
-    counts = Counter()
+    calls = []
     for name in ("fftn", "ifftn"):
         def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
+            out = _fn(*args, **kwargs)
+            calls.append((_name, kwargs["axes"], out.shape))
+            return out
 
         monkeypatch.setattr(np.fft, name, counted)
     op.apply(f)
-    assert counts == {"fftn": 1, "ifftn": 1}
+    assert calls == [("fftn", (1, 2), (1, 24, 24)), ("ifftn", (2,), (1, 24, 24)),
+                     ("ifftn", (1,), (1, 24, 16))]
+    assert Counter(name for name, _, _ in calls) == {"fftn": 1, "ifftn": spec.q_total}
+
+
+# the smallest grid, even and odd N: the N + N//2 pad is tight on both
+# inequalities of the kept window at odd N
+PAD_NS = (4, 5, 8, 17)
+
+
+@pytest.mark.parametrize("N", PAD_NS)
+def test_spectrum_window_matches_direct_site_sums(N):
+    spec = GridSpec(AB2, N, 1.0)
+    f, g = _random_field(spec, 100 + N), _random_field(spec, 200 + N)
+    got = convolve(f, g, path="fast").values
+    want = convolve(f, g, path="direct").values
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", PAD_NS)
+def test_tensor_factor_spectrum_matches_toeplitz_product(N):
+    spec = GridSpec(AB2, N, 1.0)
+    parts = [_random_kernel(sub, 300 + N + mu) for mu, sub in enumerate(spec.factor_specs)]
+    f = _random_field(spec, 400 + N).values
+    got = prepare(TensorKernel(parts), spec).apply(f)
+    T0, T1 = (toeplitz_convolution_matrix(p.values, h) for p, h in zip(parts, spec.spacings))
+    want = T0 @ f @ T1.T
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", (4, 5, 17))
+def test_sheared_plain_axis_window_matches_loop_sums(N):
+    # h1 x a1 has one plain axis (3); a dense row takes the kernel's side
+    spec = GridSpec(HX, N, 1.0)
+    assert spec.shear[0] == [3]
+    k, f = _random_kernel(spec, 500 + N).values, _random_field(spec, 600 + N).values
+    block = _Sheared(spec, spec, (0, 1, 2, 3), k)
+    assert spec.size >= block.shift_work
+    got = block.apply(f[None])[0].reshape(-1)
+    # both edges of the plain axis's window, where an aliased term would land
+    if N < 8:
+        cells = [(a, b, c, d) for a in range(N) for b in range(N) for c in range(N)
+                 for d in (0, N - 1)]
+    else:
+        cells = [(0, N - 1, 1, 0), (N - 1, 0, N - 2, N - 1), (3, 11, 0, N - 1),
+                 (N // 2, N // 2, N - 1, 0)]
+    coords = spec.mesh.reshape(-1, 4)
+    for cell in cells:
+        site = int(np.ravel_multi_index(cell, spec.shape))
+        want, scale = site_convolution(HX, k.reshape(-1), f.reshape(-1), coords,
+                                       spec.volume, site)
+        assert abs(got[site] - want) <= 1e-13 * scale
 
 
 def test_abelian_direct_convolve_runs_no_fft(monkeypatch):
