@@ -883,7 +883,7 @@ COMMANDS = (
      "CSV output: none. --check compares the fast and direct convolution paths "
      "on the kernel renderings."),
     ("opnorm", _cmd_opnorm, "opnorm", True,
-     "operator norm by power iteration",
+     "operator norm by Lanczos iteration",
      "CSV output: none. Exit 3 when the iteration does not converge."),
     ("seminorm", _cmd_seminorm, "seminorm", True,
      "product or flag kernel seminorm",

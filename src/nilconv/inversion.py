@@ -28,6 +28,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .convolution import (
+    EPS,
+    _orth,
     boundary_mass_fraction,
     compose_kernels,
     convolve,
@@ -47,7 +49,6 @@ from .kernels import (
 from .seminorms import SeminormConfig, fk_seminorm, pk_seminorm
 
 NOT_INVERTIBLE = "not invertible at this resolution"
-EPS = np.finfo(float).eps
 
 
 def _padded_spec(spec: GridSpec, pad_factor: int) -> GridSpec:
@@ -141,23 +142,18 @@ def _lanczos_edges(op, spec: GridSpec, seed: int) -> tuple:
     U, V = np.empty((steps + 1, n), dtype=complex), np.empty((steps, n), dtype=complex)
     B = np.zeros((steps + 1, steps))
 
-    def orth(x, Q):
-        for _ in range(2):
-            x = x - Q.T @ (Q.conj() @ x)
-        return x
-
     rng = np.random.default_rng(seed)
     u = rng.normal(size=n) + 1j * rng.normal(size=n)
     U[0] = u / np.linalg.norm(u)
     w = op.adjoint(U[0].reshape(spec.shape)).ravel()
     top = bottom = 0.0
     for k in range(steps):
-        w = orth(w, V[:k])
+        w = _orth(w, V[:k])
         B[k, k] = alpha = np.linalg.norm(w)
         rows = k + 1  # a vanishing alpha leaves B square and ends the run
         if alpha > n * EPS * B.max():
             V[k] = w / alpha
-            p = orth(op.apply(V[k].reshape(spec.shape)).ravel() - alpha * U[k], U[:k + 1])
+            p = _orth(op.apply(V[k].reshape(spec.shape)).ravel() - alpha * U[k], U[:k + 1])
             B[k + 1, k] = beta = np.linalg.norm(p)
             rows = k + 2
         s = np.linalg.svd(B[:rows, :k + 1], compute_uv=False)
@@ -627,6 +623,8 @@ def near_identity_kernel(K: KernelRep, spec: GridSpec, strength: float = 0.45,
     The result has singular values inside [1 - strength, 1 + strength],
     hence is invertible with a short Neumann series; it is the standard
     way to turn a synthesized dyadic kernel into an inversion test case.
+    An unconverged op_norm reads low, so the scale is then Young's bound
+    sum |K| vol, which never does.
     """
     if not 0.0 < strength < 1.0:
         raise ValueError("strength must lie in (0, 1)")
@@ -634,5 +632,6 @@ def near_identity_kernel(K: KernelRep, spec: GridSpec, strength: float = 0.45,
     if est.value == 0.0:
         raise ValueError("cannot scale a zero operator toward the identity")
     Kr = K.render(spec)
+    norm = est.value if est.converged else float(np.abs(Kr.values).sum() * spec.volume)
     base = DeltaKernel(spec.group).render(spec).values
-    return GridKernel(spec, base + (strength / est.value) * Kr.values, mode=Kr.mode)
+    return GridKernel(spec, base + (strength / norm) * Kr.values, mode=Kr.mode)

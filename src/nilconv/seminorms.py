@@ -13,8 +13,8 @@ each block is computed exactly from it: Op(K) takes the unit vectors of
 supp gamma, scaled by gamma, in one batch, X^alpha and phi act on the
 result, and the largest singular value of the rows in supp phi is the
 block.  A block with more than DENSE_BLOCK_COLUMNS columns falls back to
-its own power iteration on its normal operator.  Blocks combine into
-per-subset components.
+its own Lanczos run (power_method) on its normal operator.  Blocks combine
+into per-subset components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
 the grid box.  pk and fk reports are one pass over their terms: one per
@@ -82,9 +82,10 @@ class SeminormConfig:
     orders up to stencil_gap - 1 per factor see truly disjoint supports;
     raise it when requesting higher orders.
 
-    max_iter and tol govern only the power iterations: the op_norm entry
-    of the empty subset, and each block above DENSE_BLOCK_COLUMNS columns,
-    which runs on its own.  Every other block is exact.
+    max_iter and tol are the Lanczos step cap and drift tolerance of
+    power_method, which runs only for the op_norm entry of the empty subset
+    and for each block above DENSE_BLOCK_COLUMNS columns, on its own.
+    Every other block is exact.
     """
 
     kvec: tuple | None = None
@@ -206,7 +207,7 @@ def _center_candidates(fac, distance: float, directions: str):
 # exactly by a dense SVD; abelian2 tame reports need at most 72 at N=24, while
 # a block localized in one factor next to a whole heisenberg1 factor has 512
 # at N=8, and building those columns through the direct path costs more than
-# power iteration on them
+# a Lanczos run on them
 DENSE_BLOCK_COLUMNS = 256
 
 
@@ -250,7 +251,7 @@ class BlockOperator:
 
     def estimate(self, max_iter: int = 48, tol: float = 1e-11,
                  seed: int = 0) -> OpNormEstimate:
-        """Power-iteration estimate of the block's norm, from below.
+        """Lanczos estimate (power_method) of the block's norm, from below.
 
         Reports and localized_block use it only for blocks above
         DENSE_BLOCK_COLUMNS columns and take the exact norm of smaller ones.
@@ -268,7 +269,7 @@ def _block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
     its nonzero part has one column per site y of supp gamma, Op(K)
     applied to gamma(y) e_y, all columns in one batch shared by every
     alpha, then X^alpha and phi, kept on the rows of supp phi.  A wider
-    block runs its own power iteration ("iterative") from seed_for(alpha).
+    block runs its own Lanczos estimate ("iterative") from seed_for(alpha).
     """
     cols = np.flatnonzero(gamma)
     if cols.size > DENSE_BLOCK_COLUMNS:
@@ -339,8 +340,8 @@ def localized_block(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict
                     gamma_spec: dict, sep_constants=None, profile: str = "bump",
                     max_iter: int = 48, tol: float = 1e-11, seed: int = 0) -> float:
     """Norm of the localized block operator, as a report row computes it:
-    exact for at most DENSE_BLOCK_COLUMNS columns, else the power-iteration
-    estimate from max_iter, tol and seed (see _block_norms).
+    exact for at most DENSE_BLOCK_COLUMNS columns, else the Lanczos estimate
+    from max_iter, tol and seed (see _block_norms).
     """
     op = block_operator(K, spec, alpha, subset, phi_spec, gamma_spec,
                         sep_constants=sep_constants, profile=profile)

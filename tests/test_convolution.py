@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nilconv import convolution
 from nilconv.convolution import (
     _Sheared,
+    _orth,
     apply_op,
     boundary_mass_fraction,
     compose_kernels,
@@ -542,32 +543,51 @@ def test_power_method_stop_rules():
     spec = GridSpec(AB1, 16, 1.0)
 
     def diagonal(top, second):
-        # a diagonal normal operator; the gap between its two largest
-        # entries sets how many steps the Rayleigh quotient takes to settle
+        # a diagonal normal operator with its two largest entries set
         d = np.linspace(0.1, 0.4, spec.N)
         d[3], d[7] = top, second
         return d
 
-    runs = []
-    for d, seed in zip([diagonal(2.0, 0.5), diagonal(0.8, 0.5), diagonal(1.0, 0.999),
-                        np.zeros(spec.N)], [11, 12, 13, 14]):
+    def run(d, spec, max_iter, seed):
         calls = []
-        est = power_method(lambda v, d=d: calls.append(1) or d * v, spec, max_iter=40,
+        est = power_method(lambda v: calls.append(1) or d * v, spec, max_iter=max_iter,
                            tol=1e-12, seed=seed)
         assert len(calls) == est.iterations  # one apply per step
-        runs.append(est)
-    iters = [est.iterations for est in runs]
-    # the zero operator stops at once; a wide gap settles sooner than a narrow
-    # one, by drift; a near-tie runs to the cap unconverged
-    assert iters[3] == 1 and runs[3].value == 0.0 and runs[3].residual == 0.0
-    assert runs[3].converged
-    assert iters[0] < iters[1] < 40 and runs[0].converged and runs[1].converged
-    assert runs[0].value == pytest.approx(np.sqrt(2.0), rel=1e-9)
-    assert runs[1].value == pytest.approx(np.sqrt(0.8), rel=1e-9)
-    assert iters[2] == 40 and not runs[2].converged
-    assert np.sqrt(0.999) < runs[2].value <= 1.0
+        return est
+
+    runs = [run(d, spec, 40, seed)
+            for d, seed in zip([diagonal(2.0, 0.5), diagonal(0.8, 0.5), diagonal(1.0, 0.999),
+                                np.zeros(spec.N)], [11, 12, 13, 14])]
+    # the zero operator stops at once; Lanczos settles on the top of every
+    # spectrum within the 16 steps that span the space, a near-tie included
+    assert runs[3].iterations == 1 and runs[3].converged
+    assert runs[3].value == 0.0 and runs[3].residual == 0.0
+    for est, top in zip(runs, [2.0, 0.8, 1.0]):
+        assert est.converged and est.iterations <= spec.N
+        assert est.value == pytest.approx(np.sqrt(top), rel=1e-12)
+    # with more sites than steps an evenly spread spectrum does not settle
+    # in 8; the Ritz value stays below the top
+    big = GridSpec(AB1, 64, 1.0)
+    capped = run(np.linspace(0.1, 1.0, big.N), big, 8, 15)
+    assert capped.iterations == 8 and not capped.converged
+    assert np.sqrt(0.9) < capped.value < 1.0 and capped.residual > 1e-3
     with pytest.raises(ValueError, match="max_iter"):
         power_method(lambda v: v, spec, max_iter=7)
+
+
+def test_orth_matches_conjugated_basis_product_bit_for_bit():
+    # _orth forms Q^H x as conj(Q conj(x)); the two passes must give the
+    # bits of the Q.conj() @ x form they replace
+    rng = np.random.default_rng(21)
+    n, k = 500, 30
+    Q = np.linalg.qr(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))[0].T.copy()
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = x
+    for _ in range(2):
+        want = want - Q.T @ (Q.conj() @ want)
+    got = _orth(x, Q)
+    assert np.array_equal(got, want)
+    assert np.abs(Q.conj() @ got).max() <= 1e-13 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("group, alpha", [

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilconv import seminorms
-from nilconv.convolution import op_norm
+from nilconv.convolution import op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv.kernels import (
@@ -419,7 +419,7 @@ def test_delta_total_tracks_amplitude(re, im):
 
 
 def test_iterative_blocks_cost_two_ffts_per_step(monkeypatch):
-    # on the power-iteration fallback, each block runs on its own: one apply
+    # on the Lanczos fallback, each block runs on its own: one apply
     # and one adjoint (two fftn calls) per step, and nothing else
     monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
     spec = GridSpec(AB2, 8, 1.0)
@@ -512,13 +512,44 @@ def test_dense_blocks_are_exact_and_dominate_the_fallback(monkeypatch, case):
                                sep_constants=seps) == row["block"]
 
     monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
-    fallback = fk_seminorm(K, spec, kvec)
+    cfg = SeminormConfig()
+    fallback = fk_seminorm(K, spec, kvec, cfg)
     assert [_block_key(r) for r in fallback.blocks] == [_block_key(r) for r in rep.blocks]
     assert all(r["method"] == "iterative" for r in fallback.blocks)
+    # Lanczos reads from below and, once converged, equals the dense block;
+    # blocks at rounding level (a delta factor's far field) are judged on
+    # the report's scale, where a relative bound alone would compare noise
+    top = max(row["block"] for row in rep.blocks)
     for row, old in zip(rep.blocks, fallback.blocks):
         assert row["block"] >= old["block"] * (1.0 - 1e-12)
-        if _block_key(row) in zero:  # a relative bound alone would compare noise
+        assert old["iterations"] < cfg.max_iter
+        assert abs(old["block"] - row["block"]) <= 1e-12 * max(row["block"], top)
+        if _block_key(row) in zero:
             assert row["block"] == old["block"] == 0.0
+
+
+def _op_top(K, spec):
+    op = prepare(K, spec)
+    A = dense_matrix(lambda x: op.apply(x.reshape(spec.shape)).ravel(), spec.size)
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_op_norm_entries_equal_dense_svd(seed):
+    # Ritz values rise to sigma_max from below and, once converged, equal it
+    cfg = SeminormConfig(seed=seed)
+    spec = GridSpec(H1, 6, 1.0)
+    K = synth_dyadic(H1, -2, 0, "random", seed=seed)
+    est = op_norm(K, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=seed)
+    assert est.converged
+    assert est.value == pytest.approx(_op_top(K, spec), rel=1e-12)
+    spec = GridSpec(AB2, 16, 1.0)
+    K = synth_dyadic(AB2, -2, 0, "random", seed=seed)
+    sigma = _op_top(K, spec)
+    for report in (pk_seminorm, fk_seminorm):
+        rep = report(K, spec, (1, 1), cfg)
+        assert rep.op_norm_estimate.converged
+        assert rep.value_for(()) == pytest.approx(sigma, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [16, 24])
