@@ -505,9 +505,11 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
 class DecayReport:
     """Seminorms of S^n with nth roots, against the measured |S|.
 
-    s_norm_estimate is singular_edges' sigma_max info dict of S, whose value
-    is s_norm_measured: a dense SVD up to DENSE_SITES sites, a converged
-    Lanczos top or Young's bound above them.
+    s_norm_estimate is the sigma_max info dict of S (value, method,
+    factors, converged, iterations), whose value is s_norm_measured: a
+    dense SVD up to DENSE_SITES sites (singular_edges), above them the
+    top-edge Lanczos of op_norm, or Young's bound when that run did not
+    converge within LANCZOS_STEPS.
     """
 
     kind: str
@@ -572,7 +574,13 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
     normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
     s_vals = DeltaKernel(spec.group).render(spec).values - ev * normal.values
     Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec)
-    s_est = singular_edges(Sop, spec, seed)[0]
+    if spec.size <= DENSE_SITES:
+        s_est = singular_edges(Sop, spec, seed)[0]
+    else:  # the top edge alone, so a slow bottom edge cannot hold |S| back
+        top = op_norm(Sop, spec, max_iter=LANCZOS_STEPS, seed=seed)
+        value = top.value if top.converged else float(np.abs(s_vals).sum() * spec.volume)
+        s_est = {"value": value, "method": "lanczos" if top.converged else "young-bound",
+                 "factors": [value], "converged": top.converged, "iterations": top.iterations}
 
     estimator = pk_seminorm if kind == "pk" else fk_seminorm
     rows = []

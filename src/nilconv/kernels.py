@@ -32,8 +32,6 @@ from .product import (
 )
 
 MAX_MOMENT_ORDER = 4
-MOMENT_TOL = 1e-12
-PROFILE_BUDGET = 1 << 28
 # half-width of a dyadic profile's smooth window, as a fraction of the box's;
 # enforce_moments uses the same window, so its correction keeps that support
 WINDOW_FRAC = 0.9
@@ -367,10 +365,14 @@ class DiscreteHilbertKernel(KernelRep):
 class DyadicKernel(KernelRep):
     """K = sum over window scales n of 2^(n.Q) phi_n(delta_{2^n} t).
 
-    Profiles live on a unit-box grid; factors in the cancellation set S(n)
-    have vanishing moments up to `moment_order`.  In flag mode the window
-    is restricted to n_1 >= ... >= n_nu and S(n) contains the factors
-    where the scale strictly drops (always including the last).
+    Each profile is a product over factors, phi_n(t) = prod_mu phi_n,mu(t_mu),
+    and profiles[n] holds one GridFunction per factor on the factor's
+    unit-box grid.  Multilinear interpolation factors by axis, so the
+    product of per-factor interpolations is the interpolation of the
+    product.  Factors in the cancellation set S(n) have vanishing moments
+    up to `moment_order`.  In flag mode the window is restricted to
+    n_1 >= ... >= n_nu and S(n) contains the factors where the scale
+    strictly drops (always including the last).
     """
 
     def __init__(self, group, window, profiles, moment_order, flag_mode=False,
@@ -389,10 +391,13 @@ class DyadicKernel(KernelRep):
     def dilated_eval(self, n, points) -> np.ndarray:
         """Single-scale term 2^(n.Q) phi_n(delta_{2^n} t)."""
         n = tuple(int(v) for v in n)
-        phi = self.profiles[n]
-        r = [2.0 ** nm for nm in n]
-        pts = self.group.dilate(r, np.asarray(points, dtype=float))
-        return self.scale_factor(n) * phi.interp(pts)
+        points = np.asarray(points, dtype=float)
+        parts = zip(self.profiles[n], self.group.factors, self.group.slices, n)
+        out = None
+        for phi, f, sl, nm in parts:
+            v = phi.interp(f.dilate(2.0 ** nm, points[..., sl]))
+            out = v if out is None else out * v
+        return self.scale_factor(n) * out
 
     def eval(self, points):
         points = np.asarray(points, dtype=float)
@@ -402,10 +407,9 @@ class DyadicKernel(KernelRep):
         return out
 
     def adjoint(self):
-        flipped = {}
-        for n, phi in self.profiles.items():
-            g = phi.negate_argument()
-            flipped[n] = GridFunction(phi.spec, np.conj(g.values))
+        flipped = {n: tuple(GridFunction(phi.spec, np.conj(phi.negate_argument().values))
+                            for phi in parts)
+                   for n, parts in self.profiles.items()}
         return DyadicKernel(
             self.group, self.window, flipped, self.moment_order,
             flag_mode=self.flag_mode, meta=self.meta,
@@ -515,73 +519,54 @@ def factor_moments(f: GridFunction, mu: int, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _profile_shape(family, group, spec, rng):
-    """Raw smooth profile on the unit-box grid, before moment projection.
-
-    Each factor's shape is evaluated on its own grid and multiplied in,
-    one lifted part at a time in factor order, then the window.
-    """
-    out = np.ones(spec.shape)
-    for sl, sub in zip(group.slices, spec.factor_specs):
-        t = sub.mesh
-        r2 = np.sum(t * t, axis=-1)
-        if family == "gauss-deriv":
-            parts = (t[..., 0], np.exp(-4.0 * r2))
-        elif family == "mexican":
-            parts = (1.0 - 6.0 * r2, np.exp(-4.0 * r2))
-        elif family == "random":
-            poly = np.zeros(sub.shape)
-            for e in _exponents_up_to(sub.q_total, 3):
-                c = rng.standard_normal()
-                poly = poly + c * _monomial(t, e)
-            parts = (poly, np.exp(-3.0 * r2))
-        else:
-            raise ValueError(f"unknown profile family {family!r}")
-        for part in parts:
-            out = out * spec.lift(sl, part)
-    return out * _window(spec)
+def _profile_shape(family, sub, rng) -> np.ndarray:
+    """One factor's raw smooth profile on its unit-box grid sub, before
+    moment projection: the family's shape times the window."""
+    t = sub.mesh
+    r2 = np.sum(t * t, axis=-1)
+    if family == "gauss-deriv":
+        shape = t[..., 0] * np.exp(-4.0 * r2)
+    elif family == "mexican":
+        shape = (1.0 - 6.0 * r2) * np.exp(-4.0 * r2)
+    elif family == "random":
+        poly = np.zeros(sub.shape)
+        for e in _exponents_up_to(sub.q_total, 3):
+            c = rng.standard_normal()
+            poly = poly + c * _monomial(t, e)
+        shape = poly * np.exp(-3.0 * r2)
+    else:
+        raise ValueError(f"unknown profile family {family!r}")
+    return shape * _window(sub)
 
 
 def synth_dyadic(group: ProductGroup, n_min: int, n_max: int, family: str,
-                 seed: int = 0, moment_order: int = 1, profile_N: int | None = None,
+                 seed: int = 0, moment_order: int = 1, profile_N: int = 32,
                  flag_mode: bool = False) -> DyadicKernel:
     """Build a dyadic kernel with moment-cancelling profiles.
 
     The scale window is the box [n_min, n_max]^nu, intersected with the
-    nonincreasing cone in flag mode.  Each profile is a smooth compactly
-    supported shape from the named family with factor-mu moments up to
-    `moment_order` projected out for mu in the scale's cancellation set.
-    Profiles take 16 bytes per site and scale; without profile_N their grid
-    has the largest N <= 32 whose profiles fit PROFILE_BUDGET.
+    nonincreasing cone in flag mode.  Each profile is a product of smooth
+    compactly supported factor shapes from the named family, each on its
+    factor's profile_N grid, with moments up to `moment_order` projected
+    out of factor mu for mu in the scale's cancellation set.
     """
     if n_max < n_min:
         raise ValueError("empty scale window")
     scales = list(iproduct(range(n_min, n_max + 1), repeat=group.nu))
     if flag_mode:
         scales = [n for n in scales if all(n[i] >= n[i + 1] for i in range(len(n) - 1))]
-
-    def storage(N):
-        return len(scales) * N ** group.q_total * 16
-
-    if profile_N is None:
-        profile_N = max([N for N in range(4, 33) if storage(N) <= PROFILE_BUDGET], default=4)
-    est = storage(profile_N)
-    if est > PROFILE_BUDGET:
-        raise ValueError(
-            f"scale window needs about {est} bytes of profile storage; "
-            f"budget is {PROFILE_BUDGET}"
-        )
-    spec = GridSpec(group, profile_N, 1.0)
-    rng = np.random.default_rng(seed)
+    subs = GridSpec(group, profile_N, 1.0).factor_specs
     profiles = {}
     for n in scales:
-        sub = np.random.default_rng((seed, 1000 + hash(n) % 100000))
-        raw = _profile_shape(family, group, spec, sub if family == "random" else rng)
-        phi = GridFunction(spec, zero_lowest_face(raw))
-        for mu in cancellation_subsets(n, group.nu, flag_mode):
-            phi = enforce_moments(phi, mu, moment_order)
-        phi = GridFunction(spec, zero_lowest_face(phi.values))
-        profiles[n] = phi
+        rng = np.random.default_rng((seed, 1000 + hash(n) % 100000))
+        cancel = cancellation_subsets(n, group.nu, flag_mode)
+        parts = []
+        for mu, sub in enumerate(subs):
+            phi = GridFunction(sub, zero_lowest_face(_profile_shape(family, sub, rng)))
+            if mu in cancel:
+                phi = enforce_moments(phi, 0, moment_order)
+            parts.append(GridFunction(sub, zero_lowest_face(phi.values)))
+        profiles[n] = tuple(parts)
     return DyadicKernel(
         group, scales, profiles, moment_order, flag_mode=flag_mode,
         meta={"family": family, "seed": seed, "profile_N": profile_N,
@@ -935,7 +920,9 @@ def adjoint_kernel(kernel: KernelRep) -> KernelRep:
 
 
 _MAGIC = b"NCKR"
-_VERSION = 1
+# version 2 stores a dyadic kernel's profiles per factor; grid payloads are
+# the same as in version 1, so version-1 grid files still load
+_VERSION = 2
 _HEADER = 64
 
 
@@ -951,7 +938,7 @@ def _unpack_header(buf):
     magic, version, kind, nu, flags, N, T = struct.unpack_from("<4sBBBBId", buf, 0)
     if magic != _MAGIC:
         raise ValueError("not a kernel file (bad magic)")
-    if version != _VERSION:
+    if version != _VERSION and (version, kind) != (1, 0):
         raise ValueError(f"unsupported kernel file version {version}")
     q_list = list(buf[20:20 + nu])
     return kind, nu, flags, N, T, q_list
@@ -959,7 +946,10 @@ def _unpack_header(buf):
 
 def save_kernel(kernel: KernelRep, path: str):
     """Write a Grid or Dyadic kernel: 64-byte header, complex128 payload,
-    JSON sidecar at path + '.json' with the group and representation data."""
+    JSON sidecar at path + '.json' with the group and representation data.
+
+    A grid payload is the values on the grid; a dyadic payload is, scale by
+    scale in window order, each factor's profile on its factor grid."""
     group = kernel.group
     q_list = list(group.q)
     if isinstance(kernel, GridKernel):
@@ -969,12 +959,12 @@ def save_kernel(kernel: KernelRep, path: str):
         side = {"kind": "grid", "group": group.to_dict(),
                 "principal_value": kernel.principal_value, "mode": kernel.mode}
     elif isinstance(kernel, DyadicKernel):
-        spec = next(iter(kernel.profiles.values())).spec
+        spec = kernel.profiles[kernel.window[0]][0].spec
         flags = 2 if kernel.flag_mode else 0
         head = _pack_header(1, group.nu, flags, spec.N, spec.T, q_list)
         payload = b"".join(
-            np.ascontiguousarray(kernel.profiles[n].values).astype("<c16").tobytes()
-            for n in kernel.window
+            np.ascontiguousarray(phi.values).astype("<c16").tobytes()
+            for n in kernel.window for phi in kernel.profiles[n]
         )
         side = {
             "kind": "dyadic", "group": group.to_dict(),
@@ -1013,15 +1003,17 @@ def load_kernel(path: str) -> KernelRep:
             mode="flag" if flags & 2 else "product",
         )
     if kind == 1:
-        spec = GridSpec(group, N, T)
+        subs = GridSpec(group, N, T).factor_specs
         window = [tuple(n) for n in side["window"]]
-        per = spec.size
         profiles = {}
         off = _HEADER
         for n in window:
-            vals = np.frombuffer(buf, dtype="<c16", count=per, offset=off)
-            profiles[n] = GridFunction(spec, vals.copy().reshape(spec.shape))
-            off += per * 16
+            parts = []
+            for sub in subs:
+                vals = np.frombuffer(buf, dtype="<c16", count=sub.size, offset=off)
+                parts.append(GridFunction(sub, vals.copy().reshape(sub.shape)))
+                off += sub.size * 16
+            profiles[n] = tuple(parts)
         return DyadicKernel(
             group, window, profiles, side["moment_order"],
             flag_mode=side["flag_mode"], meta=side.get("meta", {}),

@@ -326,6 +326,22 @@ def test_kernel_file_group_mismatch(tmp_path, capsys):
     assert "does not match /group" in stderr_errors(capsys)[0]["message"]
 
 
+def test_version_one_dyadic_file_is_config_error(tmp_path, capsys):
+    # version-1 dyadic files held full-grid profiles; regenerate from the sidecar meta
+    code, out = run(tmp_path / "synth", "kernel", "synth", "--preset", "abelian2")
+    assert code == EXIT_OK
+    kfile = out / "kernel.nckr"
+    buf = bytearray(kfile.read_bytes())
+    buf[4] = 1
+    kfile.write_bytes(bytes(buf))
+    code2, _ = run(tmp_path / "op", "opnorm", "--preset", "abelian2",
+                   "--kernel", str(kfile), "--N", "8")
+    assert code2 == EXIT_CONFIG
+    err = stderr_errors(capsys)[0]
+    assert err["path"] == "/kernel/name"
+    assert err["message"] == "unsupported kernel file version 1"
+
+
 def test_check_cancel_report_and_csv(tmp_path):
     code, out = run(tmp_path, "kernel", "check-cancel", "--preset", "abelian2",
                     "--kernel", "dyadic", "--N", "32", "--mu", "0",
@@ -424,7 +440,7 @@ def test_unconverged_spectral_edges_warn(tmp_path, capsys, monkeypatch, command)
     argv = [command, "--preset", "abelian2", "--kernel", "near-identity-dyadic",
             "--N", "8"]
     def edge_warnings():
-        # under the 3-step cap decay also warns that |S| did not converge,
+        # under the 8-step cap decay also warns that |S| did not converge,
         # which test_decay_warns_when_s_norm_not_converged covers
         return [line for line in capsys.readouterr().err.splitlines()
                 if "|S|" not in line]
@@ -433,14 +449,15 @@ def test_unconverged_spectral_edges_warn(tmp_path, capsys, monkeypatch, command)
     monkeypatch.setattr(inversion, "DENSE_SITES", 8)
     assert run(tmp_path / "lanczos", *argv)[0] == code
     assert edge_warnings() == []
-    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
+    # 8 is the least step cap op_norm takes, and decay's |S| runs op_norm
+    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 8)
     code_short, out = run(tmp_path / "short", *argv)
     assert code_short == code
     result = read_report(out)["result"]
     eps = result["eps"] if command == "invert" else result["config"]["eps"]
     assert eps["sigma_max_info"]["converged"] is False
     assert edge_warnings() == [
-        f"{command}: warning: spectral edges not converged after 3 Lanczos "
+        f"{command}: warning: spectral edges not converged after 8 Lanczos "
         "steps; sigma_max from young-bound, sigma_min from lanczos"]
 
 
@@ -458,18 +475,19 @@ def test_decay_warns_when_s_norm_not_converged(tmp_path, capsys, monkeypatch):
     assert exact["s_norm_estimate"]["converged"] is True
     assert s_norm_warnings() == []
 
-    # three Lanczos steps leave |S| unresolved; Young's bound stands in
+    # eight Lanczos steps, the least op_norm takes, leave |S| unresolved;
+    # Young's bound stands in
     monkeypatch.setattr(inversion, "DENSE_SITES", 8)
-    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
+    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 8)
     code, out = run(tmp_path / "short", *argv)
     assert code == EXIT_OK
     result = read_report(out)["result"]
     est = result["s_norm_estimate"]
-    assert est["converged"] is False and est["iterations"] == 3
+    assert est["converged"] is False and est["iterations"] == 8
     assert est["method"] == "young-bound"
     assert est["value"] == result["s_norm_measured"] >= exact["s_norm_measured"]
     assert s_norm_warnings() == [
-        "decay: warning: |S| not converged after 3 Lanczos steps; |S| from young-bound"]
+        "decay: warning: |S| not converged after 8 Lanczos steps; |S| from young-bound"]
 
 
 def test_decay_requires_two_factor_orders(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Source hygiene: every top-level import of the package is used."""
+"""Source hygiene: every top-level import of the package is used, and every
+top-level constant is read."""
 
 import ast
+import re
 from pathlib import Path
 
 import nilconv
@@ -40,3 +42,39 @@ def test_no_unused_top_level_imports():
     assert len(SOURCES) > 5
     unused = [u for path in SOURCES for u in _unused_imports(path)]
     assert not unused, unused
+
+
+def _unread_constants(paths) -> list:
+    """Top-level ALL_CAPS names assigned in the modules that no module reads.
+
+    A read is a loaded name or an attribute of that name anywhere in the
+    package, so `DENSE_SITES` in its own module and `inversion.DENSE_SITES`
+    elsewhere both count; tests do not.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            for t in targets:
+                if (isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)
+                        and t.id not in read):
+                    out.append(f"{path.name}:{node.lineno}: {t.id}")
+    return out
+
+
+def test_no_unread_top_level_constants(tmp_path):
+    unread = _unread_constants(SOURCES)
+    assert not unread, unread
+    # the scan sees a constant that only its own assignment mentions
+    mod = tmp_path / "mod.py"
+    mod.write_text("USED = 1\nSTALE: int = 2\nprint(USED)\n")
+    assert _unread_constants([mod]) == ["mod.py:2: STALE"]

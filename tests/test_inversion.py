@@ -539,6 +539,22 @@ def test_decay_random_dyadic_roots_trend():
         assert 0.0 <= r["truncation"] <= 1.0
 
 
+def test_decay_s_norm_is_the_top_edge_above_dense_sites():
+    # 13^3 = 2197 sites, above DENSE_SITES: |S| is op_norm's Lanczos top of
+    # S, which the n=1 row also reads; the bottom edge plays no part
+    spec = GridSpec(HEIS, 13, 1.0)
+    assert spec.size > inversion.DENSE_SITES
+    K = _near_identity_dyadic(spec)
+    rep = seminorm_decay(K, spec, (1,), [1], cfg=LIGHT)
+    est = rep.s_norm_estimate
+    assert set(est) == INFO_KEYS
+    assert est["method"] == "lanczos" and est["converged"]
+    assert est["iterations"] < inversion.LANCZOS_STEPS
+    assert rep.s_norm_measured == est["value"] == est["factors"][0]
+    row = rep.rows[0]["op_norm"]
+    assert abs(rep.s_norm_measured - row) <= 1e-5 * row
+
+
 def test_decay_report_serialization(tmp_path):
     spec = GridSpec(AB1, 16, 1.0)
     rep = seminorm_decay(DeltaKernel(AB1, 2.0), spec, (1,), [1, 2], eps=1.0 / 8.0)

@@ -109,33 +109,46 @@ def test_synth_dyadic_profile_moments():
                          profile_N=profile_N)
         assert len(k.window) == 9
         for n in k.window:
-            for mu in (0, 1):
-                assert factor_moments(k.profiles[n], mu, 2).max() <= 1e-12
+            assert len(k.profiles[n]) == 2
+            for phi in k.profiles[n]:
+                assert factor_moments(phi, 0, 2).max() <= 1e-12
 
 
 @pytest.mark.parametrize("family", ["gauss-deriv", "mexican", "random"])
 @pytest.mark.parametrize("group", [AB2, H1, H1A1],
                          ids=["abelian2", "heisenberg1", "heisenberg1xabelian1"])
 def test_profile_shape_matches_full_mesh(group, family):
-    """Per-factor evaluation joined by broadcasting keeps every bit."""
+    """The outer product of the per-factor shapes is the full-mesh shape: to
+    rounding on several factors, bit for bit on one."""
     spec = GridSpec(group, 16, 1.0)
-    got = kernels._profile_shape(family, group, spec, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    parts = [kernels._profile_shape(family, sub, rng) for sub in spec.factor_specs]
+    assert [p.shape for p in parts] == [sub.shape for sub in spec.factor_specs]
+    got = parts[0]
+    for p in parts[1:]:
+        got = np.multiply.outer(got, p)
     want = profile_shape_full_mesh(family, group, spec, np.random.default_rng(7))
     assert got.shape == spec.shape
-    assert got.tobytes() == want.tobytes()
+    if group.nu == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_synth_dyadic_profile_grid_fits_budget(monkeypatch):
-    """Without profile_N the profile grid is the largest N <= 32 within budget."""
+def test_synth_dyadic_profiles_are_per_factor():
+    """Profiles take one factor-grid array per factor: profile_N 32 on
+    heisenberg1 x abelian2 (27 scales), and at most 5 MiB on h1 x a1."""
     group = ProductGroup.from_dict({"factors": ["heisenberg1", "abelian2"]})
-    monkeypatch.setattr(kernels, "PROFILE_BUDGET", 16 * 9 ** 5)
-    k = synth_dyadic(group, 0, 0, "random", seed=1)
-    assert k.meta["profile_N"] == 9
-    assert k.profiles[(0, 0, 0)].spec.N == 9
-    for mu in range(3):
-        assert factor_moments(k.profiles[(0, 0, 0)], mu, 1).max() <= 1e-12
-    with pytest.raises(ValueError, match="bytes"):
-        synth_dyadic(group, 0, 0, "random", profile_N=10)
+    k = synth_dyadic(group, -2, 0, "random", seed=1)
+    assert k.meta["profile_N"] == 32 and len(k.window) == 27
+    for n in k.window:
+        subs = [phi.spec for phi in k.profiles[n]]
+        assert [s.q_total for s in subs] == [3, 1, 1] and {s.N for s in subs} == {32}
+        for phi in k.profiles[n]:
+            assert factor_moments(phi, 0, 1).max() <= 1e-12
+    k = synth_dyadic(H1A1, -2, 0, "random", seed=1)
+    stored = sum(phi.values.nbytes for parts in k.profiles.values() for phi in parts)
+    assert stored <= 5 << 20
 
 
 def test_synth_dyadic_flag_window():
@@ -148,26 +161,31 @@ def test_synth_dyadic_flag_window():
     assert cancellation_subsets((3, 1), 2, False) == (0, 1)
 
 
-def test_synth_dyadic_memory_budget(monkeypatch):
-    monkeypatch.setattr(kernels, "PROFILE_BUDGET", 10_000)
-    with pytest.raises(ValueError, match="bytes"):
-        synth_dyadic(AB2, -6, 6, "mexican", profile_N=64)
-
-
 def test_dilated_eval_scale_zero_is_profile():
     ab1 = ProductGroup([abelian(1)])
     k = synth_dyadic(ab1, 0, 0, "gauss-deriv", moment_order=1, profile_N=64)
     pts = np.linspace(-0.7, 0.7, 11)[:, None]
-    phi = k.profiles[(0,)]
+    phi = k.profiles[(0,)][0]
     assert np.allclose(k.dilated_eval((0,), pts), phi.interp(pts), atol=1e-14)
+
+
+def test_dilated_eval_is_the_full_grid_interpolation():
+    # multilinear interpolation factors by axis, in-box test included
+    k = synth_dyadic(H1A1, -1, 0, "random", seed=6, profile_N=12)
+    spec = GridSpec(H1A1, 12, 1.0)
+    pts = np.random.default_rng(3).uniform(-1.2, 1.2, (200, 4))
+    for n in k.window:
+        full = GridFunction(spec, np.multiply.outer(*(phi.values for phi in k.profiles[n])))
+        want = k.scale_factor(n) * full.interp(H1A1.dilate([2.0 ** v for v in n], pts))
+        assert np.abs(k.dilated_eval(n, pts) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_dilated_eval_integral_invariant():
     ab1 = ProductGroup([abelian(1)])
     base = synth_dyadic(ab1, 0, 0, "mexican", moment_order=0, profile_N=64)
-    phi = base.profiles[(0,)]
+    phi = base.profiles[(0,)][0]
     k = DyadicKernel(ab1, [(0,), (1,), (2,)],
-                     {(0,): phi, (1,): phi, (2,): phi}, 0)
+                     {(0,): (phi,), (1,): (phi,), (2,): (phi,)}, 0)
     fine = GridSpec(ab1, 512, 1.0)
     for n in ((1,), (2,)):
         vals = k.dilated_eval(n, fine.mesh)
@@ -181,7 +199,7 @@ def test_dilated_eval_against_closed_form():
     spec = GridSpec(ab1, 512, 1.0)
     g = lambda t: t * np.exp(-4.0 * t * t)
     phi = GridFunction(spec, zero_lowest_face(g(spec.mesh[..., 0])))
-    k = DyadicKernel(ab1, [(2,)], {(2,): phi}, 0)
+    k = DyadicKernel(ab1, [(2,)], {(2,): (phi,)}, 0)
     t = np.linspace(-0.2, 0.2, 9)[:, None]
     want = 4.0 * g(4.0 * t[:, 0])
     got = k.dilated_eval((2,), t)
@@ -419,18 +437,51 @@ def test_save_load_grid_roundtrip(tmp_path):
     assert back.group.to_dict() == K.group.to_dict()
 
 
+def _set_file_version(path, version):
+    buf = bytearray(path.read_bytes())
+    buf[4] = version
+    path.write_bytes(bytes(buf))
+
+
 def test_save_load_dyadic_roundtrip(tmp_path):
-    k = synth_dyadic(AB2, 0, 1, "random", seed=9, moment_order=1, profile_N=16,
+    k = synth_dyadic(H1A1, 0, 1, "random", seed=9, moment_order=1, profile_N=8,
                      flag_mode=True)
     path = tmp_path / "d.nckr"
     save_kernel(k, str(path))
+    # version 2: scale by scale, each factor's profile on its own grid
+    buf = path.read_bytes()
+    assert buf[4] == 2
+    assert buf[64:] == b"".join(phi.values.astype("<c16").tobytes()
+                                for n in k.window for phi in k.profiles[n])
+    assert len(buf) == 64 + len(k.window) * (8 ** 3 + 8) * 16
     back = load_kernel(str(path))
     assert isinstance(back, DyadicKernel)
     assert back.window == k.window
     assert back.flag_mode
     assert back.moment_order == 1
     for n in k.window:
-        assert np.array_equal(back.profiles[n].values, k.profiles[n].values)
+        for phi, want in zip(back.profiles[n], k.profiles[n], strict=True):
+            assert phi.spec.compatible(want.spec)
+            assert phi.values.tobytes() == want.values.tobytes()
+
+
+def test_load_version_one_files(tmp_path):
+    """A version-1 grid file loads (its payload is unchanged); a version-1
+    dyadic file, which held full-grid profiles, is refused."""
+    spec = GridSpec(H1A1, 6, 1.0)
+    vals = zero_lowest_face(np.random.default_rng(2).normal(size=spec.shape))
+    path = tmp_path / "g.nckr"
+    save_kernel(GridKernel(spec, vals, mode="flag"), str(path))
+    _set_file_version(path, 1)
+    back = load_kernel(str(path))
+    assert back.values.tobytes() == zero_lowest_face(vals).tobytes()
+    assert back.mode == "flag"
+
+    path = tmp_path / "d.nckr"
+    save_kernel(synth_dyadic(AB2, 0, 0, "random", profile_N=8), str(path))
+    _set_file_version(path, 1)
+    with pytest.raises(ValueError, match="unsupported kernel file version 1"):
+        load_kernel(str(path))
 
 
 def test_load_dyadic_sidecar_with_profile_bounds(tmp_path):
@@ -443,7 +494,8 @@ def test_load_dyadic_sidecar_with_profile_bounds(tmp_path):
     (tmp_path / "old.nckr.json").write_text(json.dumps(side))
     back = load_kernel(str(path))
     assert back.window == k.window
-    assert np.array_equal(back.profiles[(0, 0)].values, k.profiles[(0, 0)].values)
+    for phi, want in zip(back.profiles[(0, 0)], k.profiles[(0, 0)], strict=True):
+        assert np.array_equal(phi.values, want.values)
 
 
 def test_load_kernel_errors(tmp_path):
