@@ -851,6 +851,11 @@ def _cmd_decay(cfg):
     if not s_est["converged"]:
         sys.stderr.write(f"decay: warning: |S| not converged after {s_est['iterations']} "
                          f"Lanczos steps; |S| from {s_est['method']}\n")
+    short = [row for row in rep.rows if not row["op_norm_converged"]]
+    if short:  # an unconverged run stops at the step cap, the same for every row
+        sys.stderr.write(f"decay: warning: op_norm not converged after "
+                         f"{short[0]['op_norm_iterations']} Lanczos steps for n = "
+                         + ", ".join(str(row["n"]) for row in short) + "\n")
     roots = [row["root"] for row in rep.rows]
     line = (f"decay: |S| = {rep.s_norm_measured:.4g}, roots "
             + " ".join(f"{r:.4g}" for r in roots))

@@ -3,15 +3,16 @@
 Convention: (f * g)(x) = sum_y f(x y^{-1}) g(y) vol.  The subgroup
 lattice is closed under the group law, so the direct sum reads exact
 lattice points; values falling outside the box contribute zero.  Fully
-abelian groups route through zero-padded FFT convolution, which equals
-the direct sum up to rounding.  On other groups the direct sum adds, per
+abelian groups convolve dense rows by zero-padded FFTs, which equal the
+direct sum up to rounding.  On other groups the direct sum adds, per
 shift of the kernel along the axes inside some bracket, a zero-padded
 linear convolution along the central rest, read at the integer shear
 that the lattice group law gives; the reads are phases on the spectra,
-and the sum stays exact under box truncation.  Sparse inputs, and every
-input of an abelian direct sum, sum over their own sites by gathers
-instead.  Pipelines apply Op(K) through prepare(K, spec), which does the
-per-kernel work once.
+and the sum stays exact under box truncation.  By one side rule (_Block)
+a row with fewer sites than the kernel side's work per site, and every
+row of an abelian direct sum, sums exactly over its own sites by gathers
+of zero-padded kernel windows.  Pipelines apply Op(K) through
+prepare(K, spec), which does the per-kernel work once.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -70,7 +71,12 @@ def _inverse_windows(spectra: np.ndarray, windows: dict, N: int) -> np.ndarray:
 
 
 class _Block:
-    """Convolution along some grid axes; _convolve gets them last, the rest as rows."""
+    """Convolution along some grid axes; _convolve gets them last, the rest as rows.
+
+    The side rule: a row with fewer sites (nonzero values) than shift_work,
+    the kernel side's work per destination site, sums over its own sites y,
+    reading the kernel's window at x y^{-1} from kwindows.
+    """
 
     def __init__(self, spec: GridSpec, axes: tuple):
         self.spec, self.axes = spec, axes
@@ -85,10 +91,24 @@ class _Block:
         out = self._convolve(moved.reshape(-1, *(self.spec.N,) * len(axes)))
         return np.moveaxis(out.reshape(moved.shape), last, axes)
 
+    @cached_property
+    def kwindows(self) -> np.ndarray:
+        """Windows of N cells along the window_axes of the kernel values,
+        padded there by N zeros on both sides: the window at start N + o - y
+        holds k(x - y) at its cells x along those axes (o the origin)."""
+        N, axes = self.spec.N, self.window_axes
+        padded = np.pad(self.kernel, [(N, N) if a in axes else (0, 0)
+                                      for a in range(self.kernel.ndim)])
+        return np.lib.stride_tricks.sliding_window_view(padded, (N,) * len(axes), axis=axes)
+
 
 class _Spectrum(_Block):
     """Abelian axes: FFT against the kernel spectrum, every axis padded to
     _plain_pad(N) and cropped to [o, o + N) after its inverse pass.
+
+    A site costs the FFT shift_work = (N + N//2)^d / N^d frequencies on d
+    axes, so by the side rule (_Block) a row of fewer sites (at most one in
+    1-D, two in 2-D) takes _gather, whatever else is in its batch.
 
     numpy's complex products are not bitwise commutative; whole-grid
     kernels multiply the kernel spectrum first and tensor factors the
@@ -99,14 +119,35 @@ class _Spectrum(_Block):
                  kernel_first: bool):
         super().__init__(spec, axes)
         self.pad = (_plain_pad(spec.N),) * len(axes)
-        self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=tuple(range(len(axes))))
+        self.kernel, self.window_axes = kvals, tuple(range(len(axes)))
+        self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=self.window_axes)
         self.kernel_first = kernel_first
+        self.shift_work = (self.pad[0] / spec.N) ** len(axes)
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         ax = tuple(range(1, flat.ndim))
+        sparse = np.count_nonzero(flat, axis=ax) < self.shift_work
+        if sparse.all():
+            return self._gather(flat)
         F = np.fft.fftn(flat, s=self.pad, axes=ax)
         out = _inverse_windows(self.spectrum * F if self.kernel_first else F * self.spectrum,
-                               dict.fromkeys(ax, self.spec.origin), self.spec.N)
+                               dict.fromkeys(ax, self.spec.origin), self.spec.N) * self.vol
+        if sparse.any():
+            out[sparse] = self._gather(flat[sparse])
+        return out
+
+    def _gather(self, flat: np.ndarray) -> np.ndarray:
+        """sum_y v(y) k(x - y) vol per row: one gather of kernel windows for
+        all sites, a row's k-th site added in the k-th pass."""
+        N, o = self.spec.N, self.spec.origin
+        row, *cells = np.nonzero(flat)
+        terms = (flat[(row, *cells)].reshape((-1,) + (1,) * len(cells))
+                 * self.kwindows[tuple(N + o - c for c in cells)])
+        rank = np.arange(row.size) - np.searchsorted(row, row)
+        out = np.zeros(flat.shape, dtype=complex)
+        for k in range(rank.max(initial=-1) + 1):
+            at = rank == k
+            out[row[at]] += terms[at]
         return out * self.vol
 
 
@@ -128,14 +169,15 @@ class _Sheared(_Block):
     localized inputs of iterative block estimates) sums over its own sites y
     instead, by sheared gathers of the kernel that keep exact zeros exact:
         (k * v)(x) = sum_y v(y) k((x y^{-1})_L, x_C - y_C + P'(x_L, y_L)).
-    A row takes its own sites when it touches fewer values that way, unless
-    only the kernel's side fits PAIR_BUDGET: per destination row a shift
-    touches the (N + N//2)^p (3N)^s frequencies of the p plain and s
-    sheared axes and a site N^(p+s) kernel values.  An abelian group has no
-    loop axes and one loop point; every row takes its own sites there, so
-    the direct sum (the oracle of the FFT path) runs no FFT.  The charge is
-    the row's shifts or sites times sub.size point pairs.  Rows on the
-    kernel's side share one loop; the others run one at a time.
+    A row takes its own sites by the side rule (_Block), unless only the
+    kernel's side fits PAIR_BUDGET: per destination row a shift touches
+    the (N + N//2)^p (3N)^s frequencies of the p plain and s sheared axes
+    and a site N^(p+s) kernel values, so shift_work is the shifts times
+    their ratio.  An abelian group has no loop axes and one loop point;
+    every row takes its own sites there, so the direct sum (the oracle of
+    the FFT path) runs no FFT.  The charge is the row's shifts or sites
+    times sub.size point pairs.  Rows on the kernel's side share one loop;
+    the others run one at a time.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
@@ -154,6 +196,7 @@ class _Sheared(_Block):
                       - spec.origin)
         self.loop_strides = N ** np.arange(len(self.loop))[::-1]
         self.kernel = self._rows(kvals[None])[0]
+        self.window_axes = tuple(a for a in range(self.kernel.ndim) if a != self.n_plain)
         horizontal = np.abs(self.kernel.reshape(-1, self.H, N ** self.n_sheared)).max(axis=(0, 2))
         self.kshifts = np.flatnonzero(horizontal > 0)
         p, s = len(plain), len(self.sheared)
@@ -179,20 +222,17 @@ class _Sheared(_Block):
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         rows = self._rows(flat)
         out = np.zeros_like(rows)
-        sites = [np.flatnonzero(row) for row in rows]
+        sites = np.count_nonzero(rows, axis=tuple(range(1, rows.ndim)))
         n, shifts = self.sub.size, self.kshifts.size
-        own = [not self.loop or (s.size < self.shift_work
-                                 and (s.size * n <= PAIR_BUDGET or s.size < shifts))
-               for s in sites]
-        cost = max(s.size if o else shifts for s, o in zip(sites, own)) * n
+        own = ((sites < self.shift_work) & ((sites * n <= PAIR_BUDGET) | (sites < shifts))
+               | (not self.loop))
+        cost = int(np.where(own, sites, shifts).max(initial=0)) * n
         if cost > PAIR_BUDGET:
             raise ValueError(f"direct sum needs {cost} point pairs; budget {PAIR_BUDGET}")
-        kside = [j for j, o in enumerate(own) if not o]
-        if kside:
-            out[kside] = self._shifts(rows[kside])
-        for j, s in enumerate(sites):
-            if own[j]:
-                out[j] = self._site_sum(rows[j].reshape(-1), s)
+        if not own.all():
+            out[~own] = self._shifts(rows[~own])
+        for j in np.flatnonzero(own):
+            out[j] = self._site_sum(rows[j].reshape(-1), np.flatnonzero(rows[j]))
         out = out.reshape((flat.shape[0],) + (self.spec.N,) * len(self.perm))
         return out.transpose(0, *self.unperm) * self.vol
 
@@ -262,16 +302,6 @@ class _Sheared(_Block):
         windows = {**dict.fromkeys(range(1, 1 + n_plain), o),
                    **dict.fromkeys(range(2 + n_plain, acc.ndim), 0)}
         return _inverse_windows(acc, windows, N)
-
-    @cached_property
-    def kwindows(self) -> np.ndarray:
-        """Windows of N cells along the plain and sheared axes of the kernel's
-        (*plain, H, *sheared) values, padded there by N zeros on both sides."""
-        N, n = self.spec.N, self.kernel.ndim
-        central = tuple(a for a in range(n) if a != self.n_plain)
-        padded = np.pad(self.kernel, [(N, N) if a in central else (0, 0) for a in range(n)])
-        return np.lib.stride_tricks.sliding_window_view(padded, (N,) * len(central),
-                                                        axis=central)
 
     def _site_offsets(self, h: int) -> tuple:
         """For the sites y with y_L at loop-grid point h: the destination rows
@@ -465,6 +495,20 @@ def _values(f, spec):
     return (f.spec, f.values) if isinstance(f, GridFunction) else (spec, np.asarray(f))
 
 
+def _derivative(out: np.ndarray, alpha: MultiIndex, spec: GridSpec, window=()) -> np.ndarray:
+    """X^alpha of values out on the cells of window (slices of the leading
+    grid axes, the field coefficients cut to match); a cell farther from a
+    cut edge than alpha has steps gets the bits of the whole box."""
+    lead = out.ndim - spec.q_total
+    for axes, coeffs in _field_steps(spec, alpha):
+        acc = np.zeros_like(out)
+        for axis, c in zip(axes, coeffs):
+            c = c[tuple(w if n > 1 else slice(None) for w, n in zip(window, c.shape))]
+            acc = acc + c * np.gradient(out, spec.spacings[axis], axis=lead + axis)
+        out = acc
+    return out
+
+
 def left_derivative(f, alpha: MultiIndex, spec: GridSpec | None = None):
     """X^alpha f: left-invariant fields via centered differences.
 
@@ -474,12 +518,7 @@ def left_derivative(f, alpha: MultiIndex, spec: GridSpec | None = None):
     leading indices are independent inputs; the result has f's type.
     """
     spec, out = _values(f, spec)
-    lead = out.ndim - spec.q_total
-    for axes, coeffs in _field_steps(spec, alpha):
-        acc = np.zeros_like(out)
-        for axis, c in zip(axes, coeffs):
-            acc = acc + c * np.gradient(out, spec.spacings[axis], axis=lead + axis)
-        out = acc
+    out = _derivative(out, alpha, spec)
     return GridFunction(spec, out) if isinstance(f, GridFunction) else out
 
 

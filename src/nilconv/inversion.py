@@ -196,10 +196,13 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
         prep = prepare(TensorKernel([part]), sub) if tensor else op
         n = sub.size
         if n <= DENSE_SITES:
-            # 256 unit vectors at a time keep the padded FFT work arrays small
-            basis = np.eye(n, dtype=complex).reshape(n, *sub.shape)
-            cols = np.concatenate([prep.apply(basis[i:i + 256]) for i in range(0, n, 256)])
-            s = np.linalg.svd(cols.reshape(n, n).T, compute_uv=False)
+            # the images of 256 unit vectors at a time, built on the fly and
+            # written into one matrix, keep the work arrays small
+            cols = np.empty((n, n), dtype=complex)
+            for i in range(0, n, 256):
+                units = np.eye(min(256, n - i), n, i, dtype=complex)
+                cols[i:i + len(units)] = prep.apply(units.reshape(-1, *sub.shape)).reshape(-1, n)
+            s = np.linalg.svd(cols.T, compute_uv=False)
             top, bottom, steps, ok = float(s[0]), float(s[-1]), 0, True
         else:
             top, bottom, steps, ok = _lanczos_edges(prep, sub, seed)
@@ -509,7 +512,8 @@ class DecayReport:
     factors, converged, iterations), whose value is s_norm_measured: a
     dense SVD up to DENSE_SITES sites (singular_edges), above them the
     top-edge Lanczos of op_norm, or Young's bound when that run did not
-    converge within LANCZOS_STEPS.
+    converge within LANCZOS_STEPS.  Rows carry their report's op-norm run:
+    op_norm, op_norm_converged and op_norm_iterations.
     """
 
     kind: str
@@ -597,6 +601,8 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
             "value": val,
             "root": float(val ** (1.0 / n)) if val > 0 else 0.0,
             "op_norm": float(rep.value_for(())),
+            "op_norm_converged": bool(rep.op_norm_estimate.converged),
+            "op_norm_iterations": int(rep.op_norm_estimate.iterations),
             "truncation": float(boundary_mass_fraction(cur.data)),
         })
 

@@ -11,10 +11,11 @@ then make block x weight scale-free for kernels with the critical growth.
 A block's only nonzero part is its |supp phi| x |supp gamma| matrix, and
 each block is computed exactly from it: Op(K) takes the unit vectors of
 supp gamma, scaled by gamma, in one batch, X^alpha and phi act on the
-result, and the largest singular value of the rows in supp phi is the
-block.  A block with more than DENSE_BLOCK_COLUMNS columns falls back to
-its own Lanczos run (power_method) on its normal operator.  Blocks combine
-into per-subset components.
+window of the result that phi reads (_block_norms), and the largest
+singular value of the rows in supp phi is the block.  A block with more
+than DENSE_BLOCK_COLUMNS columns falls back to its own Lanczos run
+(power_method) on its normal operator.  Blocks combine into per-subset
+components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
 the grid box.  pk and fk reports are one pass over their terms: one per
@@ -41,6 +42,7 @@ import numpy as np
 from .convolution import (
     ConvOp,
     OpNormEstimate,
+    _derivative,
     apply_op,  # noqa: F401  (public name of this module; bench/test_bench.py reads it)
     left_derivative,
     left_derivative_adjoint,
@@ -268,8 +270,11 @@ def _block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
     A block with at most DENSE_BLOCK_COLUMNS columns is exact ("dense"):
     its nonzero part has one column per site y of supp gamma, Op(K)
     applied to gamma(y) e_y, all columns in one batch shared by every
-    alpha, then X^alpha and phi, kept on the rows of supp phi.  A wider
-    block runs its own Lanczos estimate ("iterative") from seed_for(alpha).
+    alpha, then X^alpha and phi on the window phi reads (supp phi's bounding
+    box grown by the most single-field steps of any alpha, clipped to the
+    box, so the rows of supp phi keep the whole box's bits), and one
+    stacked SVD.  A wider block runs its own Lanczos estimate
+    ("iterative") from seed_for(alpha).
     """
     cols = np.flatnonzero(gamma)
     if cols.size > DENSE_BLOCK_COLUMNS:
@@ -279,16 +284,18 @@ def _block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
                 max_iter=max_iter, tol=tol, seed=seed_for(alpha))
             out.append(("iterative", float(est.value), est.iterations, est.residual))
         return out
-    rows = np.flatnonzero(phi)
     units = np.zeros((cols.size, spec.size), dtype=complex)
     units[np.arange(cols.size), cols] = gamma.reshape(-1)[cols]
     images = op.apply(units.reshape(cols.size, *spec.shape))
-    out = []
-    for alpha in alphas:
-        d = left_derivative(images, alpha, spec).reshape(cols.size, -1)
-        M = d[:, rows] * phi.reshape(-1)[rows]
-        out.append(("dense", float(np.linalg.svd(M, compute_uv=False)[0]), 0, 0.0))
-    return out
+    reach = max(sum(map(sum, alpha.entries)) for alpha in alphas)
+    window = tuple(slice(max(int(c.min()) - reach, 0), min(int(c.max()) + 1 + reach, spec.N))
+                   for c in np.nonzero(phi))
+    images, weights = images[(slice(None),) + window], phi[window].reshape(-1)
+    rows = np.flatnonzero(weights)
+    M = np.stack([_derivative(images, alpha, spec, window).reshape(cols.size, -1)[:, rows]
+                  * weights[rows] for alpha in alphas])
+    return [("dense", float(top), 0, 0.0)
+            for top in np.linalg.svd(M, compute_uv=False)[:, 0]]
 
 
 def _block_multipliers(spec: GridSpec, subset, phi_spec: dict, gamma_spec: dict,

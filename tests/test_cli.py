@@ -490,6 +490,31 @@ def test_decay_warns_when_s_norm_not_converged(tmp_path, capsys, monkeypatch):
         "decay: warning: |S| not converged after 8 Lanczos steps; |S| from young-bound"]
 
 
+def test_decay_warns_when_an_op_norm_row_is_not_converged(tmp_path, capsys, monkeypatch):
+    argv = ["decay", "--preset", "abelian2", "--kernel", "near-identity-dyadic",
+            "--N", "8", "--n-list", "1", "2"]
+
+    def op_norm_warnings():
+        return [line for line in capsys.readouterr().err.splitlines() if "op_norm" in line]
+
+    code, out = run(tmp_path / "full", *argv)
+    assert code == EXIT_OK
+    rows = read_report(out)["result"]["rows"]
+    assert all(r["op_norm_converged"] and 8 < r["op_norm_iterations"] < 48 for r in rows)
+    assert op_norm_warnings() == []
+
+    # eight steps, the least a seminorm report's Lanczos run takes, leave
+    # every row's op-norm unresolved
+    config = cli.SeminormConfig
+    monkeypatch.setattr(cli, "SeminormConfig", lambda **kw: config(max_iter=8, **kw))
+    code, out = run(tmp_path / "short", *argv)
+    assert code == EXIT_OK
+    rows = read_report(out)["result"]["rows"]
+    assert [(r["op_norm_converged"], r["op_norm_iterations"]) for r in rows] == [(False, 8)] * 2
+    assert op_norm_warnings() == [
+        "decay: warning: op_norm not converged after 8 Lanczos steps for n = 1, 2"]
+
+
 def test_decay_requires_two_factor_orders(tmp_path, capsys):
     code, _ = run(tmp_path, "decay", "--preset", "abelian2", "--kernel",
                   "delta", "--k", "1")

@@ -11,6 +11,7 @@ from nilconv import convolution
 from nilconv.convolution import (
     _Sheared,
     _orth,
+    _plain_pad,
     apply_op,
     boundary_mass_fraction,
     compose_kernels,
@@ -443,12 +444,14 @@ def test_convop_matches_dense_oracle(name):
 def test_convop_batch_equals_single_applies(name):
     K, spec = _convop_case(name)
     op = prepare(K, spec)
+    # a one-hot and a zero row sum over their own sites in any batch
     stack = np.stack([_random_field(spec, 40).values, _few_sites(spec),
-                      _random_field(spec, 41).values])
+                      _random_field(spec, 41).values, _one_hot(spec, spec.size // 3),
+                      np.zeros(spec.shape)])
     for method in (op.apply, op.adjoint, op.normal):
         out = method(stack)
         assert out.shape == stack.shape
-        for i in range(3):
+        for i in range(len(stack)):
             assert np.array_equal(out[i], method(stack[i]))
     assert prepare(op, spec) is op
     with pytest.raises(ValueError, match="grid"):
@@ -522,6 +525,59 @@ def test_sheared_plain_axis_window_matches_loop_sums(N):
         want, scale = site_convolution(HX, k.reshape(-1), f.reshape(-1), coords,
                                        spec.volume, site)
         assert abs(got[site] - want) <= 1e-13 * scale
+
+
+def _sparse_case(name, N):
+    """(grid, kernel, site lists of the inputs, block axes) of a side-rule case."""
+    if name == "abelian1":
+        spec = GridSpec(AB1, N, 1.0)
+        cells = [[], [(2,)], [(2,), (N - 1,)], [(0,), (3,), (N - 2,)]]
+        return spec, _random_kernel(spec, 700 + N), cells, (0,)
+    spec = GridSpec(AB2, N, 1.0)
+    if name == "abelian2":
+        cells = [[], [(2, 5)], [(0, N - 1), (N - 1, 0)], [(1, 1), (4, 6), (N - 1, N - 2)]]
+        return spec, _random_kernel(spec, 710 + N), cells, (0, 1)
+    # a factor block along axis 0, one row per line; the delta factor keeps
+    # the lines' sites where they are
+    K = TensorKernel([_random_kernel(spec.factor_specs[0], 720 + N), DeltaKernel(AB1, 0.5 - 1j)])
+    cells = [[], [(2, 5)], [(0, 1), (N - 1, 6)], [(1, 3), (5, 3)], [(1, 1), (4, 1), (N - 1, 1)]]
+    return spec, K, cells, (0,)
+
+
+@pytest.mark.parametrize("N", (8, 9))
+@pytest.mark.parametrize("name", ("abelian1", "abelian2", "tensor-factor"))
+def test_spectrum_sparse_rows_match_loop_oracle(name, N, monkeypatch):
+    # the side rule: a row with fewer sites than (N + N//2)^d / N^d (1.5 and
+    # 2.25 at N=8, 1.44 and 2.09 at N=9) sums over its own sites with no FFT,
+    # exactly; rows with more take the FFT
+    spec, K, site_lists, axes = _sparse_case(name, N)
+    op = prepare(K, spec)
+    coords = spec.mesh.reshape(-1, spec.q_total)
+    kvals = K.render(spec).values.reshape(-1)
+    bound = (_plain_pad(N) / N) ** len(axes)
+    calls, gathered = [], []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
+    for sites in site_lists:
+        f = np.zeros(spec.shape, dtype=complex)
+        for k, cell in enumerate(sites):
+            f[cell] = (1.0 - 0.5j) * (k + 1)
+        calls.clear()
+        got = op.apply(f).reshape(-1)
+        want = loop_group_convolution(spec.group, kvals, f.reshape(-1), coords, spec.volume)
+        per_row = np.count_nonzero(np.moveaxis(f, axes, range(len(axes))).reshape(
+            N ** len(axes), -1), axis=0)
+        gathered.append(bool(per_row.max() < bound))
+        if gathered[-1]:
+            assert calls == []
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=0.0)
+            assert np.array_equal(got == 0, want == 0)
+        else:
+            assert calls == [1]
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert gathered == {"abelian1": [True, True, False, False],
+                        "abelian2": [True, True, True, False],
+                        "tensor-factor": [True, True, True, False, False]}[name]
 
 
 def test_abelian_direct_convolve_runs_no_fft(monkeypatch):

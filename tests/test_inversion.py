@@ -553,6 +553,10 @@ def test_decay_s_norm_is_the_top_edge_above_dense_sites():
     assert rep.s_norm_measured == est["value"] == est["factors"][0]
     row = rep.rows[0]["op_norm"]
     assert abs(rep.s_norm_measured - row) <= 1e-5 * row
+    # the n=1 row's Lanczos run needs 57 steps; it stops at the report's cap
+    # of 48 and says so
+    assert rep.rows[0]["op_norm_converged"] is False
+    assert rep.rows[0]["op_norm_iterations"] == LIGHT.max_iter == 48
 
 
 def test_decay_report_serialization(tmp_path):

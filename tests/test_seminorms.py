@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilconv import seminorms
-from nilconv.convolution import op_norm, prepare
+from nilconv import convolution, seminorms
+from nilconv.convolution import left_derivative, op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv.kernels import (
@@ -20,7 +20,7 @@ from nilconv.kernels import (
     smooth_bump,
     synth_dyadic,
 )
-from nilconv.product import MultiIndex, ProductGroup, all_subsets
+from nilconv.product import MultiIndex, ProductGroup, all_subsets, multi_indices_up_to
 from nilconv.seminorms import (
     DENSE_BLOCK_COLUMNS,
     SeminormConfig,
@@ -419,21 +419,33 @@ def test_delta_total_tracks_amplitude(re, im):
 
 
 def test_iterative_blocks_cost_two_ffts_per_step(monkeypatch):
-    # on the Lanczos fallback, each block runs on its own: one apply
-    # and one adjoint (two fftn calls) per step, and nothing else
+    # on the Lanczos fallback, each block runs on its own: one apply and one
+    # adjoint per step, at most one fftn each and nothing else.  An operand
+    # with fewer sites than (N + N//2)^2 / N^2 = 2.25 (a bump catching one
+    # or two cells) sums over its own sites and runs none
     monkeypatch.setattr(seminorms, "DENSE_BLOCK_COLUMNS", 0)
     spec = GridSpec(AB2, 8, 1.0)
     K = synth_dyadic(AB2, -2, 0, "random", seed=1)
     cfg = SeminormConfig()
-    calls = []
+    calls, sites = [], []
     fftn = np.fft.fftn
     monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
-    op_norm(K, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
-    own = len(calls)
-    calls.clear()
+    convolve = convolution._Spectrum._convolve
+
+    def counted(block, flat):
+        assert len(flat) == 1
+        sites.append(int(np.count_nonzero(flat)))
+        return convolve(block, flat)
+
+    monkeypatch.setattr(convolution._Spectrum, "_convolve", counted)
     rep = pk_seminorm(K, spec, (1, 1), cfg)
     assert {row["method"] for row in rep.blocks} == {"iterative"}
-    assert len(calls) == 2 * sum(row["iterations"] for row in rep.blocks) + own
+    steps = rep.op_norm_estimate.iterations + sum(row["iterations"] for row in rep.blocks)
+    assert len(sites) == 2 * steps
+    dense = sum(n >= 2.25 for n in sites)
+    assert 0 < dense < len(sites) and min(sites) >= 1
+    # the spectra of K and K~, then one forward transform per dense operand
+    assert len(calls) == 2 + dense
 
 
 def test_iterative_report_blocks_equal_block_estimates(monkeypatch):
@@ -611,3 +623,64 @@ def test_lattice_multipliers_match_validated_path(spec, cfg):
                 sl = spec.group.slices[mu]
                 a, b = (np.unique(np.argwhere(m > 0.0)[:, sl], axis=0) for m in (phi, gamma))
                 assert np.abs(a[:, None] - b[None]).max(axis=-1).min() >= cfg.stencil_gap
+
+
+def test_dense_abelian2_blocks_run_no_fft(monkeypatch):
+    # the one-hot columns of a dense block sum over their own site
+    spec = GridSpec(AB2, 16, 1.0)
+    cfg = SeminormConfig(radius_factors=(1.0,))
+    op = prepare(_random_kernel(spec, 24), spec)
+    alphas = list(multi_indices_up_to(AB2, (1, 1)))
+    samples = seminorms._lattice(spec, cfg, (0, 1), seminorms._separations(spec, cfg))
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
+    for _, _, _, _, phi, gamma in samples:
+        found = seminorms._block_norms(op, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
+                                       lambda _: 0)
+        assert {row[0] for row in found} == {"dense"}
+        assert max(row[1] for row in found) > 0.0
+    assert calls == []
+
+
+def _whole_box_blocks(op, spec, alphas, phi, gamma):
+    """Dense block norms with X^alpha and phi on the whole box, one SVD each."""
+    cols = np.flatnonzero(gamma)
+    rows = np.flatnonzero(phi)
+    units = np.zeros((cols.size, spec.size), dtype=complex)
+    units[np.arange(cols.size), cols] = gamma.reshape(-1)[cols]
+    images = op.apply(units.reshape(cols.size, *spec.shape))
+    out = []
+    for alpha in alphas:
+        d = left_derivative(images, alpha, spec).reshape(cols.size, -1)
+        M = d[:, rows] * phi.reshape(-1)[rows]
+        out.append(float(np.linalg.svd(M, compute_uv=False)[0]))
+    return out
+
+
+@pytest.mark.parametrize("case", ["abelian2", "heisenberg1xabelian1"])
+def test_cropped_dense_blocks_equal_the_whole_box_bit_for_bit(case):
+    # X^alpha on supp phi's bounding box, grown by alpha's steps, reads the
+    # same centered differences as on the whole box
+    if case == "abelian2":
+        spec = GridSpec(AB2, 16, 1.0)
+        K, cfg = _random_kernel(spec, 25), SeminormConfig(radius_factors=(1.0,))
+    else:
+        spec = GridSpec(HX, 8, 2.0)
+        K, cfg = _sparse_random_kernel(spec, 26, 0.1), SeminormConfig(directions="axes")
+    op = prepare(K, spec)
+    seps = seminorms._separations(spec, cfg)
+    checked = 0
+    for subset in all_subsets(spec.group.nu):
+        if not subset:
+            continue
+        alphas = list(multi_indices_up_to(spec.group, (2, 2), subset))
+        assert max(sum(map(sum, a.entries)) for a in alphas) == 2 * len(subset)
+        for _, _, _, _, phi, gamma in seminorms._lattice(spec, cfg, subset, seps):
+            if np.count_nonzero(gamma) > DENSE_BLOCK_COLUMNS:
+                continue
+            found = seminorms._block_norms(op, spec, alphas, phi, gamma, cfg.max_iter,
+                                           cfg.tol, lambda _: 0)
+            assert [row[1] for row in found] == _whole_box_blocks(op, spec, alphas, phi, gamma)
+            checked += 1
+    assert checked >= 3
