@@ -83,7 +83,6 @@ DYADIC_FAMILIES = ("gauss-deriv", "mexican", "random")
 TENSOR_HILBERT_INVERT = {
     "paper_eps": True,
     "amplification_cap": 1.5,
-    "cond_cap": 4.0,
     "pad_factor": 2,
 }
 

@@ -110,18 +110,16 @@ class _Spectrum(_Block):
     axes, so by the side rule (_Block) a row of fewer sites (at most one in
     1-D, two in 2-D) takes _gather, whatever else is in its batch.
 
-    numpy's complex products are not bitwise commutative; whole-grid
-    kernels multiply the kernel spectrum first and tensor factors the
-    operand spectrum first, the orders their report bytes were frozen with.
+    The pointwise product always takes the kernel spectrum first; numpy's
+    complex products are not bitwise commutative, so the order is part of
+    the output bits.
     """
 
-    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray,
-                 kernel_first: bool):
+    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray):
         super().__init__(spec, axes)
         self.pad = (_plain_pad(spec.N),) * len(axes)
         self.kernel, self.window_axes = kvals, tuple(range(len(axes)))
         self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=self.window_axes)
-        self.kernel_first = kernel_first
         self.shift_work = (self.pad[0] / spec.N) ** len(axes)
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
@@ -130,8 +128,8 @@ class _Spectrum(_Block):
         if sparse.all():
             return self._gather(flat)
         F = np.fft.fftn(flat, s=self.pad, axes=ax)
-        out = _inverse_windows(self.spectrum * F if self.kernel_first else F * self.spectrum,
-                               dict.fromkeys(ax, self.spec.origin), self.spec.N) * self.vol
+        out = _inverse_windows(self.spectrum * F, dict.fromkeys(ax, self.spec.origin),
+                               self.spec.N) * self.vol
         if sparse.any():
             out[sparse] = self._gather(flat[sparse])
         return out
@@ -432,14 +430,14 @@ def prepare(K, spec: GridSpec) -> ConvOp:
                 steps.append(lambda v, c=part.amplitude: v * c)
                 continue
             axes, kvals = tuple(range(sl.start, sl.stop)), part.render(sub).values
-            block = (_Spectrum(spec, axes, kvals, False) if sub.group.factors[0].is_abelian
+            block = (_Spectrum(spec, axes, kvals) if sub.group.factors[0].is_abelian
                      else _Sheared(spec, sub, axes, kvals))
             steps.append(block.apply)
     else:
         K = K if isinstance(K, GridKernel) else K.render(spec)
         _check_specs(K.spec, spec)
         if all(fac.is_abelian for fac in spec.group.factors):
-            steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values, True).apply]
+            steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values).apply]
         else:
             steps = [_convolve_each(K, spec)]
     return ConvOp(K, spec, steps)
@@ -456,7 +454,7 @@ def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFuncti
     if path == "fast":
         if not abelian:
             raise ValueError("fast path requires a fully abelian group")
-        return GridFunction(spec, _Spectrum(spec, axes, f.values, True).apply(g.values))
+        return GridFunction(spec, _Spectrum(spec, axes, f.values).apply(g.values))
     if path != "direct":
         raise ValueError(f"unknown convolution path {path!r}")
     return GridFunction(spec, _whole_grid_block(spec, f.values).apply(g.values))
@@ -468,13 +466,9 @@ def apply_op(K, f: GridFunction) -> GridFunction:
 
 
 def compose_kernels(K, L: KernelRep, spec: GridSpec) -> GridKernel:
-    """Grid kernel of Op(K) Op(L): K applied to L's rendering.
-
-    A delta K keeps L's principal-value flag.
-    """
+    """Grid kernel of Op(K) Op(L): K applied to L's rendering."""
     Lr = L.render(spec)
-    return GridKernel(spec, prepare(K, spec).apply(Lr.values), mode=Lr.mode,
-                      principal_value=Lr.principal_value and isinstance(K, DeltaKernel))
+    return GridKernel(spec, prepare(K, spec).apply(Lr.values), mode=Lr.mode)
 
 
 def _field_steps(spec: GridSpec, alpha: MultiIndex) -> list:

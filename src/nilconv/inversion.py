@@ -64,7 +64,7 @@ def _embed_kernel(K: KernelRep, spec: GridSpec, big: GridSpec) -> KernelRep:
         vals = np.zeros(big.shape, dtype=complex)
         window = tuple(slice(lo, lo + spec.N) for _ in range(spec.q_total))
         vals[window] = K.values
-        return GridKernel(big, vals, principal_value=K.principal_value, mode=K.mode)
+        return GridKernel(big, vals, mode=K.mode)
     if isinstance(K, TensorKernel):
         return TensorKernel([_embed_kernel(part, sub, bsub) for part, sub, bsub
                              in zip(K.parts, spec.factor_specs, big.factor_specs)])
@@ -75,8 +75,7 @@ def _crop_kernel(L: GridKernel, spec: GridSpec) -> GridKernel:
     big = L.spec
     lo = big.origin - spec.origin
     window = tuple(slice(lo, lo + spec.N) for _ in range(spec.q_total))
-    return GridKernel(spec, L.values[window].copy(),
-                      principal_value=L.principal_value, mode=L.mode)
+    return GridKernel(spec, L.values[window].copy(), mode=L.mode)
 
 
 # each probe sums PROBE_MODES gratings with per-axis carrier frequencies in
@@ -166,6 +165,30 @@ def _lanczos_edges(op, spec: GridSpec, seed: int) -> tuple:
     return top, bottom, steps, False
 
 
+def _young_bound(K, spec: GridSpec) -> float:
+    """Young's bound sum |k| vol on the norm of Op(K), never below it (the
+    Schur test: a translation maps no two lattice sites onto one)."""
+    return float(np.abs(K.render(spec).values).sum() * spec.volume)
+
+
+def _edge_info(edges, method, converged, iterations) -> dict:
+    return {"value": float(math.prod(edges)), "method": method,
+            "factors": [float(v) for v in edges], "converged": converged,
+            "iterations": iterations}
+
+
+def _top_edge(K, spec: GridSpec, seed: int) -> dict:
+    """sigma_max info of Op(K), as singular_edges builds it, from the top
+    alone: op_norm's Lanczos top within LANCZOS_STEPS steps (method
+    "lanczos"), or Young's bound when that run does not converge (method
+    "young-bound"), so the value never reads low."""
+    op = prepare(K, spec)
+    est = op_norm(op, spec, max_iter=LANCZOS_STEPS, seed=seed)
+    value = est.value if est.converged else _young_bound(op.kernel, spec)
+    return _edge_info([value], "lanczos" if est.converged else "young-bound",
+                      est.converged, est.iterations)
+
+
 def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     """(sigma_max_info, sigma_min_info): the spectral edges of Op(K).
 
@@ -176,12 +199,12 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     whole grid.  A delta part contributes |amplitude|.  A part of at most
     DENSE_SITES sites takes a dense SVD of its prepared operator, a larger
     one _lanczos_edges.  An unconverged Lanczos top is only a lower bound,
-    so that part's sigma_max becomes Young's bound sum |k| vol (the Schur
-    test: a translation maps no two lattice sites onto one).
+    so that part's sigma_max becomes _young_bound.
 
     Each info dict has value, method ("dense", "lanczos" or "young-bound":
     the least exact any part used), factors (one edge per part), converged
-    and iterations (Lanczos steps over all parts).
+    and iterations (Lanczos steps over all parts).  choose_epsilon needs
+    both edges; a sigma_max alone comes from _top_edge.
     """
     op = prepare(K, spec)
     tensor = isinstance(op.kernel, TensorKernel)
@@ -212,19 +235,14 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
         # damping never overshoots by rounding
         top *= 1.0 + n * EPS
         if not ok:
-            top = float(np.abs(part.render(sub).values).sum() * sub.volume)
+            top = _young_bound(part, sub)
             young = True
         iterations, converged = iterations + steps, converged and ok
         tops.append(top)
         bottoms.append(bottom)
     method = "lanczos" if lanczos else "dense"
-
-    def info(edges, method):
-        return {"value": float(math.prod(edges)), "method": method,
-                "factors": [float(v) for v in edges], "converged": converged,
-                "iterations": iterations}
-
-    return info(tops, "young-bound" if young else method), info(bottoms, method)
+    return (_edge_info(tops, "young-bound" if young else method, converged, iterations),
+            _edge_info(bottoms, method, converged, iterations))
 
 
 @dataclass
@@ -508,12 +526,11 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
 class DecayReport:
     """Seminorms of S^n with nth roots, against the measured |S|.
 
-    s_norm_estimate is the sigma_max info dict of S (value, method,
-    factors, converged, iterations), whose value is s_norm_measured: a
-    dense SVD up to DENSE_SITES sites (singular_edges), above them the
-    top-edge Lanczos of op_norm, or Young's bound when that run did not
-    converge within LANCZOS_STEPS.  Rows carry their report's op-norm run:
-    op_norm, op_norm_converged and op_norm_iterations.
+    s_norm_estimate is the sigma_max info dict of S from _top_edge (value,
+    method, factors, converged, iterations), whose value is
+    s_norm_measured: the top-edge Lanczos of op_norm, or Young's bound when
+    that run did not converge within LANCZOS_STEPS.  Rows carry their
+    report's op-norm run: op_norm, op_norm_converged and op_norm_iterations.
     """
 
     kind: str
@@ -578,13 +595,7 @@ def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,
     normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
     s_vals = DeltaKernel(spec.group).render(spec).values - ev * normal.values
     Sop = prepare(GridKernel(spec, s_vals, mode=Kop.kernel.mode), spec)
-    if spec.size <= DENSE_SITES:
-        s_est = singular_edges(Sop, spec, seed)[0]
-    else:  # the top edge alone, so a slow bottom edge cannot hold |S| back
-        top = op_norm(Sop, spec, max_iter=LANCZOS_STEPS, seed=seed)
-        value = top.value if top.converged else float(np.abs(s_vals).sum() * spec.volume)
-        s_est = {"value": value, "method": "lanczos" if top.converged else "young-bound",
-                 "factors": [value], "converged": top.converged, "iterations": top.iterations}
+    s_est = _top_edge(Sop, spec, seed)
 
     estimator = pk_seminorm if kind == "pk" else fk_seminorm
     rows = []
@@ -637,15 +648,14 @@ def near_identity_kernel(K: KernelRep, spec: GridSpec, strength: float = 0.45,
     The result has singular values inside [1 - strength, 1 + strength],
     hence is invertible with a short Neumann series; it is the standard
     way to turn a synthesized dyadic kernel into an inversion test case.
-    An unconverged op_norm reads low, so the scale is then Young's bound
-    sum |K| vol, which never does.
+    The norm is _top_edge's, which never reads low.
     """
     if not 0.0 < strength < 1.0:
         raise ValueError("strength must lie in (0, 1)")
-    est = op_norm(K, spec, seed=seed)
-    if est.value == 0.0:
+    op = prepare(K, spec)
+    norm = _top_edge(op, spec, seed)["value"]
+    if norm == 0.0:
         raise ValueError("cannot scale a zero operator toward the identity")
-    Kr = K.render(spec)
-    norm = est.value if est.converged else float(np.abs(Kr.values).sum() * spec.volume)
+    Kr = op.kernel.render(spec)
     base = DeltaKernel(spec.group).render(spec).values
     return GridKernel(spec, base + (strength / norm) * Kr.values, mode=Kr.mode)

@@ -1,8 +1,8 @@
 """Kernel representations and calculus-style checks on them.
 
-Variants: Grid (sampled values, optional principal-value flag), Delta
-(point mass), Tensor (per-factor kernels), ClosedForm (catalog entries),
-Dyadic (sum of anisotropically dilated, moment-cancelling profiles).
+Variants: Grid (sampled values), Delta (point mass), Tensor (per-factor
+kernels), ClosedForm (catalog entries), Dyadic (sum of anisotropically
+dilated, moment-cancelling profiles).
 Every variant evaluates pointwise away from its singular set and renders
 onto a grid.
 
@@ -57,7 +57,6 @@ class KernelRep:
 
     group: ProductGroup
     mode: str = "product"
-    principal_value: bool = False
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -68,8 +67,7 @@ class KernelRep:
         step = 1 << 19  # keep per-scale temporaries modest on 4-axis grids
         for i0 in range(0, flat.shape[0], step):
             out[i0:i0 + step] = self.eval(flat[i0:i0 + step])
-        return GridKernel(spec, out.reshape(spec.shape),
-                          principal_value=self.principal_value, mode=self.mode)
+        return GridKernel(spec, out.reshape(spec.shape), mode=self.mode)
 
     def adjoint(self) -> "KernelRep":
         raise NotImplementedError
@@ -78,11 +76,10 @@ class KernelRep:
 class GridKernel(KernelRep):
     """Kernel given by grid samples; principal-value cells hold 0."""
 
-    def __init__(self, spec: GridSpec, values, principal_value=False, mode="product"):
+    def __init__(self, spec: GridSpec, values, mode="product"):
         self.spec = spec
         self.group = spec.group
         self.data = GridFunction(spec, zero_lowest_face(values))
-        self.principal_value = bool(principal_value)
         self.mode = mode
 
     @property
@@ -95,17 +92,11 @@ class GridKernel(KernelRep):
     def render(self, spec):
         if spec is self.spec or spec.compatible(self.spec):
             return self
-        return GridKernel(
-            spec, self.data.interp(spec.mesh),
-            principal_value=self.principal_value, mode=self.mode,
-        )
+        return GridKernel(spec, self.data.interp(spec.mesh), mode=self.mode)
 
     def adjoint(self):
         flipped = self.data.negate_argument()
-        return GridKernel(
-            self.spec, np.conj(flipped.values),
-            principal_value=self.principal_value, mode=self.mode,
-        )
+        return GridKernel(self.spec, np.conj(flipped.values), mode=self.mode)
 
 
 class DeltaKernel(KernelRep):
@@ -296,8 +287,6 @@ CLOSED_FORM_CATALOG = {
 class ClosedFormKernel(KernelRep):
     """Catalog closed form with an overall amplitude."""
 
-    principal_value = True
-
     def __init__(self, group: ProductGroup, name: str, amplitude=1.0, **params):
         if name not in CLOSED_FORM_CATALOG:
             raise ValueError(f"unknown closed form {name!r}")
@@ -356,7 +345,7 @@ class DiscreteHilbertKernel(KernelRep):
         vals = np.zeros(N, dtype=complex)
         odd = (j % 2) != 0
         vals[odd] = self.amplitude / np.tan(np.pi * j[odd] / (2 * N)) / (N * h)
-        return GridKernel(spec, vals, principal_value=True, mode=self.mode)
+        return GridKernel(spec, vals, mode=self.mode)
 
     def adjoint(self):
         return DiscreteHilbertKernel(self.group, -np.conj(self.amplitude))
@@ -602,7 +591,7 @@ class GrowthReport:
         }
 
 
-def _growth_weights(group, norms, mode):
+def _growth_weights(norms, mode):
     """Per-factor weights w_mu: |t_mu| (product) or cumulative sums (flag)."""
     if mode == "flag":
         return np.cumsum(norms, axis=-1)
@@ -666,7 +655,7 @@ def check_growth(kernel: KernelRep, spec: GridSpec, kvec=None,
         if isinstance(target, GridKernel):
             cand = np.round(cand / spec.spacings) * spec.spacings
         norms = group.factor_norms(cand)
-        w = _growth_weights(group, norms, mode)
+        w = _growth_weights(norms, mode)
         margin = 0.51 * cell if is_delta else margin_cells * cell
         ok = np.all(w > margin, axis=-1)
         pts.append(cand[ok])
@@ -678,7 +667,7 @@ def check_growth(kernel: KernelRep, spec: GridSpec, kvec=None,
         raise ValueError("could not sample enough points away from the singular set")
 
     norms = group.factor_norms(pts)
-    w = _growth_weights(group, norms, mode)
+    w = _growth_weights(norms, mode)
 
     if isinstance(target, GridKernel):
         steps = np.broadcast_to(spec.spacings, pts.shape).copy()
@@ -832,7 +821,7 @@ def _scaled_kernel(k: KernelRep, c) -> KernelRep:
     if isinstance(k, ClosedFormKernel):
         return ClosedFormKernel(k.group, k.name, amplitude=k.amplitude * c, **k.params)
     if isinstance(k, GridKernel):
-        return GridKernel(k.spec, k.values * c, k.principal_value, k.mode)
+        return GridKernel(k.spec, k.values * c, k.mode)
     if isinstance(k, TensorKernel):
         return TensorKernel([_scaled_kernel(k.parts[0], c)] + list(k.parts[1:]))
     return _Scaled(k, c)
@@ -921,7 +910,9 @@ def adjoint_kernel(kernel: KernelRep) -> KernelRep:
 
 _MAGIC = b"NCKR"
 # version 2 stores a dyadic kernel's profiles per factor; grid payloads are
-# the same as in version 1, so version-1 grid files still load
+# the same as in version 1, so version-1 grid files still load.  Header flag
+# bit 1 marks flag mode; older grid files may also set bit 0 and a sidecar
+# "principal_value", which load_kernel ignores
 _VERSION = 2
 _HEADER = 64
 
@@ -953,11 +944,10 @@ def save_kernel(kernel: KernelRep, path: str):
     group = kernel.group
     q_list = list(group.q)
     if isinstance(kernel, GridKernel):
-        flags = (1 if kernel.principal_value else 0) | (2 if kernel.mode == "flag" else 0)
+        flags = 2 if kernel.mode == "flag" else 0
         head = _pack_header(0, group.nu, flags, kernel.spec.N, kernel.spec.T, q_list)
         payload = np.ascontiguousarray(kernel.values).astype("<c16").tobytes()
-        side = {"kind": "grid", "group": group.to_dict(),
-                "principal_value": kernel.principal_value, "mode": kernel.mode}
+        side = {"kind": "grid", "group": group.to_dict(), "mode": kernel.mode}
     elif isinstance(kernel, DyadicKernel):
         spec = kernel.profiles[kernel.window[0]][0].spec
         flags = 2 if kernel.flag_mode else 0
@@ -998,10 +988,7 @@ def load_kernel(path: str) -> KernelRep:
     if kind == 0:
         spec = GridSpec(group, N, T)
         vals = np.frombuffer(buf[_HEADER:], dtype="<c16").reshape(spec.shape)
-        return GridKernel(
-            spec, vals.copy(), principal_value=bool(flags & 1),
-            mode="flag" if flags & 2 else "product",
-        )
+        return GridKernel(spec, vals.copy(), mode="flag" if flags & 2 else "product")
     if kind == 1:
         subs = GridSpec(group, N, T).factor_specs
         window = [tuple(n) for n in side["window"]]

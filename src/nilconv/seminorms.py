@@ -61,12 +61,13 @@ from .product import (
 )
 
 
-def _bump_squared(s):
-    b = smooth_bump(s)
-    return b * b
+PROFILES = {"bump": smooth_bump}
 
-
-PROFILES = {"bump": smooth_bump, "bump2": _bump_squared}
+# the separation constants are the empirical quasi-triangle constants times
+# SAFETY; the two bump supports stay at least STENCIL_GAP cells apart in every
+# localized factor, and derivative orders per factor stay below it
+SAFETY = 1.1
+STENCIL_GAP = 3
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,23 @@ class SeminormConfig:
     at homogeneous distance 3 C 2^(j v l) times each radius factor, along
     +-coordinate axes ("first" uses only the first coordinate of each
     factor, "axes" all of them).  C is the empirical quasi-triangle constant
-    times the safety factor.
+    times SAFETY.
 
-    stencil_gap is the minimum cell distance kept between the two bump
-    supports.  Finite-difference derivatives reach one cell per order, so
-    orders up to stencil_gap - 1 per factor see truly disjoint supports;
-    raise it when requesting higher orders.
+    The two bump supports stay STENCIL_GAP cells apart.  Finite-difference
+    derivatives reach one cell per order, so orders up to STENCIL_GAP - 1
+    per factor see truly disjoint supports; reports refuse higher orders.
 
     max_iter and tol are the Lanczos step cap and drift tolerance of
     power_method, which runs only for the op_norm entry of the empty subset
     and for each block above DENSE_BLOCK_COLUMNS columns, on its own.
-    Every other block is exact.
+    Every other block is exact.  to_dict() also records SAFETY and
+    STENCIL_GAP.
     """
 
-    kvec: tuple | None = None
     j_window: tuple = (-4, -2)
     radius_factors: tuple = (1.0, 1.6)
     directions: str = "first"
-    safety: float = 1.1
     profile: str = "bump"
-    stencil_gap: int = 3
     max_iter: int = 48
     tol: float = 1e-11
     seed: int = 0
@@ -111,20 +109,17 @@ class SeminormConfig:
             raise ValueError("directions must be 'first' or 'axes'")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown bump profile {self.profile!r}")
-        if self.stencil_gap < 1:
-            raise ValueError("stencil_gap must be at least 1 cell")
         if self.max_iter < 8:
             raise ValueError("max_iter must be at least 8")
 
     def to_dict(self) -> dict:
         return {
-            "kvec": None if self.kvec is None else list(self.kvec),
             "j_window": list(self.j_window),
             "radius_factors": list(self.radius_factors),
             "directions": self.directions,
-            "safety": self.safety,
+            "safety": SAFETY,
             "profile": self.profile,
-            "stencil_gap": self.stencil_gap,
+            "stencil_gap": STENCIL_GAP,
             "max_iter": self.max_iter,
             "tol": self.tol,
             "seed": self.seed,
@@ -334,10 +329,11 @@ def block_operator(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict,
 
     phi_spec and gamma_spec map each mu in subset to (center, radius); the
     supports must fit the grid box and be separated by 3 C_mu (by default
-    as in SeminormConfig()) times the larger radius in every localized factor.
+    the quasi-triangle constant times SAFETY) times the larger radius in
+    every localized factor.
     """
     if sep_constants is None:
-        sep_constants = _separations(spec, SeminormConfig())
+        sep_constants = _separations(spec)
     phi, gamma = _block_multipliers(spec, tuple(sorted(subset)), phi_spec, gamma_spec,
                                     sep_constants, profile)
     return BlockOperator(prepare(K, spec), spec, alpha, phi, gamma)
@@ -445,7 +441,7 @@ def _lattice(spec: GridSpec, cfg: SeminormConfig, subset, seps) -> list:
     is gamma's (center, 2^l), the center at distance dists[mu] =
     3 C_mu 2^(j v l) rho along a candidate axis, which separates the
     supports.  A sample is admissible when both bumps fit the grid box,
-    catch a grid cell and stay cfg.stencil_gap cells apart in every
+    catch a grid cell and stay STENCIL_GAP cells apart in every
     localized factor, so finite differences of total order below the gap
     cannot couple them.  The lattice does not depend on the derivative
     orders, which keeps reports monotone in the order budget.
@@ -477,7 +473,7 @@ def _lattice(spec: GridSpec, cfg: SeminormConfig, subset, seps) -> list:
             dist = 3.0 * seps[mu] * (2.0 ** max(j, l)) * rho
             for c in _center_candidates(group.factors[mu], dist, cfg.directions):
                 g = bump(mu, c, 2.0 ** l)
-                if g is not None and _cell_gap(phi_cells, g[0]) >= cfg.stencil_gap:
+                if g is not None and _cell_gap(phi_cells, g[0]) >= STENCIL_GAP:
                     out.append((c, dist, g[1]))
         return out
 
@@ -506,8 +502,8 @@ def _lattice(spec: GridSpec, cfg: SeminormConfig, subset, seps) -> list:
     return samples
 
 
-def _separations(spec: GridSpec, cfg: SeminormConfig) -> tuple:
-    return tuple(cfg.safety * c for c in spec.group.triangle_constants())
+def _separations(spec: GridSpec) -> tuple:
+    return tuple(SAFETY * c for c in spec.group.triangle_constants())
 
 
 def check_sampling(spec: GridSpec, cfg: SeminormConfig | None = None) -> None:
@@ -519,7 +515,7 @@ def check_sampling(spec: GridSpec, cfg: SeminormConfig | None = None) -> None:
     the singletons among them.
     """
     cfg = cfg if cfg is not None else SeminormConfig()
-    seps = _separations(spec, cfg)
+    seps = _separations(spec)
     for subset in all_subsets(spec.group.nu):
         if subset:
             _lattice(spec, cfg, subset, seps)
@@ -592,16 +588,15 @@ def _resolved_config(spec: GridSpec, cfg: SeminormConfig, kvec, kind, seps) -> d
     return out
 
 
-def _check_kvec(spec: GridSpec, kvec, cfg: SeminormConfig):
-    if kvec is None:
-        kvec = cfg.kvec
-    if kvec is None:
-        raise ValueError("kvec required (argument or config)")
+def _check_kvec(spec: GridSpec, kvec):
     kvec = tuple(int(k) for k in kvec)
     if len(kvec) != spec.group.nu:
         raise ValueError("kvec needs one order per factor")
     if any(k < 0 for k in kvec):
         raise ValueError("kvec entries must be nonnegative")
+    if any(k >= STENCIL_GAP for k in kvec):
+        raise ValueError(f"kvec entries must stay below the stencil gap {STENCIL_GAP}: "
+                         "differences of higher order reach from one bump to the other")
     return kvec
 
 
@@ -617,9 +612,9 @@ def _report(K, spec: GridSpec, kvec, cfg: SeminormConfig | None,
     product singletons' lattices.
     """
     cfg = cfg if cfg is not None else SeminormConfig()
-    kvec = _check_kvec(spec, kvec, cfg)
+    kvec = _check_kvec(spec, kvec)
     nu = spec.group.nu
-    seps = _separations(spec, cfg)
+    seps = _separations(spec)
     op = prepare(K, spec)
     opn = op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
     lattices, blocks = {}, []
@@ -649,7 +644,7 @@ def _report(K, spec: GridSpec, kvec, cfg: SeminormConfig | None,
     )
 
 
-def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None) -> SeminormReport:
+def pk_seminorm(K, spec: GridSpec, kvec, cfg: SeminormConfig | None = None) -> SeminormReport:
     """Product-kernel seminorm estimate: sum over subsets of weighted blocks.
 
     The empty subset contributes op_norm(K); each nonempty subset contributes
@@ -658,7 +653,7 @@ def pk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None)
     return _report(K, spec, kvec, cfg, flag=False)
 
 
-def fk_seminorm(K, spec: GridSpec, kvec=None, cfg: SeminormConfig | None = None) -> SeminormReport:
+def fk_seminorm(K, spec: GridSpec, kvec, cfg: SeminormConfig | None = None) -> SeminormReport:
     """Flag-kernel seminorm estimate.
 
     Adds to the product total, for each factor mu, blocks localized in mu

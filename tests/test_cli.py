@@ -468,16 +468,15 @@ def test_decay_warns_when_s_norm_not_converged(tmp_path, capsys, monkeypatch):
     def s_norm_warnings():
         return [line for line in capsys.readouterr().err.splitlines() if "|S|" in line]
 
-    code, out = run(tmp_path / "dense", *argv)
+    code, out = run(tmp_path / "full", *argv)
     assert code == EXIT_OK
     exact = read_report(out)["result"]
-    assert exact["s_norm_estimate"]["method"] == "dense"
+    assert exact["s_norm_estimate"]["method"] == "lanczos"
     assert exact["s_norm_estimate"]["converged"] is True
     assert s_norm_warnings() == []
 
     # eight Lanczos steps, the least op_norm takes, leave |S| unresolved;
     # Young's bound stands in
-    monkeypatch.setattr(inversion, "DENSE_SITES", 8)
     monkeypatch.setattr(inversion, "LANCZOS_STEPS", 8)
     code, out = run(tmp_path / "short", *argv)
     assert code == EXIT_OK
@@ -533,6 +532,22 @@ def test_order_vector_length_reported_at_command_section(tmp_path, capsys,
     errs = stderr_errors(capsys)
     assert errs[0]["path"] == path
     assert "needs 2 entries" in errs[0]["message"]
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["seminorm", "--kernel", "dyadic"], "/seminorm"),
+    (["tame", "--pairs", "1"], "/tame"),
+    (["decay", "--kernel", "dyadic"], "/decay"),
+])
+def test_orders_at_the_stencil_gap_are_config_errors(tmp_path, capsys, argv, path):
+    # on abelian2 at N=8 every per-factor gap of the sample lattice is
+    # exactly 3 cells, so three difference steps from supp phi reach supp gamma
+    code, out = run(tmp_path, *argv, "--preset", "abelian2", "--N", "8", "--k", "3", "3")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == path
+    assert "below the stencil gap 3" in errs[0]["message"]
+    assert not out.exists()
 
 
 # --- library errors become configuration errors at the command's section ---

@@ -113,10 +113,11 @@ def test_singular_edges_match_dense_oracle(monkeypatch, name, path):
 
 def test_singular_edges_young_bound_when_lanczos_stops_early(monkeypatch):
     # three steps leave both Ritz values short; the damping then uses
-    # Young's bound, which is never below sigma_max
+    # Young's bound, which is never below sigma_max (the kernel is built
+    # first: near_identity_kernel's own Lanczos run also reads LANCZOS_STEPS)
+    K, spec = _oracle_kernel("near-identity-abelian2")
     monkeypatch.setattr(inversion, "DENSE_SITES", 8)
     monkeypatch.setattr(inversion, "LANCZOS_STEPS", 3)
-    K, spec = _oracle_kernel("near-identity-abelian2")
     sv = _dense_singular_values(K, spec)
     ec = choose_epsilon(K, spec)
     top, bottom = ec.sigma_max_info, ec.sigma_min_info
@@ -559,6 +560,31 @@ def test_decay_s_norm_is_the_top_edge_above_dense_sites():
     assert rep.rows[0]["op_norm_iterations"] == LIGHT.max_iter == 48
 
 
+@pytest.mark.parametrize("case", ["criterion-7-abelian2", "heisenberg1"])
+def test_decay_s_norm_is_the_top_edge_at_or_below_dense_sites(case):
+    # |S| is op_norm's Lanczos top on every grid: from below, and within
+    # 1e-10 of the dense SVD that the spectral edges take at this size
+    if case == "heisenberg1":
+        spec, kvec = GridSpec(HEIS, 8, 1.0), (1,)
+        K = _near_identity_dyadic(spec)
+    else:
+        spec, kvec = GridSpec(AB2, 16, 1.0), (1, 1)
+        K = near_identity_kernel(synth_dyadic(AB2, -2, 0, "random", seed=2), spec,
+                                 strength=0.2)
+    assert spec.size <= inversion.DENSE_SITES
+    rep = seminorm_decay(K, spec, kvec, [1], cfg=LIGHT)
+    est = rep.s_norm_estimate
+    assert est["method"] == "lanczos" and est["converged"]
+    Kop = prepare(K, spec)
+    normal = compose_kernels(Kop.adjoint_op, Kop.kernel, spec)
+    S = GridKernel(spec, DeltaKernel(spec.group).render(spec).values
+                   - rep.epsilon * normal.values)
+    dense = singular_edges(S, spec)[0]
+    assert dense["method"] == "dense"
+    assert rep.s_norm_measured <= dense["value"]
+    assert dense["value"] - rep.s_norm_measured <= 1e-10 * dense["value"]
+
+
 def test_decay_report_serialization(tmp_path):
     spec = GridSpec(AB1, 16, 1.0)
     rep = seminorm_decay(DeltaKernel(AB1, 2.0), spec, (1,), [1, 2], eps=1.0 / 8.0)
@@ -597,14 +623,27 @@ def test_near_identity_bounds_spectrum():
     assert sv[-1] >= 0.6 - 1e-6
 
 
+@pytest.mark.parametrize("group,N", [(AB2, 16), (HEIS, 10)], ids=["abelian2", "heisenberg1"])
+def test_near_identity_scales_by_the_converged_op_norm(group, N):
+    # op_norm converges well inside 60 steps here, so the LANCZOS_STEPS cap
+    # gives the same bits
+    spec = GridSpec(group, N, 1.0)
+    D = synth_dyadic(group, -2, 0, "random", seed=3)
+    K = near_identity_kernel(D, spec, strength=0.3, seed=0)
+    est = op_norm(D, spec, max_iter=60)
+    assert est.converged
+    base = DeltaKernel(group).render(spec).values
+    want = base + (0.3 / est.value) * D.render(spec).values
+    assert K.values.tobytes() == GridKernel(spec, want).values.tobytes()
+
+
 def test_near_identity_scales_by_young_bound_when_op_norm_unconverged(monkeypatch):
     # 8 Lanczos steps leave this kernel's norm unconverged and low, which
     # would promise too much; Young's bound keeps the spectrum in the band
     spec = GridSpec(HEIS, 6, 1.0)
     D = synth_dyadic(HEIS, -2, 0, "random", seed=3)
     assert not op_norm(D, spec, max_iter=8, seed=0).converged
-    monkeypatch.setattr(inversion, "op_norm",
-                        lambda K, spec, seed: op_norm(K, spec, max_iter=8, seed=seed))
+    monkeypatch.setattr(inversion, "LANCZOS_STEPS", 8)
     K = near_identity_kernel(D, spec, strength=0.4, seed=0)
     Dv = D.render(spec).values
     young = np.abs(Dv).sum() * spec.volume

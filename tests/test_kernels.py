@@ -320,10 +320,9 @@ def test_adjoint_involution_grid():
     spec = GridSpec(AB2, 16, 1.0)
     rng = np.random.default_rng(11)
     vals = zero_lowest_face(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-    K = GridKernel(spec, vals, principal_value=True)
+    K = GridKernel(spec, vals)
     back = adjoint_kernel(adjoint_kernel(K))
     assert np.array_equal(back.values, K.values)
-    assert back.principal_value
 
 
 def test_adjoint_real_even_is_identity():
@@ -423,18 +422,30 @@ def test_dyadic_growth_stable_under_grid_refinement():
 
 
 def test_save_load_grid_roundtrip(tmp_path):
+    """A grid file holds no principal-value flag; one in the earlier format
+    (header flag bit 0 set, sidecar "principal_value": true) loads the same."""
     spec = GridSpec(ProductGroup([heisenberg1()]), 8, 1.0)
     rng = np.random.default_rng(12)
     vals = zero_lowest_face(rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
-    K = GridKernel(spec, vals, principal_value=True, mode="product")
+    K = GridKernel(spec, vals, mode="product")
     path = tmp_path / "k.nckr"
     save_kernel(K, str(path))
+    side = json.loads((tmp_path / "k.nckr.json").read_text())
+    assert path.read_bytes()[7] == 0 and "principal_value" not in side
     back = load_kernel(str(path))
     assert isinstance(back, GridKernel)
     assert np.array_equal(back.values, K.values)
-    assert back.principal_value
+    assert back.mode == "product"
     assert back.spec.N == 8 and back.spec.T == 1.0
     assert back.group.to_dict() == K.group.to_dict()
+
+    buf = bytearray(path.read_bytes())
+    buf[7] |= 1
+    path.write_bytes(bytes(buf))
+    (tmp_path / "k.nckr.json").write_text(json.dumps(dict(side, principal_value=True)))
+    old = load_kernel(str(path))
+    assert old.values.tobytes() == K.values.tobytes()
+    assert old.mode == "product" and not hasattr(old, "principal_value")
 
 
 def _set_file_version(path, version):

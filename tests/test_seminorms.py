@@ -23,6 +23,7 @@ from nilconv.kernels import (
 from nilconv.product import MultiIndex, ProductGroup, all_subsets, multi_indices_up_to
 from nilconv.seminorms import (
     DENSE_BLOCK_COLUMNS,
+    STENCIL_GAP,
     SeminormConfig,
     _block_seed,
     block_operator,
@@ -61,8 +62,6 @@ def test_config_validation():
         SeminormConfig(directions="diag")
     with pytest.raises(ValueError, match="profile"):
         SeminormConfig(profile="box")
-    with pytest.raises(ValueError, match="stencil_gap"):
-        SeminormConfig(stencil_gap=0)
     with pytest.raises(ValueError, match="max_iter"):
         SeminormConfig(max_iter=4)
 
@@ -70,12 +69,16 @@ def test_config_validation():
 def test_kvec_validation():
     spec = GridSpec(AB2, 8, 2.0)
     K = DeltaKernel(AB2, 1.0)
-    with pytest.raises(ValueError, match="kvec required"):
-        pk_seminorm(K, spec)
     with pytest.raises(ValueError, match="one order per factor"):
         pk_seminorm(K, spec, (1,))
     with pytest.raises(ValueError, match="nonnegative"):
         pk_seminorm(K, spec, (1, -1))
+    # three difference steps from supp phi reach supp gamma across the gap
+    for kvec in ((STENCIL_GAP, 0), (0, STENCIL_GAP)):
+        with pytest.raises(ValueError, match="below the stencil gap 3"):
+            pk_seminorm(K, spec, kvec)
+        with pytest.raises(ValueError, match="below the stencil gap 3"):
+            fk_seminorm(K, spec, kvec)
 
 
 def test_block_operator_validation():
@@ -603,7 +606,7 @@ def test_report_rows_are_distinct_blocks(spec, cfg):
 def test_lattice_multipliers_match_validated_path(spec, cfg):
     # reports take (phi, gamma) from the lattice without re-validating them;
     # the public validation must accept every sample and rebuild the same bits
-    seps = seminorms._separations(spec, cfg)
+    seps = seminorms._separations(spec)
     for subset in all_subsets(spec.group.nu):
         if not subset:
             continue
@@ -622,7 +625,7 @@ def test_lattice_multipliers_match_validated_path(spec, cfg):
             for mu in subset:
                 sl = spec.group.slices[mu]
                 a, b = (np.unique(np.argwhere(m > 0.0)[:, sl], axis=0) for m in (phi, gamma))
-                assert np.abs(a[:, None] - b[None]).max(axis=-1).min() >= cfg.stencil_gap
+                assert np.abs(a[:, None] - b[None]).max(axis=-1).min() >= STENCIL_GAP
 
 
 def test_dense_abelian2_blocks_run_no_fft(monkeypatch):
@@ -631,7 +634,7 @@ def test_dense_abelian2_blocks_run_no_fft(monkeypatch):
     cfg = SeminormConfig(radius_factors=(1.0,))
     op = prepare(_random_kernel(spec, 24), spec)
     alphas = list(multi_indices_up_to(AB2, (1, 1)))
-    samples = seminorms._lattice(spec, cfg, (0, 1), seminorms._separations(spec, cfg))
+    samples = seminorms._lattice(spec, cfg, (0, 1), seminorms._separations(spec))
     calls = []
     fftn = np.fft.fftn
     monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
@@ -669,7 +672,7 @@ def test_cropped_dense_blocks_equal_the_whole_box_bit_for_bit(case):
         spec = GridSpec(HX, 8, 2.0)
         K, cfg = _sparse_random_kernel(spec, 26, 0.1), SeminormConfig(directions="axes")
     op = prepare(K, spec)
-    seps = seminorms._separations(spec, cfg)
+    seps = seminorms._separations(spec)
     checked = 0
     for subset in all_subsets(spec.group.nu):
         if not subset:
