@@ -61,7 +61,7 @@ from .kernels import (
     synth_dyadic,
 )
 from .product import ProductGroup, load_product
-from .seminorms import SeminormConfig, check_sampling, fk_seminorm, pk_seminorm
+from .seminorms import SeminormConfig, _check_kvec, check_sampling, fk_seminorm, pk_seminorm
 from .tame import tame_csv, tame_report_fk, tame_report_pk
 
 EXIT_OK = 0
@@ -461,6 +461,12 @@ def _kvec(value, group):
     return tuple(int(v) for v in value)
 
 
+def _orders(value, group, spec):
+    """_kvec of a seminorm report's derivative orders, checked as the report
+    checks them, so an order at STENCIL_GAP exits 2 before any kernel work."""
+    return _check_kvec(spec, _kvec(value, group))
+
+
 # -- output ------------------------------------------------------------------
 
 
@@ -717,8 +723,8 @@ def _cmd_seminorm(cfg):
     s = cfg["seminorm"]
     sc = _seminorm_config(cfg, s)
     check_sampling(spec, sc)
+    kvec = _orders(s["k"], group, spec)
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
-    kvec = _kvec(s["k"], group)
     fn = pk_seminorm if s["kind"] == "pk" else fk_seminorm
     rep = fn(K, spec, kvec, cfg=sc)
     line = f"seminorm: {s['kind']} at k={list(kvec)} is {rep.total:.8g}"
@@ -733,7 +739,7 @@ def _cmd_tame(cfg):
         raise ConfigError("/group", "tame reports need at least two factors")
     spec = _build_spec(cfg, group)
     t = cfg["tame"]
-    kvec = _kvec(t["k"], group)
+    kvec = _orders(t["k"], group, spec)
     sc = _seminorm_config(cfg, t)
     check_sampling(spec, sc)
     k = cfg["kernel"]
@@ -791,9 +797,9 @@ def _warn_unconverged(name, eps):
 def _cmd_invert(cfg):
     group = _build_group(cfg)
     spec = _build_spec(cfg, group)
-    K = _build_kernel(cfg["kernel"], group, spec, cfg)
     i = cfg["invert"]
-    track = None if i["track_k"] is None else _kvec(i["track_k"], group)
+    track = None if i["track_k"] is None else _orders(i["track_k"], group, spec)
+    K = _build_kernel(cfg["kernel"], group, spec, cfg)
     growth_k = None if i["growth_k"] is None else _kvec(i["growth_k"], group)
     sc = SeminormConfig(radius_factors=(1.0,), seed=cfg["seed"]) if track else None
     res = neumann_invert(
@@ -838,8 +844,8 @@ def _cmd_decay(cfg):
     d = cfg["decay"]
     sc = _seminorm_config(cfg, d)
     check_sampling(spec, sc)
+    kvec = _orders(d["k"], group, spec)
     K = _build_kernel(cfg["kernel"], group, spec, cfg)
-    kvec = _kvec(d["k"], group)
     eps = d["eps"]
     if eps is None and d["paper_eps"]:
         eps = choose_epsilon(K, spec, paper_eps=True, seed=cfg["seed"])

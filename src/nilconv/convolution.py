@@ -11,8 +11,11 @@ that the lattice group law gives; the reads are phases on the spectra,
 and the sum stays exact under box truncation.  By one side rule (_Block)
 a row with fewer sites than the kernel side's work per site, and every
 row of an abelian direct sum, sums exactly over its own sites by gathers
-of zero-padded kernel windows.  Pipelines apply Op(K) through
-prepare(K, spec), which does the per-kernel work once.
+of zero-padded kernel windows.  Where a memory rule allows (real kernel,
+no plain axes), the kernel side of the sheared sum is stored once as one
+matrix per frequency, which Op(K~) reads as its adjoint.  Pipelines apply
+Op(K) through prepare(K, spec), which does the per-kernel work once; the
+op owns its blocks, so they go when it goes.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -25,6 +28,7 @@ right after its pass (_inverse_windows).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -70,6 +74,16 @@ def _inverse_windows(spectra: np.ndarray, windows: dict, N: int) -> np.ndarray:
     return spectra
 
 
+def _conjugate_half(P: int, s: int) -> tuple:
+    """Flat frequencies w of s axes of P points with w <= -w (negated per
+    axis mod P), and their partners -w: the half set a real kernel's
+    conjugate symmetry leaves."""
+    w = np.arange(P ** s)
+    neg = np.ravel_multi_index(tuple(-c % P for c in np.unravel_index(w, (P,) * s)), (P,) * s)
+    half = np.flatnonzero(w <= neg)
+    return half, neg[half]
+
+
 class _Block:
     """Convolution along some grid axes; _convolve gets them last, the rest as rows.
 
@@ -108,7 +122,8 @@ class _Spectrum(_Block):
 
     A site costs the FFT shift_work = (N + N//2)^d / N^d frequencies on d
     axes, so by the side rule (_Block) a row of fewer sites (at most one in
-    1-D, two in 2-D) takes _gather, whatever else is in its batch.
+    1-D, two in 2-D) takes _gather, whatever else is in its batch; a zero
+    row is left at exact zeros.
 
     The pointwise product always takes the kernel spectrum first; numpy's
     complex products are not bitwise commutative, so the order is part of
@@ -124,15 +139,30 @@ class _Spectrum(_Block):
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         ax = tuple(range(1, flat.ndim))
-        sparse = np.count_nonzero(flat, axis=ax) < self.shift_work
+        sites = self._sites(flat)
+        sparse = sites < self.shift_work
         if sparse.all():
-            return self._gather(flat)
-        F = np.fft.fftn(flat, s=self.pad, axes=ax)
-        out = _inverse_windows(self.spectrum * F, dict.fromkeys(ax, self.spec.origin),
-                               self.spec.N) * self.vol
-        if sparse.any():
-            out[sparse] = self._gather(flat[sparse])
+            out = np.zeros(flat.shape, dtype=complex)
+        else:
+            F = np.fft.fftn(flat, s=self.pad, axes=ax)
+            out = _inverse_windows(self.spectrum * F, dict.fromkeys(ax, self.spec.origin),
+                                   self.spec.N) * self.vol
+            out[sparse] = 0.0
+        few = sparse & (sites > 0)  # a zero row keeps exact zeros, ungathered
+        if few.any():
+            out[few] = self._gather(flat[few])
         return out
+
+    def _sites(self, flat: np.ndarray) -> np.ndarray:
+        """Sites per row, or t = ceil(shift_work) for each row of a batch
+        whose t cells from the origin on are all nonzero (none is sparse)."""
+        rows = flat.reshape(len(flat), -1)
+        t = int(np.ceil(self.shift_work))
+        start = min(np.ravel_multi_index((self.spec.origin,) * (flat.ndim - 1), flat.shape[1:]),
+                    rows.shape[1] - t)
+        if np.count_nonzero(rows[:, start:start + t]) == len(rows) * t:
+            return np.full(len(rows), t)
+        return np.count_nonzero(rows, axis=1)
 
     def _gather(self, flat: np.ndarray) -> np.ndarray:
         """sum_y v(y) k(x - y) vol per row: one gather of kernel windows for
@@ -176,10 +206,17 @@ class _Sheared(_Block):
     the FFT path) runs no FFT.  The charge is the row's shifts or sites
     times sub.size point pairs.  Rows on the kernel's side share one loop;
     the others run one at a time.
+
+    On a block with no plain axes and a real kernel whose Hermitian half set
+    of per-frequency H x H matrices holds at most SHEAR_CHUNK values (the
+    memory rule, decided when the block is built), the kernel's side is
+    those matrices, built once from pairs (matrices, _matrix_sum).  The
+    block of Op(K~) built with adjoint_of, K's block, is its mirror: its
+    kernel-side rows read K's set as the adjoint, its own sites stay its own.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
-                 kvals: np.ndarray):
+                 kvals: np.ndarray, adjoint_of: "_Sheared | None" = None):
         super().__init__(spec, axes)
         self.sub = sub
         plain, self.loop, self.sheared = sub.shear
@@ -200,6 +237,13 @@ class _Sheared(_Block):
         p, s = len(plain), len(self.sheared)
         self.shift_work = self.kshifts.size * _plain_pad(N) ** p * (3 * N) ** s / N ** (p + s)
         self.offsets = {}  # _site_offsets per loop-grid point
+        # the memory rule of the per-frequency matrices (_matrix_sum), decided here
+        self.half = None
+        if not plain and not np.asarray(kvals).imag.any():
+            half = _conjugate_half(3 * N, s)
+            self.half = half if half[0].size * self.H ** 2 <= SHEAR_CHUNK else None
+        shared = self.half is not None and adjoint_of is not None and adjoint_of.half is not None
+        self.mirror = adjoint_of if shared else None
 
     def _rows(self, flat: np.ndarray) -> np.ndarray:
         """(R, *plain, H, *sheared) view of (R, *sub grid) values."""
@@ -273,6 +317,13 @@ class _Sheared(_Block):
             out += [(x, r[x], w[x]) for x, r, w in zip(map(np.flatnonzero, keep), rows, m)]
         return out
 
+    def _phases(self, m: np.ndarray) -> np.ndarray:
+        """(pairs, P) phases exp(2 pi i m.w / 3N) of read offsets m (pairs, s)."""
+        phase = self.twiddles[m[:, 0]]
+        for c in range(1, self.n_sheared):
+            phase = (phase[:, :, None] * self.twiddles[m[:, c]][:, None]).reshape(m.shape[0], -1)
+        return phase
+
     def _shifts(self, rows: np.ndarray) -> np.ndarray:
         """k * v for (R, *plain, H, *sheared) rows, summed over the kernel's shifts.
 
@@ -281,25 +332,60 @@ class _Sheared(_Block):
         of 3N points the read at offset m = o + P(a, x_L) is exactly the
         phase exp(2 pi i m w / 3N) whenever it meets the linear support.
         Pairs (a, x_L) whose read misses that support, or whose source row
-        (a^{-1} x)_L is off the box, are skipped (pairs).  Every destination
-        row adds its terms in kernel shift order before it is transformed
-        back, so a row's result does not depend on its batch.
+        (a^{-1} x)_L is off the box, are skipped (pairs).  A block under the
+        memory rule sums by its per-frequency matrices (_matrix_sum), any
+        other adds the pairs shift by shift, every destination row in kernel
+        shift order.  Either way a row's result does not depend on its batch.
         """
         N, o, n_plain, ns = self.spec.N, self.spec.origin, self.n_plain, self.n_sheared
         spectra = self._spectra(rows)
-        acc = np.zeros_like(spectra)
-        for (x, src, m), kspec in zip(self.pairs, self.kspectra):
-            phase = self.twiddles[m[:, 0]]
-            for c in range(1, ns):
-                phase = (phase[:, :, None] * self.twiddles[m[:, c]][:, None]).reshape(x.size, -1)
-            term = spectra[:, :, src]
-            term *= kspec[:, None]
-            term *= phase
-            acc[:, :, x] += term
+        if self.half is not None:
+            acc = self._matrix_sum(spectra)
+        else:
+            acc = np.zeros_like(spectra)
+            for (x, src, m), kspec in zip(self.pairs, self.kspectra):
+                term = spectra[:, :, src]
+                term *= kspec[:, None]
+                term *= self._phases(m)
+                acc[:, :, x] += term
         acc = acc.reshape(acc.shape[:1] + (_plain_pad(N),) * n_plain + (self.H,) + (3 * N,) * ns)
         windows = {**dict.fromkeys(range(1, 1 + n_plain), o),
                    **dict.fromkeys(range(2 + n_plain, acc.ndim), 0)}
         return _inverse_windows(acc, windows, N)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """(half, H, H) kernel-side sums M_w[x, src] = sum_a kspec[a, w]
+        exp(2 pi i m w / 3N) over the pairs, at the frequencies w of the
+        Hermitian half set; a real kernel has M_{-w} = conj(M_w)."""
+        half = self.half[0]
+        M = np.zeros((half.size, self.H, self.H), dtype=complex)
+        for (x, src, m), kspec in zip(self.pairs, self.kspectra):
+            M[:, x, src] += kspec[0, half, None] * self._phases(m)[:, half].T
+        return M
+
+    def _matrix_sum(self, spectra: np.ndarray) -> np.ndarray:
+        """The shift sum of (R, 1, H, P) spectra as one matmul per row.
+
+        A w of the half set and its partner -w are applied together: M_w to
+        s_w and conj(M_w conj(s_{-w})) to s_{-w}.  With no plain axes the
+        sheared axes are padded from cell 0 and cropped to [0, N), so the
+        inverse transform is the adjoint of the forward one over 3N and
+        Op(K)* takes M_w^H in place of M_w: a mirror block applies
+        conj(M_w^T conj(.)) from the set of the block it mirrors.  One row
+        at a time, so a row's bits do not depend on its batch.
+        """
+        half, neg = self.half
+        if self.mirror is None:
+            M, spectra = self.matrices, spectra[:, 0]
+        else:
+            M, spectra = self.mirror.matrices.swapaxes(1, 2), spectra[:, 0].conj()
+        acc = np.empty_like(spectra)
+        for s, out in zip(spectra, acc):
+            got = np.matmul(M, np.stack([s[:, half].T, s[:, neg].T.conj()], axis=-1))
+            out[:, neg] = got[..., 1].T.conj()
+            out[:, half] = got[..., 0].T  # a self-conjugate w keeps M_w s_w
+        return (acc if self.mirror is None else acc.conj())[:, None]
 
     def _site_offsets(self, h: int) -> tuple:
         """For the sites y with y_L at loop-grid point h: the destination rows
@@ -344,20 +430,24 @@ class _Sheared(_Block):
         return out
 
 
-def _whole_grid_block(spec: GridSpec, kvals: np.ndarray) -> _Block:
-    """The direct block of a whole-grid kernel, memoized on spec by its values.
+def _whole_grid_block(spec: GridSpec, kvals: np.ndarray,
+                      adjoint_of: _Sheared | None = None) -> _Block:
+    """The direct block of a whole-grid kernel, shared on spec by its values.
 
-    _convolve_each passes the same kernel once per row, so its shifts,
-    spectra, windows and site offsets are built once for all rows; a few
-    blocks are kept, oldest evicted first, each on its own copy of the values.
+    The blocks sit in a weak dict: a block, with its pairs, matrices and
+    site offsets, lives as long as a ConvOp (or a running convolve) holds
+    it, and _convolve_each, which passes the same kernel once per row,
+    finds it there.  A block built for Op(K~) with adjoint_of, K's block,
+    reads K's matrices as their adjoint (_matrix_sum); a block already
+    alive for the same values is returned as it is.
     """
-    blocks = spec.__dict__.setdefault("_direct_blocks", {})
+    blocks = spec.__dict__.setdefault("_direct_blocks", weakref.WeakValueDictionary())
     key = kvals.tobytes()
-    if key not in blocks:
-        while len(blocks) >= 4:
-            blocks.pop(next(iter(blocks)))
-        blocks[key] = _Sheared(spec, spec, tuple(range(spec.q_total)), kvals.copy())
-    return blocks[key]
+    block = blocks.get(key)
+    if block is None:
+        block = _Sheared(spec, spec, tuple(range(spec.q_total)), kvals.copy(), adjoint_of)
+        blocks[key] = block
+    return block
 
 
 def _convolve_each(K: GridKernel, spec: GridSpec):
@@ -365,7 +455,7 @@ def _convolve_each(K: GridKernel, spec: GridSpec):
 
     bench/tracer.py counts direct calls and point pairs only at the public
     convolve, so this per-row route stays until the library keeps those
-    counters itself (ROADMAP item 4).
+    counters itself (ROADMAP item 1).
     """
     def step(v: np.ndarray) -> np.ndarray:
         outs = [convolve(K.data, GridFunction(spec, row), "direct").values
@@ -374,16 +464,24 @@ def _convolve_each(K: GridKernel, spec: GridSpec):
     return step
 
 
+def _direct_op(K: GridKernel, spec: GridSpec, adjoint_of: _Sheared | None = None) -> "ConvOp":
+    """Op(K) of a whole-grid kernel on a non-abelian grid; the op holds its block."""
+    block = _whole_grid_block(spec, K.values, adjoint_of)
+    return ConvOp(K, spec, [_convolve_each(K, spec)], block)
+
+
 class ConvOp:
     """Op(K) prepared on one grid by prepare(K, spec).
 
     apply, adjoint and normal act on arrays of shape (*batch, *spec.shape),
     each leading index an independent input.  kernel is K as applied (rendered
     unless a grid, delta or tensor kernel); Op(K~) is prepared on first use.
+    block is the whole-grid direct block, if any; Op(K~)'s block then reads
+    its per-frequency matrices, so the pair shares one set.
     """
 
-    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list):
-        self.kernel, self.spec, self.steps = kernel, spec, steps
+    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list, block=None):
+        self.kernel, self.spec, self.steps, self.block = kernel, spec, steps, block
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Op(K) v."""
@@ -397,6 +495,8 @@ class ConvOp:
     @cached_property
     def adjoint_op(self) -> "ConvOp":
         """Op(K~), the L2 adjoint, prepared on the same grid."""
+        if self.block is not None:
+            return _direct_op(adjoint_kernel(self.kernel), self.spec, self.block)
         return prepare(adjoint_kernel(self.kernel), self.spec)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
@@ -436,10 +536,9 @@ def prepare(K, spec: GridSpec) -> ConvOp:
     else:
         K = K if isinstance(K, GridKernel) else K.render(spec)
         _check_specs(K.spec, spec)
-        if all(fac.is_abelian for fac in spec.group.factors):
-            steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values).apply]
-        else:
-            steps = [_convolve_each(K, spec)]
+        if not all(fac.is_abelian for fac in spec.group.factors):
+            return _direct_op(K, spec)
+        steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values).apply]
     return ConvOp(K, spec, steps)
 
 

@@ -550,6 +550,26 @@ def test_orders_at_the_stencil_gap_are_config_errors(tmp_path, capsys, argv, pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,path", [
+    (["seminorm", "--kernel", "dyadic", "--k", "3", "3"], "/seminorm"),
+    (["tame", "--pairs", "1", "--k", "1", "3"], "/tame"),
+    (["decay", "--kernel", "near-identity-dyadic", "--k", "3", "1"], "/decay"),
+    (["invert", "--track-k", "3", "3"], "/invert"),
+])
+def test_orders_at_the_stencil_gap_refused_before_kernel_work(tmp_path, capsys, monkeypatch,
+                                                              argv, path):
+    def kernel_work(*args, **kwargs):
+        raise AssertionError("kernel work ran")
+    monkeypatch.setattr(cli, "_build_kernel", kernel_work)
+    monkeypatch.setattr(cli, "synth_dyadic", kernel_work)
+    code, out = run(tmp_path, *argv, "--preset", "abelian2", "--N", "8")
+    assert code == EXIT_CONFIG
+    errs = stderr_errors(capsys)
+    assert errs[0]["path"] == path
+    assert "below the stencil gap 3" in errs[0]["message"]
+    assert not out.exists()
+
+
 # --- library errors become configuration errors at the command's section ---
 
 

@@ -393,6 +393,10 @@ def _random_kernel(spec, seed):
     return GridKernel(spec, zero_lowest_face(vals))
 
 
+def _real_kernel(spec, seed):
+    return GridKernel(spec, np.random.default_rng(seed).normal(size=spec.shape))
+
+
 def _convop_case(name):
     if name == "delta":
         return DeltaKernel(AB2, 2.0 - 1.0j), GridSpec(AB2, 6, 1.0)
@@ -411,13 +415,15 @@ def _convop_case(name):
     sub_a = GridSpec(AB1, 4, 1.0)
     if name == "tensor-heis-delta":
         parts = [_random_kernel(sub_h, 32), DeltaKernel(AB1, -0.5 + 2.0j)]
+    elif name == "tensor-real-heis-delta":  # the factor block sums by its matrices
+        parts = [_real_kernel(sub_h, 36), DeltaKernel(AB1, -0.5 + 2.0j)]
     else:
         parts = [DeltaKernel(HEIS, 1.5j), _random_kernel(sub_a, 33)]
     return TensorKernel(parts), spec
 
 
 CONVOP_CASES = ("delta", "abelian2", "heisenberg1", "tensor-heis-delta",
-                "tensor-delta-ab", "tensor-filiform3-delta")
+                "tensor-real-heis-delta", "tensor-delta-ab", "tensor-filiform3-delta")
 
 
 @pytest.mark.parametrize("name", CONVOP_CASES)
@@ -842,16 +848,19 @@ def test_sheared_budget_counts_shifts_times_sites(monkeypatch):
 
 
 def test_cached_block_obeys_a_lowered_pair_budget(monkeypatch):
-    # the whole-grid block is cached by the first call, so the budget must be
-    # read when a row is summed, not when the block is built
+    # a held op builds its whole-grid block once, so the budget must be read
+    # when a row is summed, not when the block is built
     spec = GridSpec(HEIS, 6, 1.0)
-    f, g = _random_field(spec, 78), _random_field(spec, 79)
-    convolve(f, g, path="direct")
-    blocks = dict(spec.__dict__["_direct_blocks"])
-    monkeypatch.setattr(convolution, "PAIR_BUDGET", spec.N ** 2 * spec.size - 1)
-    with pytest.raises(ValueError, match="point pairs; budget"):
-        convolve(f, g, path="direct")
-    assert spec.__dict__["_direct_blocks"] == blocks
+    op = prepare(_random_kernel(spec, 78), spec)
+    g = _random_field(spec, 79).values
+    want, block = op.apply(g), op.block
+    pairs = block.kshifts.size * spec.size
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs - 1)
+    with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
+        op.apply(g)
+    monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs)
+    assert np.array_equal(op.apply(g), want)
+    assert op.block is block and convolution._whole_grid_block(spec, op.kernel.values) is block
 
 
 def test_sheared_sparse_row_over_budget_takes_the_kernel_side(monkeypatch):
@@ -883,3 +892,104 @@ def test_compose_at_n26_matches_site_sums():
         want, scale = site_convolution(HEIS, K.values.reshape(-1), L.values.reshape(-1),
                                        coords, spec.volume, site)
         assert abs(got[site] - want) <= 1e-13 * scale
+
+
+# --- per-frequency matrices: the shift sum of real kernels without plain axes ---
+
+
+def _loop_block(spec, K, monkeypatch):
+    """K's whole-grid block built over the memory rule, so it sums shift by shift."""
+    with monkeypatch.context() as m:
+        m.setattr(convolution, "SHEAR_CHUNK", 0)
+        block = _Sheared(spec, spec, tuple(range(spec.q_total)), K.values)
+    assert block.half is None
+    return block
+
+
+MATRIX_GRIDS = {"heisenberg1-N4": (HEIS, 4), "heisenberg1-N7": (HEIS, 7),
+                "filiform3-N4": (ProductGroup([FILIFORM3]), 4)}
+
+
+@pytest.mark.parametrize("name", MATRIX_GRIDS)
+def test_matrix_sum_matches_the_shift_loop(name, monkeypatch):
+    spec = GridSpec(*MATRIX_GRIDS[name], 1.0)
+    K = _real_kernel(spec, 83)
+    op = prepare(K, spec)
+    assert op.block.half is not None and op.adjoint_op.block.mirror is op.block
+    loop, loop_adj = (_loop_block(spec, k, monkeypatch) for k in (K, adjoint_kernel(K)))
+    # dense rows take the matrices, the sparse ones their own sites
+    stack = np.stack([_random_field(spec, 84).values, _few_sites(spec),
+                      _random_field(spec, 85).values, _one_hot(spec, spec.size // 3),
+                      np.zeros(spec.shape)])
+    pairs = ((op.apply, loop.apply), (op.adjoint, loop_adj.apply),
+             (op.normal, lambda v: loop_adj.apply(loop.apply(v))))
+    for method, want_of in pairs:
+        got, want = method(stack), want_of(stack)
+        for i in range(len(stack)):
+            assert np.array_equal(got[i], method(stack[i]))
+            assert np.abs(got[i] - want[i]).max() <= 1e-15 * np.abs(want[i]).max(initial=0)
+    assert "matrices" in op.block.__dict__
+    assert "matrices" not in op.adjoint_op.block.__dict__ and "pairs" not in op.adjoint_op.block.__dict__
+
+
+@pytest.mark.parametrize("name", ["heisenberg1-N4", "filiform3-N4"])
+def test_matrix_sum_matches_loop_oracle(name):
+    # filiform3 has 256 sites: its oracle is loop_group_convolution's rule
+    # as a dense matrix (convolution_matrix), the loops would take 65536 steps
+    group, N = MATRIX_GRIDS[name]
+    spec = GridSpec(group, N, 1.0)
+    K = _real_kernel(spec, 86)
+    f = _random_field(spec, 87).values.reshape(-1)
+    op = prepare(K, spec)
+    assert op.block.half is not None
+    coords = spec.mesh.reshape(-1, spec.q_total)
+    for got, k in ((op.apply(f.reshape(spec.shape)), K),
+                   (op.adjoint(f.reshape(spec.shape)), adjoint_kernel(K))):
+        kv = k.values.reshape(-1)
+        want = (loop_group_convolution(group, kv, f, coords, spec.volume) if group is HEIS
+                else convolution_matrix(group, kv, coords, spec.volume) @ f)
+        assert np.abs(got.reshape(-1) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["heisenberg1-N7", "filiform3-N4"])
+def test_adjoint_pairing_reads_the_kernels_matrices(name):
+    spec = GridSpec(*MATRIX_GRIDS[name], 1.0)
+    op = prepare(_real_kernel(spec, 88), spec)
+    assert op.adjoint_op.block.mirror is op.block
+    f, g = _random_field(spec, 76).values, _random_field(spec, 77).values
+    Kf = op.apply(f)
+    lhs, rhs = np.vdot(g, Kf), np.vdot(op.adjoint(g), f)
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(Kf) * np.linalg.norm(g)
+
+
+def test_matrix_rule_boundary():
+    # heisenberg1 at N=12: 19 frequencies of 144^2 values fit SHEAR_CHUNK
+    spec = GridSpec(HEIS, 12, 1.0)
+    half, neg = prepare(_real_kernel(spec, 89), spec).block.half
+    assert half.size * 144 ** 2 == 393984 <= convolution.SHEAR_CHUNK
+    assert half.tolist() == list(range(19)) and neg.tolist() == [0, *range(35, 17, -1)]
+    # over the rule: N=13 (20 x 169^2), a complex kernel, a plain axis
+    cases = [(GridSpec(HEIS, 13, 1.0), _real_kernel), (spec, _random_kernel),
+             (GridSpec(HX, 6, 1.0), _real_kernel)]
+    for spec, kernel in cases:
+        op = prepare(kernel(spec, 89), spec)
+        assert op.block.half is None and op.adjoint_op.block.mirror is None
+    # the loop block keeps its bits: a held block sums shift by shift
+    f = _random_field(spec, 90).values
+    assert np.array_equal(op.apply(f), _Sheared(spec, spec, (0, 1, 2, 3), op.kernel.values).apply(f))
+    assert "matrices" not in op.block.__dict__
+
+
+def test_direct_block_lives_as_long_as_its_op():
+    import gc
+    import weakref
+
+    spec = GridSpec(HEIS, 6, 1.0)
+    op = prepare(_real_kernel(spec, 91), spec)
+    op.normal(_random_field(spec, 92).values)
+    refs = [weakref.ref(op.block), weakref.ref(op.adjoint_op.block)]
+    assert len(spec.__dict__["_direct_blocks"]) == 2
+    del op
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    assert len(spec.__dict__["_direct_blocks"]) == 0
