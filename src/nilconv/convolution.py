@@ -237,7 +237,8 @@ class _Sheared(_Block):
         p, s = len(plain), len(self.sheared)
         self.shift_work = self.kshifts.size * _plain_pad(N) ** p * (3 * N) ** s / N ** (p + s)
         self.offsets = {}  # _site_offsets per loop-grid point
-        # the memory rule of the per-frequency matrices (_matrix_sum), decided here
+        # the memory rule of the per-frequency matrices, decided here: half is
+        # (half set, partners) when the block sums by them (_matrix_sum)
         self.half = None
         if not plain and not np.asarray(kvals).imag.any():
             half = _conjugate_half(3 * N, s)

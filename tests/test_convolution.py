@@ -1,5 +1,7 @@
 """Group convolution, operator application, and operator norms."""
 
+import gc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -974,16 +976,14 @@ def test_matrix_rule_boundary():
     for spec, kernel in cases:
         op = prepare(kernel(spec, 89), spec)
         assert op.block.half is None and op.adjoint_op.block.mirror is None
-    # the loop block keeps its bits: a held block sums shift by shift
-    f = _random_field(spec, 90).values
-    assert np.array_equal(op.apply(f), _Sheared(spec, spec, (0, 1, 2, 3), op.kernel.values).apply(f))
-    assert "matrices" not in op.block.__dict__
+        # such a block sums shift by shift, as a block built outside any op
+        f = _random_field(spec, 90).values
+        axes = tuple(range(spec.q_total))
+        assert np.array_equal(op.apply(f), _Sheared(spec, spec, axes, op.kernel.values).apply(f))
+        assert "matrices" not in op.block.__dict__
 
 
 def test_direct_block_lives_as_long_as_its_op():
-    import gc
-    import weakref
-
     spec = GridSpec(HEIS, 6, 1.0)
     op = prepare(_real_kernel(spec, 91), spec)
     op.normal(_random_field(spec, 92).values)
