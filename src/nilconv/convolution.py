@@ -4,18 +4,21 @@ Convention: (f * g)(x) = sum_y f(x y^{-1}) g(y) vol.  The subgroup
 lattice is closed under the group law, so the direct sum reads exact
 lattice points; values falling outside the box contribute zero.  Fully
 abelian groups convolve dense rows by zero-padded FFTs, which equal the
-direct sum up to rounding.  On other groups the direct sum adds, per
-shift of the kernel along the axes inside some bracket, a zero-padded
-linear convolution along the central rest, read at the integer shear
-that the lattice group law gives; the reads are phases on the spectra,
-and the sum stays exact under box truncation.  By one side rule (_Block)
-a row with fewer sites than the kernel side's work per site, and every
-row of an abelian direct sum, sums exactly over its own sites by gathers
-of zero-padded kernel windows.  Where a memory rule allows (real kernel,
-no plain axes), the kernel side of the sheared sum is stored once as one
-matrix per frequency, which Op(K~) reads as its adjoint.  Pipelines apply
-Op(K) through prepare(K, spec), which does the per-kernel work once; the
-op owns its blocks, so they go when it goes.
+direct sum up to rounding, except along one axis (a tensor factor on
+abelian1, a whole-grid abelian1 kernel): there the box Toeplitz matrix,
+where it fits BOX_MATRIX_BYTES, applies every row by one GEMM per input,
+exact zeros kept.  On other groups the direct sum adds, per shift of the
+kernel along the axes inside some bracket, a zero-padded linear
+convolution along the central rest, read at the integer shear that the
+lattice group law gives; the reads are phases on the spectra, and the sum
+stays exact under box truncation.  By one side rule (_Block) a row with
+fewer sites than the kernel side's work per site, and every row of an
+abelian direct sum, sums exactly over its own sites by gathers of
+zero-padded kernel windows.  Where a memory rule allows (real kernel, no
+plain axes), the kernel side of the sheared sum is stored once as one
+matrix per frequency.  Op(K~) reads these, and box matrices, as
+adjoints.  Pipelines apply Op(K) through prepare(K, spec), which does the
+per-kernel work once; the op owns its blocks, so they go when it goes.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -48,6 +51,26 @@ EPS = np.finfo(float).eps
 
 # point pairs one direct sum may charge (see _Sheared); read at call time
 PAIR_BUDGET = int(2e8)
+# bytes of the N x N box matrix a one-axis _Spectrum block may hold (boxed)
+BOX_MATRIX_BYTES = 2 ** 21
+"""2 MiB: N <= 512 for a real kernel (8 N^2 bytes), N <= 362 for a complex
+one (16 N^2).  A memory bound, not a crossover: pocketfft's time depends on
+the factors of N + N//2 (543 = 3 * 181 and 769, a prime, are slow), so no
+single N separates the two paths.  ms per pass, GEMM / FFT, of a block on
+one N x N input (N rows) along axis 0 and along axis 1, and on one row of
+a 1-D grid; one BLAS thread, 2-core Xeon VM, numpy 2.4 with OpenBLAS
+0.3.31, medians of one run (repeated runs varied by up to 2x):
+
+    N    kernel   axis 0        axis 1        one row
+    256  real      1.3 /  5.5    1.6 /  1.9   0.014 / 0.049
+    256  complex   2.5 /  7.4    4.1 /  4.3   0.024 / 0.049
+    362  complex   7.0 / 22.6    7.3 / 17.9   0.061 / 0.119   last complex N
+    363  complex   6.9 / 11.4    7.6 /  5.0   0.059 / 0.055   FFT kept
+    512  real      9.8 / 23.4   16.0 /  9.5   0.063 / 0.057   last real N
+    513  real     13.2 / 40.3   11.5 / 34.7   0.059 / 0.147   FFT kept
+    768  real     46.2 / 64.5   39.0 / 21.4   0.455 / 0.068   FFT kept
+
+Above the rule a block keeps the padded FFT and its bits."""
 # complex kernel values gathered per chunk of a _Sheared site sum (8 MB);
 # its group law runs on SHEAR_CHUNK / 128 points per call
 SHEAR_CHUNK = 2 ** 19
@@ -92,9 +115,10 @@ class _Block:
     reading the kernel's window at x y^{-1} from kwindows.
     """
 
-    def __init__(self, spec: GridSpec, axes: tuple):
-        self.spec, self.axes = spec, axes
+    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray):
+        self.spec, self.axes, self.values = spec, axes, kvals
         self.vol = float(np.prod(spec.spacings[list(axes)]))
+        self.real = not np.asarray(kvals).imag.any()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         axes = tuple(v.ndim - self.spec.q_total + a for a in self.axes)
@@ -128,14 +152,58 @@ class _Spectrum(_Block):
     The pointwise product always takes the kernel spectrum first; numpy's
     complex products are not bitwise commutative, so the order is part of
     the output bits.
+
+    A one-axis block whose N x N box matrix fits BOX_MATRIX_BYTES (boxed)
+    runs none of this: every row, dense or sparse, is one GEMM against
+    matrix, built on first use, and no kernel spectrum is taken.  The block
+    of Op(K~) built with adjoint_of, K's block, reads that matrix as its
+    conjugate transpose.
     """
 
-    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray):
-        super().__init__(spec, axes)
+    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray,
+                 adjoint_of: "_Spectrum | None" = None):
+        super().__init__(spec, axes, kvals)
         self.pad = (_plain_pad(spec.N),) * len(axes)
         self.kernel, self.window_axes = kvals, tuple(range(len(axes)))
-        self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=self.window_axes)
         self.shift_work = (self.pad[0] / spec.N) ** len(axes)
+        self.boxed = len(axes) == 1 and spec.N ** 2 * (8 if self.real else 16) <= BOX_MATRIX_BYTES
+        self.mirror = adjoint_of if self.boxed else None
+        if not self.boxed:
+            self.spectrum = np.fft.fftn(kvals, s=self.pad, axes=self.window_axes)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The box matrix T[x, y] = k(x - y + o) vol, real for a real
+        kernel; a mirror holds the transpose (a view) of its block's T and
+        applies it as T^H."""
+        if self.mirror is not None:
+            return self.mirror.matrix.T
+        N, o = self.spec.N, self.spec.origin
+        T = self.kwindows[N + o:o:-1].T * self.vol
+        return np.ascontiguousarray(T.real if self.real else T)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """T along the block's axis of v, by GEMMs of one shape per input,
+        whatever its batch, so a row's bits do not depend on its batch: T
+        against the (N, cells after the axis) lines of each cell before
+        it or, on the last axis, against the transposed (N, cells before)
+        rows.  A real T multiplies the values viewed as floats (one dgemm
+        for real and imaginary parts); a mirror of a complex T applies
+        conj(T^T conj(v))."""
+        if not self.boxed:
+            return super().apply(v)
+        N, q, axis = self.spec.N, self.spec.q_total, self.axes[0]
+        last = axis == q - 1
+        x = (v.reshape(-1, N ** axis, N).swapaxes(1, 2) if last
+             else v.reshape(-1, N, N ** (q - 1 - axis)))
+        x = np.ascontiguousarray(x, dtype=complex)
+        if self.real:
+            out = np.matmul(self.matrix, x.view(float)).view(complex)
+        elif self.mirror is not None:
+            out = np.matmul(self.matrix, x.conj()).conj()
+        else:
+            out = np.matmul(self.matrix, x)
+        return (out.swapaxes(1, 2) if last else out).reshape(v.shape)
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         ax = tuple(range(1, flat.ndim))
@@ -145,8 +213,8 @@ class _Spectrum(_Block):
             out = np.zeros(flat.shape, dtype=complex)
         else:
             F = np.fft.fftn(flat, s=self.pad, axes=ax)
-            out = _inverse_windows(self.spectrum * F, dict.fromkeys(ax, self.spec.origin),
-                                   self.spec.N) * self.vol
+            out = _inverse_windows(np.multiply(self.spectrum, F, out=F),
+                                   dict.fromkeys(ax, self.spec.origin), self.spec.N) * self.vol
             out[sparse] = 0.0
         few = sparse & (sites > 0)  # a zero row keeps exact zeros, ungathered
         if few.any():
@@ -217,7 +285,7 @@ class _Sheared(_Block):
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
                  kvals: np.ndarray, adjoint_of: "_Sheared | None" = None):
-        super().__init__(spec, axes)
+        super().__init__(spec, axes, kvals)
         self.sub = sub
         plain, self.loop, self.sheared = sub.shear
         self.central = plain + self.sheared
@@ -240,7 +308,7 @@ class _Sheared(_Block):
         # the memory rule of the per-frequency matrices, decided here: half is
         # (half set, partners) when the block sums by them (_matrix_sum)
         self.half = None
-        if not plain and not np.asarray(kvals).imag.any():
+        if not plain and self.real:
             half = _conjugate_half(3 * N, s)
             self.half = half if half[0].size * self.H ** 2 <= SHEAR_CHUNK else None
         shared = self.half is not None and adjoint_of is not None and adjoint_of.half is not None
@@ -432,7 +500,7 @@ class _Sheared(_Block):
 
 
 def _whole_grid_block(spec: GridSpec, kvals: np.ndarray,
-                      adjoint_of: _Sheared | None = None) -> _Block:
+                      adjoint_of: _Sheared | None = None) -> _Sheared:
     """The direct block of a whole-grid kernel, shared on spec by its values.
 
     The blocks sit in a weak dict: a block, with its pairs, matrices and
@@ -465,24 +533,21 @@ def _convolve_each(K: GridKernel, spec: GridSpec):
     return step
 
 
-def _direct_op(K: GridKernel, spec: GridSpec, adjoint_of: _Sheared | None = None) -> "ConvOp":
-    """Op(K) of a whole-grid kernel on a non-abelian grid; the op holds its block."""
-    block = _whole_grid_block(spec, K.values, adjoint_of)
-    return ConvOp(K, spec, [_convolve_each(K, spec)], block)
-
-
 class ConvOp:
     """Op(K) prepared on one grid by prepare(K, spec).
 
     apply, adjoint and normal act on arrays of shape (*batch, *spec.shape),
     each leading index an independent input.  kernel is K as applied (rendered
     unless a grid, delta or tensor kernel); Op(K~) is prepared on first use.
-    block is the whole-grid direct block, if any; Op(K~)'s block then reads
-    its per-frequency matrices, so the pair shares one set.
+    blocks are the op's blocks, one per kernel part (None for a delta part).
+    Op(K~)'s block of a part reads K's block as its adjoint where the
+    rendered part of K~ is the conjugate reverse of K's bit for bit: a
+    sheared block its per-frequency matrices, a boxed one-axis block its
+    box matrix, so the pair shares one set.
     """
 
-    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list, block=None):
-        self.kernel, self.spec, self.steps, self.block = kernel, spec, steps, block
+    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list, blocks: list = ()):
+        self.kernel, self.spec, self.steps, self.blocks = kernel, spec, steps, blocks
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Op(K) v."""
@@ -496,9 +561,7 @@ class ConvOp:
     @cached_property
     def adjoint_op(self) -> "ConvOp":
         """Op(K~), the L2 adjoint, prepared on the same grid."""
-        if self.block is not None:
-            return _direct_op(adjoint_kernel(self.kernel), self.spec, self.block)
-        return prepare(adjoint_kernel(self.kernel), self.spec)
+        return _prepare(adjoint_kernel(self.kernel), self.spec, self.blocks)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Op(K~) v."""
@@ -515,32 +578,52 @@ def prepare(K, spec: GridSpec) -> ConvOp:
     A delta kernel scales.  A tensor kernel gets one step per factor on the
     factor's own grid: a scale for a delta part, else the part rendered once.
     Any other kernel is rendered on spec (a grid kernel must live there).
-    Abelian groups keep the padded kernel spectrum; others run the exact
-    direct sum (_Sheared) within PAIR_BUDGET point pairs, through convolve
-    for a whole-grid kernel.
+    Abelian groups keep the padded kernel spectrum or, on one axis, the box
+    matrix (_Spectrum); others run the exact direct sum (_Sheared) within
+    PAIR_BUDGET point pairs, through convolve for a whole-grid kernel.
     """
     if isinstance(K, ConvOp):
         _check_specs(K.spec, spec)
         return K
+    return _prepare(K, spec, ())
+
+
+def _prepare(K, spec: GridSpec, of) -> ConvOp:
+    """prepare of a kernel; of holds the blocks of the op whose adjoint
+    kernel K is, which a part's block reads where it mirrors (_mirror)."""
     if isinstance(K, DeltaKernel):
-        steps = [lambda v: v * K.amplitude]
-    elif isinstance(K, TensorKernel):
-        steps = []
-        for part, sub, sl in zip(K.parts, spec.factor_specs, K.group.slices):
+        return ConvOp(K, spec, [lambda v: v * K.amplitude])
+    if isinstance(K, TensorKernel):
+        steps, blocks = [], []
+        for i, (part, sub, sl) in enumerate(zip(K.parts, spec.factor_specs, K.group.slices)):
             if isinstance(part, DeltaKernel):
                 steps.append(lambda v, c=part.amplitude: v * c)
+                blocks.append(None)
                 continue
             axes, kvals = tuple(range(sl.start, sl.stop)), part.render(sub).values
-            block = (_Spectrum(spec, axes, kvals) if sub.group.factors[0].is_abelian
-                     else _Sheared(spec, sub, axes, kvals))
+            mirror = _mirror(of[i] if of else None, sub, kvals)
+            block = (_Spectrum(spec, axes, kvals, mirror) if sub.group.factors[0].is_abelian
+                     else _Sheared(spec, sub, axes, kvals, mirror))
             steps.append(block.apply)
-    else:
-        K = K if isinstance(K, GridKernel) else K.render(spec)
-        _check_specs(K.spec, spec)
-        if not all(fac.is_abelian for fac in spec.group.factors):
-            return _direct_op(K, spec)
-        steps = [_Spectrum(spec, tuple(range(spec.q_total)), K.values).apply]
-    return ConvOp(K, spec, steps)
+            blocks.append(block)
+        return ConvOp(K, spec, steps, blocks)
+    K = K if isinstance(K, GridKernel) else K.render(spec)
+    _check_specs(K.spec, spec)
+    mirror = _mirror(of[0] if of else None, spec, K.values)
+    if not all(fac.is_abelian for fac in spec.group.factors):
+        block = _whole_grid_block(spec, K.values, mirror)
+        return ConvOp(K, spec, [_convolve_each(K, spec)], [block])
+    block = _Spectrum(spec, tuple(range(spec.q_total)), K.values, mirror)
+    return ConvOp(K, spec, [block.apply], [block])
+
+
+def _mirror(block: _Block | None, sub: GridSpec, kvals: np.ndarray) -> _Block | None:
+    """block, a part's block of Op(K), if kvals (the same part of K~ on sub)
+    are the conjugate reverse of its values bit for bit, else None."""
+    if block is None:
+        return None
+    flipped = np.conj(GridFunction(sub, block.values).negate_argument().values)
+    return block if np.array_equal(flipped, kvals) else None
 
 
 def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFunction:

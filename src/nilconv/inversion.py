@@ -197,8 +197,8 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.15) and each edge is
     the product of the parts' edges; any other kernel is one part on the
     whole grid.  A delta part contributes |amplitude|.  A part of at most
-    DENSE_SITES sites takes a dense SVD of its prepared operator, a larger
-    one _lanczos_edges.  An unconverged Lanczos top is only a lower bound,
+    DENSE_SITES sites takes a dense SVD of its prepared operator (a real
+    one where no imaginary part is nonzero), a larger one _lanczos_edges.  An unconverged Lanczos top is only a lower bound,
     so that part's sigma_max becomes _young_bound.
 
     Each info dict has value, method ("dense", "lanczos" or "young-bound":
@@ -225,7 +225,7 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
             for i in range(0, n, 256):
                 units = np.eye(min(256, n - i), n, i, dtype=complex)
                 cols[i:i + len(units)] = prep.apply(units.reshape(-1, *sub.shape)).reshape(-1, n)
-            s = np.linalg.svd(cols.T, compute_uv=False)
+            s = np.linalg.svd(cols.T if cols.imag.any() else cols.T.real, compute_uv=False)
             top, bottom, steps, ok = float(s[0]), float(s[-1]), 0, True
         else:
             top, bottom, steps, ok = _lanczos_edges(prep, sub, seed)

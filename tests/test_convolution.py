@@ -29,6 +29,7 @@ from nilconv.groups import GradedLieAlgebra, abelian, heisenberg1
 from nilconv.kernels import (
     ClosedFormKernel,
     DeltaKernel,
+    DiscreteHilbertKernel,
     GridKernel,
     TensorKernel,
     adjoint_kernel,
@@ -448,10 +449,23 @@ def test_convop_matches_dense_oracle(name):
         assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(got) * np.linalg.norm(g)
 
 
-@pytest.mark.parametrize("name", CONVOP_CASES)
+BOXED_BATCH_CASES = ("tensor-real-ab-N512", "abelian1-N64")
+
+
+@pytest.mark.parametrize("name", [*CONVOP_CASES, *BOXED_BATCH_CASES])
 def test_convop_batch_equals_single_applies(name):
-    K, spec = _convop_case(name)
+    # box matrices on both axes at the rule's largest N, and on a 1-D grid,
+    # where one GEMM for the whole batch would change a row's bits
+    if name == "tensor-real-ab-N512":
+        spec = GridSpec(AB2, 512, 1.0)
+        K = TensorKernel([_real_kernel(sub, 42 + mu) for mu, sub in enumerate(spec.factor_specs)])
+    elif name == "abelian1-N64":
+        spec = GridSpec(AB1, 64, 1.0)
+        K = _real_kernel(spec, 45)
+    else:
+        K, spec = _convop_case(name)
     op = prepare(K, spec)
+    assert name not in BOXED_BATCH_CASES or all(b.boxed for b in op.blocks)
     # a one-hot and a zero row sum over their own sites in any batch
     stack = np.stack([_random_field(spec, 40).values, _few_sites(spec),
                       _random_field(spec, 41).values, _one_hot(spec, spec.size // 3),
@@ -464,6 +478,58 @@ def test_convop_batch_equals_single_applies(name):
     assert prepare(op, spec) is op
     with pytest.raises(ValueError, match="grid"):
         op.apply(np.zeros((spec.N + 1,) * spec.q_total))
+
+
+class _SkewedKernel(GridKernel):
+    """A grid kernel whose adjoint is one rounding step off the conjugate reverse."""
+
+    def adjoint(self):
+        return GridKernel(self.spec, super().adjoint().values * (1 + np.finfo(float).eps))
+
+
+ADJOINT_CASES = ("tensor-real-heis-delta", "tensor-hilbert", "tensor-complex-ab", "skewed")
+
+
+def _adjoint_case(name):
+    if name == "tensor-real-heis-delta":
+        return _convop_case(name)
+    spec = GridSpec(AB2, 8, 1.0)
+    if name == "tensor-hilbert":
+        return TensorKernel([DiscreteHilbertKernel(AB1)] * 2), spec
+    if name == "tensor-complex-ab":
+        return TensorKernel([_random_kernel(sub, 46 + mu)
+                             for mu, sub in enumerate(spec.factor_specs)]), spec
+    sub = spec.factor_specs[0]
+    return TensorKernel([_SkewedKernel(sub, _real_kernel(sub, 48).values),
+                         DeltaKernel(AB1, 2.0)]), spec
+
+
+@pytest.mark.parametrize("name", ADJOINT_CASES)
+def test_tensor_adjoint_reads_the_factor_blocks(name):
+    # Op(K~) of a tensor kernel reads each factor's set (per-frequency or box
+    # matrices) of Op(K) where its rendered part mirrors K's bit for bit, so
+    # the pair holds one set per factor; a part one rounding step off keeps
+    # its own.  Either way Op(K~) applies a fresh Op(K~)'s bits, or within 1e-15
+    K, spec = _adjoint_case(name)
+    op = prepare(K, spec)
+    rows = np.stack([_random_field(spec, 44).values, _few_sites(spec),
+                     _one_hot(spec, spec.size // 3), np.zeros(spec.shape)])
+    op.normal(rows)
+    pairs = [(b, a) for b, a in zip(op.blocks, op.adjoint_op.blocks) if b is not None]
+    assert pairs
+    for block, adj in pairs:
+        assert (adj.mirror is block) == (name != "skewed")
+        if isinstance(block, _Sheared):
+            assert "matrices" in block.__dict__
+            assert "matrices" not in adj.__dict__ and "pairs" not in adj.__dict__
+        elif name == "skewed":
+            assert not np.shares_memory(adj.matrix, block.matrix)
+        else:
+            assert adj.matrix.base is block.matrix
+    got, want = op.adjoint(rows), prepare(adjoint_kernel(K), spec).apply(rows)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max(initial=0.0)
+        assert np.array_equal(g == 0, w == 0)
 
 
 def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
@@ -509,6 +575,54 @@ def test_tensor_factor_spectrum_matches_toeplitz_product(N):
     T0, T1 = (toeplitz_convolution_matrix(p.values, h) for p, h in zip(parts, spec.spacings))
     want = T0 @ f @ T1.T
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# both sides of the box-matrix rule: 2 MiB holds N = 512 real and N = 362
+# complex values, not 513 and 363
+BOX_CASES = ([(N, kind) for N in PAD_NS for kind in ("real", "complex")]
+             + [(512, "real"), (513, "real"), (362, "complex"), (363, "complex")])
+
+
+@pytest.mark.parametrize("N,kind", BOX_CASES)
+def test_one_axis_box_matrix_matches_toeplitz_oracle(N, kind, monkeypatch):
+    # whole-grid abelian1 and tensor factors on axis 0 and 1 of abelian2: a
+    # block under the rule applies its box matrix to every row, dense or
+    # sparse, with no FFT and the oracle's exact zeros, within 1e-15; one above
+    # it keeps the FFT and the FFT's bound elsewhere here, 1e-13
+    boxed = N ** 2 * (8 if kind == "real" else 16) <= convolution.BOX_MATRIX_BYTES
+    assert boxed == (N not in (513, 363))
+    rng = np.random.default_rng(N)
+    sub = GridSpec(AB1, N, 0.5)
+    k = rng.normal(size=N) + (1j * rng.normal(size=N) if kind == "complex" else 0)
+    k[rng.permutation(N)[:N // 4]] = 0.0  # exact zeros inside the kernel's support
+    part = GridKernel(sub, k)
+    T = toeplitz_convolution_matrix(part.values, sub.spacings[0])
+    calls = []
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
+    spec2 = GridSpec(AB2, N, 0.5)
+    layouts = [(sub, part, lambda f: T @ f),
+               (spec2, TensorKernel([part, DeltaKernel(AB1)]), lambda f: T @ f),
+               (spec2, TensorKernel([DeltaKernel(AB1), part]), lambda f: f @ T.T)]
+    for spec, K, oracle in layouts:
+        op = prepare(K, spec)
+        assert [b.boxed for b in op.blocks if b is not None] == [boxed]
+        rows = [_random_field(spec, N).values, _one_hot(spec, spec.size // 3),
+                _one_hot(spec, spec.size - 1), _few_sites(spec) if spec.size > 12 else
+                _one_hot(spec, 0), np.zeros(spec.shape)]
+        calls.clear()
+        got = op.apply(np.stack(rows))
+        assert calls == ([] if boxed else [1])
+        for f, out in zip(rows, got):
+            want = oracle(f)
+            rtol = 1e-15 if boxed else 1e-13
+            assert np.abs(out - want).max() <= rtol * np.abs(want).max(initial=0.0)
+            if boxed or np.count_nonzero(f) < 2:
+                assert np.array_equal(out == 0, want == 0)
+        if spec is sub and N in PAD_NS:
+            coords = sub.mesh.reshape(-1, 1)
+            want = loop_group_convolution(AB1, part.values, rows[0], coords, sub.volume)
+            assert np.abs(got[0] - want).max() <= 1e-15 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("N", (4, 5, 17))
@@ -557,7 +671,8 @@ def _sparse_case(name, N):
 def test_spectrum_sparse_rows_match_loop_oracle(name, N, monkeypatch):
     # the side rule: a row with fewer sites than (N + N//2)^d / N^d (1.5 and
     # 2.25 at N=8, 1.44 and 2.09 at N=9) sums over its own sites with no FFT,
-    # exactly; rows with more take the FFT
+    # exactly; rows with more take the FFT.  A one-axis block applies its box
+    # matrix to every row and runs no FFT; the sparse rows keep the same bounds
     spec, K, site_lists, axes = _sparse_case(name, N)
     op = prepare(K, spec)
     coords = spec.mesh.reshape(-1, spec.q_total)
@@ -581,7 +696,7 @@ def test_spectrum_sparse_rows_match_loop_oracle(name, N, monkeypatch):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(initial=0.0)
             assert np.array_equal(got == 0, want == 0)
         else:
-            assert calls == [1]
+            assert calls == ([] if len(axes) == 1 else [1])
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert gathered == {"abelian1": [True, True, False, False],
                         "abelian2": [True, True, True, False],
@@ -855,14 +970,14 @@ def test_cached_block_obeys_a_lowered_pair_budget(monkeypatch):
     spec = GridSpec(HEIS, 6, 1.0)
     op = prepare(_random_kernel(spec, 78), spec)
     g = _random_field(spec, 79).values
-    want, block = op.apply(g), op.block
+    want, block = op.apply(g), op.blocks[0]
     pairs = block.kshifts.size * spec.size
     monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs - 1)
     with pytest.raises(ValueError, match=f"needs {pairs} point pairs; budget {pairs - 1}$"):
         op.apply(g)
     monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs)
     assert np.array_equal(op.apply(g), want)
-    assert op.block is block and convolution._whole_grid_block(spec, op.kernel.values) is block
+    assert op.blocks[0] is block and convolution._whole_grid_block(spec, op.kernel.values) is block
 
 
 def test_sheared_sparse_row_over_budget_takes_the_kernel_side(monkeypatch):
@@ -917,7 +1032,7 @@ def test_matrix_sum_matches_the_shift_loop(name, monkeypatch):
     spec = GridSpec(*MATRIX_GRIDS[name], 1.0)
     K = _real_kernel(spec, 83)
     op = prepare(K, spec)
-    assert op.block.half is not None and op.adjoint_op.block.mirror is op.block
+    assert op.blocks[0].half is not None and op.adjoint_op.blocks[0].mirror is op.blocks[0]
     loop, loop_adj = (_loop_block(spec, k, monkeypatch) for k in (K, adjoint_kernel(K)))
     # dense rows take the matrices, the sparse ones their own sites
     stack = np.stack([_random_field(spec, 84).values, _few_sites(spec),
@@ -930,8 +1045,8 @@ def test_matrix_sum_matches_the_shift_loop(name, monkeypatch):
         for i in range(len(stack)):
             assert np.array_equal(got[i], method(stack[i]))
             assert np.abs(got[i] - want[i]).max() <= 1e-15 * np.abs(want[i]).max(initial=0)
-    assert "matrices" in op.block.__dict__
-    assert "matrices" not in op.adjoint_op.block.__dict__ and "pairs" not in op.adjoint_op.block.__dict__
+    assert "matrices" in op.blocks[0].__dict__
+    assert "matrices" not in op.adjoint_op.blocks[0].__dict__ and "pairs" not in op.adjoint_op.blocks[0].__dict__
 
 
 @pytest.mark.parametrize("name", ["heisenberg1-N4", "filiform3-N4"])
@@ -943,7 +1058,7 @@ def test_matrix_sum_matches_loop_oracle(name):
     K = _real_kernel(spec, 86)
     f = _random_field(spec, 87).values.reshape(-1)
     op = prepare(K, spec)
-    assert op.block.half is not None
+    assert op.blocks[0].half is not None
     coords = spec.mesh.reshape(-1, spec.q_total)
     for got, k in ((op.apply(f.reshape(spec.shape)), K),
                    (op.adjoint(f.reshape(spec.shape)), adjoint_kernel(K))):
@@ -957,7 +1072,7 @@ def test_matrix_sum_matches_loop_oracle(name):
 def test_adjoint_pairing_reads_the_kernels_matrices(name):
     spec = GridSpec(*MATRIX_GRIDS[name], 1.0)
     op = prepare(_real_kernel(spec, 88), spec)
-    assert op.adjoint_op.block.mirror is op.block
+    assert op.adjoint_op.blocks[0].mirror is op.blocks[0]
     f, g = _random_field(spec, 76).values, _random_field(spec, 77).values
     Kf = op.apply(f)
     lhs, rhs = np.vdot(g, Kf), np.vdot(op.adjoint(g), f)
@@ -967,7 +1082,7 @@ def test_adjoint_pairing_reads_the_kernels_matrices(name):
 def test_matrix_rule_boundary():
     # heisenberg1 at N=12: 19 frequencies of 144^2 values fit SHEAR_CHUNK
     spec = GridSpec(HEIS, 12, 1.0)
-    half, neg = prepare(_real_kernel(spec, 89), spec).block.half
+    half, neg = prepare(_real_kernel(spec, 89), spec).blocks[0].half
     assert half.size * 144 ** 2 == 393984 <= convolution.SHEAR_CHUNK
     assert half.tolist() == list(range(19)) and neg.tolist() == [0, *range(35, 17, -1)]
     # over the rule: N=13 (20 x 169^2), a complex kernel, a plain axis
@@ -975,19 +1090,19 @@ def test_matrix_rule_boundary():
              (GridSpec(HX, 6, 1.0), _real_kernel)]
     for spec, kernel in cases:
         op = prepare(kernel(spec, 89), spec)
-        assert op.block.half is None and op.adjoint_op.block.mirror is None
+        assert op.blocks[0].half is None and op.adjoint_op.blocks[0].mirror is None
         # such a block sums shift by shift, as a block built outside any op
         f = _random_field(spec, 90).values
         axes = tuple(range(spec.q_total))
         assert np.array_equal(op.apply(f), _Sheared(spec, spec, axes, op.kernel.values).apply(f))
-        assert "matrices" not in op.block.__dict__
+        assert "matrices" not in op.blocks[0].__dict__
 
 
 def test_direct_block_lives_as_long_as_its_op():
     spec = GridSpec(HEIS, 6, 1.0)
     op = prepare(_real_kernel(spec, 91), spec)
     op.normal(_random_field(spec, 92).values)
-    refs = [weakref.ref(op.block), weakref.ref(op.adjoint_op.block)]
+    refs = [weakref.ref(op.blocks[0]), weakref.ref(op.adjoint_op.blocks[0])]
     assert len(spec.__dict__["_direct_blocks"]) == 2
     del op
     gc.collect()
