@@ -16,9 +16,11 @@ fewer sites than the kernel side's work per site, and every row of an
 abelian direct sum, sums exactly over its own sites by gathers of
 zero-padded kernel windows.  Where a memory rule allows (real kernel, no
 plain axes), the kernel side of the sheared sum is stored once as one
-matrix per frequency.  Op(K~) reads these, and box matrices, as
-adjoints.  Pipelines apply Op(K) through prepare(K, spec), which does the
-per-kernel work once; the op owns its blocks, so they go when it goes.
+matrix per frequency.  Op(K~) is built from Op(K)'s own blocks: each
+block's adjoint is a block of the same kind on its conjugate-reversed
+values, which reads these, and box matrices, as adjoints.  Pipelines apply
+Op(K) through prepare(K, spec), which does the per-kernel work once; the op
+owns its blocks, so they go when it goes.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -43,7 +45,6 @@ from .kernels import (
     GridKernel,
     KernelRep,
     TensorKernel,
-    adjoint_kernel,
 )
 from .product import MultiIndex
 
@@ -108,15 +109,16 @@ def _conjugate_half(P: int, s: int) -> tuple:
 
 
 class _Block:
-    """Convolution along some grid axes; _convolve gets them last, the rest as rows.
+    """Convolution along some grid axes by kernel values kvals on sub, the grid
+    of those axes; _convolve gets them last, the rest as rows.
 
     The side rule: a row with fewer sites (nonzero values) than shift_work,
     the kernel side's work per destination site, sums over its own sites y,
     reading the kernel's window at x y^{-1} from kwindows.
     """
 
-    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray):
-        self.spec, self.axes, self.values = spec, axes, kvals
+    def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray):
+        self.spec, self.sub, self.axes, self.values = spec, sub, axes, kvals
         self.vol = float(np.prod(spec.spacings[list(axes)]))
         self.real = not np.asarray(kvals).imag.any()
 
@@ -128,6 +130,16 @@ class _Block:
         moved = np.moveaxis(v, axes, last)
         out = self._convolve(moved.reshape(-1, *(self.spec.N,) * len(axes)))
         return np.moveaxis(out.reshape(moved.shape), last, axes)
+
+    def adjoint(self) -> "_Block":
+        """The block of Op(K~): the same kind on the conjugate reverse of
+        these values, built with adjoint_of=self; a mirror's adjoint is the
+        block it mirrors (whose values those are, bit for bit)."""
+        return self.mirror or type(self)(self.spec, self.sub, self.axes, self._reversed(), self)
+
+    def _reversed(self) -> np.ndarray:
+        """conj k(t^{-1}) on sub: the values of the adjoint's block."""
+        return np.conj(GridFunction(self.sub, self.values).negate_argument().values)
 
     @cached_property
     def kwindows(self) -> np.ndarray:
@@ -155,14 +167,14 @@ class _Spectrum(_Block):
 
     A one-axis block whose N x N box matrix fits BOX_MATRIX_BYTES (boxed)
     runs none of this: every row, dense or sparse, is one GEMM against
-    matrix, built on first use, and no kernel spectrum is taken.  The block
-    of Op(K~) built with adjoint_of, K's block, reads that matrix as its
+    matrix, built on first use, and no kernel spectrum is taken.  Its
+    adjoint (built with adjoint_of, this block) reads that matrix as its
     conjugate transpose.
     """
 
-    def __init__(self, spec: GridSpec, axes: tuple, kvals: np.ndarray,
+    def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray,
                  adjoint_of: "_Spectrum | None" = None):
-        super().__init__(spec, axes, kvals)
+        super().__init__(spec, sub, axes, kvals)
         self.pad = (_plain_pad(spec.N),) * len(axes)
         self.kernel, self.window_axes = kvals, tuple(range(len(axes)))
         self.shift_work = (self.pad[0] / spec.N) ** len(axes)
@@ -207,7 +219,7 @@ class _Spectrum(_Block):
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
         ax = tuple(range(1, flat.ndim))
-        sites = self._sites(flat)
+        sites = np.count_nonzero(flat.reshape(len(flat), -1), axis=1)
         sparse = sites < self.shift_work
         if sparse.all():
             out = np.zeros(flat.shape, dtype=complex)
@@ -220,17 +232,6 @@ class _Spectrum(_Block):
         if few.any():
             out[few] = self._gather(flat[few])
         return out
-
-    def _sites(self, flat: np.ndarray) -> np.ndarray:
-        """Sites per row, or t = ceil(shift_work) for each row of a batch
-        whose t cells from the origin on are all nonzero (none is sparse)."""
-        rows = flat.reshape(len(flat), -1)
-        t = int(np.ceil(self.shift_work))
-        start = min(np.ravel_multi_index((self.spec.origin,) * (flat.ndim - 1), flat.shape[1:]),
-                    rows.shape[1] - t)
-        if np.count_nonzero(rows[:, start:start + t]) == len(rows) * t:
-            return np.full(len(rows), t)
-        return np.count_nonzero(rows, axis=1)
 
     def _gather(self, flat: np.ndarray) -> np.ndarray:
         """sum_y v(y) k(x - y) vol per row: one gather of kernel windows for
@@ -278,15 +279,14 @@ class _Sheared(_Block):
     On a block with no plain axes and a real kernel whose Hermitian half set
     of per-frequency H x H matrices holds at most SHEAR_CHUNK values (the
     memory rule, decided when the block is built), the kernel's side is
-    those matrices, built once from pairs (matrices, _matrix_sum).  The
-    block of Op(K~) built with adjoint_of, K's block, is its mirror: its
-    kernel-side rows read K's set as the adjoint, its own sites stay its own.
+    those matrices, built once from pairs (matrices, _matrix_sum).  Its
+    adjoint (built with adjoint_of, this block) is a mirror: its kernel-side
+    rows read this block's set as the adjoint, its own sites stay its own.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple,
                  kvals: np.ndarray, adjoint_of: "_Sheared | None" = None):
-        super().__init__(spec, axes, kvals)
-        self.sub = sub
+        super().__init__(spec, sub, axes, kvals)
         plain, self.loop, self.sheared = sub.shear
         self.central = plain + self.sheared
         self.perm = plain + self.loop + self.sheared
@@ -499,69 +499,85 @@ class _Sheared(_Block):
         return out
 
 
+class _WholeGrid(_Sheared):
+    """The direct block of a whole-grid kernel; only _whole_grid_block builds one.
+
+    apply runs one public convolve per input: bench/tracer.py counts direct
+    calls and point pairs only at convolve, so this per-row route stays
+    until the library keeps those counters itself (ROADMAP item 1).
+    convolve finds the block again by its values and sums the row by
+    _Block.apply.
+    """
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        kernel = GridFunction(self.spec, self.values)
+        outs = [convolve(kernel, GridFunction(self.spec, row), "direct").values
+                for row in v.reshape(-1, *self.spec.shape)]
+        return np.stack(outs).reshape(v.shape)
+
+    def adjoint(self) -> "_WholeGrid":
+        return _whole_grid_block(self.spec, self._reversed(), self)
+
+
 def _whole_grid_block(spec: GridSpec, kvals: np.ndarray,
-                      adjoint_of: _Sheared | None = None) -> _Sheared:
+                      adjoint_of: _WholeGrid | None = None) -> _WholeGrid:
     """The direct block of a whole-grid kernel, shared on spec by its values.
 
     The blocks sit in a weak dict: a block, with its pairs, matrices and
     site offsets, lives as long as a ConvOp (or a running convolve) holds
-    it, and _convolve_each, which passes the same kernel once per row,
-    finds it there.  A block built for Op(K~) with adjoint_of, K's block,
-    reads K's matrices as their adjoint (_matrix_sum); a block already
-    alive for the same values is returned as it is.
+    it, and convolve, which the block's apply calls once per row, finds it
+    there.  A block's adjoint registers the reversed values with
+    adjoint_of, the block, whose matrices it reads as their adjoint
+    (_matrix_sum); a block already alive for the same values is returned
+    as it is.
     """
     blocks = spec.__dict__.setdefault("_direct_blocks", weakref.WeakValueDictionary())
     key = kvals.tobytes()
     block = blocks.get(key)
     if block is None:
-        block = _Sheared(spec, spec, tuple(range(spec.q_total)), kvals.copy(), adjoint_of)
+        block = _WholeGrid(spec, spec, tuple(range(spec.q_total)), kvals.copy(), adjoint_of)
         blocks[key] = block
     return block
-
-
-def _convolve_each(K: GridKernel, spec: GridSpec):
-    """Whole-grid direct step: one public convolve per input.
-
-    bench/tracer.py counts direct calls and point pairs only at the public
-    convolve, so this per-row route stays until the library keeps those
-    counters itself (ROADMAP item 1).
-    """
-    def step(v: np.ndarray) -> np.ndarray:
-        outs = [convolve(K.data, GridFunction(spec, row), "direct").values
-                for row in v.reshape(-1, *spec.shape)]
-        return np.stack(outs).reshape(v.shape)
-    return step
 
 
 class ConvOp:
     """Op(K) prepared on one grid by prepare(K, spec).
 
     apply, adjoint and normal act on arrays of shape (*batch, *spec.shape),
-    each leading index an independent input.  kernel is K as applied (rendered
-    unless a grid, delta or tensor kernel); Op(K~) is prepared on first use.
-    blocks are the op's blocks, one per kernel part (None for a delta part).
-    Op(K~)'s block of a part reads K's block as its adjoint where the
-    rendered part of K~ is the conjugate reverse of K's bit for bit: a
-    sheared block its per-frequency matrices, a boxed one-axis block its
-    box matrix, so the pair shares one set.
+    each leading index an independent input.  kernel is K as applied
+    (rendered unless a grid, delta or tensor kernel).  blocks holds one
+    entry per kernel part, applied in order: a block, or the complex
+    amplitude of a delta part.  Op(K~), built on first use, holds each
+    entry's adjoint: the conjugate amplitude, or a block of the same kind
+    on the conjugate reverse of the block's values, which reads a sheared
+    block's per-frequency matrices or a boxed block's box matrix as their
+    adjoint.  So Op(K~) is the exact discrete adjoint of Op(K), and no part
+    of K~ is rendered.
     """
 
-    def __init__(self, kernel: KernelRep, spec: GridSpec, steps: list, blocks: list = ()):
-        self.kernel, self.spec, self.steps, self.blocks = kernel, spec, steps, blocks
+    def __init__(self, kernel: KernelRep, spec: GridSpec, blocks: list):
+        self.kernel, self.spec, self.blocks = kernel, spec, blocks
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Op(K) v."""
         v = np.asarray(v, dtype=complex)
         if v.shape[v.ndim - self.spec.q_total:] != self.spec.shape:
             raise ValueError(f"values shape {v.shape} does not end in grid {self.spec.shape}")
-        for step in self.steps:
-            v = step(v)
+        for entry in self.blocks:
+            v = v * entry if isinstance(entry, complex) else entry.apply(v)
         return v
 
     @cached_property
     def adjoint_op(self) -> "ConvOp":
-        """Op(K~), the L2 adjoint, prepared on the same grid."""
-        return _prepare(adjoint_kernel(self.kernel), self.spec, self.blocks)
+        """Op(K~), the L2 adjoint, on the same grid: each entry's adjoint in
+        the same order (the entries act on disjoint axes, so they commute).
+        Its kernel is K~ as applied, read off those entries."""
+        entries = [np.conj(e) if isinstance(e, complex) else e.adjoint() for e in self.blocks]
+        tensor = isinstance(self.kernel, TensorKernel)
+        parts = [DeltaKernel(sub.group, e) if isinstance(e, complex)
+                 else GridKernel(sub, e.values, mode=self.kernel.mode)
+                 for e, sub in zip(entries, self.spec.factor_specs if tensor else [self.spec])]
+        return ConvOp(TensorKernel(parts) if tensor else parts[0], self.spec, entries)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Op(K~) v."""
@@ -575,55 +591,35 @@ class ConvOp:
 def prepare(K, spec: GridSpec) -> ConvOp:
     """Prepare Op(K) on spec; a ConvOp is returned unchanged.
 
-    A delta kernel scales.  A tensor kernel gets one step per factor on the
-    factor's own grid: a scale for a delta part, else the part rendered once.
-    Any other kernel is rendered on spec (a grid kernel must live there).
-    Abelian groups keep the padded kernel spectrum or, on one axis, the box
-    matrix (_Spectrum); others run the exact direct sum (_Sheared) within
-    PAIR_BUDGET point pairs, through convolve for a whole-grid kernel.
+    Each part of K is rendered once, into one entry of the op.  A delta
+    kernel is its amplitude.  A tensor kernel gets one entry per factor on
+    the factor's own grid: the amplitude of a delta part, else a block of
+    the part rendered there.  Any other kernel is rendered on spec (a grid
+    kernel must live there) into one block.  Abelian groups keep the padded
+    kernel spectrum or, on one axis, the box matrix (_Spectrum); others run
+    the exact direct sum (_Sheared) within PAIR_BUDGET point pairs, through
+    convolve for a whole-grid kernel (_WholeGrid).
     """
     if isinstance(K, ConvOp):
         _check_specs(K.spec, spec)
         return K
-    return _prepare(K, spec, ())
-
-
-def _prepare(K, spec: GridSpec, of) -> ConvOp:
-    """prepare of a kernel; of holds the blocks of the op whose adjoint
-    kernel K is, which a part's block reads where it mirrors (_mirror)."""
     if isinstance(K, DeltaKernel):
-        return ConvOp(K, spec, [lambda v: v * K.amplitude])
+        return ConvOp(K, spec, [K.amplitude])
     if isinstance(K, TensorKernel):
-        steps, blocks = [], []
-        for i, (part, sub, sl) in enumerate(zip(K.parts, spec.factor_specs, K.group.slices)):
+        blocks = []
+        for part, sub, sl in zip(K.parts, spec.factor_specs, K.group.slices):
             if isinstance(part, DeltaKernel):
-                steps.append(lambda v, c=part.amplitude: v * c)
-                blocks.append(None)
+                blocks.append(part.amplitude)
                 continue
             axes, kvals = tuple(range(sl.start, sl.stop)), part.render(sub).values
-            mirror = _mirror(of[i] if of else None, sub, kvals)
-            block = (_Spectrum(spec, axes, kvals, mirror) if sub.group.factors[0].is_abelian
-                     else _Sheared(spec, sub, axes, kvals, mirror))
-            steps.append(block.apply)
-            blocks.append(block)
-        return ConvOp(K, spec, steps, blocks)
+            blocks.append(_Spectrum(spec, sub, axes, kvals) if sub.group.factors[0].is_abelian
+                          else _Sheared(spec, sub, axes, kvals))
+        return ConvOp(K, spec, blocks)
     K = K if isinstance(K, GridKernel) else K.render(spec)
     _check_specs(K.spec, spec)
-    mirror = _mirror(of[0] if of else None, spec, K.values)
     if not all(fac.is_abelian for fac in spec.group.factors):
-        block = _whole_grid_block(spec, K.values, mirror)
-        return ConvOp(K, spec, [_convolve_each(K, spec)], [block])
-    block = _Spectrum(spec, tuple(range(spec.q_total)), K.values, mirror)
-    return ConvOp(K, spec, [block.apply], [block])
-
-
-def _mirror(block: _Block | None, sub: GridSpec, kvals: np.ndarray) -> _Block | None:
-    """block, a part's block of Op(K), if kvals (the same part of K~ on sub)
-    are the conjugate reverse of its values bit for bit, else None."""
-    if block is None:
-        return None
-    flipped = np.conj(GridFunction(sub, block.values).negate_argument().values)
-    return block if np.array_equal(flipped, kvals) else None
+        return ConvOp(K, spec, [_whole_grid_block(spec, K.values)])
+    return ConvOp(K, spec, [_Spectrum(spec, spec, tuple(range(spec.q_total)), K.values)])
 
 
 def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFunction:
@@ -637,10 +633,10 @@ def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFuncti
     if path == "fast":
         if not abelian:
             raise ValueError("fast path requires a fully abelian group")
-        return GridFunction(spec, _Spectrum(spec, axes, f.values).apply(g.values))
+        return GridFunction(spec, _Spectrum(spec, spec, axes, f.values).apply(g.values))
     if path != "direct":
         raise ValueError(f"unknown convolution path {path!r}")
-    return GridFunction(spec, _whole_grid_block(spec, f.values).apply(g.values))
+    return GridFunction(spec, _Block.apply(_whole_grid_block(spec, f.values), g.values))
 
 
 def apply_op(K, f: GridFunction) -> GridFunction:

@@ -195,11 +195,13 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     A tensor kernel's operator is the Kronecker product of its per-factor
     box operators, so its singular values are products of the factors'
     (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.15) and each edge is
-    the product of the parts' edges; any other kernel is one part on the
-    whole grid.  A delta part contributes |amplitude|.  A part of at most
-    DENSE_SITES sites takes a dense SVD of its prepared operator (a real
-    one where no imaginary part is nonzero), a larger one _lanczos_edges.  An unconverged Lanczos top is only a lower bound,
-    so that part's sigma_max becomes _young_bound.
+    the product of the edges of the op's entries (ConvOp.blocks); any other
+    kernel is one block on the whole grid.  A delta part's amplitude a
+    contributes |a|.  A block of at most DENSE_SITES sites takes a dense SVD
+    of the operator of its values on its grid (a real one where no
+    imaginary part is nonzero), a larger one _lanczos_edges.  An unconverged
+    Lanczos top is only a lower bound, so that block's sigma_max becomes
+    _young_bound.
 
     Each info dict has value, method ("dense", "lanczos" or "young-bound":
     the least exact any part used), factors (one edge per part), converged
@@ -207,16 +209,15 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     both edges; a sigma_max alone comes from _top_edge.
     """
     op = prepare(K, spec)
-    tensor = isinstance(op.kernel, TensorKernel)
-    parts = zip(op.kernel.parts, spec.factor_specs) if tensor else [(op.kernel, spec)]
     tops, bottoms = [], []
     iterations, converged, lanczos, young = 0, True, False, False
-    for part, sub in parts:
-        if isinstance(part, DeltaKernel):
-            tops.append(abs(part.amplitude))
-            bottoms.append(abs(part.amplitude))
+    for block in op.blocks:
+        if isinstance(block, complex):  # a delta part's amplitude
+            tops.append(abs(block))
+            bottoms.append(abs(block))
             continue
-        prep = prepare(TensorKernel([part]), sub) if tensor else op
+        sub, part = block.sub, GridKernel(block.sub, block.values)
+        prep = op if sub is op.spec else prepare(TensorKernel([part]), sub)
         n = sub.size
         if n <= DENSE_SITES:
             # the images of 256 unit vectors at a time, built on the fly and

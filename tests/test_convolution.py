@@ -507,29 +507,53 @@ def _adjoint_case(name):
 @pytest.mark.parametrize("name", ADJOINT_CASES)
 def test_tensor_adjoint_reads_the_factor_blocks(name):
     # Op(K~) of a tensor kernel reads each factor's set (per-frequency or box
-    # matrices) of Op(K) where its rendered part mirrors K's bit for bit, so
-    # the pair holds one set per factor; a part one rounding step off keeps
-    # its own.  Either way Op(K~) applies a fresh Op(K~)'s bits, or within 1e-15
+    # matrices) of Op(K), so the pair holds one set per factor, also for a
+    # part whose rendered adjoint is one rounding step off K's conjugate
+    # reverse (skewed); Op(K~) applies a fresh Op(K~)'s bits, or within 1e-15
     K, spec = _adjoint_case(name)
     op = prepare(K, spec)
     rows = np.stack([_random_field(spec, 44).values, _few_sites(spec),
                      _one_hot(spec, spec.size // 3), np.zeros(spec.shape)])
     op.normal(rows)
-    pairs = [(b, a) for b, a in zip(op.blocks, op.adjoint_op.blocks) if b is not None]
+    pairs = [(b, a) for b, a in zip(op.blocks, op.adjoint_op.blocks)
+             if not isinstance(b, complex)]
     assert pairs
     for block, adj in pairs:
-        assert (adj.mirror is block) == (name != "skewed")
+        assert adj.mirror is block
         if isinstance(block, _Sheared):
             assert "matrices" in block.__dict__
             assert "matrices" not in adj.__dict__ and "pairs" not in adj.__dict__
-        elif name == "skewed":
-            assert not np.shares_memory(adj.matrix, block.matrix)
         else:
             assert adj.matrix.base is block.matrix
+    # the adjoint of Op(K~) is Op(K) again, block for block
+    twice = op.adjoint_op.adjoint_op
+    assert all(t is b for t, b in zip(twice.blocks, op.blocks) if not isinstance(b, complex))
+    assert np.array_equal(twice.apply(rows), op.apply(rows))
     got, want = op.adjoint(rows), prepare(adjoint_kernel(K), spec).apply(rows)
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-15 * np.abs(w).max(initial=0.0)
         assert np.array_equal(g == 0, w == 0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a kernel part was rendered or adjoined")
+
+
+@pytest.mark.parametrize("name", ["heisenberg1", "tensor-hilbert", "tensor-heis-delta"])
+def test_adjoint_op_renders_no_part(name, monkeypatch):
+    # once Op(K) is prepared, Op(K~) is built from its blocks: building and
+    # applying it renders no part of K and takes no part's adjoint
+    K, spec = _adjoint_case(name) if name == "tensor-hilbert" else _convop_case(name)
+    op = prepare(K, spec)
+    rows = np.stack([_random_field(spec, 95).values, _few_sites(spec)])
+    with monkeypatch.context() as m:
+        for cls in {type(K), *map(type, getattr(K, "parts", ()))}:
+            m.setattr(cls, "render", _refuse)
+            m.setattr(cls, "adjoint", _refuse)
+        got, normal = op.adjoint(rows), op.normal(rows)
+    want = prepare(adjoint_kernel(K), spec).apply(rows)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.array_equal(normal, op.adjoint(op.apply(rows)))
 
 
 def test_prepared_abelian_apply_runs_one_fft_each_way(monkeypatch):
@@ -606,7 +630,7 @@ def test_one_axis_box_matrix_matches_toeplitz_oracle(N, kind, monkeypatch):
                (spec2, TensorKernel([DeltaKernel(AB1), part]), lambda f: f @ T.T)]
     for spec, K, oracle in layouts:
         op = prepare(K, spec)
-        assert [b.boxed for b in op.blocks if b is not None] == [boxed]
+        assert [b.boxed for b in op.blocks if not isinstance(b, complex)] == [boxed]
         rows = [_random_field(spec, N).values, _one_hot(spec, spec.size // 3),
                 _one_hot(spec, spec.size - 1), _few_sites(spec) if spec.size > 12 else
                 _one_hot(spec, 0), np.zeros(spec.shape)]
@@ -943,10 +967,16 @@ ODD_GRIDS = {f"{name}-N{N}": GridSpec(group, N, 1.0)
 
 
 @pytest.mark.parametrize("name", ["heisenberg1xabelian1", *STEP2_JSON, "filiform3",
-                                  "filiform4", "filiform3xabelian1", *ODD_GRIDS])
+                                  "filiform4", "filiform3xabelian1", *ODD_GRIDS, "skewed"])
 def test_sheared_adjoint_pairing(name):
-    spec = ODD_GRIDS[name] if name in ODD_GRIDS else _direct_case(name)[0]
-    op = prepare(_random_kernel(spec, 75), spec)
+    # skewed: a tensor part whose rendered adjoint is one rounding step off
+    # its conjugate reverse; Op(K~) is still the adjoint of Op(K)
+    if name == "skewed":
+        K, spec = _adjoint_case(name)
+    else:
+        spec = ODD_GRIDS[name] if name in ODD_GRIDS else _direct_case(name)[0]
+        K = _random_kernel(spec, 75)
+    op = prepare(K, spec)
     f, g = _random_field(spec, 76).values, _random_field(spec, 77).values
     Kf = op.apply(f)
     lhs, rhs = np.vdot(g, Kf), np.vdot(op.adjoint(g), f)

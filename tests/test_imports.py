@@ -1,5 +1,6 @@
-"""Source hygiene: every top-level import of the package is used, and every
-top-level constant is read."""
+"""Source hygiene: every top-level import of the package is used, every
+top-level constant is read, and every private function, class and method
+is referenced."""
 
 import ast
 import re
@@ -44,6 +45,18 @@ def test_no_unused_top_level_imports():
     assert not unused, unused
 
 
+def _reads(trees) -> set:
+    """Loaded names and attribute names anywhere in the parsed modules."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def _unread_constants(paths) -> list:
     """Top-level ALL_CAPS names assigned in the modules that no module reads.
 
@@ -52,13 +65,7 @@ def _unread_constants(paths) -> list:
     elsewhere both count; tests do not.
     """
     trees = {path: ast.parse(path.read_text()) for path in paths}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _reads(trees.values())
     out = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -78,3 +85,39 @@ def test_no_unread_top_level_constants(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("USED = 1\nSTALE: int = 2\nprint(USED)\n")
     assert _unread_constants([mod]) == ["mod.py:2: STALE"]
+
+
+def _unreferenced_private(paths) -> list:
+    """Private top-level functions and classes, and private methods, of the
+    modules that no module references.
+
+    Private means one leading underscore (not a dunder).  A reference is a
+    read as in _unread_constants: `_orth` loaded anywhere, or `self._rows`
+    and `block._reversed` as attributes; a definition does not read itself,
+    and tests do not count.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = _reads(trees.values())
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *methods]:
+                if (isinstance(d, defs) and re.fullmatch(r"_(?!_)\w*", d.name)
+                        and d.name not in read):
+                    out.append(f"{path.name}:{d.lineno}: {d.name}")
+    return out
+
+
+def test_no_unreferenced_private_definitions(tmp_path):
+    unreferenced = _unreferenced_private(SOURCES)
+    assert not unreferenced, unreferenced
+    # the scan sees a private function and a private method nothing calls,
+    # and leaves dunders and referenced names alone
+    mod = tmp_path / "mod.py"
+    mod.write_text("def _used():\n    pass\n\n\ndef _stale():\n    pass\n\n\n"
+                   "class _Kept:\n    def __init__(self):\n        pass\n\n"
+                   "    def _call(self):\n        return _used()\n\n"
+                   "    def _gone(self):\n        pass\n\n\nprint(_Kept()._call())\n")
+    assert _unreferenced_private([mod]) == ["mod.py:5: _stale", "mod.py:16: _gone"]

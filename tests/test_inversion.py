@@ -149,6 +149,18 @@ def test_singular_edges_zero_operator(monkeypatch, dense_sites):
         assert info["value"] == 0.0 and info["converged"]
 
 
+def test_singular_edges_renders_each_tensor_part_once(monkeypatch):
+    # the edges of a tensor kernel read its op's blocks, not second renders
+    parts = [DiscreteHilbertKernel(AB1), DiscreteHilbertKernel(AB1, 0.5)]
+    seen = []
+    render = DiscreteHilbertKernel.render
+    monkeypatch.setattr(DiscreteHilbertKernel, "render",
+                        lambda self, spec: seen.append(id(self)) or render(self, spec))
+    top, bottom = singular_edges(TensorKernel(parts), GridSpec(AB2, 16, 1.0))
+    assert seen == [id(p) for p in parts]
+    assert top["converged"] and bottom["value"] > 0
+
+
 # --- damping choice -----------------------------------------------------------
 
 
