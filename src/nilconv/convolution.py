@@ -18,9 +18,11 @@ zero-padded kernel windows.  Where a memory rule allows (real kernel, no
 plain axes), the kernel side of the sheared sum is stored once as one
 matrix per frequency.  Op(K~) is built from Op(K)'s own blocks: each
 block's adjoint is a block of the same kind on its conjugate-reversed
-values, which reads these, and box matrices, as adjoints.  Pipelines apply
-Op(K) through prepare(K, spec), which does the per-kernel work once; the op
-owns its blocks, so they go when it goes.
+values, which reads these, and box matrices, as adjoints.  The normal
+Op(K~) Op(K) applies each entry's own normal in turn; a boxed block on a
+grid of two or more axes applies its Gram matrix there, one GEMM per
+input.  Pipelines apply Op(K) through prepare(K, spec), which does the
+per-kernel work once; the op owns its blocks, so they go when it goes.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -55,7 +57,9 @@ PAIR_BUDGET = int(2e8)
 # bytes of the N x N box matrix a one-axis _Spectrum block may hold (boxed)
 BOX_MATRIX_BYTES = 2 ** 21
 """2 MiB: N <= 512 for a real kernel (8 N^2 bytes), N <= 362 for a complex
-one (16 N^2).  A memory bound, not a crossover: pocketfft's time depends on
+one (16 N^2).  A boxed block on two or more axes also holds its Gram
+matrix once its normal runs, of the same size, so up to twice these bytes.
+A memory bound, not a crossover: pocketfft's time depends on
 the factors of N + N//2 (543 = 3 * 181 and 769, a prime, are slow), so no
 single N separates the two paths.  ms per pass, GEMM / FFT, of a block on
 one N x N input (N rows) along axis 0 and along axis 1, and on one row of
@@ -117,6 +121,8 @@ class _Block:
     reading the kernel's window at x y^{-1} from kwindows.
     """
 
+    boxed = False  # a one-axis _Spectrum may hold its box matrix instead
+
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray):
         self.spec, self.sub, self.axes, self.values = spec, sub, axes, kvals
         self.vol = float(np.prod(spec.spacings[list(axes)]))
@@ -136,6 +142,11 @@ class _Block:
         these values, built with adjoint_of=self; a mirror's adjoint is the
         block it mirrors (whose values those are, bit for bit)."""
         return self.mirror or type(self)(self.spec, self.sub, self.axes, self._reversed(), self)
+
+    def normal(self, v: np.ndarray, adj: "_Block") -> np.ndarray:
+        """adj(self(v)), adj this block's entry of the op's cached Op(K~);
+        a fresh adjoint() would register a second _WholeGrid."""
+        return adj.apply(self.apply(v))
 
     def _reversed(self) -> np.ndarray:
         """conj k(t^{-1}) on sub: the values of the adjoint's block."""
@@ -169,7 +180,9 @@ class _Spectrum(_Block):
     runs none of this: every row, dense or sparse, is one GEMM against
     matrix, built on first use, and no kernel spectrum is taken.  Its
     adjoint (built with adjoint_of, this block) reads that matrix as its
-    conjugate transpose.
+    conjugate transpose.  On a grid of two or more axes a boxed block's
+    normal is one GEMM against its Gram matrix (gram), built on the first
+    normal.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray,
@@ -194,27 +207,49 @@ class _Spectrum(_Block):
         T = self.kwindows[N + o:o:-1].T * self.vol
         return np.ascontiguousarray(T.real if self.real else T)
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = A^H A, A the matrix this block applies: T, or T^H for a
+        mirror (so G = T T^H there); real for a real T."""
+        if self.mirror is not None:
+            T = self.mirror.matrix
+            return T @ T.conj().T
+        return self.matrix.conj().T @ self.matrix
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """T along the block's axis of v, by GEMMs of one shape per input,
-        whatever its batch, so a row's bits do not depend on its batch: T
-        against the (N, cells after the axis) lines of each cell before
-        it or, on the last axis, against the transposed (N, cells before)
-        rows.  A real T multiplies the values viewed as floats (one dgemm
-        for real and imaginary parts); a mirror of a complex T applies
-        conj(T^T conj(v))."""
+        """T along the block's axis of v (_lines); a mirror of a complex T
+        applies conj(T^T conj(v))."""
         if not self.boxed:
             return super().apply(v)
+        return self._lines(self.matrix, v, conj=self.mirror is not None)
+
+    def normal(self, v: np.ndarray, adj: "_Spectrum") -> np.ndarray:
+        """A boxed block on a grid of two or more axes applies its Gram
+        matrix, built on the first normal: each input holds at least N
+        lines there, so one normal repays G's N^3.  A 1-D input is one line,
+        and a 1-D block keeps two GEMMs."""
+        if not (self.boxed and self.spec.q_total > 1):
+            return super().normal(v, adj)
+        return self._lines(self.gram, v, conj=False)
+
+    def _lines(self, M: np.ndarray, v: np.ndarray, conj: bool) -> np.ndarray:
+        """M along the block's axis of v, by GEMMs of one shape per input,
+        whatever its batch, so a row's bits do not depend on its batch: M
+        against the (N, cells after the axis) lines of each cell before
+        it or, on the last axis, against the transposed (N, cells before)
+        rows.  A real M multiplies the values viewed as floats (one dgemm
+        for real and imaginary parts); conj applies conj(M conj(v))."""
         N, q, axis = self.spec.N, self.spec.q_total, self.axes[0]
         last = axis == q - 1
         x = (v.reshape(-1, N ** axis, N).swapaxes(1, 2) if last
              else v.reshape(-1, N, N ** (q - 1 - axis)))
         x = np.ascontiguousarray(x, dtype=complex)
         if self.real:
-            out = np.matmul(self.matrix, x.view(float)).view(complex)
-        elif self.mirror is not None:
-            out = np.matmul(self.matrix, x.conj()).conj()
+            out = np.matmul(M, x.view(float)).view(complex)
+        elif conj:
+            out = np.matmul(M, x.conj()).conj()
         else:
-            out = np.matmul(self.matrix, x)
+            out = np.matmul(M, x)
         return (out.swapaxes(1, 2) if last else out).reshape(v.shape)
 
     def _convolve(self, flat: np.ndarray) -> np.ndarray:
@@ -558,11 +593,15 @@ class ConvOp:
     def __init__(self, kernel: KernelRep, spec: GridSpec, blocks: list):
         self.kernel, self.spec, self.blocks = kernel, spec, blocks
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Op(K) v."""
+    def _checked(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=complex)
         if v.shape[v.ndim - self.spec.q_total:] != self.spec.shape:
             raise ValueError(f"values shape {v.shape} does not end in grid {self.spec.shape}")
+        return v
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Op(K) v."""
+        v = self._checked(v)
         for entry in self.blocks:
             v = v * entry if isinstance(entry, complex) else entry.apply(v)
         return v
@@ -584,8 +623,14 @@ class ConvOp:
         return self.adjoint_op.apply(v)
 
     def normal(self, v: np.ndarray) -> np.ndarray:
-        """Op(K~) Op(K) v."""
-        return self.adjoint(self.apply(v))
+        """Op(K~) Op(K) v: each entry's own normal in turn, exact as the
+        entries act on disjoint axes and commute.  A delta amplitude a gives
+        (v a) conj(a); a block reads its entry of adjoint_op (_Block.normal)
+        or, boxed on two or more axes, applies its Gram matrix (_Spectrum)."""
+        v = self._checked(v)
+        for entry, adj in zip(self.blocks, self.adjoint_op.blocks):
+            v = v * entry * adj if isinstance(entry, complex) else entry.normal(v, adj)
+        return v
 
 
 def prepare(K, spec: GridSpec) -> ConvOp:

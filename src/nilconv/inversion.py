@@ -5,8 +5,9 @@ S = I - eps Op(K~) Op(K) a contraction; the geometric series in S then
 inverts eps Op(K~) Op(K), and composing with Op(K~) gives
 Op(K)^{-1} = eps (sum_n S^n) Op(K~).  Everything is assembled on the
 kernel side: the partial sums are applied to the discrete delta, whose
-image is the kernel of the accumulated operator, and one final
-convolution against K~'s kernel yields the inverse kernel.
+image is the kernel of the accumulated operator, and one final step
+composes it with K~: on an abelian group the prepared Op(K~) applied to
+that kernel, elsewhere a convolution against K~'s kernel.
 
 A rendered operator can be far worse conditioned than its continuum
 model: box restriction traps a few directions at small singular values
@@ -189,6 +190,13 @@ def _top_edge(K, spec: GridSpec, seed: int) -> dict:
                       est.converged, est.iterations)
 
 
+def _block_op(op, block):
+    """The op of one block on its own grid: op itself for a whole-grid block."""
+    if block.sub is op.spec:
+        return op
+    return prepare(TensorKernel([GridKernel(block.sub, block.values)]), block.sub)
+
+
 def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     """(sigma_max_info, sigma_min_info): the spectral edges of Op(K).
 
@@ -199,7 +207,10 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     kernel is one block on the whole grid.  A delta part's amplitude a
     contributes |a|.  A block of at most DENSE_SITES sites takes a dense SVD
     of the operator of its values on its grid (a real one where no
-    imaginary part is nonzero), a larger one _lanczos_edges.  An unconverged
+    imaginary part is nonzero): a boxed block's held box matrix, whose
+    columns are its images of the unit vectors bit for bit, or else those
+    images; a larger one _lanczos_edges.  Only the images and Lanczos
+    prepare an op on the block's grid.  An unconverged
     Lanczos top is only a lower bound, so that block's sigma_max becomes
     _young_bound.
 
@@ -216,20 +227,25 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
             tops.append(abs(block))
             bottoms.append(abs(block))
             continue
-        sub, part = block.sub, GridKernel(block.sub, block.values)
-        prep = op if sub is op.spec else prepare(TensorKernel([part]), sub)
-        n = sub.size
+        sub, part, n = block.sub, GridKernel(block.sub, block.values), block.sub.size
         if n <= DENSE_SITES:
-            # the images of 256 unit vectors at a time, built on the fly and
-            # written into one matrix, keep the work arrays small
-            cols = np.empty((n, n), dtype=complex)
-            for i in range(0, n, 256):
-                units = np.eye(min(256, n - i), n, i, dtype=complex)
-                cols[i:i + len(units)] = prep.apply(units.reshape(-1, *sub.shape)).reshape(-1, n)
-            s = np.linalg.svd(cols.T if cols.imag.any() else cols.T.real, compute_uv=False)
+            if block.boxed:
+                # the columns the loop below would give, bit for bit (a
+                # mirror holds T^T, whose singular values are T^H's)
+                A = block.matrix
+            else:
+                # the images of 256 unit vectors at a time, built on the fly
+                # and written into one matrix, keep the work arrays small
+                prep = _block_op(op, block)
+                A = np.empty((n, n), dtype=complex)
+                for i in range(0, n, 256):
+                    units = np.eye(min(256, n - i), n, i, dtype=complex)
+                    A[i:i + len(units)] = prep.apply(units.reshape(-1, *sub.shape)).reshape(-1, n)
+                A = A.T
+            s = np.linalg.svd(A if A.imag.any() else A.real, compute_uv=False)
             top, bottom, steps, ok = float(s[0]), float(s[-1]), 0, True
         else:
-            top, bottom, steps, ok = _lanczos_edges(prep, sub, seed)
+            top, bottom, steps, ok = _lanczos_edges(_block_op(op, block), sub, seed)
             lanczos = True
         # LAPACK's values are exact for a perturbation of relative size about
         # n eps; widening the top edge by that keeps it an upper bound, so the
@@ -356,48 +372,19 @@ def _track_points(max_n: int) -> set:
     return pts
 
 
-def neumann_invert(K, spec: GridSpec, max_n: int = 64,
-                   tol: float = 1e-8, kvec_track=None, *,
-                   eps: EpsilonChoice | float | None = None,
-                   paper_eps: bool = False,
-                   amplification_cap: float | None = None,
-                   cond_cap: float = 4.0,
-                   pad_factor: int = 1,
-                   probes: int = 3, probe_seed: int = 101,
-                   cfg: SeminormConfig | None = None,
-                   growth_kvec=None, seed: int = 0) -> InversionResult:
-    """Invert Op(K) through the damped Neumann series.
+def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
+                       amplification_cap, cond_cap, max_n, tol, kvec_track, cfg,
+                       seed) -> tuple:
+    """neumann_invert's work on the work grid (spec, or spec padded by
+    pad_factor): the damping, the series and the inverse kernel L on spec.
+    Returns (L, eps, n, converged, flag, rels, tracked).
 
-    Accumulates B = sum_{n <= N} S^n applied to the discrete delta and
-    returns L = eps * (B convolved with K~'s kernel), so Op(L) realizes
-    eps (sum S^n) Op(K~).  Stops when the increment's L2 norm drops to
-    tol relative to the delta's, at max_n, or at the amplification cap
-    (see module docstring).  Residuals are reported on seeded band
-    limited probes, on both sides; the growth report of L quantifies
-    whether the inverse satisfies the same kind of growth bounds as K.
-
-    pad_factor > 1 runs the series on a box enlarged by that factor at
-    identical spacing and returns the central window of the resulting
-    kernel.  The series built in a box accumulates truncation artifacts
-    near the boundary; padding moves the boundary away from the window
-    that is kept.  Residuals and growth are always measured on the
-    requested grid with the returned kernel.
-
-    kvec_track, when set, computes the product-kernel seminorm of the
-    S^n kernel at n = 1, 2, 4, 8, ... together with nth roots; the
-    kernel of S^n is exactly the n-th increment, so tracking adds no
-    extra compositions.
+    The padded op, with its box and Gram matrices, and the work-grid arrays
+    are locals here, so they are freed before neumann_invert's probes.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    if pad_factor < 1 or int(pad_factor) != pad_factor:
-        raise ValueError("pad_factor must be a positive integer")
-    Kop = Kwork = prepare(K, spec)
-    work = spec
+    Kwork, work = Kop, spec
     if pad_factor > 1:
-        work = _padded_spec(spec, int(pad_factor))
+        work = _padded_spec(spec, pad_factor)
         Kwork = prepare(_embed_kernel(Kop.kernel, spec, work), work)
 
     if eps is None:
@@ -423,9 +410,6 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
         if n_reg < n_cap:
             n_cap = n_reg
             capped = True
-
-    if kvec_track is not None:
-        kvec_track = tuple(int(k) for k in kvec_track)
     track_at = _track_points(n_cap) if kvec_track is not None else set()
 
     delta = work.delta()
@@ -458,9 +442,14 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
     if not converged:
         flag = TRACK_FLAG_CAP if capped else TRACK_FLAG_STALL
 
+    # L = eps accum * K~: on an abelian box K~ * accum, what the prepared
+    # Op(K~) applies; elsewhere a right convolution by K~
     ktilde = Kwork.adjoint_op.kernel.render(work)
-    L = GridKernel(work, convolve(accum, ktilde.data).values * ev,
-                   mode=Kop.kernel.mode)
+    if all(fac.is_abelian for fac in work.group.factors):
+        lvals = Kwork.adjoint_op.apply(accum.values)
+    else:
+        lvals = convolve(accum, ktilde.data).values
+    L = GridKernel(work, lvals * ev, mode=Kop.kernel.mode)
     if pad_factor > 1:
         L = _crop_kernel(L, spec)
 
@@ -473,6 +462,59 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
     if scale > 0 and np.abs(kvals - ktilde.values).max() <= 1e-10 * scale:
         Lt = adjoint_kernel(L).render(spec).values
         L = GridKernel(spec, 0.5 * (L.values + Lt), mode=L.mode)
+    return L, eps, n, converged, flag, rels, tracked
+
+
+def neumann_invert(K, spec: GridSpec, max_n: int = 64,
+                   tol: float = 1e-8, kvec_track=None, *,
+                   eps: EpsilonChoice | float | None = None,
+                   paper_eps: bool = False,
+                   amplification_cap: float | None = None,
+                   cond_cap: float = 4.0,
+                   pad_factor: int = 1,
+                   probes: int = 3, probe_seed: int = 101,
+                   cfg: SeminormConfig | None = None,
+                   growth_kvec=None, seed: int = 0) -> InversionResult:
+    """Invert Op(K) through the damped Neumann series.
+
+    Accumulates B = sum_{n <= N} S^n applied to the discrete delta, one
+    ConvOp.normal per step, and returns L = eps * (B convolved with K~'s
+    kernel), so Op(L) realizes eps (sum S^n) Op(K~).  On a fully abelian
+    group B * K~ equals K~ * B on the box exactly, and L is eps times the
+    prepared Op(K~) applied to B (boxed tensor factors apply their box
+    matrices, no FFT); elsewhere B * K~ is a right convolution, a convolve
+    against K~'s rendering.  Stops when the increment's L2 norm drops to
+    tol relative to the delta's, at max_n, or at the amplification cap
+    (see module docstring).  Residuals are reported on seeded band
+    limited probes, on both sides; the growth report of L quantifies
+    whether the inverse satisfies the same kind of growth bounds as K.
+
+    pad_factor > 1 runs the series on a box enlarged by that factor at
+    identical spacing and returns the central window of the resulting
+    kernel.  The series built in a box accumulates truncation artifacts
+    near the boundary; padding moves the boundary away from the window
+    that is kept.  Residuals and growth are always measured on the
+    requested grid with the returned kernel, after the work-grid op and
+    arrays are freed (_work_grid_inverse).
+
+    kvec_track, when set, computes the product-kernel seminorm of the
+    S^n kernel at n = 1, 2, 4, 8, ... together with nth roots; the
+    kernel of S^n is exactly the n-th increment, so tracking adds no
+    extra compositions.
+    """
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
+    if pad_factor < 1 or int(pad_factor) != pad_factor:
+        raise ValueError("pad_factor must be a positive integer")
+    if kvec_track is not None:
+        kvec_track = tuple(int(k) for k in kvec_track)
+    Kop = prepare(K, spec)
+    L, eps, n, converged, flag, rels, tracked = _work_grid_inverse(
+        Kop, spec, int(pad_factor), eps, paper_eps=paper_eps,
+        amplification_cap=amplification_cap, cond_cap=cond_cap, max_n=max_n,
+        tol=tol, kvec_track=kvec_track, cfg=cfg, seed=seed)
 
     Lop = prepare(L, spec)
     residuals = []

@@ -1,6 +1,9 @@
 """Neumann inversion: damping choice, series, decay tracking, presets."""
 
 import json
+import weakref
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import dense_matrix, padded_symbol, toeplitz_convolution_matrix
 from nilconv import convolution
-from nilconv.convolution import apply_op, compose_kernels, op_norm, prepare
+from nilconv.convolution import _Spectrum, apply_op, compose_kernels, convolve, op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv import inversion
@@ -516,6 +519,106 @@ def test_inversion_result_serialization_deterministic():
     assert d["converged"] is True
     assert d["config"]["N"] == 8
     assert len(d["residuals"]) == 3
+
+
+def _convolve_route(K, spec, pad_factor, res):
+    """res's inverse kernel with the final step L = eps accum * K~ as a
+    convolve against K~'s rendering on the work grid, on res's series."""
+    Kop = prepare(K, spec)
+    work = inversion._padded_spec(spec, pad_factor)
+    Kwork = prepare(inversion._embed_kernel(Kop.kernel, spec, work), work)
+    ev = res.eps.epsilon
+    term = accum = work.delta()
+    for _ in range(res.n_steps):
+        term = term.plus(GridFunction(work, Kwork.normal(term.values)).scaled(-ev))
+        accum = accum.plus(term)
+    ktilde = Kwork.adjoint_op.kernel.render(work)
+    L = inversion._crop_kernel(GridKernel(work, convolve(accum, ktilde.data).values * ev), spec)
+    kvals = Kwork.kernel.render(work).values
+    if np.abs(kvals - ktilde.values).max() <= 1e-10 * np.abs(kvals).max():
+        return 0.5 * (L.values + adjoint_kernel(L).render(spec).values)
+    return L.values
+
+
+def _final_step_case(name):
+    if name == "tensor-hilbert":
+        return _tensor_hilbert(), GridSpec(AB2, 32, 1.0), 2
+    if name == "near-identity-abelian2":
+        spec = GridSpec(AB2, 16, 1.0)
+        return _near_identity_dyadic(spec, strength=0.45, seed=5), spec, 1
+    spec = GridSpec(HEIS, 8, 1.0)
+    D = synth_dyadic(HEIS, 0, 0, "mexican", seed=3)
+    return near_identity_kernel(D, spec, strength=0.4, seed=0), spec, 1
+
+
+@pytest.mark.parametrize("name", ["tensor-hilbert", "near-identity-abelian2", "heisenberg1"])
+def test_invert_final_step_matches_the_convolve_route(name):
+    # on an abelian box accum * K~ = K~ * accum, which the prepared Op(K~)
+    # applies within rounding of the convolve against K~'s rendering (5.5e-16
+    # of the largest value measured); a non-abelian group keeps that
+    # convolve, so its bytes do not move
+    K, spec, pad = _final_step_case(name)
+    res = neumann_invert(K, spec, max_n=8, paper_eps=True, pad_factor=pad, probes=1)
+    want = _convolve_route(K, spec, pad, res)
+    if name == "heisenberg1":
+        assert np.array_equal(res.kernel.values, want)
+    else:
+        assert np.abs(res.kernel.values - want).max() <= 4e-15 * np.abs(want).max()
+
+
+def test_invert_frees_the_padded_op_before_the_probes(monkeypatch):
+    # the work-grid op, with its box and Gram matrices, is gone once the
+    # series and the final kernel are done
+    spec = GridSpec(AB2, 16, 1.0)
+    padded = []
+    real_prepare, real_probes = inversion.prepare, inversion.probe_functions
+
+    def recording_prepare(K, grid):
+        op = real_prepare(K, grid)
+        if grid.N == 2 * spec.N:
+            padded.append(weakref.ref(op))
+        return op
+
+    def checking_probes(*args, **kwargs):
+        assert padded and all(ref() is None for ref in padded)
+        return real_probes(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "prepare", recording_prepare)
+    monkeypatch.setattr(inversion, "probe_functions", checking_probes)
+    res = neumann_invert(_tensor_hilbert(), spec, max_n=4, pad_factor=2)
+    assert len(res.residuals) == 3
+
+
+def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeypatch):
+    # a tensor-Hilbert inverse on a padded abelian2 box: singular_edges reads
+    # each factor's box matrix, the series its Gram matrix and the final
+    # kernel Op(K~)'s mirrors, so each is built once and no FFT runs on the
+    # 64-point work grid (the probes' transforms on the 32-point grid stay)
+    spec = GridSpec(AB2, 32, 1.0)
+    builds = Counter()
+    for name in ("matrix", "gram"):
+        func = getattr(_Spectrum, name).func
+
+        def counted(block, _func=func, _name=name):
+            if block.spec.N == 64 and (_name == "gram" or block.mirror is None):
+                builds[_name, id(block)] += 1
+            return _func(block)
+
+        prop = cached_property(counted)
+        prop.__set_name__(_Spectrum, name)
+        monkeypatch.setattr(_Spectrum, name, prop)
+    shapes = []
+    for name in ("fftn", "ifftn"):
+        def recorded(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            shapes.append(np.shape(a) + tuple(kwargs.get("s") or ()))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    neumann_invert(_tensor_hilbert(), spec, paper_eps=True, amplification_cap=1.5,
+                   cond_cap=4.0, pad_factor=2)
+    assert shapes and max(max(s) for s in shapes) < 64
+    assert sorted(Counter(name for name, _ in builds).items()) == [("gram", 2), ("matrix", 2)]
+    assert set(builds.values()) == {1}
 
 
 # --- remainder decay ----------------------------------------------------------
