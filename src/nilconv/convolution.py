@@ -35,7 +35,6 @@ right after its pass (_inverse_windows).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -145,7 +144,7 @@ class _Block:
 
     def normal(self, v: np.ndarray, adj: "_Block") -> np.ndarray:
         """adj(self(v)), adj this block's entry of the op's cached Op(K~);
-        a fresh adjoint() would register a second _WholeGrid."""
+        a fresh adjoint() would build a second block and its caches."""
         return adj.apply(self.apply(v))
 
     def _reversed(self) -> np.ndarray:
@@ -535,44 +534,20 @@ class _Sheared(_Block):
 
 
 class _WholeGrid(_Sheared):
-    """The direct block of a whole-grid kernel; only _whole_grid_block builds one.
+    """The direct block of a whole-grid kernel, built by prepare and owned by
+    its op.
 
-    apply runs one public convolve per input: bench/tracer.py counts direct
-    calls and point pairs only at convolve, so this per-row route stays
-    until the library keeps those counters itself (ROADMAP item 1).
-    convolve finds the block again by its values and sums the row by
-    _Block.apply.
+    apply runs one public convolve per input row, with this block as the
+    kernel: bench/tracer.py counts direct calls and point pairs only at
+    convolve, reading the kernel's spec and values, so this per-row route
+    stays until the library keeps those counters itself (ROADMAP item 1).
+    convolve sums the row by _Block.apply on this block.
     """
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        kernel = GridFunction(self.spec, self.values)
-        outs = [convolve(kernel, GridFunction(self.spec, row), "direct").values
+        outs = [convolve(self, GridFunction(self.spec, row), "direct").values
                 for row in v.reshape(-1, *self.spec.shape)]
         return np.stack(outs).reshape(v.shape)
-
-    def adjoint(self) -> "_WholeGrid":
-        return _whole_grid_block(self.spec, self._reversed(), self)
-
-
-def _whole_grid_block(spec: GridSpec, kvals: np.ndarray,
-                      adjoint_of: _WholeGrid | None = None) -> _WholeGrid:
-    """The direct block of a whole-grid kernel, shared on spec by its values.
-
-    The blocks sit in a weak dict: a block, with its pairs, matrices and
-    site offsets, lives as long as a ConvOp (or a running convolve) holds
-    it, and convolve, which the block's apply calls once per row, finds it
-    there.  A block's adjoint registers the reversed values with
-    adjoint_of, the block, whose matrices it reads as their adjoint
-    (_matrix_sum); a block already alive for the same values is returned
-    as it is.
-    """
-    blocks = spec.__dict__.setdefault("_direct_blocks", weakref.WeakValueDictionary())
-    key = kvals.tobytes()
-    block = blocks.get(key)
-    if block is None:
-        block = _WholeGrid(spec, spec, tuple(range(spec.q_total)), kvals.copy(), adjoint_of)
-        blocks[key] = block
-    return block
 
 
 class ConvOp:
@@ -643,7 +618,8 @@ def prepare(K, spec: GridSpec) -> ConvOp:
     kernel must live there) into one block.  Abelian groups keep the padded
     kernel spectrum or, on one axis, the box matrix (_Spectrum); others run
     the exact direct sum (_Sheared) within PAIR_BUDGET point pairs, through
-    convolve for a whole-grid kernel (_WholeGrid).
+    convolve for a whole-grid kernel (_WholeGrid).  The op alone holds its
+    blocks and their caches.
     """
     if isinstance(K, ConvOp):
         _check_specs(K.spec, spec)
@@ -662,13 +638,18 @@ def prepare(K, spec: GridSpec) -> ConvOp:
         return ConvOp(K, spec, blocks)
     K = K if isinstance(K, GridKernel) else K.render(spec)
     _check_specs(K.spec, spec)
-    if not all(fac.is_abelian for fac in spec.group.factors):
-        return ConvOp(K, spec, [_whole_grid_block(spec, K.values)])
-    return ConvOp(K, spec, [_Spectrum(spec, spec, tuple(range(spec.q_total)), K.values)])
+    axes = tuple(range(spec.q_total))
+    block = _Spectrum if all(fac.is_abelian for fac in spec.group.factors) else _WholeGrid
+    return ConvOp(K, spec, [block(spec, spec, axes, K.values)])
 
 
 def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFunction:
-    """Group convolution f * g on a shared grid."""
+    """Group convolution f * g on a shared grid.
+
+    The direct path sums by a whole-grid block (_WholeGrid) on f's values,
+    built for this call, or by f itself when f is such a block: the route
+    by which a prepared op's block applies its rows.
+    """
     _check_specs(f.spec, g.spec)
     spec = f.spec
     axes = tuple(range(spec.q_total))
@@ -681,7 +662,8 @@ def convolve(f: GridFunction, g: GridFunction, path: str = "auto") -> GridFuncti
         return GridFunction(spec, _Spectrum(spec, spec, axes, f.values).apply(g.values))
     if path != "direct":
         raise ValueError(f"unknown convolution path {path!r}")
-    return GridFunction(spec, _Block.apply(_whole_grid_block(spec, f.values), g.values))
+    block = f if isinstance(f, _WholeGrid) else _WholeGrid(spec, spec, axes, f.values)
+    return GridFunction(spec, _Block.apply(block, g.values))
 
 
 def apply_op(K, f: GridFunction) -> GridFunction:

@@ -56,7 +56,9 @@ class GridSpec:
 
     @cached_property
     def factor_specs(self) -> list:
-        """Each factor's grid (one factor: self), built once so caches on them are shared."""
+        """Each factor's grid (one factor: self), built once, so a tensor
+        kernel's blocks and parts share one grid per factor and its cached
+        tables (mesh, shear)."""
         facs = self.group.factors
         return [self] if len(facs) == 1 else [GridSpec(ProductGroup([f]), self.N, self.T)
                                               for f in facs]

@@ -414,19 +414,19 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
 
     delta = work.delta()
     dnorm = delta.l2_norm()
-    term = delta.copy()
-    accum = delta.copy()
+    term, accum = delta.values, delta.values.copy()  # term is rebound, accum added to
     rels = []
     tracked = []
     converged = False
     n = 0
     for n in range(1, n_cap + 1):
-        term = term.plus(GridFunction(work, Kwork.normal(term.values)).scaled(-ev))
-        accum = accum.plus(term)
-        rel = term.l2_norm() / dnorm
-        rels.append(float(rel))
+        term = term + Kwork.normal(term) * -ev
+        accum += term
+        # GridFunction.l2_norm's expression, so rels keep their bits
+        rel = float(np.sqrt(np.sum(np.abs(term) ** 2) * work.volume)) / dnorm
+        rels.append(rel)
         if n in track_at:
-            rep = pk_seminorm(GridKernel(work, term.values, mode=Kop.kernel.mode),
+            rep = pk_seminorm(GridKernel(work, term, mode=Kop.kernel.mode),
                               work, kvec_track, cfg)
             tracked.append({
                 "n": n,
@@ -443,12 +443,14 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
         flag = TRACK_FLAG_CAP if capped else TRACK_FLAG_STALL
 
     # L = eps accum * K~: on an abelian box K~ * accum, what the prepared
-    # Op(K~) applies; elsewhere a right convolution by K~
-    ktilde = Kwork.adjoint_op.kernel.render(work)
+    # Op(K~) applies; elsewhere a right convolution by K~, taken from the
+    # one rendering of K that the symmetry check below reads too
+    kwork = Kwork.kernel.render(work)
+    ktilde = adjoint_kernel(kwork)
     if all(fac.is_abelian for fac in work.group.factors):
-        lvals = Kwork.adjoint_op.apply(accum.values)
+        lvals = Kwork.adjoint_op.apply(accum)
     else:
-        lvals = convolve(accum, ktilde.data).values
+        lvals = convolve(GridFunction(work, accum), ktilde.data).values
     L = GridKernel(work, lvals * ev, mode=Kop.kernel.mode)
     if pad_factor > 1:
         L = _crop_kernel(L, spec)
@@ -457,7 +459,7 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     # box-truncated convolution is the only step breaking that symmetry, and
     # averaging with the adjoint (an L2 isometry on kernels) projects it out
     # without increasing the distance to the true inverse
-    kvals = Kwork.kernel.render(work).values
+    kvals = kwork.values
     scale = np.abs(kvals).max()
     if scale > 0 and np.abs(kvals - ktilde.values).max() <= 1e-10 * scale:
         Lt = adjoint_kernel(L).render(spec).values

@@ -25,7 +25,7 @@ from nilconv.cli import (
 )
 from nilconv.grid import GridSpec
 from nilconv.groups import GradedLieAlgebra
-from nilconv.kernels import GridKernel, save_kernel
+from nilconv.kernels import GridKernel, load_kernel, save_kernel
 from nilconv.product import ProductGroup
 
 
@@ -271,6 +271,19 @@ def test_tensor_hilbert_bundles_invert_knobs(tmp_path):
     assert cfg["max_n"] == 4  # explicit flag survives the bundle
 
 
+def test_tensor_hilbert_fixed_eps_drops_the_bundled_cap(tmp_path):
+    # a fixed eps has no sigma estimates to price steps with, so the
+    # bundle's amplification cap is not applied (neumann_invert would refuse it)
+    code, out = run(tmp_path, "invert", "--preset", "abelian2", "--kernel",
+                    "tensor-hilbert", "--N", "8", "--max-n", "4", "--eps", "0.1")
+    assert code in (EXIT_OK, EXIT_NUMERIC)
+    rep = read_report(out)
+    assert rep["config"]["invert"]["amplification_cap"] is None
+    assert rep["config"]["invert"]["pad_factor"] == 2  # the rest of the bundle holds
+    assert rep["result"]["eps"]["epsilon"] == 0.1
+    assert rep["result"]["eps"]["paper_eps"] is False
+
+
 def test_tensor_hilbert_bundle_respects_overrides(tmp_path):
     code, out = run(tmp_path, "invert", "--preset", "abelian2", "--kernel",
                     "tensor-hilbert", "--N", "8", "--max-n", "4",
@@ -392,6 +405,18 @@ def test_convolve_check_paths_agree(tmp_path):
     assert res["l2_norm"] > 0
 
 
+def test_convolve_save_writes_the_composed_kernel(tmp_path):
+    code, out = run(tmp_path, "convolve", "--preset", "abelian1", "--kernel",
+                    "discrete-hilbert", "--other", "discrete-hilbert", "--N", "16",
+                    "--save")
+    assert code == EXIT_OK
+    res = read_report(out)["result"]
+    assert res["kernel_file"] == "result.nckr"
+    M = load_kernel(str(out / "result.nckr"))
+    assert isinstance(M, GridKernel) and M.spec.N == 16
+    assert M.data.l2_norm() == res["l2_norm"]
+
+
 def test_convolve_check_rejects_nonabelian_group(tmp_path, capsys):
     code, _ = run(tmp_path, "convolve", "--preset", "heisenberg1", "--kernel",
                   "dyadic", "--other", "dyadic", "--N", "8", "--check")
@@ -433,6 +458,16 @@ def test_decay_delta_fixed_eps(tmp_path):
     assert rows[0] == "n,value,root,op_norm,truncation"
     values = [float(r.split(",")[1]) for r in rows[1:]]
     assert values == pytest.approx([0.5, 0.25, 0.125], abs=1e-10)
+
+
+def test_decay_paper_eps_recorded(tmp_path):
+    code, out = run(tmp_path, "decay", "--preset", "abelian1", "--kernel",
+                    "delta", "--set", "kernel.amplitude=2.0", "--paper-eps",
+                    "--n-list", "1", "2", "--N", "8")
+    assert code == EXIT_OK
+    eps = read_report(out)["result"]["config"]["eps"]
+    assert eps["paper_eps"] is True
+    assert eps["epsilon"] == pytest.approx(0.25, abs=1e-9)
 
 
 @pytest.mark.parametrize("command", ["invert", "decay"])
@@ -689,3 +724,15 @@ def test_help_lists_csv_columns(capsys, argv, needle):
         main(argv)
     assert exc.value.code == 0
     assert needle in capsys.readouterr().out
+
+
+def test_sanitize_maps_numbers_to_json():
+    obj = {1: np.array([[1.5, np.nan]]), "v": (np.inf, -np.inf, 1 + 2j,
+                                              np.complex128(3 - 4j), np.int64(5),
+                                              np.float32(0.5), True, None, "s")}
+    assert cli._sanitize(obj) == {
+        "1": [[1.5, None]],
+        "v": ["Infinity", "-Infinity", [1.0, 2.0], [3.0, -4.0], 5, 0.5, True, None, "s"],
+    }
+    with pytest.raises(TypeError, match="cannot serialize object in a report"):
+        cli._sanitize({"x": object()})

@@ -1070,7 +1070,7 @@ def test_cached_block_obeys_a_lowered_pair_budget(monkeypatch):
         op.apply(g)
     monkeypatch.setattr(convolution, "PAIR_BUDGET", pairs)
     assert np.array_equal(op.apply(g), want)
-    assert op.blocks[0] is block and convolution._whole_grid_block(spec, op.kernel.values) is block
+    assert op.blocks[0] is block
 
 
 def test_sheared_sparse_row_over_budget_takes_the_kernel_side(monkeypatch):
@@ -1196,8 +1196,46 @@ def test_direct_block_lives_as_long_as_its_op():
     op = prepare(_real_kernel(spec, 91), spec)
     op.normal(_random_field(spec, 92).values)
     refs = [weakref.ref(op.blocks[0]), weakref.ref(op.adjoint_op.blocks[0])]
-    assert len(spec.__dict__["_direct_blocks"]) == 2
     del op
     gc.collect()
     assert [r() for r in refs] == [None, None]
-    assert len(spec.__dict__["_direct_blocks"]) == 0
+
+
+def test_whole_grid_op_leaves_its_grid_unchanged():
+    # the op is the only owner of its blocks: preparing, applying and
+    # normal-ing it, or convolving once by the direct path, puts nothing on
+    # the grid spec beyond its own lazily built tables
+    spec = GridSpec(HEIS, 6, 1.0)
+    spec.shear, spec.mesh
+    before = set(vars(spec))
+    op = prepare(_real_kernel(spec, 93), spec)
+    f = _random_field(spec, 94)
+    op.apply(f.values)
+    op.normal(f.values)
+    del op
+    gc.collect()
+    convolve(_random_field(spec, 95), f, "direct")
+    assert set(vars(spec)) == before
+
+
+def test_whole_grid_apply_convolves_each_row_by_its_own_block(monkeypatch):
+    # one public convolve per input row, with the op's block as the kernel:
+    # the route bench/tracer.py counts direct calls and point pairs at
+    spec = GridSpec(HEIS, 6, 1.0)
+    op = prepare(_random_kernel(spec, 96), spec)
+    rows = np.stack([_random_field(spec, s).values for s in (97, 98, 99)])
+    calls = []
+    original = convolution.convolve
+
+    def spy(f, g, path="auto"):
+        calls.append((f, path))
+        return original(f, g, path)
+
+    monkeypatch.setattr(convolution, "convolve", spy)
+    out = op.apply(rows)
+    block = op.blocks[0]
+    assert [(f is block, path) for f, path in calls] == [(True, "direct")] * 3
+    assert np.array_equal(block.values, op.kernel.values) and block.spec is spec
+    fresh = [original(GridFunction(spec, op.kernel.values), GridFunction(spec, r), "direct")
+             for r in rows]
+    assert np.array_equal(out, np.stack([g.values for g in fresh]))

@@ -1,6 +1,7 @@
 """Source hygiene: every top-level import of the package is used, every
-top-level constant is read, and every private function, class and method
-is referenced."""
+top-level constant is read, every private function, class and method is
+referenced, and no module keeps state on other objects' __dict__ or in weak
+references."""
 
 import ast
 import re
@@ -121,3 +122,29 @@ def test_no_unreferenced_private_definitions(tmp_path):
                    "    def _call(self):\n        return _used()\n\n"
                    "    def _gone(self):\n        pass\n\n\nprint(_Kept()._call())\n")
     assert _unreferenced_private([mod]) == ["mod.py:5: _stale", "mod.py:16: _gone"]
+
+
+def _side_caches(paths) -> list:
+    """Lines of the modules that mention __dict__ or weakref.
+
+    A prepared op owns its blocks and what they cache; a cache kept on
+    another object's __dict__ (a GridSpec's, say) or found again through
+    weak references would outlive or bypass that owner.  cached_property
+    stays allowed: it caches on the object it belongs to.
+    """
+    out = []
+    for path in paths:
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"__dict__|weakref", line):
+                out.append(f"{path.name}:{i}")
+    return out
+
+
+def test_no_side_caches(tmp_path):
+    found = _side_caches(SOURCES)
+    assert not found, found
+    # the scan sees both words, in code and in text
+    mod = tmp_path / "mod.py"
+    mod.write_text("import weakref\n\n\ndef f(spec):\n    return spec.__dict__\n\n\n"
+                   "def g():\n    pass  # __dict__\n")
+    assert _side_caches([mod]) == ["mod.py:1", "mod.py:5", "mod.py:9"]

@@ -309,6 +309,64 @@ def test_reduce_delta_part_scales_a_dyadic_rest():
                        rtol=1e-14, atol=0)
 
 
+def test_reduce_tensor_scales_its_remaining_parts():
+    # the bump's value at the identity (1 for the even kinds, gauss
+    # included) times the delta amplitude scales what remains: the first
+    # remaining part of a 3-factor tensor, a delta's amplitude, a grid
+    # kernel's values
+    ab1 = ProductGroup([abelian(1)])
+    sub = GridSpec(ab1, 16, 1.0)
+    L = ClosedFormKernel(ab1, "hilbert")
+    G = GridKernel(sub, np.linspace(-1.0, 1.0, 16) + 0.5j)
+    c = 2.0 - 1.0j
+    pts = np.linspace(-0.9, 0.9, 17)[:, None]
+    for bump in ("even", "gauss"):
+        K3 = TensorKernel([DeltaKernel(ab1, c), L, G])
+        red = reduce_kernel(K3, 0, bump, 1.0, GridSpec(K3.group, 16, 1.0))
+        assert isinstance(red, TensorKernel) and red.group.nu == 2
+        assert red.parts[1] is G and red.parts[0].amplitude == c * L.amplitude
+        two = np.hstack([pts, pts[::-1]])
+        assert np.array_equal(red.eval(two), c * L.eval(pts) * G.eval(pts[::-1]))
+        red = reduce_kernel(TensorKernel([DeltaKernel(ab1, c), DeltaKernel(ab1, 3.0)]), 0,
+                            bump, 1.0, GridSpec(AB2, 16, 1.0))
+        assert isinstance(red, DeltaKernel) and red.amplitude == 3.0 * c
+        assert np.array_equal(red.eval(pts), np.zeros(17))
+        red = reduce_kernel(TensorKernel([DeltaKernel(ab1, c), G]), 0, bump, 1.0,
+                            GridSpec(AB2, 16, 1.0))
+        assert isinstance(red, GridKernel) and np.array_equal(red.values, c * G.values)
+
+
+def test_reduce_gauss_bump_annihilates_odd_part():
+    # the gauss bump is even like the even one, so an odd reduced factor
+    # integrates to rounding level, and it stays below the even bump
+    ab1 = ProductGroup([abelian(1)])
+    L = ClosedFormKernel(ab1, "hilbert")
+    K = TensorKernel([L, L])
+    spec = GridSpec(K.group, 32, 1.0)
+    red = reduce_kernel(K, 0, "gauss", 1.0, spec)
+    pts = np.linspace(-0.9, 0.9, 17)[:, None]
+    assert np.abs(red.eval(pts)).max() <= 1e-12 * np.abs(L.eval(pts)).max()
+    bump = kernels._reduction_bump(ab1.factors[0], "gauss", 0.5)
+    even = kernels._reduction_bump(ab1.factors[0], "even", 0.5)
+    t = np.linspace(-0.6, 0.6, 25)[:, None]
+    assert np.array_equal(bump(t), bump(-t)) and bump(np.zeros((1, 1)))[0] == 1.0
+    assert np.all(bump(t) <= even(t)) and np.all(bump(t)[np.abs(t[:, 0]) >= 0.5] == 0)
+
+
+def test_grid_kernel_renders_onto_another_grid_by_interpolation():
+    # multilinear interpolation reproduces a linear function inside the
+    # coarse box, away from its zeroed lowest face; a matching grid is kept
+    def line(m):
+        return 0.5 + 2.0 * m[..., 0] - 1j * m[..., 1]
+
+    coarse, fine = GridSpec(AB2, 8, 1.0), GridSpec(AB2, 16, 0.5)
+    K = GridKernel(coarse, line(coarse.mesh), mode="flag")
+    r = K.render(fine)
+    assert r.spec is fine and r.mode == "flag"
+    assert np.allclose(r.values[1:, 1:], line(fine.mesh)[1:, 1:], rtol=0, atol=1e-14)
+    assert K.render(GridSpec(AB2, 8, 1.0)) is K
+
+
 def test_reduce_grid_kernel_support_overflow():
     spec = GridSpec(AB2, 32, 1.0)
     K = ClosedFormKernel(AB2, "inverse-product").render(spec)
