@@ -149,7 +149,7 @@ class _Block:
 
     def _reversed(self) -> np.ndarray:
         """conj k(t^{-1}) on sub: the values of the adjoint's block."""
-        return np.conj(GridFunction(self.sub, self.values).negate_argument().values)
+        return GridFunction(self.sub, self.values).conj_reverse().values
 
     @cached_property
     def kwindows(self) -> np.ndarray:

@@ -185,22 +185,20 @@ class GridFunction:
     def plus(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.spec, self.values + other.values)
 
-    def negate_argument(self) -> "GridFunction":
-        """g(t) -> g(-t) on the lattice; requires a zero lowest face for even N."""
+    def conj_reverse(self) -> "GridFunction":
+        """conj g(-t) on the lattice in one fresh array, which for even N takes
+        the conjugate of the flip and needs a zero lowest face.  For odd N
+        np.flip returns a view of these values, never conjugated in place."""
         vals = self.values
-        if self.spec.N % 2 == 0:
-            face_mass = 0.0
-            for ax in range(vals.ndim):
-                sl = [slice(None)] * vals.ndim
-                sl[ax] = 0
-                face_mass = max(face_mass, float(np.abs(vals[tuple(sl)]).max(initial=0.0)))
-            if face_mass != 0.0:
-                raise ValueError("lowest face must be zero before argument negation")
-            inner = vals[(slice(1, None),) * vals.ndim]
-            out = np.zeros_like(vals)
-            out[(slice(1, None),) * vals.ndim] = np.flip(inner, axis=tuple(range(vals.ndim)))
-            return GridFunction(self.spec, out)
-        return GridFunction(self.spec, np.flip(vals, axis=tuple(range(vals.ndim))))
+        axes = tuple(range(vals.ndim))
+        if self.spec.N % 2:
+            return GridFunction(self.spec, np.conj(np.flip(vals, axis=axes)))
+        if any(np.take(vals, 0, axis=ax).any() for ax in axes):
+            raise ValueError("lowest face must be zero before argument negation")
+        inner = (slice(1, None),) * vals.ndim
+        out = np.zeros_like(vals)
+        np.conjugate(np.flip(vals[inner], axis=axes), out=out[inner])
+        return GridFunction(self.spec, out)
 
     def interp(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation, zero outside the box."""

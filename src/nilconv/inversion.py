@@ -462,8 +462,9 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     kvals = kwork.values
     scale = np.abs(kvals).max()
     if scale > 0 and np.abs(kvals - ktilde.values).max() <= 1e-10 * scale:
-        Lt = adjoint_kernel(L).render(spec).values
-        L = GridKernel(spec, 0.5 * (L.values + Lt), mode=L.mode)
+        Lt = adjoint_kernel(L).values  # a fresh array: average in place
+        Lt += L.values
+        L = GridKernel(spec, np.multiply(Lt, 0.5, out=Lt), mode=L.mode)
     return L, eps, n, converged, flag, rels, tracked
 
 

@@ -1,8 +1,10 @@
 """Kernel representations and calculus-style checks on them.
 
 Variants: Grid (sampled values), Delta (point mass), Tensor (per-factor
-kernels), ClosedForm (catalog entries), Dyadic (sum of anisotropically
-dilated, moment-cancelling profiles).
+kernels), ClosedForm (an amplitude times a plain evaluator f(t, **params)
+from the one table CLOSED_FORM_CATALOG, which also gives each evaluator's
+mode, parameter defaults, group check and parity), Dyadic (sum of
+anisotropically dilated, moment-cancelling profiles).
 Every variant evaluates pointwise away from its singular set and renders
 onto a grid.
 
@@ -18,7 +20,9 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import partial
 from itertools import product as iproduct
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,8 +99,7 @@ class GridKernel(KernelRep):
         return GridKernel(spec, self.data.interp(spec.mesh), mode=self.mode)
 
     def adjoint(self):
-        flipped = self.data.negate_argument()
-        return GridKernel(self.spec, np.conj(flipped.values), mode=self.mode)
+        return GridKernel(self.spec, self.data.conj_reverse().values, mode=self.mode)
 
 
 class DeltaKernel(KernelRep):
@@ -148,168 +151,107 @@ class TensorKernel(KernelRep):
         return TensorKernel([p.adjoint() for p in self.parts])
 
 
-@dataclass
-class _CatalogEntry:
-    build_eval: callable  # (group, params) -> eval fn
-    parity: callable  # (group, params) -> +-1
-    mode: str
-    check: callable  # (group) -> None or raise
-    defaults: dict
-
-
-def _check_abelian_1d_factors(group):
-    if any(f.dim != 1 or f.n_layers != 1 for f in group.factors):
-        raise ValueError("this closed form needs one-dimensional abelian factors")
-
-
-def _check_hilbert(group):
-    _require_nu(group, 1)
-    _check_abelian_1d_factors(group)
-
-
-def _hilbert_entry():
-    def build(group, params):
-        S = float(params["support"])
-
-        def ev(pts):
-            t = np.asarray(pts, dtype=float)[..., 0]
-            out = np.zeros(t.shape, dtype=complex)
-            nz = t != 0.0
-            out[nz] = smooth_bump(t[nz] / S) / (np.pi * t[nz])
-            return out
-
-        return ev
-
-    return _CatalogEntry(
-        build_eval=build,
-        parity=lambda group, params: -1.0,
-        mode="product",
-        check=_check_hilbert,
-        defaults={"support": 2.0},
-    )
-
-
-def _require_nu(group, nu):
-    if group.nu != nu:
+def _check_group(group, nu=None, one_dim=True):
+    """Raise unless group has nu factors (None: any), all abelian, 1-D if one_dim."""
+    if nu is not None and group.nu != nu:
         raise ValueError(f"closed form needs nu = {nu}")
+    if one_dim and any(f.dim != 1 or f.n_layers != 1 for f in group.factors):
+        raise ValueError("this closed form needs one-dimensional abelian factors")
+    if any(f.n_layers != 1 for f in group.factors):
+        raise ValueError("riesz profile needs an abelian factor")
 
 
-def _riesz_entry():
-    def build(group, params):
-        S = float(params["support"])
-        q = group.q_total
-        c = math.gamma((q + 1) / 2.0) / math.pi ** ((q + 1) / 2.0)
-        axis = int(params.get("axis", 0))
-
-        def ev(pts):
-            t = np.asarray(pts, dtype=float)
-            r = np.sqrt(np.sum(t * t, axis=-1))
-            out = np.zeros(r.shape, dtype=complex)
-            nz = r != 0.0
-            out[nz] = c * t[..., axis][nz] / r[nz] ** (q + 1) * smooth_bump(r[nz] / S)
-            return out
-
-        return ev
-
-    def check(group):
-        _require_nu(group, 1)
-        if group.factors[0].n_layers != 1:
-            raise ValueError("riesz profile needs an abelian factor")
-
-    return _CatalogEntry(
-        build_eval=build,
-        parity=lambda group, params: -1.0,
-        mode="product",
-        check=check,
-        defaults={"support": 2.0, "axis": 0},
-    )
+def _hilbert(t, support):
+    """bump(t / support) / (pi t) on one axis, 0 at t = 0."""
+    t = np.asarray(t, dtype=float)[..., 0]
+    out = np.zeros(t.shape, dtype=complex)
+    nz = t != 0.0
+    out[nz] = smooth_bump(t[nz] / float(support)) / (np.pi * t[nz])
+    return out
 
 
-def _inverse_product_entry():
-    def build(group, params):
-        def ev(pts):
-            t = np.asarray(pts, dtype=float)
-            out = np.ones(t.shape[:-1], dtype=complex)
-            sing = np.zeros(t.shape[:-1], dtype=bool)
-            for j in range(t.shape[-1]):
-                col = t[..., j]
-                sing |= col == 0.0
-                with np.errstate(divide="ignore"):
-                    out = out * np.where(col == 0.0, 0.0, 1.0 / np.where(col == 0, 1.0, col))
-            out[sing] = 0.0
-            return out
-
-        return ev
-
-    return _CatalogEntry(
-        build_eval=build,
-        parity=lambda group, params: (-1.0) ** group.nu,
-        mode="product",
-        check=_check_abelian_1d_factors,
-        defaults={},
-    )
+def _riesz(t, support, axis):
+    """c_q t_axis / |t|^(q+1) * bump(|t| / support) on q axes, 0 at t = 0."""
+    t = np.asarray(t, dtype=float)
+    q = t.shape[-1]
+    c = math.gamma((q + 1) / 2.0) / math.pi ** ((q + 1) / 2.0)
+    r = np.sqrt(np.sum(t * t, axis=-1))
+    out = np.zeros(r.shape, dtype=complex)
+    nz = r != 0.0
+    out[nz] = c * t[..., int(axis)][nz] / r[nz] ** (q + 1) * smooth_bump(r[nz] / float(support))
+    return out
 
 
-def _flag_inverse_entry():
-    def build(group, params):
-        def ev(pts):
-            t = np.asarray(pts, dtype=float)
-            t1 = t[..., 0]
-            t2 = t[..., 1]
-            out = np.zeros(t1.shape, dtype=complex)
-            nz = t1 != 0.0
-            out[nz] = 1.0 / (t1[nz] * (np.abs(t1[nz]) + np.abs(t2[nz])))
-            return out
+def _inverse_product(t):
+    """1 / (t_1 ... t_q), 0 where any t_j = 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.ones(t.shape[:-1], dtype=complex)
+    for j in range(t.shape[-1]):
+        col = t[..., j]
+        out = out * np.where(col == 0.0, 0.0, 1.0 / np.where(col == 0, 1.0, col))
+    out[np.any(t == 0.0, axis=-1)] = 0.0
+    return out
 
-        return ev
 
-    def check(group):
-        _require_nu(group, 2)
-        _check_abelian_1d_factors(group)
+def _flag_inverse(t):
+    """1 / (t_1 (|t_1| + |t_2|)), 0 at t_1 = 0."""
+    t = np.asarray(t, dtype=float)
+    t1, t2 = t[..., 0], t[..., 1]
+    out = np.zeros(t1.shape, dtype=complex)
+    nz = t1 != 0.0
+    out[nz] = 1.0 / (t1[nz] * (np.abs(t1[nz]) + np.abs(t2[nz])))
+    return out
 
-    return _CatalogEntry(
-        build_eval=build,
-        parity=lambda group, params: -1.0,
-        mode="flag",
-        check=check,
-        defaults={},
-    )
+
+class ClosedForm(NamedTuple):
+    """One row of CLOSED_FORM_CATALOG."""
+    f: Callable  # f(t, **params) on points of shape (..., q)
+    mode: str
+    defaults: dict  # every parameter f takes, with its default
+    check: Callable  # (group) -> None or raise
+    parity: Callable  # nu -> s with f(-t) = s f(t)
 
 
 CLOSED_FORM_CATALOG = {
-    "hilbert": _hilbert_entry(),
-    "riesz": _riesz_entry(),
-    "inverse-product": _inverse_product_entry(),
-    "flag-inverse": _flag_inverse_entry(),
+    "hilbert": ClosedForm(_hilbert, "product", {"support": 2.0},
+                          partial(_check_group, nu=1), lambda nu: -1.0),
+    "riesz": ClosedForm(_riesz, "product", {"support": 2.0, "axis": 0},
+                        partial(_check_group, nu=1, one_dim=False), lambda nu: -1.0),
+    "inverse-product": ClosedForm(_inverse_product, "product", {},
+                                  _check_group, lambda nu: (-1.0) ** nu),
+    "flag-inverse": ClosedForm(_flag_inverse, "flag", {},
+                               partial(_check_group, nu=2), lambda nu: -1.0),
 }
 
 
 class ClosedFormKernel(KernelRep):
-    """Catalog closed form with an overall amplitude."""
+    """amplitude * f(t, **params), f the evaluator of CLOSED_FORM_CATALOG[name].
+
+    The entry also gives the mode, the parameters f takes with their defaults
+    (any other key is refused), the group check and the parity s with
+    f(-t) = s f(t): the adjoint has amplitude s * conj(amplitude)."""
 
     def __init__(self, group: ProductGroup, name: str, amplitude=1.0, **params):
         if name not in CLOSED_FORM_CATALOG:
             raise ValueError(f"unknown closed form {name!r}")
         entry = CLOSED_FORM_CATALOG[name]
         entry.check(group)
+        for key in params:
+            if key not in entry.defaults:
+                raise ValueError(f"closed form {name!r} takes no parameter {key!r}")
         self.group = group
         self.name = name
         self.amplitude = complex(amplitude)
-        self.params = dict(entry.defaults)
-        self.params.update(params)
+        self.params = {**entry.defaults, **params}
         self.mode = entry.mode
-        self._entry = entry
-        self._eval = entry.build_eval(group, self.params)
 
     def eval(self, points):
-        return self.amplitude * self._eval(points)
+        return self.amplitude * CLOSED_FORM_CATALOG[self.name].f(points, **self.params)
 
     def adjoint(self):
-        par = self._entry.parity(self.group, self.params)
-        return ClosedFormKernel(
-            self.group, self.name,
-            amplitude=np.conj(self.amplitude) * par, **self.params,
-        )
+        par = CLOSED_FORM_CATALOG[self.name].parity(self.group.nu)
+        return ClosedFormKernel(self.group, self.name,
+                                amplitude=np.conj(self.amplitude) * par, **self.params)
 
 
 class DiscreteHilbertKernel(KernelRep):
@@ -326,7 +268,7 @@ class DiscreteHilbertKernel(KernelRep):
     """
 
     def __init__(self, group: ProductGroup, amplitude=1.0):
-        _check_hilbert(group)
+        _check_group(group, nu=1)
         self.group = group
         self.amplitude = complex(amplitude)
         self.mode = "product"
@@ -396,8 +338,7 @@ class DyadicKernel(KernelRep):
         return out
 
     def adjoint(self):
-        flipped = {n: tuple(GridFunction(phi.spec, np.conj(phi.negate_argument().values))
-                            for phi in parts)
+        flipped = {n: tuple(phi.conj_reverse() for phi in parts)
                    for n, parts in self.profiles.items()}
         return DyadicKernel(
             self.group, self.window, flipped, self.moment_order,

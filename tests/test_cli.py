@@ -6,7 +6,6 @@ directory to tmp_path so runs stay isolated.
 
 import csv
 import json
-import os
 
 import numpy as np
 import pytest

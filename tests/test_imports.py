@@ -1,7 +1,7 @@
-"""Source hygiene: every top-level import of the package is used, every
-top-level constant is read, every private function, class and method is
-referenced, and no module keeps state on other objects' __dict__ or in weak
-references."""
+"""Source hygiene: every top-level import of the package and of its tests is
+used, every top-level constant is read, every private function, class and
+method is referenced, and no module keeps state on other objects' __dict__
+or in weak references."""
 
 import ast
 import re
@@ -10,6 +10,7 @@ from pathlib import Path
 import nilconv
 
 SOURCES = sorted(Path(nilconv.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(path: Path) -> list:
@@ -41,8 +42,8 @@ def _unused_imports(path: Path) -> list:
 
 
 def test_no_unused_top_level_imports():
-    assert len(SOURCES) > 5
-    unused = [u for path in SOURCES for u in _unused_imports(path)]
+    assert len(SOURCES) > 5 and len(TESTS) > 5
+    unused = [u for path in SOURCES + TESTS for u in _unused_imports(path)]
     assert not unused, unused
 
 

@@ -18,9 +18,6 @@ from nilconv.groups import abelian, heisenberg1
 from nilconv import inversion
 from nilconv.inversion import (
     NOT_INVERTIBLE,
-    DecayReport,
-    EpsilonChoice,
-    InversionResult,
     choose_epsilon,
     near_identity_kernel,
     neumann_invert,

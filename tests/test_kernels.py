@@ -410,6 +410,22 @@ def test_adjoint_closed_form_pointwise(name, group):
     assert np.allclose(Kt.eval(pts), np.conj(K.eval(-pts)), atol=1e-14)
 
 
+@pytest.mark.parametrize("N", [7, 8])
+def test_grid_adjoint_is_conj_reverse_and_keeps_its_input(N):
+    spec = GridSpec(AB2, N, 1.0)
+    rng = np.random.default_rng(N)
+    K = GridKernel(spec, rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape))
+    before = K.values.copy()
+    want = np.zeros_like(before)
+    lo = 1 - N % 2  # even N: index 0 has no partner and stays zero
+    want[lo:, lo:] = np.conj(before[lo:, lo:][::-1, ::-1])
+    assert adjoint_kernel(K).values.tobytes() == want.tobytes()
+    assert K.values.tobytes() == before.tobytes()
+    if lo:
+        with pytest.raises(ValueError, match="lowest face"):
+            GridFunction(spec, np.ones(spec.shape)).conj_reverse()
+
+
 def test_adjoint_dyadic_matches_flip():
     k = synth_dyadic(AB2, -1, 1, "random", seed=8, moment_order=1, profile_N=32)
     kt = adjoint_kernel(k)
@@ -436,6 +452,77 @@ def test_tensor_render_outer_product():
     sub = GridSpec(ab1, 16, 1.0)
     want = np.multiply.outer(h.render(sub).values, h.render(sub).values)
     assert np.allclose(K.render(spec).values, zero_lowest_face(want), atol=0)
+
+
+def _bump(s):
+    """exp(1 - 1/(1 - s^2)) on |s| < 1, zero outside."""
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] ** 2))
+    return out
+
+
+def _hilbert_formula(t, support=2.0):
+    t = t[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t == 0.0, 0.0, _bump(t / support) / (np.pi * t))
+
+
+def _riesz_formula(t, axis):
+    # q = 2: c = Gamma(3/2) / pi^(3/2) = 1 / (2 pi)
+    r = np.hypot(t[:, 0], t[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(r == 0.0, 0.0, t[:, axis] / (2.0 * np.pi * r ** 3) * _bump(r / 2.0))
+
+
+def _inverse_product_formula(t):
+    with np.errstate(divide="ignore"):
+        return np.where(np.any(t == 0.0, axis=1), 0.0, 1.0 / np.prod(t, axis=1))
+
+
+def _flag_inverse_formula(t):
+    t1, t2 = t[:, 0], t[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t1 == 0.0, 0.0, 1.0 / (t1 * (np.abs(t1) + np.abs(t2))))
+
+
+_AB1 = ProductGroup([abelian(1)])
+# name -> [(group, params, formula of t)]; a catalog entry without cases fails
+_FORMULA_CASES = {
+    "hilbert": [(_AB1, {}, _hilbert_formula),
+                (_AB1, {"support": 0.7}, lambda t: _hilbert_formula(t, 0.7))],
+    "riesz": [(ProductGroup([abelian(2)]), {"axis": 0}, lambda t: _riesz_formula(t, 0)),
+              (ProductGroup([abelian(2)]), {"axis": 1}, lambda t: _riesz_formula(t, 1))],
+    "inverse-product": [(_AB1, {}, _inverse_product_formula),
+                        (AB2, {}, _inverse_product_formula)],
+    "flag-inverse": [(AB2, {}, _flag_inverse_formula)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CATALOG))
+def test_closed_form_values_match_formula(name):
+    amp = 0.75 - 1.25j
+    rng = np.random.default_rng(11)
+    for group, params, formula in _FORMULA_CASES[name]:
+        q = group.q_total
+        pts = rng.uniform(-1.0, 1.0, (64, q))
+        # zeros on the singular sets: each coordinate zero in turn, the origin
+        sing = np.repeat(rng.uniform(-1.0, 1.0, (1, q)), q, axis=0)
+        sing[np.arange(q), np.arange(q)] = 0.0
+        pts = np.concatenate([pts, sing, np.zeros((1, q))])
+        K = ClosedFormKernel(group, name, amplitude=amp, **params)
+        got = K.eval(pts)
+        want = amp * formula(pts)
+        assert np.allclose(got, want, rtol=1e-13, atol=0), (name, params)
+        assert np.all(got[want == 0.0] == 0.0), (name, params)
+        assert np.count_nonzero(want) >= 32
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CATALOG))
+def test_closed_form_refuses_unknown_parameters(name):
+    group = _FORMULA_CASES[name][0][0]
+    with pytest.raises(ValueError, match="suport"):
+        ClosedFormKernel(group, name, suport=1.0)
 
 
 def test_closed_form_validation():

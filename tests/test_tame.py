@@ -11,7 +11,6 @@ from nilconv.kernels import DeltaKernel, GridKernel, synth_dyadic
 from nilconv.product import ProductGroup
 from nilconv.seminorms import SeminormConfig
 from nilconv.tame import (
-    TameReport,
     swap_consistent,
     tame_csv,
     tame_report_fk,
