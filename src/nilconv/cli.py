@@ -16,6 +16,9 @@ goes to the meta.json sidecar.  The output directory comes from --out, the
 NILCONV_OUT environment variable, or ./nilconv-out, in that order.  Values
 JSON cannot carry are normalized: complex numbers become [real, imag] pairs,
 NaN becomes null, infinities become the strings "Infinity" / "-Infinity".
+Tables go to CSV files in csv's minimal quoting with LF line ends.  The
+library's reports return data (to_dict and their fields); every file
+format of a run is decided here.
 
 Exit codes: 0 on success, 2 on configuration errors (a JSON object on stderr
 with a JSON-pointer path per error), 3 when a numerical procedure misses its
@@ -27,6 +30,7 @@ the command's section (/tame, /growth, ...) or at /kernel/name.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -62,7 +66,7 @@ from .kernels import (
 )
 from .product import ProductGroup, load_product
 from .seminorms import SeminormConfig, _check_kvec, check_sampling, fk_seminorm, pk_seminorm
-from .tame import tame_csv, tame_report_fk, tame_report_pk
+from .tame import tame_report_fk, tame_report_pk
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -517,12 +521,12 @@ def _write_report(outdir, command, cfg, result, started):
 
 
 def _write_csv(outdir, filename, header, rows):
-    path = os.path.join(outdir, filename)
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    return path
+    """Every CSV file of a run: the header row, then rows of formatted
+    fields, in csv's minimal quoting with LF line ends."""
+    with open(os.path.join(outdir, filename), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -664,7 +668,7 @@ def _cmd_kernel_check_cancel(cfg):
 
     def emit(outdir):
         _write_csv(outdir, "cancel.csv",
-                   "bump,R,order0_constant,max_constant,reduced_sup", rows)
+                   ["bump", "R", "order0_constant", "max_constant", "reduced_sup"], rows)
 
     return result, (EXIT_OK if ok else EXIT_NUMERIC), line, {"emit": emit}
 
@@ -728,8 +732,13 @@ def _cmd_seminorm(cfg):
     fn = pk_seminorm if s["kind"] == "pk" else fk_seminorm
     rep = fn(K, spec, kvec, cfg=sc)
     line = f"seminorm: {s['kind']} at k={list(kvec)} is {rep.total:.8g}"
-    extras = {"emit": lambda outdir: rep.export_csv(
-        os.path.join(outdir, "seminorm.csv"))}
+    rows = [[b["label"], " ".join(str(tuple(e)) for e in b["alpha"]), b["j"], b["l"],
+             " ".join(f"{d:.6g}" for d in b["dists"]), f"{b['block']:.12g}",
+             f"{b['weight']:.12g}", f"{b['value']:.12g}", b["method"],
+             b["iterations"], f"{b['residual']:.3g}"] for b in rep.blocks]
+    extras = {"emit": lambda outdir: _write_csv(
+        outdir, "seminorm.csv", ["label", "alpha", "j", "l", "z_norms", "block", "weight",
+                                 "value", "method", "iterations", "residual"], rows)}
     return rep.to_dict(), EXIT_OK, line, extras
 
 
@@ -765,8 +774,14 @@ def _cmd_tame(cfg):
         "all_tameness_ok": all(r.tameness_ok for r in reports),
         "finite": finite,
     }
-    extras = {"emit": lambda outdir: tame_csv(
-        reports, os.path.join(outdir, "tame.csv"))}
+    # every pair of a run has the same kind, so the same number of summands
+    header = ["kind", "kernels", "kvec", "N", "lhs",
+              *(f"summand{n}" for n in range(len(reports[0].summands))),
+              "rhs", "ratio", "tameness_ok"]
+    rows = [[r.kind, "*".join(r.config["kernel_ids"]), " ".join(map(str, r.kvec)),
+             r.config["N"], f"{r.lhs:.12g}", *(f"{s.value:.12g}" for s in r.summands),
+             f"{r.rhs:.12g}", f"{r.ratio:.12g}", r.tameness_ok] for r in reports]
+    extras = {"emit": lambda outdir: _write_csv(outdir, "tame.csv", header, rows)}
     line = (f"tame: {t['pairs']} pairs at k={list(kvec)}, "
             f"max ratio {result['max_ratio']:.4g}, "
             f"structure {'ok' if result['all_tameness_ok'] else 'violated'}")
@@ -821,9 +836,9 @@ def _cmd_invert(cfg):
                   for t in res.tracked]
 
     def emit(outdir):
-        _write_csv(outdir, "steps.csv", "n,step_rel_norm", step_rows)
+        _write_csv(outdir, "steps.csv", ["n", "step_rel_norm"], step_rows)
         if track_rows:
-            _write_csv(outdir, "tracked.csv", "n,seminorm,op_norm,root",
+            _write_csv(outdir, "tracked.csv", ["n", "seminorm", "op_norm", "root"],
                        track_rows)
         if i["save"]:
             save_kernel(res.kernel, os.path.join(outdir, "inverse.nckr"))
@@ -864,8 +879,9 @@ def _cmd_decay(cfg):
     roots = [row["root"] for row in rep.rows]
     line = (f"decay: |S| = {rep.s_norm_measured:.4g}, roots "
             + " ".join(f"{r:.4g}" for r in roots))
-    extras = {"emit": lambda outdir: rep.export_csv(
-        os.path.join(outdir, "decay.csv"))}
+    cols = ["n", "value", "root", "op_norm", "truncation"]
+    rows = [[str(row[c]) for c in cols] for row in rep.rows]
+    extras = {"emit": lambda outdir: _write_csv(outdir, "decay.csv", cols, rows)}
     return rep.to_dict(), EXIT_OK, line, extras
 
 

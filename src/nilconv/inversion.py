@@ -22,7 +22,6 @@ never hit the cap.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -359,9 +358,6 @@ class InversionResult:
             "config": dict(self.config),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def _track_points(max_n: int) -> set:
     pts = set()
@@ -600,17 +596,6 @@ class DecayReport:
             "rows": [dict(r) for r in self.rows],
             "config": dict(self.config),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def export_csv(self, path):
-        cols = ["n", "value", "root", "op_norm", "truncation"]
-        lines = [",".join(cols)]
-        for r in self.rows:
-            lines.append(",".join(str(r[c]) for c in cols))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def seminorm_decay(K, spec: GridSpec, kvec, n_list, *,

@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from itertools import product as iproduct
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -229,7 +230,8 @@ class ClosedFormKernel(KernelRep):
 
     The entry also gives the mode, the parameters f takes with their defaults
     (any other key is refused), the group check and the parity s with
-    f(-t) = s f(t): the adjoint has amplitude s * conj(amplitude)."""
+    f(-t) = s f(t): the adjoint has amplitude s * conj(amplitude).  A
+    support must be finite and positive, an axis an int in [0, q_total)."""
 
     def __init__(self, group: ProductGroup, name: str, amplitude=1.0, **params):
         if name not in CLOSED_FORM_CATALOG:
@@ -243,6 +245,14 @@ class ClosedFormKernel(KernelRep):
         self.name = name
         self.amplitude = complex(amplitude)
         self.params = {**entry.defaults, **params}
+        support, axis = self.params.get("support", 1.0), self.params.get("axis", 0)
+        if not (isinstance(support, Real) and math.isfinite(support) and support > 0):
+            raise ValueError(f"closed form {name!r}: support must be finite and > 0, "
+                             f"got {support!r}")
+        if isinstance(axis, bool) or not isinstance(axis, Integral) \
+                or not 0 <= axis < group.q_total:
+            raise ValueError(f"closed form {name!r}: axis must be an int in "
+                             f"[0, {group.q_total}), got {axis!r}")
         self.mode = entry.mode
 
     def eval(self, points):

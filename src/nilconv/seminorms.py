@@ -31,8 +31,6 @@ certified bound.
 
 from __future__ import annotations
 
-import csv
-import json
 import zlib
 from itertools import product as iproduct
 from dataclasses import dataclass, field
@@ -407,30 +405,6 @@ class SeminormReport:
             "blocks": self.blocks,
             "config": self.config,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def export_csv(self, path) -> None:
-        cols = ["label", "alpha", "j", "l", "z_norms", "block", "weight",
-                "value", "method", "iterations", "residual"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in self.blocks:
-                writer.writerow([
-                    row["label"],
-                    " ".join(str(tuple(e)) for e in row["alpha"]),
-                    row["j"],
-                    row["l"],
-                    " ".join(f"{d:.6g}" for d in row["dists"]),
-                    f"{row['block']:.12g}",
-                    f"{row['weight']:.12g}",
-                    f"{row['value']:.12g}",
-                    row["method"],
-                    row["iterations"],
-                    f"{row['residual']:.3g}",
-                ])
 
 
 def _lattice(spec: GridSpec, cfg: SeminormConfig, subset, seps) -> list:

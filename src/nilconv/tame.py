@@ -19,8 +19,6 @@ separate reports are needed for the middle summands.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 from .convolution import compose_kernels
@@ -120,9 +118,6 @@ class TameReport:
             "tameness_ok": self.tameness_ok,
             "config": self.config,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _resolved(kind, kvec, spec, cfg, ids) -> dict:
@@ -225,28 +220,3 @@ def swap_consistent(a: TameReport, b: TameReport) -> bool:
         return va[0] == vb[1] and va[1] == vb[0]
     return (va[0] == vb[3] and va[1] == vb[2]
             and va[2] == vb[1] and va[3] == vb[0])
-
-
-def tame_csv(reports, path) -> None:
-    """One row per report: sides, summands, ratio, structure check."""
-    cols = ["kind", "kernels", "kvec", "N", "lhs"]
-    width = max((len(r.summands) for r in reports), default=0)
-    cols += [f"summand{i}" for i in range(width)]
-    cols += ["rhs", "ratio", "tameness_ok"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for r in reports:
-            vals = [f"{s.value:.12g}" for s in r.summands]
-            vals += [""] * (width - len(vals))
-            writer.writerow([
-                r.kind,
-                "*".join(r.config["kernel_ids"]),
-                " ".join(str(k) for k in r.kvec),
-                r.config["N"],
-                f"{r.lhs:.12g}",
-                *vals,
-                f"{r.rhs:.12g}",
-                f"{r.ratio:.12g}",
-                r.tameness_ok,
-            ])

@@ -5,7 +5,9 @@ directory to tmp_path so runs stay isolated.
 """
 
 import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +207,70 @@ def test_tame_rows_merge_in_input_order(tmp_path):
     assert rows[0].startswith("kind,kernels,kvec,N,lhs")
     assert len(rows) == 4
     assert [r.split(",")[1] for r in rows[1:]] == ["K0*L0", "K1*L1", "K2*L2"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--preset", "abelian1", "--kernel", "delta", "--set",
+     "kernel.amplitude=2.0", "--N", "8", "--eps", "0.25"],
+    ["decay", "--preset", "abelian1", "--kernel", "delta", "--set",
+     "kernel.amplitude=2.0", "--N", "8", "--eps", "0.125", "--n-list", "1", "2"],
+], ids=["invert", "decay"])
+def test_run_files_are_strict_json(tmp_path, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    for name in ("report.json", "meta.json"):
+        json.loads((out / name).read_text(), parse_constant=_reject_constant)
+    res = read_report(out)["result"]
+    if argv[0] == "invert":  # a fixed eps has no sigma estimates: null, not NaN
+        assert [res["eps"][k] for k in ("sigma_max", "sigma_min", "s_norm_pred")] == [None] * 3
+
+
+_INVERT_TRACKED = ["invert", "--preset", "abelian2", "--kernel", "near-identity-dyadic",
+                   "--N", "8", "--track-k", "1", "1"]
+# CSV file -> a run that writes it
+_CSV_RUNS = {
+    "seminorm.csv": ["seminorm", "--preset", "abelian2", "--kernel", "dyadic", "--N", "16",
+                     "--k", "1", "1", "--radius-factors", "1.0"],
+    "tame.csv": ["tame", "--preset", "abelian2", "--pairs", "2", "--k", "1", "1"],
+    "decay.csv": ["decay", "--preset", "abelian1", "--kernel", "delta", "--set",
+                  "kernel.amplitude=2.0", "--eps", "0.125", "--n-list", "1", "2", "--N", "8"],
+    "steps.csv": _INVERT_TRACKED,
+    "tracked.csv": _INVERT_TRACKED,
+    "cancel.csv": ["kernel", "check-cancel", "--preset", "abelian2", "--kernel", "dyadic",
+                   "--N", "32", "--mu", "0", "--R", "0.5", "1.0",
+                   "--set", "cancel.n_quad=80", "--set", "cancel.n_samples=100"],
+}
+
+
+def _help_columns(filename, n_summands):
+    """The columns a command's help names for one CSV file."""
+    epilog = next(c[-1] for c in COMMANDS if f"{filename} with columns" in c[-1])
+    cols = re.search(rf"{re.escape(filename)} with columns ([\w.,]+)", epilog).group(1)
+    cols = cols.rstrip(".").replace(
+        "summand0..summandM", ",".join(f"summand{i}" for i in range(n_summands)))
+    return cols.split(",")
+
+
+@pytest.mark.parametrize("filename", sorted(_CSV_RUNS))
+def test_csv_files_share_one_dialect(tmp_path, filename):
+    code, out = run(tmp_path, *_CSV_RUNS[filename])
+    assert code == EXIT_OK
+    raw = (out / filename).read_bytes()
+    assert b"\r" not in raw
+    with open(out / filename, newline="") as fh:
+        table = list(csv.reader(fh))
+    again = io.StringIO()
+    csv.writer(again, lineterminator="\n").writerows(table)
+    assert again.getvalue().encode() == raw
+    header, *rows = table
+    res = read_report(out)["result"]
+    n_summands = len(res["rows"][0]["summands"]) if filename == "tame.csv" else 0
+    assert header == _help_columns(filename, n_summands)
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 # --- invert ---

@@ -1,7 +1,7 @@
 """Source hygiene: every top-level import of the package and of its tests is
 used, every top-level constant is read, every private function, class and
-method is referenced, and no module keeps state on other objects' __dict__
-or in weak references."""
+method is referenced, no module keeps state on other objects' __dict__ or
+in weak references, and only the front end writes run files."""
 
 import ast
 import re
@@ -149,3 +149,39 @@ def test_no_side_caches(tmp_path):
     mod.write_text("import weakref\n\n\ndef f(spec):\n    return spec.__dict__\n\n\n"
                    "def g():\n    pass  # __dict__\n")
     assert _side_caches([mod]) == ["mod.py:1", "mod.py:5", "mod.py:9"]
+
+
+# pattern -> the modules that may match it
+FILE_WRITERS = {
+    r"^\s*(import|from) csv\b": {"cli.py"},
+    # kernels.py writes the .nckr sidecar, groups.py save_group's file
+    r"\bjson\.dumps?\(": {"cli.py", "kernels.py", "groups.py"},
+}
+
+
+def _file_writers(paths) -> list:
+    """Lines that import csv or call json.dump or json.dumps outside the
+    modules FILE_WRITERS allows.
+
+    The library's reports return data; the front end decides the format of
+    every file a run writes.
+    """
+    out = []
+    for path in paths:
+        for i, line in enumerate(path.read_text().splitlines(), 1):
+            if any(re.search(pattern, line) and path.name not in allowed
+                   for pattern, allowed in FILE_WRITERS.items()):
+                out.append(f"{path.name}:{i}")
+    return out
+
+
+def test_only_the_front_end_writes_run_files(tmp_path):
+    found = _file_writers(SOURCES)
+    assert not found, found
+    # the scan sees both, leaves json.load alone and lets cli.py do both
+    text = ("import csv\nimport json\n\n\ndef f(x):\n    json.dump(x, None)\n"
+            "    return json.dumps(x), json.load(x)\n")
+    (tmp_path / "mod.py").write_text(text)
+    (tmp_path / "cli.py").write_text(text)
+    assert _file_writers([tmp_path / "mod.py", tmp_path / "cli.py"]) == [
+        "mod.py:1", "mod.py:6", "mod.py:7"]

@@ -525,6 +525,20 @@ def test_closed_form_refuses_unknown_parameters(name):
         ClosedFormKernel(group, name, suport=1.0)
 
 
+@pytest.mark.parametrize("name,params,word", [
+    ("riesz", {"axis": 2}, "axis"),  # past the last axis: eval would index out of range
+    ("riesz", {"axis": -1}, "axis"),  # would silently mean the last axis
+    ("riesz", {"axis": 1.0}, "axis"),
+    ("hilbert", {"support": 0.0}, "support"),  # would evaluate to zeros over 0 / 0
+    ("hilbert", {"support": float("inf")}, "support"),
+    ("riesz", {"support": float("nan")}, "support"),
+])
+def test_closed_form_refuses_parameter_values_out_of_range(name, params, word):
+    group = _FORMULA_CASES[name][0][0]
+    with pytest.raises(ValueError, match=word):
+        ClosedFormKernel(group, name, **params)
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError, match="unknown closed form"):
         ClosedFormKernel(AB2, "nope")

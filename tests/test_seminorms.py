@@ -378,25 +378,19 @@ def test_flag_inverse_entry_stable_under_window_widening():
     assert wide <= 1.15 * base
 
 
-def test_report_serialization_and_determinism(tmp_path):
+def test_report_serialization_and_determinism():
     spec = GridSpec(AB2, 8, 2.0)
     K = _random_kernel(spec, 18)
     rep1 = pk_seminorm(K, spec, (1, 1))
     rep2 = pk_seminorm(K, spec, (1, 1))
-    assert rep1.to_json() == rep2.to_json()
+    text = json.dumps(rep1.to_dict(), sort_keys=True)
+    assert text == json.dumps(rep2.to_dict(), sort_keys=True)
 
-    jpath = tmp_path / "report.json"
-    jpath.write_text(rep1.to_json())
-    data = json.loads(jpath.read_text())
+    data = json.loads(text)
     assert data["kind"] == "product"
     assert data["kvec"] == [1, 1]
     assert data["config"]["N"] == 8
-
-    cpath = tmp_path / "blocks.csv"
-    rep1.export_csv(str(cpath))
-    lines = cpath.read_text().strip().splitlines()
-    assert len(lines) == len(rep1.blocks) + 1
-    assert lines[0].startswith("label,alpha,j,l")
+    assert len(data["blocks"]) == len(rep1.blocks) > 0
 
 
 def test_report_accessors():
