@@ -21,8 +21,10 @@ block's adjoint is a block of the same kind on its conjugate-reversed
 values, which reads these, and box matrices, as adjoints.  The normal
 Op(K~) Op(K) applies each entry's own normal in turn; a boxed block on a
 grid of two or more axes applies its Gram matrix there, one GEMM per
-input.  Pipelines apply Op(K) through prepare(K, spec), which does the
-per-kernel work once; the op owns its blocks, so they go when it goes.
+input (op_norm of a tensor kernel; the Neumann series of a tensor kernel
+applies each entry to vectors of its own grid instead, apply_sub).
+Pipelines apply Op(K) through prepare(K, spec), which does the per-kernel
+work once; the op owns its blocks, so they go when it goes.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -57,7 +59,8 @@ PAIR_BUDGET = int(2e8)
 BOX_MATRIX_BYTES = 2 ** 21
 """2 MiB: N <= 512 for a real kernel (8 N^2 bytes), N <= 362 for a complex
 one (16 N^2).  A boxed block on two or more axes also holds its Gram
-matrix once its normal runs, of the same size, so up to twice these bytes.
+matrix once a whole-grid normal runs (op_norm; the Neumann series of a
+tensor kernel builds none), of the same size, so up to twice these bytes.
 A memory bound, not a crossover: pocketfft's time depends on
 the factors of N + N//2 (543 = 3 * 181 and 769, a prime, are slow), so no
 single N separates the two paths.  ms per pass, GEMM / FFT, of a block on
@@ -147,6 +150,10 @@ class _Block:
         a fresh adjoint() would build a second block and its caches."""
         return adj.apply(self.apply(v))
 
+    def apply_sub(self, v: np.ndarray) -> np.ndarray:
+        """This block on one vector v of its own grid (shape sub.shape)."""
+        return self._convolve(v[None])[0]
+
     def _reversed(self) -> np.ndarray:
         """conj k(t^{-1}) on sub: the values of the adjoint's block."""
         return GridFunction(self.sub, self.values).conj_reverse().values
@@ -209,7 +216,9 @@ class _Spectrum(_Block):
     @cached_property
     def gram(self) -> np.ndarray:
         """G = A^H A, A the matrix this block applies: T, or T^H for a
-        mirror (so G = T T^H there); real for a real T."""
+        mirror (so G = T T^H there); real for a real T.  Only a whole-grid
+        normal reads it: the Neumann series applies A and A^H to factor
+        vectors (apply_sub)."""
         if self.mirror is not None:
             T = self.mirror.matrix
             return T @ T.conj().T
@@ -230,6 +239,15 @@ class _Spectrum(_Block):
         if not (self.boxed and self.spec.q_total > 1):
             return super().normal(v, adj)
         return self._lines(self.gram, v, conj=False)
+
+    def apply_sub(self, v: np.ndarray) -> np.ndarray:
+        """A boxed block applies its matrix to the one line v, a mirror as
+        conj(M conj(v)); any other block _convolve's one row."""
+        if not self.boxed:
+            return super().apply_sub(v)
+        if self.mirror is None:
+            return self.matrix @ v
+        return np.conj(self.matrix @ np.conj(v))
 
     def _lines(self, M: np.ndarray, v: np.ndarray, conj: bool) -> np.ndarray:
         """M along the block's axis of v, by GEMMs of one shape per input,
@@ -338,7 +356,8 @@ class _Sheared(_Block):
         self.kshifts = np.flatnonzero(horizontal > 0)
         p, s = len(plain), len(self.sheared)
         self.shift_work = self.kshifts.size * _plain_pad(N) ** p * (3 * N) ** s / N ** (p + s)
-        self.offsets = {}  # _site_offsets per loop-grid point
+        self.offsets = {}  # _site_offsets per loop-grid point, SHEAR_CHUNK values at most
+        self.offset_values = 0
         # the memory rule of the per-frequency matrices, decided here: half is
         # (half set, partners) when the block sums by them (_matrix_sum)
         self.half = None
@@ -493,15 +512,19 @@ class _Sheared(_Block):
     def _site_offsets(self, h: int) -> tuple:
         """For the sites y with y_L at loop-grid point h: the destination rows
         x_L whose kernel row (x y^{-1})_L lies in the box, that row, and P'
-        along the plain and sheared axes; memoized per h."""
-        if h not in self.offsets:
-            N, o = self.spec.N, self.spec.origin
-            z = self._product(self.sites, -self.sites[h])  # x_L y_L^{-1}
-            krow = z[:, self.loop]
-            dest = np.flatnonzero(np.all((krow >= -o) & (krow < N - o), axis=-1))
-            self.offsets[h] = (dest, (krow[dest] + o) @ self.loop_strides,
-                               z[dest][:, self.central])
-        return self.offsets[h]
+        along the plain and sheared axes; memoized per h until the memo holds
+        SHEAR_CHUNK index values, computed on demand past that."""
+        if h in self.offsets:
+            return self.offsets[h]
+        N, o = self.spec.N, self.spec.origin
+        z = self._product(self.sites, -self.sites[h])  # x_L y_L^{-1}
+        krow = z[:, self.loop]
+        dest = np.flatnonzero(np.all((krow >= -o) & (krow < N - o), axis=-1))
+        got = (dest, (krow[dest] + o) @ self.loop_strides, z[dest][:, self.central])
+        if self.offset_values < SHEAR_CHUNK:
+            self.offsets[h] = got
+            self.offset_values += sum(a.size for a in got)
+        return got
 
     def _site_sum(self, values: np.ndarray, sites: np.ndarray) -> np.ndarray:
         """k * v for one row v with flat values, summed over its given sites.

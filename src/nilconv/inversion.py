@@ -7,7 +7,11 @@ Op(K)^{-1} = eps (sum_n S^n) Op(K~).  Everything is assembled on the
 kernel side: the partial sums are applied to the discrete delta, whose
 image is the kernel of the accumulated operator, and one final step
 composes it with K~: on an abelian group the prepared Op(K~) applied to
-that kernel, elsewhere a convolution against K~'s kernel.
+that kernel, elsewhere a convolution against K~'s kernel.  A tensor
+kernel's series runs in per-factor Krylov coordinates (_FactorSeries): its
+normal is the tensor product of the factors' normals, so each step costs
+one normal per factor on the factor's own grid, and the work grid holds
+only the partial sum, formed once.
 
 A rendered operator can be far worse conditioned than its continuum
 model: box restriction traps a few directions at small singular values
@@ -368,6 +372,118 @@ def _track_points(max_n: int) -> set:
     return pts
 
 
+class _DenseSeries:
+    """The terms S^n delta on the work grid, one ConvOp.normal per step:
+    term is the last term, accum the partial sum."""
+
+    def __init__(self, op, work: GridSpec, ev: float):
+        delta = work.delta()
+        self.op, self.work, self.ev, self.dnorm = op, work, ev, delta.l2_norm()
+        # term is rebound, accum added to
+        self.term, self.accum = delta.values, delta.values.copy()
+
+    def step(self) -> float:
+        """The next term; returns its L2 norm relative to the delta's."""
+        self.term = self.term + self.op.normal(self.term) * -self.ev
+        self.accum += self.term
+        # GridFunction.l2_norm's expression, so rels keep their bits
+        return float(np.sqrt(np.sum(np.abs(self.term) ** 2) * self.work.volume)) / self.dnorm
+
+
+class _Krylov:
+    """Lanczos with full reorthogonalization (_orth) on one factor's normal G,
+    from the origin delta of the factor grid sub: orthonormal rows Q, and
+    the tridiagonal T with G Q^T = Q^T T on the rows built so far, one row
+    per grow.  A beta of at most n eps times the largest entry so far, or a
+    basis spanning the grid, ends the basis, whose span is then invariant."""
+
+    def __init__(self, normal, sub: GridSpec, rows: int):
+        self.normal, self.shape, n = normal, sub.shape, sub.size
+        self.Q = np.empty((min(rows, n), n), dtype=complex)
+        self.Q[0] = 0.0
+        self.Q[0, np.ravel_multi_index((sub.origin,) * sub.q_total, sub.shape)] = 1.0
+        self.alphas, self.betas, self.scale, self.ended = [], [], 0.0, False
+
+    def grow(self):
+        """Apply G to the last row: its alpha, and the next row or the end."""
+        if self.ended:
+            return
+        k, n = len(self.alphas), self.Q.shape[1]
+        w = self.normal(self.Q[k].reshape(self.shape)).ravel()
+        self.alphas.append(float(np.vdot(self.Q[k], w).real))
+        w = _orth(w, self.Q[:k + 1])
+        beta = float(np.linalg.norm(w))
+        self.scale = max(self.scale, abs(self.alphas[-1]), beta)
+        if k + 1 == n or beta <= n * EPS * self.scale:
+            self.ended = True
+            return
+        self.betas.append(beta)
+        self.Q[k + 1] = w / beta
+
+    @property
+    def T(self) -> np.ndarray:
+        """(rows, alphas) block of T: G on the rows that have an alpha, in
+        the basis of all rows."""
+        m, a = len(self.betas) + 1, len(self.alphas)
+        T = np.diag(self.alphas + [0.0] * (m - a))
+        return (T + np.diag(self.betas, 1) + np.diag(self.betas, -1))[:, :a]
+
+
+def _factor_normal(entry, adj):
+    """The normal of one entry of a tensor op on vectors of its factor grid:
+    (v a) conj(a) for a delta amplitude a, else adj(entry(v)) by apply_sub."""
+    if isinstance(entry, complex):
+        return lambda v: v * entry * adj
+    return lambda v: adj.apply_sub(entry.apply_sub(v))
+
+
+class _FactorSeries:
+    """The terms S^n delta of a tensor op in per-factor Krylov coordinates.
+
+    Op(K~) Op(K) = G_1 (x) ... (x) G_nu for the entries' normals G_mu, and
+    delta = vol^-1 (x)_mu e_mu for the factor origin deltas e_mu, so
+    S^n delta = vol^-1 ((x)_mu Q_mu^T) C_n lies in the tensor product of
+    the Krylov spaces K_{n+1}(G_mu, e_mu) (Kressner & Tobler, SIAM J.
+    Matrix Anal. Appl. 31, 2010), with C_0 = e_1 (x) ... (x) e_1 and
+    C_n = C_{n-1} - eps (T_1 (x) ... (x) T_nu) C_{n-1}.  Each step grows
+    every basis by one row (_Krylov), one factor normal each, until it
+    ends; no work-grid normal runs.  The work grid holds only term and
+    accum, formed when read.
+    """
+
+    def __init__(self, op, work: GridSpec, ev: float, n_cap: int):
+        self.work, self.ev = work, ev
+        self.bases = [_Krylov(_factor_normal(e, a), sub, n_cap + 1) for e, a, sub
+                      in zip(op.blocks, op.adjoint_op.blocks, work.factor_specs)]
+        self.C = np.ones((1,) * len(self.bases))
+        self.D = self.C.copy()  # sum of the C_n
+
+    def step(self) -> float:
+        """The next C; returns ||C||_F, the term's L2 norm relative to the
+        delta's (the rows are orthonormal)."""
+        prod = self.C
+        for mu, basis in enumerate(self.bases):
+            basis.grow()
+            prod = np.moveaxis(np.tensordot(basis.T, prod, axes=(1, mu)), 0, mu)
+        grown = [(0, m - d) for m, d in zip(prod.shape, self.C.shape)]
+        self.C = np.pad(self.C, grown) - self.ev * prod
+        self.D = np.pad(self.D, grown) + self.C
+        return float(np.linalg.norm(self.C))
+
+    def _grid(self, C: np.ndarray) -> np.ndarray:
+        for mu, basis in enumerate(self.bases):
+            C = np.moveaxis(np.tensordot(basis.Q[:C.shape[mu]], C, axes=(0, mu)), 0, mu)
+        return C.reshape(self.work.shape) / self.work.volume
+
+    @property
+    def term(self) -> np.ndarray:
+        return self._grid(self.C)
+
+    @property
+    def accum(self) -> np.ndarray:
+        return self._grid(self.D)
+
+
 def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
                        amplification_cap, cond_cap, max_n, tol, kvec_track, cfg,
                        seed) -> tuple:
@@ -375,8 +491,10 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     pad_factor): the damping, the series and the inverse kernel L on spec.
     Returns (L, eps, n, converged, flag, rels, tracked).
 
-    The padded op, with its box and Gram matrices, and the work-grid arrays
-    are locals here, so they are freed before neumann_invert's probes.
+    The series is _FactorSeries for an op of two or more entries (a tensor
+    kernel) and _DenseSeries otherwise.  The padded op, with its box
+    matrices, and the work-grid arrays are locals here, so they are freed
+    before neumann_invert's probes.
     """
     Kwork, work = Kop, spec
     if pad_factor > 1:
@@ -386,9 +504,6 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     if eps is None:
         eps = choose_epsilon(Kwork, work, paper_eps=paper_eps, seed=seed)
     elif isinstance(eps, (int, float)):
-        if amplification_cap is not None:
-            raise ValueError("amplification cap needs sigma estimates; "
-                             "pass an EpsilonChoice instead of a raw float")
         eps = EpsilonChoice(epsilon=float(eps), sigma_max=math.nan,
                             sigma_min=math.nan, s_norm_pred=math.nan,
                             paper_eps=False)
@@ -399,8 +514,6 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     n_cap = int(max_n)
     capped = False
     if amplification_cap is not None:
-        if amplification_cap <= 0 or cond_cap <= 1:
-            raise ValueError("amplification_cap must be positive and cond_cap > 1")
         sigma_ref = max(eps.sigma_min, eps.sigma_max / cond_cap)
         n_reg = max(1, math.ceil(amplification_cap / (ev * sigma_ref)))
         if n_reg < n_cap:
@@ -408,21 +521,17 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
             capped = True
     track_at = _track_points(n_cap) if kvec_track is not None else set()
 
-    delta = work.delta()
-    dnorm = delta.l2_norm()
-    term, accum = delta.values, delta.values.copy()  # term is rebound, accum added to
+    series = (_FactorSeries(Kwork, work, ev, n_cap) if len(Kwork.blocks) > 1
+              else _DenseSeries(Kwork, work, ev))
     rels = []
     tracked = []
     converged = False
     n = 0
     for n in range(1, n_cap + 1):
-        term = term + Kwork.normal(term) * -ev
-        accum += term
-        # GridFunction.l2_norm's expression, so rels keep their bits
-        rel = float(np.sqrt(np.sum(np.abs(term) ** 2) * work.volume)) / dnorm
+        rel = series.step()
         rels.append(rel)
         if n in track_at:
-            rep = pk_seminorm(GridKernel(work, term, mode=Kop.kernel.mode),
+            rep = pk_seminorm(GridKernel(work, series.term, mode=Kop.kernel.mode),
                               work, kvec_track, cfg)
             tracked.append({
                 "n": n,
@@ -443,6 +552,7 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     # one rendering of K that the symmetry check below reads too
     kwork = Kwork.kernel.render(work)
     ktilde = adjoint_kernel(kwork)
+    accum = series.accum
     if all(fac.is_abelian for fac in work.group.factors):
         lvals = Kwork.adjoint_op.apply(accum)
     else:
@@ -477,16 +587,18 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
     """Invert Op(K) through the damped Neumann series.
 
     Accumulates B = sum_{n <= N} S^n applied to the discrete delta, one
-    ConvOp.normal per step, and returns L = eps * (B convolved with K~'s
-    kernel), so Op(L) realizes eps (sum S^n) Op(K~).  On a fully abelian
-    group B * K~ equals K~ * B on the box exactly, and L is eps times the
-    prepared Op(K~) applied to B (boxed tensor factors apply their box
-    matrices, no FFT); elsewhere B * K~ is a right convolution, a convolve
-    against K~'s rendering.  Stops when the increment's L2 norm drops to
-    tol relative to the delta's, at max_n, or at the amplification cap
-    (see module docstring).  Residuals are reported on seeded band
-    limited probes, on both sides; the growth report of L quantifies
-    whether the inverse satisfies the same kind of growth bounds as K.
+    ConvOp.normal per step or, for a tensor kernel, one normal per factor on
+    its own grid in Krylov coordinates (_FactorSeries), and returns
+    L = eps * (B convolved with K~'s kernel), so Op(L) realizes
+    eps (sum S^n) Op(K~).  On a fully abelian group B * K~ equals K~ * B
+    on the box exactly, and L is eps times the prepared Op(K~) applied to B
+    (boxed tensor factors apply their box matrices, no FFT); elsewhere
+    B * K~ is a right convolution, a convolve against K~'s rendering.
+    Stops when the increment's L2 norm drops to tol relative to the
+    delta's, at max_n, or at the amplification cap (see module docstring).
+    Residuals are reported on seeded band limited probes, on both sides;
+    the growth report of L quantifies whether the inverse satisfies the
+    same kind of growth bounds as K.
 
     pad_factor > 1 runs the series on a box enlarged by that factor at
     identical spacing and returns the central window of the resulting
@@ -507,6 +619,14 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
         raise ValueError("tol must be nonnegative")
     if pad_factor < 1 or int(pad_factor) != pad_factor:
         raise ValueError("pad_factor must be a positive integer")
+    if probes < 1:
+        raise ValueError("need at least one probe")
+    if amplification_cap is not None:
+        if isinstance(eps, (int, float)):
+            raise ValueError("amplification cap needs sigma estimates; "
+                             "pass an EpsilonChoice instead of a raw float")
+        if amplification_cap <= 0 or cond_cap <= 1:
+            raise ValueError("amplification_cap must be positive and cond_cap > 1")
     if kvec_track is not None:
         kvec_track = tuple(int(k) for k in kvec_track)
     Kop = prepare(K, spec)

@@ -1022,6 +1022,27 @@ def test_sheared_rows_do_not_depend_on_their_batch(name, monkeypatch):
     assert np.array_equal(_Sheared(spec, sub, axes, kvals).apply(stack), batched)
 
 
+def test_site_offsets_memo_stops_at_its_budget(monkeypatch):
+    # one site at each loop-grid point reads every point's offsets; a block
+    # whose memo budget holds about two of them stores no more and computes
+    # the rest on demand, with the same bits, in a first and a second apply
+    spec = GridSpec(HEIS, 6, 1.0)
+    kvals = _random_kernel(spec, 75).values
+    block, small = (_Sheared(spec, spec, (0, 1, 2), kvals) for _ in range(2))
+    rows = np.zeros((block.H,) + spec.shape, dtype=complex)
+    for h in range(block.H):
+        rows[(h, *divmod(h, spec.N), h % spec.N)] = 1.0 - 0.5j * h
+    want = block.apply(rows)
+    assert len(block.offsets) == block.H
+    budget = 2 * sum(a.size for a in block.offsets[0])
+    monkeypatch.setattr(convolution, "SHEAR_CHUNK", budget)
+    for _ in range(2):
+        assert np.array_equal(small.apply(rows), want)
+        assert 0 < len(small.offsets) < block.H
+        last = sum(a.size for a in list(small.offsets.values())[-1])
+        assert small.offset_values - last < budget
+
+
 # odd grids: the lowest face pairs with the top face under negation
 ODD_GRIDS = {f"{name}-N{N}": GridSpec(group, N, 1.0)
              for name, group in (("abelian2", AB2), ("heisenberg1", HEIS),

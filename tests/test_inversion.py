@@ -564,7 +564,7 @@ def test_invert_final_step_matches_the_convolve_route(name):
 
 
 def test_invert_frees_the_padded_op_before_the_probes(monkeypatch):
-    # the work-grid op, with its box and Gram matrices, is gone once the
+    # the work-grid op, with its box matrices, is gone once the
     # series and the final kernel are done
     spec = GridSpec(AB2, 16, 1.0)
     padded = []
@@ -588,11 +588,21 @@ def test_invert_frees_the_padded_op_before_the_probes(monkeypatch):
 
 def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeypatch):
     # a tensor-Hilbert inverse on a padded abelian2 box: singular_edges reads
-    # each factor's box matrix, the series its Gram matrix and the final
-    # kernel Op(K~)'s mirrors, so each is built once and no FFT runs on the
-    # 64-point work grid (the probes' transforms on the 32-point grid stay)
+    # each factor's box matrix, the series applies it and its mirror to
+    # factor vectors and the final kernel Op(K~)'s mirrors to the work grid,
+    # so each matrix is built once, no Gram matrix is built, no whole-grid
+    # normal runs and no FFT runs on the 64-point work grid (the probes'
+    # transforms on the 32-point grid stay)
     spec = GridSpec(AB2, 32, 1.0)
     builds = Counter()
+    normals = []
+    real_normal = convolution.ConvOp.normal
+
+    def recorded_normal(op, v):
+        normals.append(op.spec.N)
+        return real_normal(op, v)
+
+    monkeypatch.setattr(convolution.ConvOp, "normal", recorded_normal)
     for name in ("matrix", "gram"):
         func = getattr(_Spectrum, name).func
 
@@ -614,8 +624,101 @@ def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeyp
     neumann_invert(_tensor_hilbert(), spec, paper_eps=True, amplification_cap=1.5,
                    cond_cap=4.0, pad_factor=2)
     assert shapes and max(max(s) for s in shapes) < 64
-    assert sorted(Counter(name for name, _ in builds).items()) == [("gram", 2), ("matrix", 2)]
+    assert sorted(Counter(name for name, _ in builds).items()) == [("matrix", 2)]
     assert set(builds.values()) == {1}
+    assert normals == []
+
+
+class _DenseRoute:
+    """The series as the dense recurrence on the work grid, one whole-grid
+    ConvOp.normal per step: the oracle of inversion._FactorSeries."""
+
+    def __init__(self, op, work, ev, n_cap):
+        delta = work.delta()
+        self.op, self.work, self.ev, self.dnorm = op, work, ev, delta.l2_norm()
+        self.term, self.accum = delta.values, delta.values.copy()
+
+    def step(self):
+        self.term = self.term - self.ev * self.op.normal(self.term)
+        self.accum = self.accum + self.term
+        return GridFunction(self.work, self.term).l2_norm() / self.dnorm
+
+
+def _factor_oracle_case(name):
+    if name == "tensor-hilbert-pad2":
+        return _tensor_hilbert(), GridSpec(AB2, 16, 1.0), {"pad_factor": 2}
+    if name == "three-factor":
+        K = TensorKernel([_random_part(6, 1), DiscreteHilbertKernel(AB1), _random_part(6, 2)])
+        return K, GridSpec(K.group, 6, 1.0), {}
+    if name == "saturated":
+        K = TensorKernel([_random_part(4, 3), _random_part(4, 5)])
+        return K, GridSpec(AB2, 4, 1.0), {}
+    return (*_tensor_cases()[name], {})
+
+
+FACTOR_ORACLE_RUNS = {"plain": {}, "capped": {"paper_eps": True, "amplification_cap": 1.5},
+                      "tracked": {"kvec_track": (1, 1), "max_n": 8}}
+
+
+@pytest.mark.parametrize("name, run", [
+    (name, run) for name in ("tensor-hilbert-pad2", "delta-grid", "heisenberg-abelian",
+                             "three-factor", "saturated")
+    for run in FACTOR_ORACLE_RUNS
+    # the smaller boxes admit no seminorm sample to track
+    if run != "tracked" or name in ("tensor-hilbert-pad2", "delta-grid")])
+def test_factor_series_matches_the_dense_route(name, run, monkeypatch):
+    # the series in per-factor Krylov coordinates against the whole-grid
+    # recurrence: the same steps and flags, rels within 1e-13, and the
+    # kernel and tracked rows within 1e-14 relative (largest measured: rels
+    # 5.2e-15, saturated; kernel 3.2e-15 of its largest value, three-factor;
+    # tracked values 1.7e-15, tensor-hilbert-pad2)
+    K, spec, kw = _factor_oracle_case(name)
+    kw = {"max_n": 64, "probes": 1, "cfg": LIGHT, **kw, **FACTOR_ORACLE_RUNS[run]}
+    built = []
+    real = inversion._FactorSeries
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(inversion, "_FactorSeries", recording)
+    got = neumann_invert(K, spec, **kw)
+    monkeypatch.setattr(inversion, "_FactorSeries", _DenseRoute)
+    want = neumann_invert(K, spec, **kw)
+    assert (got.n_steps, got.converged, got.flag) == (want.n_steps, want.converged, want.flag)
+    assert np.abs(np.subtract(got.step_rel_norms, want.step_rel_norms)).max() <= 1e-13
+    scale = np.abs(want.kernel.values).max()
+    assert np.abs(got.kernel.values - want.kernel.values).max() <= 1e-14 * scale
+    assert [t["n"] for t in got.tracked] == [t["n"] for t in want.tracked]
+    for a, b in zip(got.tracked, want.tracked):
+        for key in ("seminorm", "op_norm", "root"):
+            assert abs(a[key] - b[key]) <= 1e-14 * abs(b[key])
+    bases = built[0].bases
+    assert len(bases) == len(K.parts)
+    if name == "delta-grid":  # the amplitude's normal |a|^2 spans one direction
+        assert bases[0].ended and len(bases[0].alphas) == 1
+        assert bases[0].T.tolist() == [[5.0]]  # (-2 + i)(-2 - i)
+    if name == "saturated":  # the 4-point factor's space fills before max_n
+        assert got.n_steps > 4
+        assert bases[0].ended and len(bases[0].alphas) == 4
+    else:
+        assert all(len(b.alphas) == got.n_steps for b in bases if not b.ended)
+
+
+def test_invert_rejects_bad_arguments_before_any_work(monkeypatch):
+    def no_prepare(*args):
+        raise AssertionError("prepare ran before the arguments were checked")
+
+    monkeypatch.setattr(inversion, "prepare", no_prepare)
+    spec = GridSpec(AB2, 8, 1.0)
+    K = _tensor_hilbert()
+    with pytest.raises(ValueError, match="probe"):
+        neumann_invert(K, spec, probes=0)
+    for cap, cond in ((0.0, 4.0), (-1.0, 4.0), (1.5, 1.0), (1.5, 0.5)):
+        with pytest.raises(ValueError, match="cond_cap"):
+            neumann_invert(K, spec, amplification_cap=cap, cond_cap=cond)
+    with pytest.raises(ValueError, match="sigma estimates"):
+        neumann_invert(K, spec, eps=0.5, amplification_cap=1.0)
 
 
 # --- remainder decay ----------------------------------------------------------
