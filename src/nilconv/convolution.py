@@ -242,9 +242,14 @@ class _Spectrum(_Block):
 
     def apply_sub(self, v: np.ndarray) -> np.ndarray:
         """A boxed block applies its matrix to the one line v, a mirror as
-        conj(M conj(v)); any other block _convolve's one row."""
+        conj(M conj(v)); any other block _convolve's one row.  A real M
+        multiplies v viewed as floats, one dgemm as in _lines (a mirror's
+        conjugations cancel there)."""
         if not self.boxed:
             return super().apply_sub(v)
+        if self.real:
+            x = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 2)
+            return (self.matrix @ x).view(complex).reshape(v.shape)
         if self.mirror is None:
             return self.matrix @ v
         return np.conj(self.matrix @ np.conj(v))

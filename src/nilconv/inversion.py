@@ -10,8 +10,9 @@ composes it with K~: on an abelian group the prepared Op(K~) applied to
 that kernel, elsewhere a convolution against K~'s kernel.  A tensor
 kernel's series runs in per-factor Krylov coordinates (_FactorSeries): its
 normal is the tensor product of the factors' normals, so each step costs
-one normal per factor on the factor's own grid, and the work grid holds
-only the partial sum, formed once.
+one normal per factor on the factor's own grid.  On an abelian group its
+final step applies Op(K~) factor by factor to the basis rows, so the work
+grid holds only L.
 
 A rendered operator can be far worse conditioned than its continuum
 model: box restriction traps a few directions at small singular values
@@ -47,6 +48,7 @@ from .kernels import (
     GrowthReport,
     KernelRep,
     TensorKernel,
+    _growth_kvec,
     adjoint_kernel,
     check_growth,
 )
@@ -94,22 +96,27 @@ def probe_functions(spec: GridSpec, count: int = 3, seed: int = 101) -> list:
     Random phase gratings under a half-box Gaussian envelope; carrier
     frequencies per axis stay inside PROBE_BAND x Nyquist, away from the
     mean and Nyquist parity zeros that a box discretization cannot resolve.
+    Grating and envelope both factor over the axes, so a mode is the outer
+    product of one row exp(i omega_j x_j) exp(-2 (x_j / extent_j)^2) per
+    axis: the whole-grid formula up to rounding, with no grid of phases.
     """
     if count < 1:
         raise ValueError("need at least one probe")
     lo, hi = PROBE_BAND
     rng = np.random.default_rng(seed)
-    mesh = spec.mesh
-    envelope = np.exp(-0.5 * np.sum((mesh / (0.5 * spec.extents)) ** 2, axis=-1))
+    coords = [spec.axis_coords(j) for j in range(spec.q_total)]
+    envelope = [np.exp(-0.5 * (x / (0.5 * e)) ** 2) for x, e in zip(coords, spec.extents)]
     out = []
     for _ in range(count):
         vals = np.zeros(spec.shape, dtype=complex)
         for _ in range(PROBE_MODES):
             u = rng.uniform(lo, hi, spec.q_total) * rng.choice([-1.0, 1.0], spec.q_total)
             omega = u * np.pi / spec.spacings
-            coeff = rng.normal() + 1j * rng.normal()
-            vals = vals + coeff * np.exp(1j * np.sum(omega * mesh, axis=-1))
-        f = GridFunction(spec, vals * envelope)
+            mode = rng.normal() + 1j * rng.normal()
+            for w, x, env in zip(omega, coords, envelope):
+                mode = np.multiply.outer(mode, np.exp(1j * w * x) * env)
+            vals += mode
+        f = GridFunction(spec, vals)
         out.append(f.scaled(1.0 / f.l2_norm()))
     return out
 
@@ -220,18 +227,28 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
     Each info dict has value, method ("dense", "lanczos" or "young-bound":
     the least exact any part used), factors (one edge per part), converged
     and iterations (Lanczos steps over all parts).  choose_epsilon needs
-    both edges; a sigma_max alone comes from _top_edge.
+    both edges; a sigma_max alone comes from _top_edge.  A block with the
+    grid (N, T, group) and byte-equal values of an earlier one reuses that
+    block's edges, so the factors of H (x) H take one SVD.
     """
     op = prepare(K, spec)
     tops, bottoms = [], []
     iterations, converged, lanczos, young = 0, True, False, False
+    seen = []  # (grid, values, edges) of the blocks done
     for block in op.blocks:
         if isinstance(block, complex):  # a delta part's amplitude
             tops.append(abs(block))
             bottoms.append(abs(block))
             continue
         sub, part, n = block.sub, GridKernel(block.sub, block.values), block.sub.size
-        if n <= DENSE_SITES:
+        values = np.asarray(block.values)
+        earlier = next((edges for grid, vals, edges in seen
+                        if grid.compatible(sub) and vals.dtype == values.dtype
+                        and vals.shape == values.shape
+                        and vals.tobytes() == values.tobytes()), None)
+        if earlier:
+            top, bottom, steps, ok = earlier
+        elif n <= DENSE_SITES:
             if block.boxed:
                 # the columns the loop below would give, bit for bit (a
                 # mirror holds T^T, whose singular values are T^H's)
@@ -250,6 +267,8 @@ def singular_edges(K, spec: GridSpec, seed: int = 0) -> tuple:
         else:
             top, bottom, steps, ok = _lanczos_edges(_block_op(op, block), sub, seed)
             lanczos = True
+        if not earlier:
+            seen.append((sub, values, (top, bottom, steps, ok)))
         # LAPACK's values are exact for a perturbation of relative size about
         # n eps; widening the top edge by that keeps it an upper bound, so the
         # damping never overshoots by rounding
@@ -389,6 +408,10 @@ class _DenseSeries:
         # GridFunction.l2_norm's expression, so rels keep their bits
         return float(np.sqrt(np.sum(np.abs(self.term) ** 2) * self.work.volume)) / self.dnorm
 
+    def adjoint_image(self, adj) -> np.ndarray:
+        """Op(K~) accum on the work grid, adj the prepared Op(K~)."""
+        return adj.apply(self.accum)
+
 
 class _Krylov:
     """Lanczos with full reorthogonalization (_orth) on one factor's normal G,
@@ -447,8 +470,11 @@ class _FactorSeries:
     Matrix Anal. Appl. 31, 2010), with C_0 = e_1 (x) ... (x) e_1 and
     C_n = C_{n-1} - eps (T_1 (x) ... (x) T_nu) C_{n-1}.  Each step grows
     every basis by one row (_Krylov), one factor normal each, until it
-    ends; no work-grid normal runs.  The work grid holds only term and
-    accum, formed when read.
+    ends; no work-grid normal runs.  The partial sum B has coefficients D,
+    the sum of the C_n.  On the work grid only term, at the tracked steps,
+    and the final kernel are formed: Op(K~) B = vol^-1 ((x)_mu (A_mu
+    Q_mu^T)) D for the entries A_mu of Op(K~), from the rows' factor
+    images (adjoint_image), and accum only on a non-abelian group.
     """
 
     def __init__(self, op, work: GridSpec, ev: float, n_cap: int):
@@ -470,18 +496,31 @@ class _FactorSeries:
         self.D = np.pad(self.D, grown) + self.C
         return float(np.linalg.norm(self.C))
 
-    def _grid(self, C: np.ndarray) -> np.ndarray:
-        for mu, basis in enumerate(self.bases):
-            C = np.moveaxis(np.tensordot(basis.Q[:C.shape[mu]], C, axes=(0, mu)), 0, mu)
+    def _grid(self, C: np.ndarray, rows: list) -> np.ndarray:
+        """vol^-1 ((x)_mu R_mu^T) C on the work grid, R_mu the first rows of
+        rows[mu]."""
+        for mu, R in enumerate(rows):
+            C = np.moveaxis(np.tensordot(R[:C.shape[mu]], C, axes=(0, mu)), 0, mu)
         return C.reshape(self.work.shape) / self.work.volume
 
     @property
     def term(self) -> np.ndarray:
-        return self._grid(self.C)
+        return self._grid(self.C, [b.Q for b in self.bases])
 
     @property
     def accum(self) -> np.ndarray:
-        return self._grid(self.D)
+        return self._grid(self.D, [b.Q for b in self.bases])
+
+    def adjoint_image(self, adj) -> np.ndarray:
+        """Op(K~) B from the images of the basis rows that D uses under the
+        entries of Op(K~) (adj): apply_sub, or a delta's conjugate amplitude."""
+        rows = []
+        for basis, entry, sub, m in zip(self.bases, adj.blocks, self.work.factor_specs,
+                                        self.D.shape):
+            Q = basis.Q[:m]
+            rows.append(Q * entry if isinstance(entry, complex) else
+                        np.stack([entry.apply_sub(q.reshape(sub.shape)).ravel() for q in Q]))
+        return self._grid(self.D, rows)
 
 
 def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
@@ -492,9 +531,10 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     Returns (L, eps, n, converged, flag, rels, tracked).
 
     The series is _FactorSeries for an op of two or more entries (a tensor
-    kernel) and _DenseSeries otherwise.  The padded op, with its box
-    matrices, and the work-grid arrays are locals here, so they are freed
-    before neumann_invert's probes.
+    kernel) and _DenseSeries otherwise; on an abelian group each applies
+    Op(K~) to its partial sum its own way (adjoint_image).  The padded op,
+    with its box matrices, and the work-grid arrays are locals here, so
+    they are freed before neumann_invert's probes.
     """
     Kwork, work = Kop, spec
     if pad_factor > 1:
@@ -547,16 +587,15 @@ def _work_grid_inverse(Kop, spec: GridSpec, pad_factor: int, eps, *, paper_eps,
     if not converged:
         flag = TRACK_FLAG_CAP if capped else TRACK_FLAG_STALL
 
-    # L = eps accum * K~: on an abelian box K~ * accum, what the prepared
-    # Op(K~) applies; elsewhere a right convolution by K~, taken from the
-    # one rendering of K that the symmetry check below reads too
+    # L = eps accum * K~: on an abelian box K~ * accum, Op(K~) applied to
+    # accum (adjoint_image); elsewhere a right convolution by K~, taken from
+    # the one rendering of K that the symmetry check below reads too
     kwork = Kwork.kernel.render(work)
     ktilde = adjoint_kernel(kwork)
-    accum = series.accum
     if all(fac.is_abelian for fac in work.group.factors):
-        lvals = Kwork.adjoint_op.apply(accum)
+        lvals = series.adjoint_image(Kwork.adjoint_op)
     else:
-        lvals = convolve(GridFunction(work, accum), ktilde.data).values
+        lvals = convolve(GridFunction(work, series.accum), ktilde.data).values
     L = GridKernel(work, lvals * ev, mode=Kop.kernel.mode)
     if pad_factor > 1:
         L = _crop_kernel(L, spec)
@@ -591,14 +630,17 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
     its own grid in Krylov coordinates (_FactorSeries), and returns
     L = eps * (B convolved with K~'s kernel), so Op(L) realizes
     eps (sum S^n) Op(K~).  On a fully abelian group B * K~ equals K~ * B
-    on the box exactly, and L is eps times the prepared Op(K~) applied to B
-    (boxed tensor factors apply their box matrices, no FFT); elsewhere
-    B * K~ is a right convolution, a convolve against K~'s rendering.
-    Stops when the increment's L2 norm drops to tol relative to the
-    delta's, at max_n, or at the amplification cap (see module docstring).
-    Residuals are reported on seeded band limited probes, on both sides;
-    the growth report of L quantifies whether the inverse satisfies the
-    same kind of growth bounds as K.
+    on the box exactly, and L is eps times Op(K~) applied to B: for a
+    tensor kernel from the images of its factor bases under Op(K~)'s
+    entries, with no work-grid B and no whole-grid apply, else the
+    prepared Op(K~) on B; elsewhere B * K~ is a right convolution, a
+    convolve against K~'s rendering.  Stops when the increment's L2 norm
+    drops to tol relative to the delta's, at max_n, or at the
+    amplification cap (see module docstring).  Residuals are reported on
+    seeded band limited probes, on both sides; the growth report of L,
+    at the orders growth_kvec (one nonnegative integer per factor,
+    default all ones, checked before any work), quantifies whether the
+    inverse satisfies the same kind of growth bounds as K.
 
     pad_factor > 1 runs the series on a box enlarged by that factor at
     identical spacing and returns the central window of the resulting
@@ -629,6 +671,8 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
             raise ValueError("amplification_cap must be positive and cond_cap > 1")
     if kvec_track is not None:
         kvec_track = tuple(int(k) for k in kvec_track)
+    growth_kvec = ((1,) * spec.group.nu if growth_kvec is None
+                   else _growth_kvec(spec.group, growth_kvec))
     Kop = prepare(K, spec)
     L, eps, n, converged, flag, rels, tracked = _work_grid_inverse(
         Kop, spec, int(pad_factor), eps, paper_eps=paper_eps,
@@ -642,10 +686,8 @@ def neumann_invert(K, spec: GridSpec, max_n: int = 64,
         left = GridFunction(spec, Lop.apply(Kop.apply(f.values)) - f.values).l2_norm()
         residuals.append({"right": float(right), "left": float(left)})
 
-    nu = spec.group.nu
     try:
-        growth = check_growth(L, spec,
-                              kvec=tuple(growth_kvec) if growth_kvec else (1,) * nu)
+        growth = check_growth(L, spec, kvec=growth_kvec)
     except ValueError as exc:
         growth = GrowthReport(mode=L.mode, constants={}, argmax={}, n_samples=0,
                               valid=False, notes=str(exc))

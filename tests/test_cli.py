@@ -381,6 +381,17 @@ def test_kernel_synth_then_check_growth(tmp_path):
     assert res2["max_constant"] > 0
 
 
+def test_check_growth_sampling_failure_says_why(tmp_path, capsys):
+    # at the default N=16 the abelian1 sampling box lies within the margin
+    code, out = run(tmp_path, "kernel", "check-growth", "--preset", "abelian1",
+                    "--kernel", "hilbert")
+    assert code == EXIT_CONFIG
+    err = stderr_errors(capsys)[0]
+    assert err["path"] == "/growth"
+    assert "sampling box [-0.25, 0.25]" in err["message"]
+    assert "singular margin 0.25 (2 cells of 0.125)" in err["message"]
+
+
 def test_kernel_file_grid_mismatch(tmp_path, capsys):
     code, out = run(tmp_path / "inv", "invert", "--preset", "abelian1",
                     "--kernel", "delta", "--N", "16", "--save")

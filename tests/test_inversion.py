@@ -164,6 +164,32 @@ def test_singular_edges_renders_each_tensor_part_once(monkeypatch):
 # --- damping choice -----------------------------------------------------------
 
 
+def test_singular_edges_reuse_repeated_factor_blocks(monkeypatch):
+    # H (x) H has two byte-equal factor blocks on equal grids: one SVD serves
+    # both; H (x) 0.5 H takes two.  Either way the info dicts are those the
+    # per-factor SVDs give, bit for bit
+    spec = GridSpec(AB2, 32, 1.0)
+    sub = GridSpec(AB1, 32, 1.0)
+    parts = {a: DiscreteHilbertKernel(AB1, a) for a in (1.0, 0.5)}
+    single = {a: singular_edges(TensorKernel([K]), sub) for a, K in parts.items()}
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for second, svds in ((1.0, 1), (0.5, 2)):
+        calls.clear()
+        top, bottom = singular_edges(TensorKernel([parts[1.0], parts[second]]), spec)
+        assert len(calls) == svds
+        for got, key in ((top, 0), (bottom, 1)):
+            edges = [single[1.0][key]["value"], single[second][key]["value"]]
+            assert got == {"value": float(edges[0] * edges[1]), "method": "dense",
+                           "factors": edges, "converged": True, "iterations": 0}
+
+
 def test_choose_epsilon_formulas():
     spec = GridSpec(AB2, 8, 1.0)
     K = _near_identity_dyadic(spec, strength=0.4, seed=3)
@@ -350,6 +376,38 @@ def test_probe_functions_deterministic_and_validated():
         probe_functions(spec, count=0)
 
 
+def _mesh_probes(spec, count, seed):
+    """probe_functions as the whole-grid formula: every grating and the
+    envelope evaluated on spec.mesh."""
+    lo, hi = inversion.PROBE_BAND
+    rng = np.random.default_rng(seed)
+    mesh = spec.mesh
+    envelope = np.exp(-0.5 * np.sum((mesh / (0.5 * spec.extents)) ** 2, axis=-1))
+    out = []
+    for _ in range(count):
+        vals = np.zeros(spec.shape, dtype=complex)
+        for _ in range(inversion.PROBE_MODES):
+            u = rng.uniform(lo, hi, spec.q_total) * rng.choice([-1.0, 1.0], spec.q_total)
+            omega = u * np.pi / spec.spacings
+            coeff = rng.normal() + 1j * rng.normal()
+            vals = vals + coeff * np.exp(1j * np.sum(omega * mesh, axis=-1))
+        f = GridFunction(spec, vals * envelope)
+        out.append(f.scaled(1.0 / f.l2_norm()).values)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101])
+@pytest.mark.parametrize("group, N", [(AB2, 16), (AB2, 128), (AB1, 64), (HEIS, 8)],
+                         ids=["abelian2-16", "abelian2-128", "abelian1-64", "heisenberg1-8"])
+def test_probe_functions_match_the_mesh_formula(group, N, seed):
+    # per-axis rows and outer products against the whole-grid formula: the
+    # same rng draws in the same order, so the same functions up to rounding
+    spec = GridSpec(group, N, 1.0)
+    got = probe_functions(spec, count=3, seed=seed)
+    for f, want in zip(got, _mesh_probes(spec, 3, seed), strict=True):
+        assert np.abs(f.values - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # --- Neumann inversion --------------------------------------------------------
 
 
@@ -500,6 +558,9 @@ def test_invert_validation():
         neumann_invert(K, spec, pad_factor=0)
     with pytest.raises(ValueError, match="sigma estimates"):
         neumann_invert(K, spec, eps=0.5, amplification_cap=1.0)
+    for kvec in ((1, 1, 1), (-1, 0), (1,)):
+        with pytest.raises(ValueError, match="growth kvec"):
+            neumann_invert(K, spec, growth_kvec=kvec)
     with pytest.raises(ValueError, match="positive"):
         neumann_invert(K, spec, eps=-1.0)
     with pytest.raises(ValueError, match="cond_cap"):
@@ -589,10 +650,10 @@ def test_invert_frees_the_padded_op_before_the_probes(monkeypatch):
 def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeypatch):
     # a tensor-Hilbert inverse on a padded abelian2 box: singular_edges reads
     # each factor's box matrix, the series applies it and its mirror to
-    # factor vectors and the final kernel Op(K~)'s mirrors to the work grid,
-    # so each matrix is built once, no Gram matrix is built, no whole-grid
-    # normal runs and no FFT runs on the 64-point work grid (the probes'
-    # transforms on the 32-point grid stay)
+    # factor vectors and the final kernel Op(K~)'s mirrors to the basis
+    # rows, so each matrix is built once, no Gram matrix is built, no
+    # whole-grid normal or apply runs and no FFT runs on the 64-point work
+    # grid (the probes' transforms on the 32-point grid stay)
     spec = GridSpec(AB2, 32, 1.0)
     builds = Counter()
     normals = []
@@ -614,6 +675,14 @@ def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeyp
         prop = cached_property(counted)
         prop.__set_name__(_Spectrum, name)
         monkeypatch.setattr(_Spectrum, name, prop)
+    applies = []
+    real_apply = convolution.ConvOp.apply
+
+    def recorded_apply(op, v):
+        applies.append(op.spec.N)
+        return real_apply(op, v)
+
+    monkeypatch.setattr(convolution.ConvOp, "apply", recorded_apply)
     shapes = []
     for name in ("fftn", "ifftn"):
         def recorded(a, *args, _fn=getattr(np.fft, name), **kwargs):
@@ -627,11 +696,13 @@ def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeyp
     assert sorted(Counter(name for name, _ in builds).items()) == [("matrix", 2)]
     assert set(builds.values()) == {1}
     assert normals == []
+    assert applies and 64 not in applies  # the probes' applies run on the 32-point grid
 
 
 class _DenseRoute:
     """The series as the dense recurrence on the work grid, one whole-grid
-    ConvOp.normal per step: the oracle of inversion._FactorSeries."""
+    ConvOp.normal per step, and the final step on the whole work grid:
+    the oracle of inversion._FactorSeries."""
 
     def __init__(self, op, work, ev, n_cap):
         delta = work.delta()
@@ -642,6 +713,9 @@ class _DenseRoute:
         self.term = self.term - self.ev * self.op.normal(self.term)
         self.accum = self.accum + self.term
         return GridFunction(self.work, self.term).l2_norm() / self.dnorm
+
+    def adjoint_image(self, adj):
+        return adj.apply(self.accum)  # Op(K~) on the whole work grid
 
 
 def _factor_oracle_case(name):
@@ -667,11 +741,12 @@ FACTOR_ORACLE_RUNS = {"plain": {}, "capped": {"paper_eps": True, "amplification_
     # the smaller boxes admit no seminorm sample to track
     if run != "tracked" or name in ("tensor-hilbert-pad2", "delta-grid")])
 def test_factor_series_matches_the_dense_route(name, run, monkeypatch):
-    # the series in per-factor Krylov coordinates against the whole-grid
-    # recurrence: the same steps and flags, rels within 1e-13, and the
-    # kernel and tracked rows within 1e-14 relative (largest measured: rels
-    # 5.2e-15, saturated; kernel 3.2e-15 of its largest value, three-factor;
-    # tracked values 1.7e-15, tensor-hilbert-pad2)
+    # the series in per-factor Krylov coordinates, with the final step from
+    # factor images, against the whole-grid recurrence and final step: the
+    # same steps and flags, rels within 1e-13, and the kernel and tracked
+    # rows within 1e-14 relative (largest measured: rels 5.2e-15, saturated;
+    # kernel 2.9e-15 of its largest value, heisenberg-abelian; tracked
+    # values 1.4e-15, tensor-hilbert-pad2)
     K, spec, kw = _factor_oracle_case(name)
     kw = {"max_n": 64, "probes": 1, "cfg": LIGHT, **kw, **FACTOR_ORACLE_RUNS[run]}
     built = []

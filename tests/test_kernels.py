@@ -253,6 +253,90 @@ def test_growth_monotone_under_refinement():
         assert v <= big.constants[a] + 1e-9
 
 
+def _fd_recursion(evalfn, pts, steps, axes):
+    """The Richardson-extrapolated central difference along axes, one axis
+    at a time by recursion, one evalfn call per point set."""
+    if not axes:
+        return evalfn(pts)
+    ax, rest = axes[0], axes[1:]
+    e = np.zeros(pts.shape[-1])
+    e[ax] = 1.0
+    h = steps[..., ax][..., None] * e
+    d1 = (_fd_recursion(evalfn, pts + h, steps, rest)
+          - _fd_recursion(evalfn, pts - h, steps, rest)) / (2.0 * steps[..., ax])
+    d2 = (_fd_recursion(evalfn, pts + 2 * h, steps, rest)
+          - _fd_recursion(evalfn, pts - 2 * h, steps, rest)) / (4.0 * steps[..., ax])
+    return (4.0 * d1 - d2) / 3.0
+
+
+def _growth_cases():
+    rng = np.random.default_rng(4)
+    spec = GridSpec(AB2, 32, 1.0)
+    grid = GridKernel(spec, zero_lowest_face(rng.normal(size=spec.shape)
+                                             + 1j * rng.normal(size=spec.shape)))
+    return {
+        "grid": (grid, spec, (2, 1)),
+        "dyadic-h1a1": (synth_dyadic(H1A1, -1, 0, "random", seed=2, profile_N=8),
+                        GridSpec(H1A1, 32, 1.0), (1, 1)),
+        "closed-form": (ClosedFormKernel(AB2, "inverse-product"), GridSpec(AB2, 64, 1.0),
+                        (1, 1)),
+    }
+
+
+@pytest.mark.parametrize("budget", [None, 350])
+@pytest.mark.parametrize("name", ["grid", "dyadic-h1a1", "closed-form"])
+def test_check_growth_one_eval_is_the_recursion(monkeypatch, name, budget):
+    # every order's stencil in batched eval calls against the recursion with
+    # one eval per point set: eval is pointwise, so constants and argmax are
+    # bit-equal, also with a budget of 3 point sets of 100 points per call
+    K, spec, kvec = _growth_cases()[name]
+    if budget is not None:
+        monkeypatch.setattr(kernels, "GROWTH_EVAL_POINTS", budget)
+    sizes = []
+    real_eval = K.eval
+
+    def counted(points):
+        sizes.append(len(points))
+        return real_eval(points)
+
+    monkeypatch.setattr(K, "eval", counted, raising=False)
+    got = check_growth(K, spec, kvec=kvec, n_samples=100, seed=3)
+    calls = len(sizes)
+    monkeypatch.setattr(kernels, "_fd_derivatives", lambda evalfn, pts, steps, lists: [
+        _fd_recursion(evalfn, pts, steps, axes) for axes in lists])
+    want = check_growth(K, spec, kvec=kvec, n_samples=100, seed=3)
+    assert got.constants == want.constants and got.argmax == want.argmax
+    sets = len(sizes) - calls  # the recursion's calls, one per point set
+    assert max(sizes[:calls]) <= (budget or kernels.GROWTH_EVAL_POINTS)
+    assert calls == (1 if budget is None else -(-sets // 3))
+    assert sum(sizes[:calls]) == sum(sizes[calls:]) == sets * 100
+
+
+@pytest.mark.parametrize("kvec", [(1, 1, 1), (-1, 0), (1,)])
+def test_check_growth_rejects_a_bad_kvec_first(monkeypatch, kvec):
+    K = ClosedFormKernel(AB2, "inverse-product")
+
+    def no_eval(points):
+        raise AssertionError("eval ran before kvec was checked")
+
+    monkeypatch.setattr(K, "eval", no_eval, raising=False)
+    with pytest.raises(ValueError, match="growth kvec needs one nonnegative order per factor"):
+        check_growth(K, GridSpec(AB2, 16, 1.0), kvec=kvec)
+
+
+def test_check_growth_sampling_error_names_box_and_margin():
+    # at N=16 the sampling box of abelian1 is [-0.25, 0.25] and every point
+    # lies within the singular margin of 2 cells
+    K = ClosedFormKernel(ProductGroup([abelian(1)]), "hilbert")
+    spec = GridSpec(K.group, 16, 1.0)
+    with pytest.raises(ValueError) as err:
+        check_growth(K, spec, kvec=(0,))
+    assert str(err.value) == (
+        "could not sample enough points away from the singular set: 0 of 400 in "
+        "the sampling box [-0.25, 0.25] have every factor weight above the "
+        "singular margin 0.25 (2 cells of 0.125); 100 needed")
+
+
 def test_growth_margin_too_large():
     K = ClosedFormKernel(AB2, "inverse-product")
     spec = GridSpec(AB2, 8, 1.0)
