@@ -910,7 +910,9 @@ COMMANDS = (
      "on the kernel renderings."),
     ("opnorm", _cmd_opnorm, "opnorm", True,
      "operator norm by Lanczos iteration",
-     "CSV output: none. Exit 3 when the iteration does not converge."),
+     "CSV output: none. Exit 3 when the iteration does not converge. A tensor "
+     "kernel's norm is the product of one run per factor: iterations sums the "
+     "runs, and converged needs every run to converge."),
     ("seminorm", _cmd_seminorm, "seminorm", True,
      "product or flag kernel seminorm",
      "CSV output: seminorm.csv with columns label,alpha,j,l,z_norms,block,weight,"

@@ -19,12 +19,11 @@ plain axes), the kernel side of the sheared sum is stored once as one
 matrix per frequency.  Op(K~) is built from Op(K)'s own blocks: each
 block's adjoint is a block of the same kind on its conjugate-reversed
 values, which reads these, and box matrices, as adjoints.  The normal
-Op(K~) Op(K) applies each entry's own normal in turn; a boxed block on a
-grid of two or more axes applies its Gram matrix there, one GEMM per
-input (op_norm of a tensor kernel; the Neumann series of a tensor kernel
-applies each entry to vectors of its own grid instead, apply_sub).
-Pipelines apply Op(K) through prepare(K, spec), which does the per-kernel
-work once; the op owns its blocks, so they go when it goes.
+Op(K~) Op(K) applies each entry and its adjoint in turn; op_norm and the
+Neumann series of a tensor kernel apply each entry to vectors of its own
+grid instead (apply_sub).  Pipelines apply Op(K) through prepare(K,
+spec), which does the per-kernel work once; the op owns its blocks, so
+they go when it goes.
 
 A plain (unsheared) axis of N cells is padded to M = N + N//2 points.
 The linear convolution of two N-cell rows spans cells [0, 2N - 2] and
@@ -37,6 +36,7 @@ right after its pass (_inverse_windows).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -58,10 +58,7 @@ PAIR_BUDGET = int(2e8)
 # bytes of the N x N box matrix a one-axis _Spectrum block may hold (boxed)
 BOX_MATRIX_BYTES = 2 ** 21
 """2 MiB: N <= 512 for a real kernel (8 N^2 bytes), N <= 362 for a complex
-one (16 N^2).  A boxed block on two or more axes also holds its Gram
-matrix once a whole-grid normal runs (op_norm; the Neumann series of a
-tensor kernel builds none), of the same size, so up to twice these bytes.
-A memory bound, not a crossover: pocketfft's time depends on
+one (16 N^2).  A memory bound, not a crossover: pocketfft's time depends on
 the factors of N + N//2 (543 = 3 * 181 and 769, a prime, are slow), so no
 single N separates the two paths.  ms per pass, GEMM / FFT, of a block on
 one N x N input (N rows) along axis 0 and along axis 1, and on one row of
@@ -145,11 +142,6 @@ class _Block:
         block it mirrors (whose values those are, bit for bit)."""
         return self.mirror or type(self)(self.spec, self.sub, self.axes, self._reversed(), self)
 
-    def normal(self, v: np.ndarray, adj: "_Block") -> np.ndarray:
-        """adj(self(v)), adj this block's entry of the op's cached Op(K~);
-        a fresh adjoint() would build a second block and its caches."""
-        return adj.apply(self.apply(v))
-
     def apply_sub(self, v: np.ndarray) -> np.ndarray:
         """This block on one vector v of its own grid (shape sub.shape)."""
         return self._convolve(v[None])[0]
@@ -186,9 +178,7 @@ class _Spectrum(_Block):
     runs none of this: every row, dense or sparse, is one GEMM against
     matrix, built on first use, and no kernel spectrum is taken.  Its
     adjoint (built with adjoint_of, this block) reads that matrix as its
-    conjugate transpose.  On a grid of two or more axes a boxed block's
-    normal is one GEMM against its Gram matrix (gram), built on the first
-    normal.
+    conjugate transpose.
     """
 
     def __init__(self, spec: GridSpec, sub: GridSpec, axes: tuple, kvals: np.ndarray,
@@ -213,32 +203,12 @@ class _Spectrum(_Block):
         T = self.kwindows[N + o:o:-1].T * self.vol
         return np.ascontiguousarray(T.real if self.real else T)
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """G = A^H A, A the matrix this block applies: T, or T^H for a
-        mirror (so G = T T^H there); real for a real T.  Only a whole-grid
-        normal reads it: the Neumann series applies A and A^H to factor
-        vectors (apply_sub)."""
-        if self.mirror is not None:
-            T = self.mirror.matrix
-            return T @ T.conj().T
-        return self.matrix.conj().T @ self.matrix
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """T along the block's axis of v (_lines); a mirror of a complex T
         applies conj(T^T conj(v))."""
         if not self.boxed:
             return super().apply(v)
         return self._lines(self.matrix, v, conj=self.mirror is not None)
-
-    def normal(self, v: np.ndarray, adj: "_Spectrum") -> np.ndarray:
-        """A boxed block on a grid of two or more axes applies its Gram
-        matrix, built on the first normal: each input holds at least N
-        lines there, so one normal repays G's N^3.  A 1-D input is one line,
-        and a 1-D block keeps two GEMMs."""
-        if not (self.boxed and self.spec.q_total > 1):
-            return super().normal(v, adj)
-        return self._lines(self.gram, v, conj=False)
 
     def apply_sub(self, v: np.ndarray) -> np.ndarray:
         """A boxed block applies its matrix to the one line v, a mirror as
@@ -565,17 +535,20 @@ class _WholeGrid(_Sheared):
     """The direct block of a whole-grid kernel, built by prepare and owned by
     its op.
 
-    apply runs one public convolve per input row, with this block as the
-    kernel: bench/tracer.py counts direct calls and point pairs only at
-    convolve, reading the kernel's spec and values, so this per-row route
-    stays until the library keeps those counters itself (ROADMAP item 1).
-    convolve sums the row by _Block.apply on this block.
+    apply, and apply_sub with it, runs one public convolve per input row,
+    with this block as the kernel: bench/tracer.py counts direct calls and
+    point pairs only at convolve, reading the kernel's spec and values, so
+    this per-row route stays until the library keeps those counters itself
+    (ROADMAP item 2).  convolve sums the row by _Block.apply on this block.
     """
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         outs = [convolve(self, GridFunction(self.spec, row), "direct").values
                 for row in v.reshape(-1, *self.spec.shape)]
         return np.stack(outs).reshape(v.shape)
+
+    def apply_sub(self, v: np.ndarray) -> np.ndarray:
+        return self.apply(v)
 
 
 class ConvOp:
@@ -609,17 +582,22 @@ class ConvOp:
             v = v * entry if isinstance(entry, complex) else entry.apply(v)
         return v
 
+    @property
+    def grids(self) -> list:
+        """Each entry's own grid: the factor grids of a tensor kernel, else spec."""
+        return self.spec.factor_specs if isinstance(self.kernel, TensorKernel) else [self.spec]
+
     @cached_property
     def adjoint_op(self) -> "ConvOp":
         """Op(K~), the L2 adjoint, on the same grid: each entry's adjoint in
         the same order (the entries act on disjoint axes, so they commute).
         Its kernel is K~ as applied, read off those entries."""
         entries = [np.conj(e) if isinstance(e, complex) else e.adjoint() for e in self.blocks]
-        tensor = isinstance(self.kernel, TensorKernel)
         parts = [DeltaKernel(sub.group, e) if isinstance(e, complex)
                  else GridKernel(sub, e.values, mode=self.kernel.mode)
-                 for e, sub in zip(entries, self.spec.factor_specs if tensor else [self.spec])]
-        return ConvOp(TensorKernel(parts) if tensor else parts[0], self.spec, entries)
+                 for e, sub in zip(entries, self.grids)]
+        kernel = TensorKernel(parts) if isinstance(self.kernel, TensorKernel) else parts[0]
+        return ConvOp(kernel, self.spec, entries)
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         """Op(K~) v."""
@@ -628,12 +606,21 @@ class ConvOp:
     def normal(self, v: np.ndarray) -> np.ndarray:
         """Op(K~) Op(K) v: each entry's own normal in turn, exact as the
         entries act on disjoint axes and commute.  A delta amplitude a gives
-        (v a) conj(a); a block reads its entry of adjoint_op (_Block.normal)
-        or, boxed on two or more axes, applies its Gram matrix (_Spectrum)."""
+        (v a) conj(a); a block is followed by its entry of adjoint_op (a
+        fresh adjoint() would build a second block and its caches)."""
         v = self._checked(v)
         for entry, adj in zip(self.blocks, self.adjoint_op.blocks):
-            v = v * entry * adj if isinstance(entry, complex) else entry.normal(v, adj)
+            v = v * entry * adj if isinstance(entry, complex) else adj.apply(entry.apply(v))
         return v
+
+
+def _entry_normal(entry, adj):
+    """The normal of one op entry on vectors of its own grid (ConvOp.grids):
+    (v a) conj(a) for a delta amplitude a, else adj(entry(v)) by apply_sub,
+    adj the entry's adjoint in the op's adjoint_op."""
+    if isinstance(entry, complex):
+        return lambda v: v * entry * adj
+    return lambda v: adj.apply_sub(entry.apply_sub(v))
 
 
 def prepare(K, spec: GridSpec) -> ConvOp:
@@ -816,53 +803,85 @@ def _orth(x: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return x
 
 
+class _Lanczos:
+    """Symmetric Lanczos with full reorthogonalization (_orth) on a Hermitian
+    normal G, which maps arrays of the given shape to G v, from the unit
+    vector along start: orthonormal rows Q and the tridiagonal T with
+    G Q^T = Q^T T on the rows built so far, one row per grow, at most rows
+    rows.  beta is the last one computed.  A beta of at most n eps times the
+    largest entry so far (scale), or a basis spanning all n sites, ends the
+    basis, whose span is then invariant."""
+
+    def __init__(self, normal, shape: tuple, start: np.ndarray, rows: int):
+        self.normal, self.shape = normal, shape
+        start = start.ravel()
+        # np.empty commits a row's pages only once the row is written
+        self.Q = np.empty((min(rows, start.size), start.size), dtype=complex)
+        self.Q[0] = start / np.linalg.norm(start)
+        self.alphas, self.betas = [], []
+        self.beta, self.scale, self.ended = 0.0, 0.0, False
+
+    def grow(self):
+        """Apply G to the last row: its alpha and beta, and the next row or the end."""
+        if self.ended:
+            return
+        k, n = len(self.alphas), self.Q.shape[1]
+        w = self.normal(self.Q[k].reshape(self.shape)).ravel()
+        self.alphas.append(float(np.vdot(self.Q[k], w).real))
+        w = _orth(w, self.Q[:k + 1])
+        self.beta = float(np.linalg.norm(w))
+        self.scale = max(self.scale, abs(self.alphas[-1]), self.beta)
+        if k + 1 == n or self.beta <= n * EPS * self.scale:
+            self.ended = True
+            return
+        self.betas.append(self.beta)
+        self.Q[k + 1] = w / self.beta
+
+    @property
+    def T(self) -> np.ndarray:
+        """(rows, alphas) block of T: G on the rows that have an alpha, in
+        the basis of all rows; its first len(alphas) rows are square."""
+        m, a = len(self.betas) + 1, len(self.alphas)
+        T = np.diag(self.alphas + [0.0] * (m - a))
+        return (T + np.diag(self.betas, 1) + np.diag(self.betas, -1))[:, :a]
+
+
 def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
                  seed: int = 0) -> OpNormEstimate:
     """Largest singular value from symmetric Lanczos on a normal operator.
 
     normal maps an array v of shape spec.shape to A~(A v), as ConvOp.normal
-    does.  From the unit vector that seed draws, each step applies normal
-    once and extends a fully reorthogonalized (_orth) Krylov basis; the top
-    eigenvalue theta of the tridiagonal T_k is a Ritz value, so it rises
-    toward sigma_max^2 from below (Golub & Kahan, SIAM J. Numer. Anal. B 2,
-    1965; Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992
-    bound its error from a random start).  The run stops when theta drifts
-    by at most tol relative to theta in one step, on breakdown (beta at most
-    n eps theta, or the whole space spanned: theta is then exact, and 0 on
-    a zero operator), or after max_iter steps with converged False.  value
-    is sqrt(theta) and residual the relative Ritz residual
+    does.  From the vector that seed draws, each step grows one _Lanczos
+    basis by a row; the top eigenvalue theta of the square T_k is a Ritz
+    value, so it rises toward sigma_max^2 from below (Golub & Kahan, SIAM
+    J. Numer. Anal. B 2, 1965; Kuczynski & Wozniakowski, SIAM J. Matrix
+    Anal. Appl. 13, 1992 bound its error from a random start).  The run
+    stops when the basis ends (theta is then exact, and 0 on a zero
+    operator; a PSD normal's scale is at most theta, so the end needs beta
+    at most n eps theta), when theta drifts by at most tol relative to
+    theta in one step, or after max_iter steps with converged False.
+    value is sqrt(theta) and residual the relative Ritz residual
     beta_k |last entry of theta's eigenvector| / theta.
 
     The name is older than the algorithm: bench/tracer.py hooks
     convolution.power_method by name, so it stays until the benchmark reads
-    counters from the library (ROADMAP item 1).
+    counters from the library (ROADMAP item 2).
     """
     if max_iter < 8:
         raise ValueError("max_iter must be at least 8")
-    n = spec.size
     rng = np.random.default_rng(seed)
-    v = (rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)).ravel()
-    steps = min(max_iter, n)
-    # np.empty commits a row's pages only once the row is written
-    Q = np.empty((steps + 1, n), dtype=complex)
-    Q[0] = v / np.linalg.norm(v)
-    alphas, betas = [], []
+    start = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    basis = _Lanczos(normal, spec.shape, start, max_iter + 1)
     theta, residual, converged = 0.0, 0.0, False
-    for k in range(steps):
-        w = normal(Q[k].reshape(spec.shape)).ravel()
-        alphas.append(float(np.vdot(Q[k], w).real))
-        w = _orth(w, Q[:k + 1])
-        beta = float(np.linalg.norm(w))
-        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        vals, vecs = np.linalg.eigh(T)
+    for k in range(max_iter):
+        basis.grow()
+        vals, vecs = np.linalg.eigh(basis.T[:k + 1])
         drift = abs(vals[-1] - theta)
         theta = max(float(vals[-1]), 0.0)
-        residual = beta * abs(vecs[-1, -1]) / max(theta, 1e-300)
-        if k + 1 == n or beta <= n * EPS * theta or drift <= tol * theta:
+        residual = basis.beta * abs(vecs[-1, -1]) / max(theta, 1e-300)
+        if basis.ended or drift <= tol * theta:
             converged = True
             break
-        betas.append(beta)
-        Q[k + 1] = w / beta
     return OpNormEstimate(value=float(np.sqrt(theta)), iterations=k + 1,
                           residual=float(residual), converged=converged, N=spec.N,
                           T=spec.T, seed=seed)
@@ -870,6 +889,24 @@ def power_method(normal, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
 
 def op_norm(K, spec: GridSpec, max_iter: int = 60, tol: float = 1e-10,
             seed: int = 0) -> OpNormEstimate:
-    """Largest singular value of Op(K) by Lanczos on Op(K~) Op(K) (power_method)."""
-    return power_method(prepare(K, spec).normal, spec, max_iter=max_iter,
-                        tol=tol, seed=seed)
+    """Largest singular value of Op(K), entry by entry.
+
+    The entries of prepare(K, spec) act on disjoint axes, so Op(K) is the
+    Kronecker product of their operators and its norm is the product of
+    theirs (Horn & Johnson, Topics in Matrix Analysis, Thm 4.2.15).  Each
+    entry's norm is one power_method run, with these max_iter, tol and
+    seed, on the entry's normal on its own grid (_entry_normal,
+    ConvOp.grids).  value is the product of the runs' values, iterations
+    the sum of their steps, residual the sum of their relative residuals
+    (the product's, to first order), and converged needs every run to
+    converge.  An op of one entry (a whole-grid or delta kernel) reports
+    its one run.
+    """
+    op = prepare(K, spec)
+    runs = [power_method(_entry_normal(e, a), sub, max_iter=max_iter, tol=tol, seed=seed)
+            for e, a, sub in zip(op.blocks, op.adjoint_op.blocks, op.grids)]
+    return OpNormEstimate(value=math.prod(r.value for r in runs),
+                          iterations=sum(r.iterations for r in runs),
+                          residual=sum(r.residual for r in runs),
+                          converged=all(r.converged for r in runs), N=spec.N,
+                          T=spec.T, seed=seed)

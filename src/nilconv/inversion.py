@@ -34,6 +34,8 @@ import numpy as np
 
 from .convolution import (
     EPS,
+    _entry_normal,
+    _Lanczos,
     _orth,
     boundary_mass_fraction,
     compose_kernels,
@@ -413,53 +415,6 @@ class _DenseSeries:
         return adj.apply(self.accum)
 
 
-class _Krylov:
-    """Lanczos with full reorthogonalization (_orth) on one factor's normal G,
-    from the origin delta of the factor grid sub: orthonormal rows Q, and
-    the tridiagonal T with G Q^T = Q^T T on the rows built so far, one row
-    per grow.  A beta of at most n eps times the largest entry so far, or a
-    basis spanning the grid, ends the basis, whose span is then invariant."""
-
-    def __init__(self, normal, sub: GridSpec, rows: int):
-        self.normal, self.shape, n = normal, sub.shape, sub.size
-        self.Q = np.empty((min(rows, n), n), dtype=complex)
-        self.Q[0] = 0.0
-        self.Q[0, np.ravel_multi_index((sub.origin,) * sub.q_total, sub.shape)] = 1.0
-        self.alphas, self.betas, self.scale, self.ended = [], [], 0.0, False
-
-    def grow(self):
-        """Apply G to the last row: its alpha, and the next row or the end."""
-        if self.ended:
-            return
-        k, n = len(self.alphas), self.Q.shape[1]
-        w = self.normal(self.Q[k].reshape(self.shape)).ravel()
-        self.alphas.append(float(np.vdot(self.Q[k], w).real))
-        w = _orth(w, self.Q[:k + 1])
-        beta = float(np.linalg.norm(w))
-        self.scale = max(self.scale, abs(self.alphas[-1]), beta)
-        if k + 1 == n or beta <= n * EPS * self.scale:
-            self.ended = True
-            return
-        self.betas.append(beta)
-        self.Q[k + 1] = w / beta
-
-    @property
-    def T(self) -> np.ndarray:
-        """(rows, alphas) block of T: G on the rows that have an alpha, in
-        the basis of all rows."""
-        m, a = len(self.betas) + 1, len(self.alphas)
-        T = np.diag(self.alphas + [0.0] * (m - a))
-        return (T + np.diag(self.betas, 1) + np.diag(self.betas, -1))[:, :a]
-
-
-def _factor_normal(entry, adj):
-    """The normal of one entry of a tensor op on vectors of its factor grid:
-    (v a) conj(a) for a delta amplitude a, else adj(entry(v)) by apply_sub."""
-    if isinstance(entry, complex):
-        return lambda v: v * entry * adj
-    return lambda v: adj.apply_sub(entry.apply_sub(v))
-
-
 class _FactorSeries:
     """The terms S^n delta of a tensor op in per-factor Krylov coordinates.
 
@@ -469,7 +424,7 @@ class _FactorSeries:
     the Krylov spaces K_{n+1}(G_mu, e_mu) (Kressner & Tobler, SIAM J.
     Matrix Anal. Appl. 31, 2010), with C_0 = e_1 (x) ... (x) e_1 and
     C_n = C_{n-1} - eps (T_1 (x) ... (x) T_nu) C_{n-1}.  Each step grows
-    every basis by one row (_Krylov), one factor normal each, until it
+    every basis by one row (_Lanczos), one factor normal each, until it
     ends; no work-grid normal runs.  The partial sum B has coefficients D,
     the sum of the C_n.  On the work grid only term, at the tracked steps,
     and the final kernel are formed: Op(K~) B = vol^-1 ((x)_mu (A_mu
@@ -479,8 +434,8 @@ class _FactorSeries:
 
     def __init__(self, op, work: GridSpec, ev: float, n_cap: int):
         self.work, self.ev = work, ev
-        self.bases = [_Krylov(_factor_normal(e, a), sub, n_cap + 1) for e, a, sub
-                      in zip(op.blocks, op.adjoint_op.blocks, work.factor_specs)]
+        self.bases = [_Lanczos(_entry_normal(e, a), sub.shape, sub.delta().values, n_cap + 1)
+                      for e, a, sub in zip(op.blocks, op.adjoint_op.blocks, op.grids)]
         self.C = np.ones((1,) * len(self.bases))
         self.D = self.C.copy()  # sum of the C_n
 

@@ -26,8 +26,15 @@ from nilconv.cli import (
 )
 from nilconv.grid import GridSpec
 from nilconv.groups import GradedLieAlgebra
-from nilconv.kernels import GridKernel, load_kernel, save_kernel
-from nilconv.product import ProductGroup
+from nilconv.convolution import op_norm
+from nilconv.kernels import (
+    DiscreteHilbertKernel,
+    GridKernel,
+    TensorKernel,
+    load_kernel,
+    save_kernel,
+)
+from nilconv.product import ProductGroup, preset
 
 
 def run(tmp_path, *argv):
@@ -507,6 +514,21 @@ def test_opnorm_delta(tmp_path):
     res = read_report(out)["result"]
     assert res["converged"] is True
     assert res["value"] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_opnorm_tensor_hilbert_reports_the_library_value(tmp_path):
+    # a tensor kernel's norm is the product of its per-factor runs
+    code, out = run(tmp_path, "opnorm", "--preset", "abelian2", "--kernel",
+                    "tensor-hilbert", "--N", "64")
+    assert code == EXIT_OK
+    rep = read_report(out)
+    cfg = rep["config"]
+    group = preset("abelian2")
+    K = TensorKernel([DiscreteHilbertKernel(ProductGroup([f])) for f in group.factors])
+    est = op_norm(K, GridSpec(group, 64, cfg["grid"]["T"]), max_iter=cfg["opnorm"]["max_iter"],
+                  tol=cfg["opnorm"]["tol"], seed=cfg["seed"])
+    assert rep["result"] == est.to_dict()
+    assert rep["result"]["converged"] is True
 
 
 def test_seminorm_csv(tmp_path):

@@ -651,9 +651,9 @@ def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeyp
     # a tensor-Hilbert inverse on a padded abelian2 box: singular_edges reads
     # each factor's box matrix, the series applies it and its mirror to
     # factor vectors and the final kernel Op(K~)'s mirrors to the basis
-    # rows, so each matrix is built once, no Gram matrix is built, no
-    # whole-grid normal or apply runs and no FFT runs on the 64-point work
-    # grid (the probes' transforms on the 32-point grid stay)
+    # rows, so each matrix is built once, no whole-grid normal or apply
+    # runs and no FFT runs on the 64-point work grid (the probes'
+    # transforms on the 32-point grid stay)
     spec = GridSpec(AB2, 32, 1.0)
     builds = Counter()
     normals = []
@@ -664,17 +664,16 @@ def test_invert_tensor_work_grid_runs_no_fft_and_builds_each_matrix_once(monkeyp
         return real_normal(op, v)
 
     monkeypatch.setattr(convolution.ConvOp, "normal", recorded_normal)
-    for name in ("matrix", "gram"):
-        func = getattr(_Spectrum, name).func
+    func = _Spectrum.matrix.func
 
-        def counted(block, _func=func, _name=name):
-            if block.spec.N == 64 and (_name == "gram" or block.mirror is None):
-                builds[_name, id(block)] += 1
-            return _func(block)
+    def counted(block):
+        if block.spec.N == 64 and block.mirror is None:
+            builds["matrix", id(block)] += 1
+        return func(block)
 
-        prop = cached_property(counted)
-        prop.__set_name__(_Spectrum, name)
-        monkeypatch.setattr(_Spectrum, name, prop)
+    prop = cached_property(counted)
+    prop.__set_name__(_Spectrum, "matrix")
+    monkeypatch.setattr(_Spectrum, "matrix", prop)
     applies = []
     real_apply = convolution.ConvOp.apply
 
