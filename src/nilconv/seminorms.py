@@ -18,15 +18,16 @@ than DENSE_BLOCK_COLUMNS columns falls back to its own Lanczos run
 components.
 
 The suprema over scales and centers are sampled on a finite lattice sized to
-the grid box.  pk and fk reports are one pass over their terms: one per
-nonempty subset, then, for fk, one flag term per factor, localized in that
-factor alone.  _lattice builds each subset's lattice once per report, so
-the flag terms share the singletons' lattices: it evaluates each factor
-bump once, decides admissibility from its cells and keeps each distinct
-block once, since scales whose bumps catch the same cells at the same
-distances give the same block.  Reports carry the full block table, so
-every reported value is an estimator of the corresponding seminorm, not a
-certified bound.
+the grid box.  _reports makes the pk or fk reports of several kernels (K, L
+and K * L for a tame report, one for pk_seminorm and fk_seminorm) in one
+pass over their terms: one per nonempty subset, then, for fk, one flag term
+per factor, localized in that factor alone.  _lattice builds each subset's
+lattice once per pass: it evaluates each factor bump once, decides
+admissibility from its cells and keeps each distinct block once, since
+scales whose bumps catch the same cells at the same distances give the
+same block.  Every kernel shares a dense block's columns, derivatives and
+SVD.  Reports carry the full block table, so every reported value is an
+estimator of the corresponding seminorm, not a certified bound.
 """
 
 from __future__ import annotations
@@ -255,40 +256,46 @@ class BlockOperator:
                             seed=seed)
 
 
-def _block_norms(op: ConvOp, spec: GridSpec, alphas, phi: np.ndarray,
-                 gamma: np.ndarray, max_iter: int, tol: float, seed_for) -> list:
-    """(method, block, iterations, residual) of phi X^alpha Op(K) gamma for
-    each alpha.
+def _block_norms(ops, spec: GridSpec, alphas, phi: np.ndarray, gamma: np.ndarray,
+                 max_iter: int, tol: float, seed_for) -> list:
+    """Per op, (method, block, iterations, residual) of phi X^alpha Op(K) gamma
+    for each alpha.
 
     A block with at most DENSE_BLOCK_COLUMNS columns is exact ("dense"):
-    its nonzero part has one column per site y of supp gamma, Op(K)
-    applied to gamma(y) e_y, all columns in one batch shared by every
-    alpha, then X^alpha and phi on the window phi reads (supp phi's bounding
-    box grown by the most single-field steps of any alpha, clipped to the
-    box, so the rows of supp phi keep the whole box's bits), and one
-    stacked SVD.  A wider block runs its own Lanczos estimate
-    ("iterative") from seed_for(alpha).
+    one column per site y of supp gamma, Op(K) applied to gamma(y) e_y in
+    one batch per op and cropped to the window phi reads (supp phi's
+    bounding box grown by the most single-field steps of any alpha, clipped
+    to the box, so supp phi's rows keep the whole box's bits).  The ops'
+    crops share stacks of at most one op's whole image batch; X^alpha and
+    phi act once per alpha on each stack, and one stacked SVD gives every
+    (op, alpha) block.  A wider block runs its own Lanczos estimate
+    ("iterative") per op from seed_for(alpha).
     """
     cols = np.flatnonzero(gamma)
     if cols.size > DENSE_BLOCK_COLUMNS:
-        out = []
-        for alpha in alphas:
-            est = BlockOperator(op, spec, alpha, phi, gamma).estimate(
-                max_iter=max_iter, tol=tol, seed=seed_for(alpha))
-            out.append(("iterative", float(est.value), est.iterations, est.residual))
-        return out
+        ests = [[BlockOperator(op, spec, alpha, phi, gamma).estimate(
+            max_iter=max_iter, tol=tol, seed=seed_for(alpha)) for alpha in alphas] for op in ops]
+        return [[("iterative", float(e.value), e.iterations, e.residual) for e in row]
+                for row in ests]
     units = np.zeros((cols.size, spec.size), dtype=complex)
     units[np.arange(cols.size), cols] = gamma.reshape(-1)[cols]
-    images = op.apply(units.reshape(cols.size, *spec.shape))
     reach = max(sum(map(sum, alpha.entries)) for alpha in alphas)
     window = tuple(slice(max(int(c.min()) - reach, 0), min(int(c.max()) + 1 + reach, spec.N))
                    for c in np.nonzero(phi))
-    images, weights = images[(slice(None),) + window], phi[window].reshape(-1)
+    weights = phi[window]
     rows = np.flatnonzero(weights)
-    M = np.stack([_derivative(images, alpha, spec, window).reshape(cols.size, -1)[:, rows]
-                  * weights[rows] for alpha in alphas])
-    return [("dense", float(top), 0, 0.0)
-            for top in np.linalg.svd(M, compute_uv=False)[:, 0]]
+    per = max(spec.size // weights.size, 1)
+    out = []
+    for first in range(0, len(ops), per):
+        batch = ops[first:first + per]
+        stack = np.empty((len(batch), cols.size) + weights.shape, dtype=complex)
+        for k, op in enumerate(batch):
+            stack[k] = op.apply(units.reshape(cols.size, *spec.shape))[(slice(None),) + window]
+        M = np.stack([_derivative(stack, alpha, spec, window).reshape(len(batch), cols.size, -1)
+                      [:, :, rows] * weights.flat[rows] for alpha in alphas], axis=1)
+        out += [[("dense", float(top), 0, 0.0) for top in tops]
+                for tops in np.linalg.svd(M, compute_uv=False)[..., 0]]
+    return out
 
 
 def _block_multipliers(spec: GridSpec, subset, phi_spec: dict, gamma_spec: dict,
@@ -346,8 +353,8 @@ def localized_block(K, spec: GridSpec, alpha: MultiIndex, subset, phi_spec: dict
     """
     op = block_operator(K, spec, alpha, subset, phi_spec, gamma_spec,
                         sep_constants=sep_constants, profile=profile)
-    return _block_norms(op.op, spec, [alpha], op.phi, op.gamma, max_iter, tol,
-                        lambda _: seed)[0][1]
+    return _block_norms([op.op], spec, [alpha], op.phi, op.gamma, max_iter, tol,
+                        lambda _: seed)[0][0][1]
 
 
 @dataclass
@@ -495,58 +502,56 @@ def check_sampling(spec: GridSpec, cfg: SeminormConfig | None = None) -> None:
             _lattice(spec, cfg, subset, seps)
 
 
-def _evaluate_blocks(op, spec, cfg, kvec, term, samples, blocks_out):
-    """Max of block x weight over the _lattice samples of one report term;
-    returns (value, best).
+def _evaluate_blocks(ops, spec, cfg, kvec, term, samples, blocks_out) -> list:
+    """Per op, the SubsetEntry of one report term: the max of block x weight
+    over the term's _lattice samples; op k's rows go to blocks_out[k].
 
     term is (label, subset, tails).  The alphas range over the union of the
     tails, and a block's weight is the product over mu in subset of
     |z_mu|^(sum over nu in tails[mu] of Q_nu + deg_nu alpha).  The samples
-    are distinct blocks already.  Each gets every alpha's block from
-    _block_norms; rows keep alpha-major order.
+    are distinct blocks already.  Each gets every (op, alpha) block from
+    one _block_norms; rows keep alpha-major order.
     """
     label, subset, tails = term
     group = spec.group
     scope = sorted(set().union(*tails.values()))
     alphas = list(multi_indices_up_to(group, zero_outside(kvec, scope), scope))
     found = [
-        _block_norms(op, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
+        _block_norms(ops, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
                      lambda alpha, j=j, l=l, parts=parts: _block_seed(
                          cfg.seed, label, alpha.entries, j, l,
                          tuple(sorted(parts.items()))))
         for j, l, parts, _, phi, gamma in samples
     ]
 
-    best_val = -1.0
-    best = None
+    best = [(-1.0, None)] * len(blocks_out)
     for a, alpha in enumerate(alphas):
         degs = hom_degree(group, alpha)
-        for (j, l, parts, dists, _, _), per_alpha in zip(samples, found):
-            method, block, iterations, residual = per_alpha[a]
+        for (j, l, parts, dists, _, _), per_op in zip(samples, found):
             weight = 1.0
             for mu in subset:
                 weight *= dists[mu] ** sum(group.Q[v] + degs[v] for v in tails[mu])
-            value = block * weight
-            row = {
-                "label": label,
-                "subset": list(subset),
-                "alpha": [list(e) for e in alpha.entries],
-                "j": j,
-                "l": l,
-                "z": {str(mu): list(parts[mu][0]) for mu in subset},
-                "dists": [dists[mu] for mu in subset],
-                "block": block,
-                "weight": weight,
-                "value": value,
-                "method": method,
-                "iterations": iterations,
-                "residual": residual,
-            }
-            blocks_out.append(row)
-            if value > best_val:
-                best_val = value
-                best = row
-    return max(best_val, 0.0), best
+            for k, (method, block, iterations, residual) in enumerate(n[a] for n in per_op):
+                row = {
+                    "label": label,
+                    "subset": list(subset),
+                    "alpha": [list(e) for e in alpha.entries],
+                    "j": j,
+                    "l": l,
+                    "z": {str(mu): list(parts[mu][0]) for mu in subset},
+                    "dists": [dists[mu] for mu in subset],
+                    "block": block,
+                    "weight": weight,
+                    "value": block * weight,
+                    "method": method,
+                    "iterations": iterations,
+                    "residual": residual,
+                }
+                blocks_out[k].append(row)
+                if row["value"] > best[k][0]:
+                    best[k] = (row["value"], row)
+    return [SubsetEntry(label=label, subset=subset, value=max(value, 0.0), best=row)
+            for value, row in best]
 
 
 def _resolved_config(spec: GridSpec, cfg: SeminormConfig, kvec, kind, seps) -> dict:
@@ -574,48 +579,42 @@ def _check_kvec(spec: GridSpec, kvec):
     return kvec
 
 
-def _report(K, spec: GridSpec, kvec, cfg: SeminormConfig | None,
-            flag: bool) -> SeminormReport:
-    """The pk report, or with flag the fk report, in one pass over its terms.
+def _reports(kernels, spec: GridSpec, kvec, cfg: SeminormConfig | None,
+             flag: bool) -> list:
+    """The pk report, or with flag the fk report, of each kernel (or ConvOp)
+    on spec, in one pass over their terms (module docstring).
 
     A term (label, subset, tails) localizes the factors of subset and
     differentiates each localized mu along the factors tails[mu].  The
     product terms are ("S=(...)", s, {mu: (mu,)}) for each nonempty subset
     s; the flag terms ("flag mu=m", (m,), {m: (m, ..., nu-1)}) follow them.
-    Each subset's _lattice is built once, so the flag terms reuse the
-    product singletons' lattices.
+    op_norm and iterative blocks run per kernel, and block seeds depend only
+    on the block key, so each report has its one-kernel pass's bits.
     """
     cfg = cfg if cfg is not None else SeminormConfig()
     kvec = _check_kvec(spec, kvec)
     nu = spec.group.nu
     seps = _separations(spec)
-    op = prepare(K, spec)
-    opn = op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed)
-    lattices, blocks = {}, []
-
-    def entry(label, subset, tails):
-        if subset not in lattices:
-            lattices[subset] = _lattice(spec, cfg, subset, seps)
-        value, best = _evaluate_blocks(op, spec, cfg, kvec, (label, subset, tails),
-                                       lattices[subset], blocks)
-        return SubsetEntry(label=label, subset=subset, value=value, best=best)
-
-    entries = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
-    entries += [entry("S=" + str(s), s, {mu: (mu,) for mu in s})
-                for s in all_subsets(nu) if s]
-    flag_entries = [entry(f"flag mu={m}", (m,), {m: tuple(range(m, nu))})
-                    for m in range(nu)] if flag else []
+    lattices = {s: _lattice(spec, cfg, s, seps) for s in all_subsets(nu) if s}
+    terms = [("S=" + str(s), s, {mu: (mu,) for mu in s}) for s in lattices]
+    terms += [(f"flag mu={m}", (m,), {m: tuple(range(m, nu))}) for m in range(nu)] if flag else []
+    ops = [prepare(K, spec) for K in kernels]
+    opns = [op_norm(op, spec, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed) for op in ops]
+    blocks = [[] for _ in ops]
+    found = [_evaluate_blocks(ops, spec, cfg, kvec, term, lattices[term[1]], blocks)
+             for term in terms]
     kind = "flag" if flag else "product"
-    return SeminormReport(
-        kind=kind,
-        kvec=kvec,
-        entries=entries,
-        flag_entries=flag_entries,
-        total=float(sum(e.value for e in entries) + sum(e.value for e in flag_entries)),
-        op_norm_estimate=opn,
-        blocks=blocks,
-        config=_resolved_config(spec, cfg, kvec, kind, seps),
-    )
+    reports = []
+    for k, opn in enumerate(opns):
+        main = [SubsetEntry(label="S=()", subset=(), value=float(opn.value), best=None)]
+        main += [term[k] for term in found[:len(lattices)]]
+        extra = [term[k] for term in found[len(lattices):]]
+        reports.append(SeminormReport(
+            kind=kind, kvec=kvec, entries=main, flag_entries=extra,
+            total=float(sum(e.value for e in main) + sum(e.value for e in extra)),
+            op_norm_estimate=opn, blocks=blocks[k],
+            config=_resolved_config(spec, cfg, kvec, kind, seps)))
+    return reports
 
 
 def pk_seminorm(K, spec: GridSpec, kvec, cfg: SeminormConfig | None = None) -> SeminormReport:
@@ -624,7 +623,7 @@ def pk_seminorm(K, spec: GridSpec, kvec, cfg: SeminormConfig | None = None) -> S
     The empty subset contributes op_norm(K); each nonempty subset contributes
     the max over sampled (alpha, j, l, z) of block x prod |z|^(Q + deg alpha).
     """
-    return _report(K, spec, kvec, cfg, flag=False)
+    return _reports([K], spec, kvec, cfg, flag=False)[0]
 
 
 def fk_seminorm(K, spec: GridSpec, kvec, cfg: SeminormConfig | None = None) -> SeminormReport:
@@ -634,4 +633,4 @@ def fk_seminorm(K, spec: GridSpec, kvec, cfg: SeminormConfig | None = None) -> S
     alone with derivatives ranging over factors mu..nu and the stacked
     weight |z_mu|^(sum over later factors of Q + deg alpha).
     """
-    return _report(K, spec, kvec, cfg, flag=True)
+    return _reports([K], spec, kvec, cfg, flag=True)[0]

@@ -9,21 +9,21 @@ stability under grid refinement is the checkable claim, never a fixed
 threshold, since the underlying inequality carries an unspecified
 constant.
 
-The per-kernel seminorm reports are computed once at the full order
-vector, and every summand of every kind is read from them by _tame.  The
-subset entries of that single report coincide with the dedicated
-lower-order runs because derivative budgets outside the subset are zeroed
-before enumeration and block seeds depend only on the block key, so no
-separate reports are needed for the middle summands.
+The seminorm reports of K, L and K * L come from one pass
+(seminorms._reports) at the full order vector, and _tame reads every
+summand of every kind from them.  The subset entries of each report
+coincide with the dedicated lower-order runs because derivative budgets
+outside the subset are zeroed before enumeration and block seeds depend
+only on the block key, so the middle summands need no separate reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .convolution import compose_kernels
+from .convolution import compose_kernels, prepare
 from .grid import GridSpec
-from .seminorms import SeminormConfig, fk_seminorm, pk_seminorm
+from .seminorms import SeminormConfig, _check_kvec, _reports
 
 
 def _op_meta(kernel_id: str, nu: int, value: float) -> dict:
@@ -134,20 +134,20 @@ def _resolved(kind, kvec, spec, cfg, ids) -> dict:
 def _tame(kind, K, L, spec: GridSpec, kvec, cfg, ids) -> TameReport:
     """The composition report of one kind: "product", "flag" or "single".
 
-    The reports of K, L and K * L at kvec (pk, or fk for "flag") give every
-    summand from three entries: a factor's op norm, its whole-report
-    seminorm, and its one-factor entry with orders (k1, 0) or (0, k2).
+    K and L are prepared once, K * L is composed from their ops, and one
+    _reports pass gives all three reports at kvec (pk, or fk for "flag").
+    Every summand reads one of three entries: a factor's op norm, its
+    whole-report seminorm, or its one-factor entry, orders (k1, 0) or (0, k2).
     "single" has two summands and the first-factor entry of K * L as its
     left side; the others have four and the whole report of K * L.
     """
     if spec.group.nu != 2:
         raise ValueError("composition reports require exactly two factor groups")
     cfg = cfg if cfg is not None else SeminormConfig()
-    kvec = tuple(int(k) for k in kvec)
-    estimator = fk_seminorm if kind == "flag" else pk_seminorm
-    rK = estimator(K, spec, kvec, cfg)
-    rL = estimator(L, spec, kvec, cfg)
-    rKL = estimator(compose_kernels(K, L, spec), spec, kvec, cfg)
+    kvec = _check_kvec(spec, kvec)
+    opK, opL = prepare(K, spec), prepare(L, spec)
+    rK, rL, rKL = _reports([opK, opL, compose_kernels(opK, opL.kernel, spec)],
+                           spec, kvec, cfg, kind == "flag")
     idK, idL = ids
     variant, sem = ("flag", "flag") if kind == "flag" else ("product", "sem")
 

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilconv import convolution, seminorms
-from nilconv.convolution import left_derivative, op_norm, prepare
+from nilconv.convolution import compose_kernels, left_derivative, op_norm, prepare
 from nilconv.grid import GridFunction, GridSpec, zero_lowest_face
 from nilconv.groups import abelian, heisenberg1
 from nilconv.kernels import (
@@ -633,8 +633,8 @@ def test_dense_abelian2_blocks_run_no_fft(monkeypatch):
     fftn = np.fft.fftn
     monkeypatch.setattr(np.fft, "fftn", lambda *a, **kw: calls.append(1) or fftn(*a, **kw))
     for _, _, _, _, phi, gamma in samples:
-        found = seminorms._block_norms(op, spec, alphas, phi, gamma, cfg.max_iter, cfg.tol,
-                                       lambda _: 0)
+        [found] = seminorms._block_norms([op], spec, alphas, phi, gamma, cfg.max_iter,
+                                         cfg.tol, lambda _: 0)
         assert {row[0] for row in found} == {"dense"}
         assert max(row[1] for row in found) > 0.0
     assert calls == []
@@ -676,8 +676,34 @@ def test_cropped_dense_blocks_equal_the_whole_box_bit_for_bit(case):
         for _, _, _, _, phi, gamma in seminorms._lattice(spec, cfg, subset, seps):
             if np.count_nonzero(gamma) > DENSE_BLOCK_COLUMNS:
                 continue
-            found = seminorms._block_norms(op, spec, alphas, phi, gamma, cfg.max_iter,
-                                           cfg.tol, lambda _: 0)
+            [found] = seminorms._block_norms([op], spec, alphas, phi, gamma, cfg.max_iter,
+                                             cfg.tol, lambda _: 0)
             assert [row[1] for row in found] == _whole_box_blocks(op, spec, alphas, phi, gamma)
             checked += 1
     assert checked >= 3
+
+
+@pytest.mark.parametrize("case", ["abelian2-N16", "heisenberg1xabelian1-N8"])
+@pytest.mark.parametrize("flag", [False, True], ids=["pk", "fk"])
+def test_shared_pass_equals_one_kernel_reports(case, flag):
+    # abelian2 has only dense blocks, some of whose windows fit fewer than
+    # three ops in a stack; heisenberg1xabelian1 also has iterative blocks,
+    # here capped at 12 Lanczos steps and first-factor orders to keep it short
+    if case == "abelian2-N16":
+        spec, cfg, kvec = GridSpec(AB2, 16, 1.0), SeminormConfig(radius_factors=(1.0,)), (1, 1)
+    else:
+        spec, cfg, kvec = GridSpec(HX, 8, 2.0), SeminormConfig(max_iter=12), (1, 0)
+    K = synth_dyadic(spec.group, -2, 0, "random", seed=5, flag_mode=flag)
+    L = synth_dyadic(spec.group, -2, 0, "mexican", seed=6, flag_mode=flag)
+    opK, opL = prepare(K, spec), prepare(L, spec)
+    KL = compose_kernels(opK, opL.kernel, spec)
+    assert KL.values.tobytes() == compose_kernels(K, L, spec).values.tobytes()
+    shared = seminorms._reports([opK, opL, KL], spec, kvec, cfg, flag)
+    single = fk_seminorm if flag else pk_seminorm
+    methods = set()
+    for rep, kernel in zip(shared, (K, L, KL)):
+        alone = single(kernel, spec, kvec, cfg)
+        assert rep.to_dict() == alone.to_dict()
+        assert rep.blocks == alone.blocks
+        methods |= {row["method"] for row in rep.blocks}
+    assert methods == ({"dense"} if case == "abelian2-N16" else {"dense", "iterative"})

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from nilconv import seminorms
 from nilconv.grid import GridSpec, zero_lowest_face
 from nilconv.groups import abelian
-from nilconv.kernels import DeltaKernel, GridKernel, synth_dyadic
+from nilconv.kernels import DeltaKernel, DyadicKernel, GridKernel, synth_dyadic
 from nilconv.product import ProductGroup
 from nilconv.seminorms import SeminormConfig
 from nilconv.tame import (
@@ -171,3 +172,47 @@ def test_flag_pair_ratio_stable_under_refinement():
         assert np.isfinite(ratios[N]) and ratios[N] > 0.0
     change = max(ratios[16], ratios[24]) / min(ratios[16], ratios[24])
     assert change <= 3.0
+
+
+@pytest.mark.parametrize("report", [tame_report_pk, tame_report_fk], ids=["pk", "fk"])
+def test_report_shares_lattices_renders_and_block_stacks(monkeypatch, report):
+    # K, L and K * L share one pass: one lattice per subset, one rendering
+    # of each kernel, and X^alpha on one stack of the kernels' cropped
+    # images per (term, sample, alpha) wherever three fit in one image batch
+    lattices, renders, stacks = [], [], []
+    lattice, render, derivative = seminorms._lattice, DyadicKernel.render, seminorms._derivative
+
+    def counted_lattice(spec, cfg, subset, seps):
+        lattices.append(subset)
+        return lattice(spec, cfg, subset, seps)
+
+    def counted_render(kernel, spec):
+        renders.append(id(kernel))
+        return render(kernel, spec)
+
+    def counted_derivative(out, alpha, spec, window=()):
+        stacks.append((out.shape[0], int(np.prod(out.shape[2:]))))
+        return derivative(out, alpha, spec, window)
+
+    monkeypatch.setattr(seminorms, "_lattice", counted_lattice)
+    monkeypatch.setattr(DyadicKernel, "render", counted_render)
+    monkeypatch.setattr(seminorms, "_derivative", counted_derivative)
+    spec = GridSpec(AB2, 16, 1.0)
+    flag = report is tame_report_fk
+    K = synth_dyadic(AB2, -2, 0, "random", seed=31, flag_mode=flag)
+    L = synth_dyadic(AB2, -2, 0, "random", seed=32, flag_mode=flag)
+    rep = report(K, L, spec, (1, 1), LIGHT)
+    assert sorted(lattices) == [(0,), (0, 1), (1,)]
+    assert sorted(renders) == sorted([id(K), id(L)])
+    rows = rep.seminorm_reports["K"].blocks
+    assert {row["method"] for row in rows} == {"dense"}
+    # every kernel's images are differentiated once per (term, sample, alpha),
+    # in stacks of at most one kernel's whole image batch
+    assert sum(n for n, _ in stacks) == 3 * len(rows)
+    assert all(n * cells <= spec.size for n, cells in stacks)
+    if flag:
+        # flag mu=0's alphas take two steps and its window spans the whole
+        # second axis, so three of its crops exceed one image batch
+        assert len(rows) < len(stacks) < 2 * len(rows)
+    else:
+        assert len(stacks) == len(rows)
